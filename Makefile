@@ -51,11 +51,12 @@ crash-test:
 # Shard-invariance acceptance gate: the scatter-gather mine must answer
 # byte-identically — every p-value and verified support — to an
 # unsharded in-memory mine at shard counts 1, 2, and 4 under both
-# partition strategies, plus the out-of-core store-backed path. Under
-# -race because the coordinator fans out per-shard vectorization and
-# support counting.
+# partition strategies, plus the out-of-core store-backed path, and a
+# store read failure in Phase 3 must fail the mine with its error. Under
+# -race because the mining pipeline fans out vectorization and support
+# counting over worker pools.
 shard-test:
-	go test -race -count=1 -run 'TestShardInvariance|TestStoreBackedMine' -v ./internal/shard
+	go test -race -count=1 -run 'TestShardInvariance|TestStoreBackedMine|TestWindowReadErrorFailsMine' -v ./internal/shard
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -25,7 +25,6 @@ import (
 	"graphsig/internal/fvmine"
 	"graphsig/internal/graph"
 	"graphsig/internal/gspan"
-	"graphsig/internal/isomorph"
 	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
 	"graphsig/internal/rwr"
@@ -276,7 +275,7 @@ type VectorGroup struct {
 // search was truncated (deadline, cancellation, or budget).
 func SignificantVectors(db []*graph.Graph, cfg Config) ([]VectorGroup, *feature.Set, bool) {
 	fillConfig(&cfg)
-	ctl := controllerFor(cfg)
+	ctl := ControllerFor(cfg)
 	fs := cfg.FeatureSet
 	if fs == nil {
 		fs = feature.ChemistrySet(db, cfg.Alphabet, cfg.TopAtoms)
@@ -284,16 +283,6 @@ func SignificantVectors(db []*graph.Graph, cfg Config) ([]VectorGroup, *feature.
 	vectors := computeVectors(db, fs, cfg, ctl)
 	groups := significantVectorGroups(vectors, cfg, ctl)
 	return groups, fs, ctl.Report().Truncated
-}
-
-// controllerFor returns the run controller a mine observes: the
-// caller's when supplied, else one built from the config's context,
-// deadline and budgets.
-func controllerFor(cfg Config) *runctl.Controller {
-	if cfg.Ctl != nil {
-		return cfg.Ctl
-	}
-	return runctl.New(runctl.Options{Context: cfg.Ctx, Deadline: cfg.Deadline, Budgets: cfg.Budgets, Metrics: cfg.Metrics})
 }
 
 // rwrChunk is how many graphs the RWR phase vectorizes between
@@ -444,138 +433,6 @@ func significantVectorGroups(vectors []rwr.NodeVector, cfg Config, ctl *runctl.C
 	return groups
 }
 
-// Mine runs GraphSig over db.
-func Mine(db []*graph.Graph, cfg Config) Result {
-	fillConfig(&cfg)
-	var res Result
-	if len(db) == 0 {
-		return res
-	}
-	ctl := controllerFor(cfg)
-
-	// Phase 1: RWR over every node of every graph (Alg 2 lines 3-4).
-	t0 := time.Now()
-	featSpan := ctl.StartStage(runctl.StageFeatures)
-	fs := cfg.FeatureSet
-	if fs == nil {
-		fs = feature.ChemistrySet(db, cfg.Alphabet, cfg.TopAtoms)
-	}
-	featSpan.End(int64(fs.Len()))
-	rwrSpan := ctl.StartStage(runctl.StageRWR)
-	vectors := computeVectors(db, fs, cfg, ctl)
-	rwrSpan.End(int64(len(vectors)))
-	res.Profile.RWR = time.Since(t0)
-
-	// Phase 2: group by source label, FVMine per group (lines 5-7).
-	t1 := time.Now()
-	fvSpan := ctl.StartStage(runctl.StageFVMine)
-	groups := significantVectorGroups(vectors, cfg, ctl)
-	fvSpan.End(int64(len(groups)))
-	res.VectorsMined = len(groups)
-	res.Profile.FeatureAnalysis = time.Since(t1)
-
-	// Phase 3: cut regions and run maximal FSM per group (lines 8-13),
-	// fanned out over a bounded worker pool. Groups are independent, so
-	// only wall-clock depends on cfg.Parallelism: outcomes are merged
-	// into `best` serially in group order, reproducing the serial
-	// iteration exactly. A panicking group worker is isolated into a
-	// per-group error; the remaining groups still mine.
-	t2 := time.Now()
-	// The checkpoint/resume identity needs the database fingerprint;
-	// trust a caller-supplied one (jobs manager, store manifest) and
-	// hash the corpus only when nobody did it already.
-	dbFP := cfg.DBFingerprint
-	if dbFP == "" && (cfg.Resume != nil || ctl.WantsCheckpoints()) {
-		dbFP = graph.Fingerprint(db)
-	}
-	ordered, stats := minePatterns(func(i int) *graph.Graph { return db[i] }, dbFP, groups, cfg, ctl)
-	res.GroupsMined = stats.GroupsMined
-	res.GroupsPruned = stats.GroupsPruned
-	res.GroupErrors = stats.GroupErrors
-	res.Profile.FSM = time.Since(t2)
-
-	// Final: verify support in graph space (in parallel across patterns;
-	// counting is read-only on the database) and order the answer set.
-	// Each worker draws from the shared VF2 node budget, so one
-	// pathological pattern/target pair cannot stall verification.
-	t3 := time.Now()
-	if !cfg.SkipVerify {
-		verifySpan := ctl.StartStage(runctl.StageVerify)
-		// One summary pass over the database lets every worker reject
-		// graphs that provably cannot contain a pattern before VF2.
-		pf := isomorph.NewPrefilter(db).Meter(ctl.Metrics(), "verify")
-		var wg sync.WaitGroup
-		var verified atomic.Int64
-		work := make(chan *Subgraph)
-		workers := cfg.Parallelism
-		if workers > len(ordered) {
-			workers = len(ordered)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						ctl.Recovered(runctl.StageVerify, "support verification worker", r)
-						for range work {
-							// Drain so the feeder never blocks; the drained
-							// patterns simply stay Unverified.
-						}
-					}
-				}()
-				cp := ctl.Checkpoint(runctl.StageVerify)
-				for sg := range work {
-					if ctl.Stopped() {
-						continue // drain; remaining patterns stay Unverified
-					}
-					sup, err := pf.SupportCtl(sg.Graph, cp)
-					if err != nil {
-						continue // partial count is a lower bound: discard
-					}
-					sg.Support = sup
-					sg.Frequency = float64(sup) / float64(len(db))
-					sg.Unverified = false
-					verified.Add(1)
-				}
-			}()
-		}
-		for _, sg := range ordered {
-			work <- sg
-		}
-		close(work)
-		wg.Wait()
-		if ctl.Stopped() {
-			// All-or-nothing: under a shared VF2 budget, *which* patterns
-			// finished before the trip depends on worker scheduling. A
-			// partial verification would make Result.Subgraphs differ
-			// between runs (and parallelism levels); voiding it keeps the
-			// answer deterministic — the patterns are all still reported,
-			// just uniformly Unverified.
-			for _, sg := range ordered {
-				sg.Support, sg.Frequency, sg.Unverified = 0, 0, true
-			}
-			verifySpan.End(0)
-			if len(ordered) > 0 {
-				ctl.RecordStop(runctl.StageVerify, 0, int64(len(ordered)), "patterns support-verified")
-			}
-		} else {
-			verifySpan.End(verified.Load())
-			if n := int(verified.Load()); n < len(ordered) {
-				ctl.RecordStop(runctl.StageVerify, int64(n), int64(len(ordered)), "patterns support-verified")
-			}
-		}
-	}
-	for _, sg := range ordered {
-		res.Subgraphs = append(res.Subgraphs, *sg)
-	}
-	SortSubgraphs(res.Subgraphs)
-	res.Profile.Verify = time.Since(t3)
-	res.Degradation = ctl.Report()
-	res.Truncated = res.Degradation.Truncated
-	return res
-}
-
 func fillConfig(cfg *Config) {
 	d := Defaults()
 	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
@@ -647,6 +504,10 @@ type groupOutcome struct {
 	// panicked: the group's worker or miner panicked; recorded on the
 	// controller, surfaces as a GroupError.
 	panicked bool
+	// err: reading a window's graph failed. The mine returns the error of
+	// the first such group; it is never a GroupError and is never
+	// checkpointed.
+	err      error
 	patterns []groupPattern
 }
 
@@ -716,8 +577,8 @@ func (c *checkpointer) commit(gi int) {
 // launch count; outcomes[launched:] are untouched zero values. A
 // resumed prefix is copied in verbatim and never re-mined — its groups
 // count as launched — and each newly finished group is committed to the
-// checkpointer (nil = no snapshots).
-func mineGroups(fetch func(int) *graph.Graph, groups []VectorGroup, cfg Config, ctl *runctl.Controller, resumed []groupOutcome, ckpt *checkpointer) ([]groupOutcome, int) {
+// checkpointer (nil = no snapshots) unless its window read failed.
+func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg Config, ctl *runctl.Controller, resumed []groupOutcome, ckpt *checkpointer) ([]groupOutcome, int) {
 	wc := newWindowCache(fetch, cfg.CutoffRadius, ctl.Metrics())
 	outcomes := make([]groupOutcome, len(groups))
 	start := copy(outcomes, resumed)
@@ -743,7 +604,9 @@ func mineGroups(fetch func(int) *graph.Graph, groups []VectorGroup, cfg Config, 
 			defer wg.Done()
 			defer func() { <-sem }()
 			outcomes[gi] = mineOneGroup(groups[gi], cfg, ctl, wc)
-			ckpt.commit(gi)
+			if outcomes[gi].err == nil {
+				ckpt.commit(gi)
+			}
 		}(gi)
 	}
 	wg.Wait()
@@ -777,7 +640,13 @@ func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wc *windo
 	}
 	windows := make([]*graph.Graph, len(nodes))
 	for i, nv := range nodes {
-		windows[i] = wc.window(nv.GraphID, nv.NodeID)
+		w, err := wc.window(nv.GraphID, nv.NodeID)
+		if err != nil {
+			groupSpan.Fail(runctl.ReasonPanic, 0)
+			out.err = err
+			return out
+		}
+		windows[i] = w
 	}
 	groupSpan.End(int64(len(windows)))
 	out.windows = len(windows)

@@ -7,7 +7,6 @@ import (
 
 	"graphsig/internal/chem"
 	"graphsig/internal/feature"
-	"graphsig/internal/graph"
 	"graphsig/internal/runctl"
 )
 
@@ -38,7 +37,7 @@ func BenchmarkGroupMine(b *testing.B) {
 			run.Parallelism = p
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, launched := mineGroups(func(i int) *graph.Graph { return db[i] }, groups, run, runctl.New(runctl.Options{}), nil, nil)
+				_, launched := mineGroups(Slice(db).Graph, groups, run, runctl.New(runctl.Options{}), nil, nil)
 				if launched != len(groups) {
 					b.Fatalf("launched %d of %d groups", launched, len(groups))
 				}

@@ -145,8 +145,16 @@ func TestMineParallelPhase3Balance(t *testing.T) {
 	// Check totals are not exactly reproducible (VF2 search-tree sizes
 	// depend on incidental orderings), so the last injection point stays
 	// a comfortable fraction below the probed total.
-	for _, k := range []int64{2, total / 2, 3 * total / 4, 7 * total / 8} {
-		t.Run(fmt.Sprintf("cancel-at-%d", k), func(t *testing.T) {
+	// Subtests are named by fraction, not by check count, so the names
+	// stay stable from run to run.
+	for _, at := range []struct {
+		name string
+		k    int64
+	}{
+		{"start", 2}, {"half", total / 2}, {"3q", 3 * total / 4}, {"7eighths", 7 * total / 8},
+	} {
+		k := at.k
+		t.Run("cancel-at-"+at.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			cfg := testConfig()
 			cfg.Parallelism = 4

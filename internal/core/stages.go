@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"graphsig/internal/dfscode"
@@ -10,21 +11,17 @@ import (
 	"graphsig/internal/rwr"
 )
 
-// This file is the stage-level surface of the miner: the pieces of Mine
-// that a scatter-gather coordinator (internal/shard) recomposes. The
-// decomposition follows from what must be global for results to be
-// byte-identical at any shard count: per-graph work (feature stats, RWR
-// vectorization, support counting) scatters, while every decision that
-// reads the whole distribution — the significance model's empirical
-// priors, FVMine thresholds, group assembly, pattern dedup — must run
-// once over pooled inputs. Each exported stage therefore takes plain
-// data in and returns plain data out, observes cfg.Ctl when set, and
-// leaves all cross-shard pooling to the caller.
+// This file is the stage-level surface of the miner: the phases of
+// MineSource, exported one by one. The pipeline does not call them — it
+// runs the phases itself, over a Source — and they stay because the
+// benchmark in perfbench/ compiles against them to time each layer from
+// outside. Each takes plain data in, returns plain data out, and
+// observes cfg.Ctl when set.
 
 // Normalized returns cfg with the same defaulting Mine itself applies
-// (Table IV values for zero fields, GOMAXPROCS parallelism). A
-// coordinator normalizes once so every shard and the gather phase see
-// the exact same parameters.
+// (Table IV values for zero fields, GOMAXPROCS parallelism), so a caller
+// composing the stages can normalize once and give every stage the same
+// parameters.
 func Normalized(cfg Config) Config {
 	fillConfig(&cfg)
 	return cfg
@@ -36,17 +33,19 @@ func Normalized(cfg Config) Config {
 // stages must pin one controller into cfg.Ctl so cancellation, budgets
 // and degradation reports stay shared.
 func ControllerFor(cfg Config) *runctl.Controller {
-	return controllerFor(cfg)
+	if cfg.Ctl != nil {
+		return cfg.Ctl
+	}
+	return runctl.New(runctl.Options{Context: cfg.Ctx, Deadline: cfg.Deadline, Budgets: cfg.Budgets, Metrics: cfg.Metrics})
 }
 
 // ComputeVectors runs the RWR phase over db: one feature vector per
 // node of every graph, under a StageRWR span. GraphIDs in the result
-// index into db; a coordinator vectorizing a shard remaps them to
-// database positions before pooling. Per-graph vectors depend only on
-// that graph's content, which is what makes this stage scatterable.
+// index into db. Per-graph vectors depend only on that graph's content,
+// which is what makes this stage scatterable.
 func ComputeVectors(db []*graph.Graph, fs *feature.Set, cfg Config) []rwr.NodeVector {
 	fillConfig(&cfg)
-	ctl := controllerFor(cfg)
+	ctl := ControllerFor(cfg)
 	span := ctl.StartStage(runctl.StageRWR)
 	vecs := computeVectors(db, fs, cfg, ctl)
 	span.End(int64(len(vecs)))
@@ -62,7 +61,7 @@ func ComputeVectors(db []*graph.Graph, fs *feature.Set, cfg Config) []rwr.NodeVe
 // whole of D.
 func SignificantGroups(vectors []rwr.NodeVector, cfg Config) []VectorGroup {
 	fillConfig(&cfg)
-	ctl := controllerFor(cfg)
+	ctl := ControllerFor(cfg)
 	span := ctl.StartStage(runctl.StageFVMine)
 	groups := significantVectorGroups(vectors, cfg, ctl)
 	span.End(int64(len(groups)))
@@ -90,8 +89,9 @@ type PatternStats struct {
 // empty fingerprint both are disabled rather than mis-keyed.
 func MinePatterns(fetch func(int) *graph.Graph, groups []VectorGroup, cfg Config) ([]*Subgraph, PatternStats) {
 	fillConfig(&cfg)
-	ctl := controllerFor(cfg)
-	return minePatterns(fetch, cfg.DBFingerprint, groups, cfg, ctl)
+	ctl := ControllerFor(cfg)
+	patterns, stats, _ := minePatterns(func(i int) (*graph.Graph, error) { return fetch(i), nil }, cfg.DBFingerprint, groups, cfg, ctl)
+	return patterns, stats
 }
 
 // SortSubgraphs orders an answer set the way Mine reports it: most
@@ -114,8 +114,9 @@ func SortSubgraphs(subs []Subgraph) {
 // minePatterns is Phase 3 plus the best-pattern merge. Outcomes are
 // folded in group order regardless of worker completion order, so the
 // dedup tie-break (lowest vector log-p wins, first group wins ties) is
-// deterministic at any parallelism.
-func minePatterns(fetch func(int) *graph.Graph, dbFP string, groups []VectorGroup, cfg Config, ctl *runctl.Controller) ([]*Subgraph, PatternStats) {
+// deterministic at any parallelism. A failed window read fails the whole
+// phase with the error of the first failing group in group order.
+func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []VectorGroup, cfg Config, ctl *runctl.Controller) ([]*Subgraph, PatternStats, error) {
 	var stats PatternStats
 	// Durability hooks: when the caller installed a checkpoint sink or
 	// handed us a snapshot, bind this run's identity (database + config
@@ -155,6 +156,9 @@ func minePatterns(fetch func(int) *graph.Graph, dbFP string, groups []VectorGrou
 	for gi := 0; gi < launched; gi++ {
 		o := &outcomes[gi]
 		grp := groups[gi]
+		if o.err != nil {
+			return nil, stats, fmt.Errorf("core: vector group %d: %w", gi, o.err)
+		}
 		if o.mined {
 			stats.GroupsMined++
 		}
@@ -209,5 +213,5 @@ func minePatterns(fetch func(int) *graph.Graph, dbFP string, groups []VectorGrou
 	for _, sg := range ordered {
 		sg.Unverified = true
 	}
-	return ordered, stats
+	return ordered, stats, nil
 }

@@ -20,6 +20,7 @@ type windowKey struct {
 type windowEntry struct {
 	once sync.Once
 	g    *graph.Graph
+	err  error
 }
 
 // windowCache shares CutGraph results across vector groups. Regions
@@ -30,7 +31,7 @@ type windowEntry struct {
 type windowCache struct {
 	// fetch resolves a database position to its graph — a slice index
 	// for an in-memory mine, a lazy segment load for a store-backed one.
-	fetch  func(int) *graph.Graph
+	fetch  func(int) (*graph.Graph, error)
 	radius int
 
 	mu sync.Mutex
@@ -40,7 +41,7 @@ type windowCache struct {
 	misses *obs.Counter
 }
 
-func newWindowCache(fetch func(int) *graph.Graph, radius int, reg *obs.Registry) *windowCache {
+func newWindowCache(fetch func(int) (*graph.Graph, error), radius int, reg *obs.Registry) *windowCache {
 	return &windowCache{
 		fetch:  fetch,
 		radius: radius,
@@ -51,9 +52,10 @@ func newWindowCache(fetch func(int) *graph.Graph, radius int, reg *obs.Registry)
 }
 
 // window returns the radius-bounded cut around (graphID, nodeID),
-// cutting on first use. Safe for concurrent use; the returned graph is
-// shared and must be treated as read-only.
-func (c *windowCache) window(graphID, nodeID int) *graph.Graph {
+// cutting on first use, or the error reading graphID. Safe for
+// concurrent use; the returned graph is shared and must be treated as
+// read-only.
+func (c *windowCache) window(graphID, nodeID int) (*graph.Graph, error) {
 	k := windowKey{graphID: graphID, nodeID: nodeID, radius: c.radius}
 	c.mu.Lock()
 	e, ok := c.m[k]
@@ -67,6 +69,11 @@ func (c *windowCache) window(graphID, nodeID int) *graph.Graph {
 	} else {
 		c.misses.Inc()
 	}
-	e.once.Do(func() { e.g = c.fetch(graphID).CutGraph(nodeID, c.radius) })
-	return e.g
+	e.once.Do(func() {
+		var g *graph.Graph
+		if g, e.err = c.fetch(graphID); e.err == nil {
+			e.g = g.CutGraph(nodeID, c.radius)
+		}
+	})
+	return e.g, e.err
 }

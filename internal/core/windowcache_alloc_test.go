@@ -9,13 +9,12 @@ import (
 	"testing"
 
 	"graphsig/internal/chem"
-	"graphsig/internal/graph"
 	"graphsig/internal/obs"
 )
 
 func TestWindowCacheHitPathZeroAllocs(t *testing.T) {
 	db := plantedDB(8, 2, chem.SbCore())
-	cache := newWindowCache(func(i int) *graph.Graph { return db[i] }, 3, obs.NewRegistry())
+	cache := newWindowCache(Slice(db).Graph, 3, obs.NewRegistry())
 	// Populate: every key below is a miss exactly once.
 	for gid := range db {
 		for node := 0; node < db[gid].NumNodes(); node += 3 {

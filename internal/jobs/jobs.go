@@ -67,9 +67,10 @@ func (s State) Finished() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// ExecFunc runs one mine under a controller. The default executes
-// core.Mine over the manager's database; tests inject counters or
-// blocking fakes here.
+// ExecFunc runs one mine under a controller. cfg arrives with Ctl set to
+// that controller and Parallelism to the job's share of the host. The
+// default executes core.Mine over the manager's database; tests inject
+// counters or blocking fakes here.
 type ExecFunc func(ctl *runctl.Controller, cfg core.Config) core.Result
 
 // Options configures a Manager.
@@ -93,10 +94,10 @@ type Options struct {
 	Generation int64
 	// Workers is the pool size (0 = DefaultWorkers). Each worker runs
 	// one mine at a time; mines are internally parallel, so a handful
-	// of workers saturates the machine. The default executor divides
-	// GOMAXPROCS by the pool size into each mine's Config.Parallelism,
-	// so job-level and mine-level fan-out multiply to roughly the host
-	// width instead of oversubscribing it.
+	// of workers saturates the machine. The manager divides GOMAXPROCS
+	// by the pool size into each mine's Config.Parallelism, so job-level
+	// and mine-level fan-out multiply to roughly the host width instead
+	// of oversubscribing it.
 	Workers int
 	// QueueDepth bounds jobs waiting for a worker (0 = DefaultQueueDepth).
 	QueueDepth int
@@ -456,24 +457,7 @@ func NewManager(opt Options) *Manager {
 	m.met = newManagerMetrics(opt.Metrics, opt.Workers, opt.QueueDepth)
 	m.exec = opt.Exec
 	if m.exec == nil {
-		// Split the host between concurrently running mines: with W
-		// workers each mine gets GOMAXPROCS/W of its own. Parallelism
-		// is a runtime control outside the dedup key, so an explicit
-		// caller setting still wins.
-		share := runtime.GOMAXPROCS(0) / opt.Workers
-		if share < 1 {
-			share = 1
-		}
-		m.exec = func(ctl *runctl.Controller, cfg core.Config) core.Result {
-			cfg.Ctl = ctl
-			if cfg.Parallelism <= 0 {
-				cfg.Parallelism = share
-			}
-			// Hand the mine the fingerprint computed once at startup so
-			// checkpoint identity never re-hashes the corpus per run.
-			cfg.DBFingerprint = m.dbFP
-			return core.Mine(opt.DB, cfg)
-		}
+		m.exec = func(_ *runctl.Controller, cfg core.Config) core.Result { return core.Mine(opt.DB, cfg) }
 	}
 	for i := 0; i < opt.Workers; i++ {
 		m.workers.Add(1)
@@ -758,7 +742,18 @@ func (m *Manager) run(j *Job) {
 	j.err = nil
 	j.mu.Unlock()
 
+	// Every executor mines under the job's controller. Split the host
+	// between concurrently running mines: with W workers each mine gets
+	// GOMAXPROCS/W of its own; Parallelism is a runtime control outside
+	// the dedup key, so an explicit caller setting still wins. The
+	// fingerprint computed once at startup spares checkpoint identity a
+	// re-hash of the corpus per run.
 	cfg := j.cfg
+	cfg.Ctl = ctl
+	if cfg.Parallelism <= 0 {
+		cfg.Parallelism = max(1, runtime.GOMAXPROCS(0)/m.opts.Workers)
+	}
+	cfg.DBFingerprint = m.dbFP
 	if m.opts.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = m.opts.CheckpointEvery
 	}
@@ -796,6 +791,7 @@ func (m *Manager) run(j *Job) {
 	m.updateAvgRun(now.Sub(started))
 	m.met.runSeconds.Observe(now.Sub(started).Seconds())
 
+	m.mu.Lock()
 	j.mu.Lock()
 	canceled := j.cancelRequested || (deg.Truncated && deg.Reason == runctl.ReasonCancel)
 	if err != nil && !IsPermanent(err) && !canceled && !m.draining.Load() && attempt < m.opts.MaxRetries {
@@ -808,6 +804,7 @@ func (m *Manager) run(j *Job) {
 		j.ctl = nil
 		j.started = time.Time{}
 		j.mu.Unlock()
+		m.mu.Unlock()
 		m.scheduleRetry(j, attempt+1, err)
 		return
 	}
@@ -818,28 +815,27 @@ func (m *Manager) run(j *Job) {
 	if deg.Truncated {
 		j.degradation = &deg
 	}
+	state := StateDone
 	switch {
 	case err != nil:
-		j.finishLocked(StateFailed, now)
+		state = StateFailed
 	case canceled:
-		j.finishLocked(StateCanceled, now)
-	default:
-		j.finishLocked(StateDone, now)
+		state = StateCanceled
 	}
-	state := j.state
-	j.mu.Unlock()
-	m.met.finished(state).Inc()
-
-	m.mu.Lock()
-	if m.byKey[j.key] == j {
-		delete(m.byKey, j.key)
-	}
+	// Cache before Done closes: a caller woken by Done that resubmits the
+	// same request must hit the cache.
 	if state == StateDone && !res.Truncated {
 		m.cache.put(j.key, res)
+	}
+	j.finishLocked(state, now)
+	j.mu.Unlock()
+	if m.byKey[j.key] == j {
+		delete(m.byKey, j.key)
 	}
 	entries, _ := m.cache.stats()
 	m.met.cacheEntries.Set(int64(entries))
 	m.mu.Unlock()
+	m.met.finished(state).Inc()
 
 	switch state {
 	case StateDone:

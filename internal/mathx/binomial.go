@@ -87,27 +87,6 @@ func LogBinomialPMF(n, k int, p float64) float64 {
 	return LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
 }
 
-// BinomialPMF returns P(X = k) for X ~ Binomial(n, p).
-func BinomialPMF(n, k int, p float64) float64 {
-	return math.Exp(LogBinomialPMF(n, k, p))
-}
-
-// BinomialTailDirect sums the PMF from k to n. It is O(n-k) and exists as
-// a cross-check oracle for BinomialTail in tests; prefer BinomialTail.
-func BinomialTailDirect(n, k int, p float64) float64 {
-	if k <= 0 {
-		return 1
-	}
-	sum := 0.0
-	for i := k; i <= n; i++ {
-		sum += BinomialPMF(n, i, p)
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
-}
-
 // LogChoose returns log C(n, k) via lgamma.
 func LogChoose(n, k int) float64 {
 	if k < 0 || k > n {

@@ -109,8 +109,12 @@ func TestBodyCapRejectsOversizedRequest(t *testing.T) {
 func TestMineCanceledByClientDisconnect(t *testing.T) {
 	d := chem.GenerateN(chem.AIDSSpec(), 60)
 	s := New(d.Graphs)
+	// The jobs worker logs too, possibly after the handler returns.
+	var mu sync.Mutex
 	var logged []string
 	s.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
 		logged = append(logged, format)
 	}
 	h := s.Handler()
@@ -141,6 +145,8 @@ func TestMineCanceledByClientDisconnect(t *testing.T) {
 	if resp.Degraded.Reason != runctl.ReasonCancel {
 		t.Errorf("degradation reason = %q; want %q", resp.Degraded.Reason, runctl.ReasonCancel)
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	if len(logged) == 0 {
 		t.Error("degraded mine not logged server-side")
 	}

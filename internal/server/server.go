@@ -28,7 +28,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"sync"
 	"time"
 
@@ -431,19 +430,7 @@ func (s *Server) Jobs() *jobs.Manager {
 			fp = s.reader.Fingerprint()
 			gen = s.reader.Generation()
 			if exec == nil {
-				workers := s.JobWorkers
-				if workers <= 0 {
-					workers = jobs.DefaultWorkers
-				}
-				share := runtime.GOMAXPROCS(0) / workers
-				if share < 1 {
-					share = 1
-				}
-				exec = func(ctl *runctl.Controller, cfg core.Config) core.Result {
-					cfg.Ctl = ctl
-					if cfg.Parallelism <= 0 {
-						cfg.Parallelism = share
-					}
+				exec = func(_ *runctl.Controller, cfg core.Config) core.Result {
 					res, err := s.coord.Mine(cfg)
 					if err != nil {
 						// A store read failure voids the run; surface it

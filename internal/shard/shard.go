@@ -1,45 +1,34 @@
-// Package shard partitions a graph database across N shards and mines
-// it by scatter-gather, producing a pattern set byte-identical to a
-// single-process core.Mine at any shard count.
+// Package shard partitions a graph database across N shards for the
+// mining pipeline in internal/core, and caches each shard's RWR vectors.
 //
-// The decomposition is forced by the statistics, not by convenience.
-// GraphSig's significance measure judges each region vector against
-// empirical priors over the WHOLE vector database (§III) — a p-value
-// computed against one shard's background is a different number, so
-// naively running core.Mine per shard and unioning the answers is
-// wrong at any threshold. What CAN scatter is exactly the per-graph
-// work: feature statistics (counts add, edge-type sets union), RWR
-// vectorization (each node's vector depends only on its own graph),
-// and graph-space support counting (supports over a disjoint partition
-// sum). Everything that reads a distribution — the significance
-// model's priors, FVMine thresholds, group assembly, pattern dedup by
-// minimum DFS code — runs once at the coordinator over pooled inputs.
-// Backgrounds pool before scoring; that is the whole design.
+// The pipeline itself is core.MineSource; this package supplies its
+// plan and one hook. GraphSig's significance measure judges each region
+// vector against empirical priors over the WHOLE vector database (§III)
+// — a p-value computed against one shard's background is a different
+// number, so running core.Mine per shard and unioning the answers would
+// be wrong at any threshold. Only per-graph work scatters: feature
+// statistics, RWR vectorization, and graph-space support counting. The
+// pipeline visits the shards one at a time in those passes and pools
+// their outputs; everything that reads a distribution runs once over the
+// pooled inputs. Answers are therefore byte-identical to core.Mine at
+// any shard count.
 //
-// The coordinator visits shards one at a time in the scatter passes,
-// so peak residency is one shard's graphs plus the pooled vectors —
-// with a store.Reader underneath, a corpus larger than RAM mines in
-// bounded memory. Per-shard RWR vectors are cached under the shard's
-// content fingerprint: after an incremental append under the Hash
-// strategy, unchanged shards hit their cache and only the shards that
-// actually gained graphs re-vectorize.
+// Peak residency is one shard's graphs plus the pooled vectors — with a
+// store.Reader underneath, a corpus larger than RAM mines in bounded
+// memory. Per-shard RWR vectors are cached under the shard's content
+// fingerprint: after an incremental append under the Hash strategy,
+// unchanged shards hit their cache and only the shards that actually
+// gained graphs re-vectorize.
 package shard
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"graphsig/internal/core"
-	"graphsig/internal/feature"
 	"graphsig/internal/graph"
-	"graphsig/internal/isomorph"
 	"graphsig/internal/obs"
-	"graphsig/internal/runctl"
 	"graphsig/internal/rwr"
 )
 
@@ -69,21 +58,9 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Source is a graph database the coordinator can read positionally —
-// an in-memory Slice or a lazy store.Reader.
-type Source interface {
-	Len() int
-	Graph(i int) (*graph.Graph, error)
-}
-
-// Slice adapts an in-memory database to Source.
-type Slice []*graph.Graph
-
-// Len returns the database size.
-func (s Slice) Len() int { return len(s) }
-
-// Graph returns position i.
-func (s Slice) Graph(i int) (*graph.Graph, error) { return s[i], nil }
+// Source is a graph database read positionally — an in-memory
+// core.Slice or a lazy store.Reader.
+type Source = core.Source
 
 // Options configures a Coordinator.
 type Options struct {
@@ -120,10 +97,12 @@ type Coordinator struct {
 
 // vecCacheKey scopes cached per-shard vectors to the exact shard
 // content and the exact vectorization inputs. The shard fingerprint
-// covers membership, order, and every graph's bytes; the config key
-// covers the feature set, alpha, bins, vectorizer and radius (it is
-// the full mining CacheKey — coarser reuse across configs that differ
-// only post-RWR is deliberately left on the table for safety).
+// covers the shard's graphs in member order, byte for byte (cached
+// vectors carry shard-local graph IDs, so positions need not match);
+// the config key covers the feature set, alpha, bins, vectorizer and
+// radius (it is the full mining CacheKey — coarser reuse across configs
+// that differ only post-RWR is deliberately left on the table for
+// safety).
 type vecCacheKey struct {
 	shardFP string
 	cfgKey  string
@@ -136,15 +115,10 @@ func New(src Source, opt Options) (*Coordinator, error) {
 	}
 	fp := opt.Fingerprint
 	if fp == "" {
-		f := graph.NewFingerprinter()
-		for i := 0; i < src.Len(); i++ {
-			g, err := src.Graph(i)
-			if err != nil {
-				return nil, fmt.Errorf("shard: fingerprint scan: %w", err)
-			}
-			f.Add(g)
+		var err error
+		if fp, err = core.Fingerprint(src); err != nil {
+			return nil, fmt.Errorf("shard: fingerprint scan: %w", err)
 		}
-		fp = f.Sum()
 	}
 	c := &Coordinator{
 		metrics:  opt.Metrics,
@@ -226,282 +200,45 @@ func (c *Coordinator) snapshot() (Source, string, [][]int) {
 	return c.src, c.fp, c.plan
 }
 
-// loadShard materializes one shard's graphs in member order and their
-// content fingerprint.
-func loadShard(src Source, members []int) ([]*graph.Graph, string, error) {
-	graphs := make([]*graph.Graph, len(members))
-	f := graph.NewFingerprinter()
-	for k, pos := range members {
-		g, err := src.Graph(pos)
-		if err != nil {
-			return nil, "", fmt.Errorf("shard: load graph %d: %w", pos, err)
-		}
-		graphs[k] = g
-		f.Add(g)
-	}
-	return graphs, f.Sum(), nil
-}
-
-// Mine runs the scatter-gather pipeline and returns a Result
-// byte-identical to core.Mine over the same database and config —
-// including p-values, verified supports, and ordering — at any shard
-// count and either strategy. An error means a source read failed in a
-// scatter pass; truncation (deadline, budget, cancel) is reported in
-// Result.Degradation exactly as core.Mine reports it.
+// Mine mines the pinned database through core's pipeline, scattering
+// its per-graph passes over the shard plan and serving each shard's RWR
+// vectors through the cache. The Result is byte-identical to core.Mine
+// over the same database and config at any shard count and either
+// strategy. An error means a source read failed; truncation (deadline,
+// budget, cancel) is reported in Result.Degradation.
 func (c *Coordinator) Mine(cfg core.Config) (core.Result, error) {
-	cfg = core.Normalized(cfg)
-	ctl := core.ControllerFor(cfg)
-	cfg.Ctl = ctl // every stage below must observe this one controller
-	src, dbFP, plan := c.snapshot()
-	cfg.DBFingerprint = dbFP
+	src, fp, plan := c.snapshot()
 	c.mines.Inc()
-
-	var res core.Result
-	n := src.Len()
-	if n == 0 {
-		return res, nil
-	}
-
-	// Phase 1 scatter: per-shard feature statistics, merged before the
-	// feature set is built — the first of the pooled decisions.
-	t0 := time.Now()
-	featSpan := ctl.StartStage(runctl.StageFeatures)
-	fs := cfg.FeatureSet
-	shardFPs := make([]string, len(plan))
-	if fs == nil {
-		merged := feature.NewStats()
-		for s, members := range plan {
-			if ctl.Stopped() {
-				break
-			}
-			graphs, sfp, err := loadShard(src, members)
-			if err != nil {
-				featSpan.Fail(runctl.ReasonPanic, 0)
-				return res, err
-			}
-			shardFPs[s] = sfp
-			st := feature.NewStats()
-			for _, g := range graphs {
-				st.Add(g)
-			}
-			merged.Merge(st)
-		}
-		fs = feature.ChemistrySetFromStats(merged, cfg.Alphabet, cfg.TopAtoms)
-	}
-	featSpan.End(int64(fs.Len()))
-
-	// Phase 1 scatter, second pass: RWR per shard, results remapped to
-	// database positions and pooled. Each node's vector depends only on
-	// its own graph, so per-shard vectorization plus a positional sort
-	// reproduces the database-order vector slice exactly.
-	vectors := make([]rwr.NodeVector, 0, n)
-	for s, members := range plan {
-		if ctl.Stopped() {
-			break
-		}
-		vecs, err := c.shardVectors(src, members, shardFPs[s], s, fs, cfg)
-		if err != nil {
-			return res, err
-		}
-		vectors = append(vectors, vecs...)
-	}
-	sort.Slice(vectors, func(i, j int) bool {
-		if vectors[i].GraphID != vectors[j].GraphID {
-			return vectors[i].GraphID < vectors[j].GraphID
-		}
-		return vectors[i].NodeID < vectors[j].NodeID
-	})
-	res.Profile.RWR = time.Since(t0)
-
-	// Phase 2 gather: significance over the POOLED vectors. The model's
-	// empirical priors now span the whole database, which is what makes
-	// per-shard p-values come out right (they are never computed).
-	t1 := time.Now()
-	groups := core.SignificantGroups(vectors, cfg)
-	res.VectorsMined = len(groups)
-	res.Profile.FeatureAnalysis = time.Since(t1)
-
-	// Phase 3 at the coordinator: group FSM and dedup are global
-	// decisions (a pattern's supporting regions span shards). Windows
-	// are cut through the source on demand, so the store's segment LRU
-	// bounds residency; a read error surfaces as that group's isolated
-	// error, consistent with the per-group panic barrier.
-	t2 := time.Now()
-	fetch := func(i int) *graph.Graph {
-		g, err := src.Graph(i)
-		if err != nil {
-			panic(fmt.Sprintf("shard: window fetch: %v", err))
-		}
-		return g
-	}
-	patterns, stats := core.MinePatterns(fetch, groups, cfg)
-	res.GroupsMined = stats.GroupsMined
-	res.GroupsPruned = stats.GroupsPruned
-	res.GroupErrors = stats.GroupErrors
-	res.Profile.FSM = time.Since(t2)
-
-	// Final scatter: per-shard support verification. Disjoint shards
-	// partition the database, so per-shard counts sum to the exact
-	// whole-database support.
-	t3 := time.Now()
-	if !cfg.SkipVerify && len(patterns) > 0 {
-		if err := c.verify(src, plan, patterns, cfg, ctl); err != nil {
-			return res, err
-		}
-	}
-	for _, sg := range patterns {
-		res.Subgraphs = append(res.Subgraphs, *sg)
-	}
-	core.SortSubgraphs(res.Subgraphs)
-	res.Profile.Verify = time.Since(t3)
-	res.Degradation = ctl.Report()
-	res.Truncated = res.Degradation.Truncated
-	return res, nil
+	cfg.DBFingerprint = fp
+	cfgKey := cfg.CacheKey()
+	return core.MineSource(src, core.Scatter{
+		Shards: plan,
+		Vectors: func(s int, graphs []*graph.Graph, compute func() ([]rwr.NodeVector, bool)) []rwr.NodeVector {
+			return c.shardVectors(s, graphs, cfgKey, compute)
+		},
+	}, cfg)
 }
 
-// shardVectors returns shard s's RWR vectors with GraphIDs remapped to
-// database positions, from cache when the shard's content and the
-// vectorization config match a previous run. shardFP may be empty (the
-// stats pass was skipped because cfg supplied a feature set); the
-// shard is then loaded and fingerprinted here.
-func (c *Coordinator) shardVectors(src Source, members []int, shardFP string, s int, fs *feature.Set, cfg core.Config) ([]rwr.NodeVector, error) {
-	var graphs []*graph.Graph
-	if shardFP == "" {
-		var err error
-		graphs, shardFP, err = loadShard(src, members)
-		if err != nil {
-			return nil, err
-		}
-	}
-	key := vecCacheKey{shardFP: shardFP, cfgKey: cfg.CacheKey()}
+// shardVectors returns shard s's RWR vectors from cache when the shard's
+// content and the mining config match a previous run, else computes and
+// caches them. A truncated vectorization is partial; caching it would
+// poison later complete runs.
+func (c *Coordinator) shardVectors(s int, graphs []*graph.Graph, cfgKey string, compute func() ([]rwr.NodeVector, bool)) []rwr.NodeVector {
+	key := vecCacheKey{shardFP: graph.Fingerprint(graphs), cfgKey: cfgKey}
 	label := strconv.Itoa(s)
 	c.mu.Lock()
 	cached, ok := c.vecCache[key]
 	c.mu.Unlock()
 	if ok {
 		c.metrics.Counter(obs.MShardVectorCacheHits, "shard", label).Inc()
-		return cached, nil
+		return cached
 	}
 	c.metrics.Counter(obs.MShardVectorCacheMisses, "shard", label).Inc()
-	if graphs == nil {
-		var err error
-		graphs, _, err = loadShard(src, members)
-		if err != nil {
-			return nil, err
-		}
+	vecs, complete := compute()
+	if complete {
+		c.mu.Lock()
+		c.vecCache[key] = vecs
+		c.mu.Unlock()
 	}
-	vecs := core.ComputeVectors(graphs, fs, cfg)
-	for i := range vecs {
-		vecs[i].GraphID = members[vecs[i].GraphID]
-	}
-	// A truncated vectorization (deadline, cancel) is partial; caching
-	// it would poison later complete runs.
-	if cfg.Ctl != nil && cfg.Ctl.Stopped() {
-		return vecs, nil
-	}
-	c.mu.Lock()
-	c.vecCache[key] = vecs
-	c.mu.Unlock()
-	return vecs, nil
-}
-
-// verify counts each pattern's support shard by shard and sums. Shards
-// are visited sequentially (one shard's graphs resident at a time);
-// within a shard, patterns fan out over cfg.Parallelism workers that
-// share the controller's VF2 budget. The all-or-nothing rule matches
-// core.Mine: if the run was cut short, every pattern reverts to
-// Unverified, because *which* counts completed depends on scheduling.
-func (c *Coordinator) verify(src Source, plan [][]int, patterns []*core.Subgraph, cfg core.Config, ctl *runctl.Controller) error {
-	span := ctl.StartStage(runctl.StageVerify)
-	supports := make([]atomic.Int64, len(patterns))
-	incomplete := make([]atomic.Bool, len(patterns))
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(patterns) {
-		workers = len(patterns)
-	}
-	for _, members := range plan {
-		if ctl.Stopped() {
-			break
-		}
-		graphs, _, err := loadShard(src, members)
-		if err != nil {
-			span.Fail(runctl.ReasonPanic, 0)
-			return err
-		}
-		verifyShard(graphs, patterns, supports, incomplete, workers, ctl)
-	}
-	if ctl.Stopped() {
-		// Counts are partial in an order-dependent way; void uniformly.
-		span.End(0)
-		ctl.RecordStop(runctl.StageVerify, 0, int64(len(patterns)), "patterns support-verified")
-		return nil
-	}
-	verified := 0
-	for i, sg := range patterns {
-		if incomplete[i].Load() {
-			continue // stays Unverified
-		}
-		sup := int(supports[i].Load())
-		sg.Support = sup
-		sg.Frequency = float64(sup) / float64(src.Len())
-		sg.Unverified = false
-		verified++
-	}
-	span.End(int64(verified))
-	if verified < len(patterns) {
-		ctl.RecordStop(runctl.StageVerify, int64(verified), int64(len(patterns)), "patterns support-verified")
-	}
-	return nil
-}
-
-// verifyShard counts every pattern's support within one resident
-// shard: a fixed pool of workers claims pattern indexes off a shared
-// atomic counter, adding each within-shard count into the cross-shard
-// accumulators.
-func verifyShard(graphs []*graph.Graph, patterns []*core.Subgraph, supports []atomic.Int64, incomplete []atomic.Bool, workers int, ctl *runctl.Controller) {
-	pf := isomorph.NewPrefilter(graphs).Meter(ctl.Metrics(), "verify")
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cp := ctl.Checkpoint(runctl.StageVerify)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(patterns) {
-					return
-				}
-				if ctl.Stopped() {
-					incomplete[i].Store(true)
-					continue
-				}
-				if err := countOne(pf, patterns[i], &supports[i], cp, ctl); err != nil {
-					incomplete[i].Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// countOne adds one pattern's within-shard support behind a panic
-// barrier, so a pathological VF2 case degrades one pattern instead of
-// deadlocking the pool.
-func countOne(pf *isomorph.Prefilter, sg *core.Subgraph, total *atomic.Int64, cp *runctl.Checkpoint, ctl *runctl.Controller) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ctl.Recovered(runctl.StageVerify, "shard support verification", r)
-			err = fmt.Errorf("shard: verify panic: %v", r)
-		}
-	}()
-	sup, err := pf.SupportCtl(sg.Graph, cp)
-	if err != nil {
-		return err
-	}
-	total.Add(int64(sup))
-	return nil
+	return vecs
 }

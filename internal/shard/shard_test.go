@@ -1,14 +1,17 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"graphsig/internal/chem"
 	"graphsig/internal/core"
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
+	"graphsig/internal/runctl"
 	"graphsig/internal/store"
 )
 
@@ -95,7 +98,7 @@ func TestShardInvariance(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			label := fmt.Sprintf("%s-%d", strategy, shards)
 			t.Run(label, func(t *testing.T) {
-				c, err := New(Slice(db), Options{Shards: shards, Strategy: strategy})
+				c, err := New(core.Slice(db), Options{Shards: shards, Strategy: strategy})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +120,7 @@ func TestShardInvariance(t *testing.T) {
 func TestShardVectorCacheRepeatMine(t *testing.T) {
 	db := plantedDB(40, 8, chem.SbCore())
 	reg := obs.NewRegistry()
-	c, err := New(Slice(db), Options{Shards: 4, Strategy: Hash, Metrics: reg})
+	c, err := New(core.Slice(db), Options{Shards: 4, Strategy: Hash, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestShardVectorCacheRepeatMine(t *testing.T) {
 func TestAppendInvalidatesOnlyAffectedShards(t *testing.T) {
 	db := plantedDB(42, 8, chem.SbCore())
 	reg := obs.NewRegistry()
-	c, err := New(Slice(db[:40]), Options{Shards: 4, Strategy: Hash, Metrics: reg})
+	c, err := New(core.Slice(db[:40]), Options{Shards: 4, Strategy: Hash, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,7 @@ func TestAppendInvalidatesOnlyAffectedShards(t *testing.T) {
 	}
 	// Positions 40 and 41 hash to shards 0 and 1; shards 2 and 3 keep
 	// their exact member lists.
-	c.Reload(Slice(db), graph.Fingerprint(db))
+	c.Reload(core.Slice(db), graph.Fingerprint(db))
 	res, err := c.Mine(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -208,5 +211,51 @@ func TestStoreBackedMineMatchesInMemory(t *testing.T) {
 	loads := reg.Counter(obs.MStoreSegmentLoads).Value()
 	if loads <= int64(len(man.Segments)) {
 		t.Errorf("reader loaded %d segments total; with a 2-segment LRU over %d segments the mine should have evicted and reloaded", loads, len(man.Segments))
+	}
+}
+
+var errInjectedRead = errors.New("injected read failure")
+
+// failingSource serves its first `reads` graph reads, then fails every
+// read after them.
+type failingSource struct {
+	core.Slice
+	reads atomic.Int64
+}
+
+func (f *failingSource) Graph(i int) (*graph.Graph, error) {
+	if f.reads.Add(-1) < 0 {
+		return nil, errInjectedRead
+	}
+	return f.Slice.Graph(i)
+}
+
+// TestWindowReadErrorFailsMine: a source read that fails while Phase 3
+// cuts region windows must fail the mine with that error — not be booked
+// as a per-group error behind a successful return — and no group whose
+// read failed may reach a checkpoint. Reads succeed through the two
+// scatter passes (feature statistics, then RWR with a cold vector cache)
+// and fail from the first window fetch on.
+func TestWindowReadErrorFailsMine(t *testing.T) {
+	db := plantedDB(40, 8, chem.SbCore())
+	src := &failingSource{Slice: db}
+	src.reads.Store(2 * int64(len(db)))
+	c, err := New(src, Options{Shards: 2, Strategy: Hash, Fingerprint: graph.Fingerprint(db)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checkpoints atomic.Int64
+	cfg := testConfig()
+	cfg.CheckpointEvery = 1
+	cfg.Ctl = runctl.New(runctl.Options{CheckpointSink: func([]byte) { checkpoints.Add(1) }})
+	res, err := c.Mine(cfg)
+	if !errors.Is(err, errInjectedRead) {
+		t.Fatalf("Mine returned error %v; want the injected read failure", err)
+	}
+	if res.GroupErrors != 0 {
+		t.Errorf("read failure booked as %d group errors", res.GroupErrors)
+	}
+	if n := checkpoints.Load(); n != 0 {
+		t.Errorf("%d checkpoints emitted for groups whose window read failed", n)
 	}
 }
