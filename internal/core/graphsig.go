@@ -573,11 +573,12 @@ func (c *checkpointer) commit(gi int) {
 
 // mineGroups fans Phase 3 out over a pool of cfg.Parallelism workers
 // sharing one window cache. It returns one outcome per launched group
-// (launch stops, in group order, once the controller trips) plus the
-// launch count; outcomes[launched:] are untouched zero values. A
-// resumed prefix is copied in verbatim and never re-mined — its groups
-// count as launched — and each newly finished group is committed to the
-// checkpointer (nil = no snapshots) unless its window read failed.
+// (launch stops, in group order, once the controller trips or a window
+// read fails) plus the launch count; outcomes[launched:] are untouched
+// zero values. A resumed prefix is copied in verbatim and never re-mined
+// — its groups count as launched — and each newly finished group is
+// committed to the checkpointer (nil = no snapshots) unless its window
+// read failed.
 func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg Config, ctl *runctl.Controller, resumed []groupOutcome, ckpt *checkpointer) ([]groupOutcome, int) {
 	wc := newWindowCache(fetch, cfg.CutoffRadius, ctl.Metrics())
 	outcomes := make([]groupOutcome, len(groups))
@@ -591,10 +592,11 @@ func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg
 		workers = 1
 	}
 	var wg sync.WaitGroup
+	var readFailed atomic.Bool
 	sem := make(chan struct{}, workers)
 	launched := start
 	for gi := start; gi < len(groups); gi++ {
-		if ctl.Stopped() {
+		if ctl.Stopped() || readFailed.Load() {
 			break
 		}
 		wg.Add(1)
@@ -604,9 +606,11 @@ func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg
 			defer wg.Done()
 			defer func() { <-sem }()
 			outcomes[gi] = mineOneGroup(groups[gi], cfg, ctl, wc)
-			if outcomes[gi].err == nil {
-				ckpt.commit(gi)
+			if outcomes[gi].err != nil {
+				readFailed.Store(true)
+				return
 			}
+			ckpt.commit(gi)
 		}(gi)
 	}
 	wg.Wait()

@@ -53,13 +53,16 @@ func Fingerprint(src Source) (string, error) {
 // The zero value is the in-memory case: one shard holding the whole
 // database in order.
 type Scatter struct {
-	// Shards lists each shard's database positions in ascending order.
+	// Shards lists each shard's database positions in ascending order;
+	// a shard may be empty.
 	Shards [][]int
 	// Vectors, when non-nil, returns shard s's RWR vectors with GraphIDs
-	// indexing graphs, either from a cache or by calling compute.
-	// compute reports complete == false when the run was cut short
-	// partway; such vectors are partial and must not be cached.
-	Vectors func(s int, graphs []*graph.Graph, compute func() (vecs []rwr.NodeVector, complete bool)) []rwr.NodeVector
+	// indexing the shard's members, either from a cache keyed by fp (the
+	// graph.Fingerprint of the shard's graphs in member order) or by
+	// calling compute. compute reads the shard only when called, so a
+	// cache hit costs no reads; it reports complete == false when the
+	// run was cut short partway, and such vectors must not be cached.
+	Vectors func(s int, fp string, compute func() (vecs []rwr.NodeVector, complete bool, err error)) ([]rwr.NodeVector, error)
 }
 
 // Mine runs GraphSig over an in-memory database: the one-shard case of
@@ -81,21 +84,50 @@ func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
 		return res, nil
 	}
 	ctl := ControllerFor(cfg)
+	whole := sc.Shards == nil
 	shards := sc.Shards
-	if shards == nil {
-		shards = [][]int{nil}
+	if whole {
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		shards = [][]int{all}
+	}
+	// Shard fingerprints key the vector cache. Each is taken the first
+	// time its shard is loaded — normally in the feature-stats pass — so
+	// a cache hit in the RWR pass reads nothing.
+	var shardFPs []string
+	if sc.Vectors != nil {
+		shardFPs = make([]string, len(shards))
+	}
+	load := func(s int) ([]*graph.Graph, error) {
+		graphs, ok := src.(Slice)
+		if !ok || !whole {
+			graphs = make(Slice, len(shards[s]))
+			for k, pos := range shards[s] {
+				g, err := src.Graph(pos)
+				if err != nil {
+					return nil, fmt.Errorf("core: load graph %d: %w", pos, err)
+				}
+				graphs[k] = g
+			}
+		}
+		if shardFPs != nil && shardFPs[s] == "" {
+			shardFPs[s] = graph.Fingerprint(graphs)
+		}
+		return graphs, nil
 	}
 	// each visits the shards in order until the run stops.
-	each := func(fn func(s int, graphs []*graph.Graph)) error {
-		for s, members := range shards {
+	each := func(fn func(graphs []*graph.Graph)) error {
+		for s := range shards {
 			if ctl.Stopped() {
 				return nil
 			}
-			graphs, err := loadShard(src, members)
+			graphs, err := load(s)
 			if err != nil {
 				return err
 			}
-			fn(s, graphs)
+			fn(graphs)
 		}
 		return nil
 	}
@@ -107,7 +139,7 @@ func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
 	fs := cfg.FeatureSet
 	if fs == nil {
 		merged := feature.NewStats()
-		err := each(func(_ int, graphs []*graph.Graph) {
+		err := each(func(graphs []*graph.Graph) {
 			st := feature.NewStats()
 			for _, g := range graphs {
 				st.Add(g)
@@ -123,30 +155,43 @@ func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
 	featSpan.End(int64(fs.Len()))
 	rwrSpan := ctl.StartStage(runctl.StageRWR)
 	var vectors []rwr.NodeVector
-	err := each(func(s int, graphs []*graph.Graph) {
-		compute := func() ([]rwr.NodeVector, bool) {
-			vecs := computeVectors(graphs, fs, cfg, ctl)
-			return vecs, !ctl.Stopped()
+	for s, members := range shards {
+		if ctl.Stopped() {
+			break
+		}
+		// graphs stays nil until the shard is read: up front when there is
+		// no cache or no fingerprint yet, else only on a cache miss.
+		var graphs []*graph.Graph
+		var err error
+		if sc.Vectors == nil || shardFPs[s] == "" {
+			graphs, err = load(s)
+		}
+		compute := func() ([]rwr.NodeVector, bool, error) {
+			if graphs == nil {
+				if graphs, err = load(s); err != nil {
+					return nil, false, err
+				}
+			}
+			return computeVectors(graphs, fs, cfg, ctl), !ctl.Stopped(), nil
 		}
 		var vecs []rwr.NodeVector
-		if sc.Vectors != nil {
-			vecs = sc.Vectors(s, graphs, compute)
-		} else {
-			vecs, _ = compute()
+		if err == nil && sc.Vectors != nil {
+			vecs, err = sc.Vectors(s, shardFPs[s], compute)
+		} else if err == nil {
+			vecs, _, err = compute()
 		}
-		members := shards[s]
-		if members == nil {
+		if err != nil {
+			rwrSpan.Fail(runctl.ReasonPanic, 0)
+			return res, err
+		}
+		if whole {
 			vectors = vecs
-			return
+			continue
 		}
 		for _, v := range vecs {
 			v.GraphID = members[v.GraphID]
 			vectors = append(vectors, v)
 		}
-	})
-	if err != nil {
-		rwrSpan.Fail(runctl.ReasonPanic, 0)
-		return res, err
 	}
 	if len(shards) > 1 {
 		// Each node's vector depends only on its own graph, so pooling
@@ -179,6 +224,7 @@ func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
 	t2 := time.Now()
 	dbFP := cfg.DBFingerprint
 	if dbFP == "" && (cfg.Resume != nil || ctl.WantsCheckpoints()) {
+		var err error
 		if dbFP, err = Fingerprint(src); err != nil {
 			return res, err
 		}
@@ -209,29 +255,6 @@ func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// loadShard reads one shard's graphs in member order; nil members name
-// the whole database in order.
-func loadShard(src Source, members []int) ([]*graph.Graph, error) {
-	if db, ok := src.(Slice); ok && members == nil {
-		return db, nil
-	}
-	if members == nil {
-		members = make([]int, src.Len())
-		for i := range members {
-			members[i] = i
-		}
-	}
-	graphs := make([]*graph.Graph, len(members))
-	for k, pos := range members {
-		g, err := src.Graph(pos)
-		if err != nil {
-			return nil, fmt.Errorf("core: load graph %d: %w", pos, err)
-		}
-		graphs[k] = g
-	}
-	return graphs, nil
-}
-
 // verify counts every pattern's graph-space support shard by shard and
 // sums: shards partition the database, so the per-shard counts add up to
 // the exact support. Within a shard, workers claim patterns by atomic
@@ -242,13 +265,13 @@ func loadShard(src Source, members []int) ([]*graph.Graph, error) {
 // Unverified: under a shared budget, which counts finished before the
 // trip depends on scheduling, and a partial verification would make the
 // answer differ between runs and parallelism levels.
-func verify(each func(func(int, []*graph.Graph)) error, n int, patterns []*Subgraph, workers int, ctl *runctl.Controller) error {
+func verify(each func(func([]*graph.Graph)) error, n int, patterns []*Subgraph, workers int, ctl *runctl.Controller) error {
 	span := ctl.StartStage(runctl.StageVerify)
 	supports := make([]atomic.Int64, len(patterns))
 	incomplete := make([]atomic.Bool, len(patterns))
 	workers = min(workers, len(patterns))
 	if len(patterns) > 0 {
-		err := each(func(_ int, graphs []*graph.Graph) {
+		err := each(func(graphs []*graph.Graph) {
 			pf := isomorph.NewPrefilter(graphs).Meter(ctl.Metrics(), "verify")
 			var next atomic.Int64
 			var wg sync.WaitGroup

@@ -149,6 +149,13 @@ func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []V
 		}
 	}
 	outcomes, launched := mineGroups(fetch, groups, cfg, ctl, resumed, ckpt)
+	// Every group before a failed one was launched, so the first failure
+	// among the launched groups is the first in group order.
+	for gi := 0; gi < launched; gi++ {
+		if err := outcomes[gi].err; err != nil {
+			return nil, stats, fmt.Errorf("core: vector group %d: %w", gi, err)
+		}
+	}
 	if launched < len(groups) {
 		ctl.RecordStop(runctl.StageGroupMine, int64(launched), int64(len(groups)), "vector groups mined")
 	}
@@ -156,9 +163,6 @@ func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []V
 	for gi := 0; gi < launched; gi++ {
 		o := &outcomes[gi]
 		grp := groups[gi]
-		if o.err != nil {
-			return nil, stats, fmt.Errorf("core: vector group %d: %w", gi, o.err)
-		}
 		if o.mined {
 			stats.GroupsMined++
 		}

@@ -86,7 +86,7 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	started := make(chan struct{}, 1)
 	m1 := NewManager(Options{
 		DB: tinyDB(), Logf: t.Logf, Journal: jr,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			started <- struct{}{}
 			<-block
 			return core.Result{}
@@ -163,7 +163,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 	var attempts atomic.Int64
 	m := newTestManager(t, Options{
 		Workers: 1, MaxRetries: 3, RetryBackoff: time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			if attempts.Add(1) <= 2 {
 				panic("transient fault")
 			}
@@ -194,7 +194,7 @@ func TestRetryCoalesceDuringBackoff(t *testing.T) {
 	gate := make(chan struct{})
 	m := newTestManager(t, Options{
 		Workers: 1, MaxRetries: 1, RetryBackoff: 50 * time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			if attempts.Add(1) == 1 {
 				close(gate)
 				panic("first attempt fails")
@@ -221,7 +221,7 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	var attempts atomic.Int64
 	m := newTestManager(t, Options{
 		MaxRetries: 5, RetryBackoff: time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			attempts.Add(1)
 			panic(Permanent(errors.New("config can never mine")))
 		},
@@ -254,7 +254,8 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	var resumedWith atomic.Value
 	m := newTestManager(t, Options{
 		DB: db, Journal: jr, MaxRetries: 1, RetryBackoff: time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
+			ctl := cfg.Ctl
 			if attempts.Add(1) == 1 {
 				// Emit a synthetic checkpoint, then die.
 				buf, err := core.EncodeResumeState(&core.ResumeState{V: 1, Key: "k", GroupsHash: "h", Done: 0})
@@ -286,7 +287,7 @@ func TestAdmissionShedsDoomedSubmissions(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newTestManager(t, Options{
 		Workers: 1, QueueDepth: 4, Metrics: reg,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			started <- struct{}{}
 			<-block
 			return core.Result{}
@@ -333,7 +334,7 @@ func TestStallWatchdogCancelsWedgedJob(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newTestManager(t, Options{
 		StallTimeout: 50 * time.Millisecond, Metrics: reg,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			<-wedged // no controller checkpoints ever advance
 			return core.Result{}
 		},
@@ -372,7 +373,8 @@ func TestStallWatchdogSparesAdvancingJob(t *testing.T) {
 	release := make(chan struct{})
 	m := newTestManager(t, Options{
 		StallTimeout: 60 * time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
+			ctl := cfg.Ctl
 			// Step tightly: the amortized checkpoint syncs every interval
 			// steps, each sync advancing Spent().Checks.
 			cp := ctl.Checkpoint(runctl.StageGroup)
@@ -402,7 +404,7 @@ func TestTTLNeverEvictsRunningJob(t *testing.T) {
 	started := make(chan struct{}, 1)
 	m := newTestManager(t, Options{
 		TTL: 5 * time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			started <- struct{}{}
 			<-block
 			return core.Result{}
@@ -432,7 +434,7 @@ func TestTTLHoldsCanceledJobStillInQueue(t *testing.T) {
 	started := make(chan struct{}, 1)
 	m := newTestManager(t, Options{
 		Workers: 1, TTL: time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			started <- struct{}{}
 			<-block
 			return core.Result{}
@@ -472,7 +474,7 @@ func TestTTLHoldsRetryPendingJob(t *testing.T) {
 	var attempts atomic.Int64
 	m := newTestManager(t, Options{
 		TTL: time.Millisecond, MaxRetries: 1, RetryBackoff: 80 * time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			if attempts.Add(1) == 1 {
 				panic("transient")
 			}

@@ -67,11 +67,11 @@ func (s State) Finished() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// ExecFunc runs one mine under a controller. cfg arrives with Ctl set to
-// that controller and Parallelism to the job's share of the host. The
+// ExecFunc runs one mine. cfg arrives with Ctl set to the job's
+// controller and Parallelism to the job's share of the host. The
 // default executes core.Mine over the manager's database; tests inject
 // counters or blocking fakes here.
-type ExecFunc func(ctl *runctl.Controller, cfg core.Config) core.Result
+type ExecFunc func(cfg core.Config) core.Result
 
 // Options configures a Manager.
 type Options struct {
@@ -457,7 +457,7 @@ func NewManager(opt Options) *Manager {
 	m.met = newManagerMetrics(opt.Metrics, opt.Workers, opt.QueueDepth)
 	m.exec = opt.Exec
 	if m.exec == nil {
-		m.exec = func(_ *runctl.Controller, cfg core.Config) core.Result { return core.Mine(opt.DB, cfg) }
+		m.exec = func(cfg core.Config) core.Result { return core.Mine(opt.DB, cfg) }
 	}
 	for i := 0; i < opt.Workers; i++ {
 		m.workers.Add(1)
@@ -780,7 +780,7 @@ func (m *Manager) run(j *Job) {
 	m.executions.Add(1)
 	m.met.busy.Add(1)
 	m.met.executions.Inc()
-	res, err := m.execIsolated(ctl, cfg)
+	res, err := m.execIsolated(cfg)
 	m.busy.Add(-1)
 	m.met.busy.Add(-1)
 
@@ -864,7 +864,7 @@ func (m *Manager) run(j *Job) {
 // pathological mine cannot take down the worker pool. A panic carrying
 // a Permanent-marked error keeps the marker, so the retry loop sees it;
 // any other panic value is a transient failure.
-func (m *Manager) execIsolated(ctl *runctl.Controller, cfg core.Config) (res core.Result, err error) {
+func (m *Manager) execIsolated(cfg core.Config) (res core.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if e, ok := rec.(error); ok && IsPermanent(e) {
@@ -874,7 +874,7 @@ func (m *Manager) execIsolated(ctl *runctl.Controller, cfg core.Config) (res cor
 			err = fmt.Errorf("mine panicked: %v", rec)
 		}
 	}()
-	return m.exec(ctl, cfg), nil
+	return m.exec(cfg), nil
 }
 
 // janitor evicts finished jobs past their TTL.

@@ -72,7 +72,7 @@ func TestCoalesceConcurrentExactlyOnce(t *testing.T) {
 	started := make(chan struct{}, 16)
 	m := newTestManager(t, Options{
 		Workers: 2,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			execs.Add(1)
 			started <- struct{}{}
 			<-release
@@ -126,7 +126,7 @@ func TestSequentialCacheHit(t *testing.T) {
 	var execs atomic.Int64
 	m := newTestManager(t, Options{
 		Workers: 1,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			execs.Add(1)
 			return core.Result{VectorsMined: int(execs.Load())}
 		},
@@ -177,7 +177,7 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 	var execs atomic.Int64
 	m := newTestManager(t, Options{
 		Workers: 1,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			execs.Add(1)
 			return core.Result{Truncated: true}
 		},
@@ -204,7 +204,8 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 // returning a partial result — a stand-in for the real pipeline's
 // cancellation behavior.
 func ctlLoopExec(started chan<- string) ExecFunc {
-	return func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	return func(cfg core.Config) core.Result {
+		ctl := cfg.Ctl
 		if started != nil {
 			started <- "running"
 		}
@@ -269,7 +270,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers:    1,
 		QueueDepth: 4,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			execs.Add(1)
 			started <- struct{}{}
 			<-release
@@ -312,7 +313,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers:    1,
 		QueueDepth: 1,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			started <- struct{}{}
 			<-release
 			return core.Result{}
@@ -369,7 +370,7 @@ func TestDetachedJobSurvivesRelease(t *testing.T) {
 	started := make(chan struct{}, 1)
 	m := newTestManager(t, Options{
 		Workers: 1,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			started <- struct{}{}
 			<-release
 			return core.Result{VectorsMined: 1}
@@ -400,7 +401,7 @@ func TestTTLEviction(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers: 1,
 		TTL:     30 * time.Millisecond,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			return core.Result{}
 		},
 	})
@@ -430,7 +431,7 @@ func TestTTLEviction(t *testing.T) {
 func TestFailedJobIsolation(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers: 1,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			if cfg.CutoffRadius == 13 {
 				panic("boom")
 			}
@@ -469,7 +470,7 @@ func TestShutdownDrains(t *testing.T) {
 		DB:      tinyDB(),
 		Workers: 1,
 		Logf:    t.Logf,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			started <- struct{}{}
 			<-release
 			return core.Result{VectorsMined: 1}
@@ -533,7 +534,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers: 3,
-		Exec: func(ctl *runctl.Controller, cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) core.Result {
 			return core.Result{}
 		},
 	})

@@ -59,7 +59,7 @@ func TestJobsMineCoalescesConcurrentIdentical(t *testing.T) {
 	var execs atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
-	srv, _ := fakeServer(t, func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
 		execs.Add(1)
 		started <- struct{}{}
 		<-release
@@ -121,7 +121,8 @@ func TestJobsMineCoalescesConcurrentIdentical(t *testing.T) {
 // canceled with a degradation report.
 func TestJobCancelLifecycle(t *testing.T) {
 	started := make(chan struct{}, 1)
-	srv, _ := fakeServer(t, func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
+		ctl := cfg.Ctl
 		started <- struct{}{}
 		cp := ctl.Checkpoint(runctl.StageFVMine)
 		for {
@@ -203,7 +204,7 @@ func TestJobCancelLifecycle(t *testing.T) {
 // from cache without re-executing.
 func TestSyncMineSharesCacheAndCoalescing(t *testing.T) {
 	var execs atomic.Int64
-	srv, _ := fakeServer(t, func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
 		execs.Add(1)
 		return benzeneResult()
 	})
@@ -239,7 +240,7 @@ func TestSyncMineSharesCacheAndCoalescing(t *testing.T) {
 // TestMineEmptyPatternsIsArray: a mine with nothing to report renders
 // "patterns":[] — never null (satellite fix).
 func TestMineEmptyPatternsIsArray(t *testing.T) {
-	srv, _ := fakeServer(t, func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
 		return core.Result{} // nothing mined
 	})
 	resp, err := http.Post(srv.URL+"/mine", "application/json", strings.NewReader(`{"radius":3}`))
@@ -259,7 +260,7 @@ func TestMineEmptyPatternsIsArray(t *testing.T) {
 // TestStatsExposesJobCounters: /stats carries queue, worker, and cache
 // counters from the jobs subsystem.
 func TestStatsExposesJobCounters(t *testing.T) {
-	srv, _ := fakeServer(t, func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
 		return benzeneResult()
 	})
 	postJSON(t, srv.URL+"/mine", mineRequest{Radius: 3}, nil)
@@ -292,7 +293,7 @@ func TestQueueFullReturns503(t *testing.T) {
 	s.Logf = t.Logf
 	s.JobWorkers = 1
 	s.JobQueueDepth = 1
-	s.mineFn = func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	s.mineFn = func(cfg core.Config) core.Result {
 		started <- struct{}{}
 		<-release
 		return core.Result{}
@@ -351,7 +352,7 @@ func TestDeadlineShedReturns503(t *testing.T) {
 	s.Logf = t.Logf
 	s.JobWorkers = 1
 	s.JobQueueDepth = 8
-	s.mineFn = func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	s.mineFn = func(cfg core.Config) core.Result {
 		// Real elapsed time: the EWMA the admission controller keeps is
 		// measured, so a no-op executor would never produce a wait
 		// estimate above anyone's deadline.
@@ -430,7 +431,7 @@ func TestDeadlineShedReturns503(t *testing.T) {
 // typed client.
 func TestClientJobHelpers(t *testing.T) {
 	var execs atomic.Int64
-	srv, _ := fakeServer(t, func(ctl *runctl.Controller, cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
 		execs.Add(1)
 		return benzeneResult()
 	})

@@ -430,7 +430,7 @@ func (s *Server) Jobs() *jobs.Manager {
 			fp = s.reader.Fingerprint()
 			gen = s.reader.Generation()
 			if exec == nil {
-				exec = func(_ *runctl.Controller, cfg core.Config) core.Result {
+				exec = func(cfg core.Config) core.Result {
 					res, err := s.coord.Mine(cfg)
 					if err != nil {
 						// A store read failure voids the run; surface it

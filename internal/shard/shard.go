@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"graphsig/internal/core"
-	"graphsig/internal/graph"
 	"graphsig/internal/obs"
 	"graphsig/internal/rwr"
 )
@@ -213,8 +212,8 @@ func (c *Coordinator) Mine(cfg core.Config) (core.Result, error) {
 	cfgKey := cfg.CacheKey()
 	return core.MineSource(src, core.Scatter{
 		Shards: plan,
-		Vectors: func(s int, graphs []*graph.Graph, compute func() ([]rwr.NodeVector, bool)) []rwr.NodeVector {
-			return c.shardVectors(s, graphs, cfgKey, compute)
+		Vectors: func(s int, shardFP string, compute func() ([]rwr.NodeVector, bool, error)) ([]rwr.NodeVector, error) {
+			return c.shardVectors(s, vecCacheKey{shardFP: shardFP, cfgKey: cfgKey}, compute)
 		},
 	}, cfg)
 }
@@ -223,22 +222,21 @@ func (c *Coordinator) Mine(cfg core.Config) (core.Result, error) {
 // content and the mining config match a previous run, else computes and
 // caches them. A truncated vectorization is partial; caching it would
 // poison later complete runs.
-func (c *Coordinator) shardVectors(s int, graphs []*graph.Graph, cfgKey string, compute func() ([]rwr.NodeVector, bool)) []rwr.NodeVector {
-	key := vecCacheKey{shardFP: graph.Fingerprint(graphs), cfgKey: cfgKey}
+func (c *Coordinator) shardVectors(s int, key vecCacheKey, compute func() ([]rwr.NodeVector, bool, error)) ([]rwr.NodeVector, error) {
 	label := strconv.Itoa(s)
 	c.mu.Lock()
 	cached, ok := c.vecCache[key]
 	c.mu.Unlock()
 	if ok {
 		c.metrics.Counter(obs.MShardVectorCacheHits, "shard", label).Inc()
-		return cached
+		return cached, nil
 	}
 	c.metrics.Counter(obs.MShardVectorCacheMisses, "shard", label).Inc()
-	vecs, complete := compute()
-	if complete {
+	vecs, complete, err := compute()
+	if err == nil && complete {
 		c.mu.Lock()
 		c.vecCache[key] = vecs
 		c.mu.Unlock()
 	}
-	return vecs
+	return vecs, err
 }

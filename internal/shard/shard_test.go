@@ -83,7 +83,8 @@ func assertSameResult(t *testing.T, label string, want, got core.Result) {
 // TestShardInvariance is the acceptance gate of the scatter-gather
 // design: the pattern set — every field, p-values and verified
 // supports included — must be byte-identical to an unsharded core.Mine
-// for shard counts 1, 2 and 4 under both partition strategies.
+// for shard counts 1, 2 and 4 under both partition strategies, and for
+// more shards than graphs, where some shards are empty.
 func TestShardInvariance(t *testing.T) {
 	db := plantedDB(40, 8, chem.SbCore())
 	cfg := testConfig()
@@ -95,7 +96,7 @@ func TestShardInvariance(t *testing.T) {
 		t.Fatalf("reference mine truncated: %s", ref.Degradation.String())
 	}
 	for _, strategy := range []Strategy{Contiguous, Hash} {
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range []int{1, 2, 4, len(db) + 8} {
 			label := fmt.Sprintf("%s-%d", strategy, shards)
 			t.Run(label, func(t *testing.T) {
 				c, err := New(core.Slice(db), Options{Shards: shards, Strategy: strategy})
@@ -112,6 +113,41 @@ func TestShardInvariance(t *testing.T) {
 				assertSameResult(t, label, ref, res)
 			})
 		}
+	}
+}
+
+// countingSource counts graph reads.
+type countingSource struct {
+	core.Slice
+	reads atomic.Int64
+}
+
+func (c *countingSource) Graph(i int) (*graph.Graph, error) {
+	c.reads.Add(1)
+	return c.Slice.Graph(i)
+}
+
+// TestShardVectorCacheHitReadsNothing: a shard whose vectors come from
+// the cache is not read in the RWR pass — its fingerprint is taken in
+// the feature-statistics pass — so a repeat mine reads exactly one full
+// database pass less than the first.
+func TestShardVectorCacheHitReadsNothing(t *testing.T) {
+	db := plantedDB(40, 8, chem.SbCore())
+	src := &countingSource{Slice: db}
+	c, err := New(src, Options{Shards: 4, Strategy: Hash, Fingerprint: graph.Fingerprint(db)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads [2]int64
+	for i := range reads {
+		before := src.reads.Load()
+		if _, err := c.Mine(testConfig()); err != nil {
+			t.Fatal(err)
+		}
+		reads[i] = src.reads.Load() - before
+	}
+	if reads[0]-reads[1] != int64(len(db)) {
+		t.Errorf("first mine read %d graphs, repeat mine %d; the cache hits should save exactly %d reads", reads[0], reads[1], len(db))
 	}
 }
 
@@ -217,14 +253,16 @@ func TestStoreBackedMineMatchesInMemory(t *testing.T) {
 var errInjectedRead = errors.New("injected read failure")
 
 // failingSource serves its first `reads` graph reads, then fails every
-// read after them.
+// read after them, counting the failures.
 type failingSource struct {
 	core.Slice
-	reads atomic.Int64
+	reads  atomic.Int64
+	failed atomic.Int64
 }
 
 func (f *failingSource) Graph(i int) (*graph.Graph, error) {
 	if f.reads.Add(-1) < 0 {
+		f.failed.Add(1)
 		return nil, errInjectedRead
 	}
 	return f.Slice.Graph(i)
@@ -235,7 +273,8 @@ func (f *failingSource) Graph(i int) (*graph.Graph, error) {
 // as a per-group error behind a successful return — and no group whose
 // read failed may reach a checkpoint. Reads succeed through the two
 // scatter passes (feature statistics, then RWR with a cold vector cache)
-// and fail from the first window fetch on.
+// and fail from the first window fetch on. Once a group has failed, no
+// further group is launched: only the groups already in flight read.
 func TestWindowReadErrorFailsMine(t *testing.T) {
 	db := plantedDB(40, 8, chem.SbCore())
 	src := &failingSource{Slice: db}
@@ -247,6 +286,7 @@ func TestWindowReadErrorFailsMine(t *testing.T) {
 	var checkpoints atomic.Int64
 	cfg := testConfig()
 	cfg.CheckpointEvery = 1
+	cfg.Parallelism = 2
 	cfg.Ctl = runctl.New(runctl.Options{CheckpointSink: func([]byte) { checkpoints.Add(1) }})
 	res, err := c.Mine(cfg)
 	if !errors.Is(err, errInjectedRead) {
@@ -257,5 +297,12 @@ func TestWindowReadErrorFailsMine(t *testing.T) {
 	}
 	if n := checkpoints.Load(); n != 0 {
 		t.Errorf("%d checkpoints emitted for groups whose window read failed", n)
+	}
+	// Two workers in flight plus one launch already past its check.
+	if res.VectorsMined <= 3 {
+		t.Fatalf("only %d vector groups; the launch check is vacuous", res.VectorsMined)
+	}
+	if n := src.failed.Load(); n > 3 {
+		t.Errorf("%d failed reads across %d groups; groups kept launching after the first failure", n, res.VectorsMined)
 	}
 }
