@@ -20,8 +20,9 @@ lint:
 # round-trip, the CSR-vs-reference representation differentials (build/
 # codec round-trip and VF2 verdict/count/order agreement), DFS-code
 # minimality under node relabeling and edge-order mutation, the SMILES
-# parser, and the store's two untrusted-input decoders (segment binary
-# format, manifest JSON). `go test -fuzz` accepts one target per
+# parser, the store's two untrusted-input decoders (segment binary
+# format, manifest JSON), and FVMine (threshold and top-k) against a
+# brute-force enumeration of closed vectors. `go test -fuzz` accepts one target per
 # invocation, hence one line each.
 fuzz:
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzReadDB               -fuzztime=2000x
@@ -33,6 +34,7 @@ fuzz:
 	go test ./internal/chem     -run='^$$' -fuzz=FuzzParseSMILES          -fuzztime=2000x
 	go test ./internal/store    -run='^$$' -fuzz=FuzzDecodeSegment        -fuzztime=500x
 	go test ./internal/store    -run='^$$' -fuzz=FuzzManifestJSON         -fuzztime=500x
+	go test ./internal/fvmine   -run='^$$' -fuzz=FuzzFVMineOracle         -fuzztime=2000x
 
 test:
 	go test -shuffle=on ./...

@@ -397,6 +397,18 @@ func BenchmarkSubstrate_RWRNode(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrate_RWRGraph measures one whole graph through the
+// batched kernel: RWR from every node at once, as DatabaseVectors runs it.
+func BenchmarkSubstrate_RWRGraph(b *testing.B) {
+	db := benchDB(50)
+	fs := feature.ChemistrySet(db, chem.Alphabet(), 5)
+	cfg := rwr.Defaults()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rwr.GraphVectors(db[i%len(db)], fs, cfg)
+	}
+}
+
 // BenchmarkSubstrate_FVMine measures the closed-vector search over a
 // carbon vector group.
 func BenchmarkSubstrate_FVMine(b *testing.B) {

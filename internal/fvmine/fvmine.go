@@ -76,46 +76,10 @@ type Result struct {
 	StatesExplored int
 }
 
-// vectorSet provides floor/ceiling over subsets of a vector database,
-// shared by the threshold and top-k miners.
-type vectorSet []feature.Vector
-
-func (vs vectorSet) floor(set []int) feature.Vector {
-	out := vs[set[0]].Clone()
-	for _, idx := range set[1:] {
-		v := vs[idx]
-		for i := range out {
-			if v[i] < out[i] {
-				out[i] = v[i]
-			}
-		}
-	}
-	return out
-}
-
-func (vs vectorSet) ceiling(set []int) feature.Vector {
-	out := vs[set[0]].Clone()
-	for _, idx := range set[1:] {
-		v := vs[idx]
-		for i := range out {
-			if v[i] > out[i] {
-				out[i] = v[i]
-			}
-		}
-	}
-	return out
-}
-
 type miner struct {
-	vectors  vectorSet
-	model    *sigmodel.Model
-	opt      Options
-	cp       *runctl.Checkpoint
-	logMaxP  float64
-	out      []Significant
-	states   int
-	stopping bool
-	stopWhy  runctl.Reason
+	opt     Options
+	logMaxP float64
+	out     []Significant
 }
 
 // Mine runs FVMine over vectors. All vectors must share one length.
@@ -134,89 +98,207 @@ func Mine(vectors []feature.Vector, opt Options) Result {
 	if ctl == nil {
 		ctl = runctl.FromDeadline(opt.Deadline)
 	}
-	m := &miner{
-		vectors: vectors,
-		model:   model,
-		opt:     opt,
-		cp:      ctl.Checkpoint(runctl.StageFVMine),
-		logMaxP: math.Log(opt.MaxPvalue),
-	}
+	m := &miner{opt: opt, logMaxP: math.Log(opt.MaxPvalue)}
+	s := newSearcher(vectors, model, opt.MinSupport, ctl.Checkpoint(runctl.StageFVMine))
 	// Un-amortized check up front so an already-expired deadline or
 	// canceled context truncates before any work.
-	if err := m.cp.Force(); err != nil {
+	if err := s.cp.Force(); err != nil {
 		return Result{Truncated: true, StopReason: runctl.ReasonOf(err)}
 	}
-	all := make([]int, len(vectors))
-	for i := range all {
-		all[i] = i
-	}
-	m.search(m.vectors.floor(all), all, 0)
-	return Result{Vectors: m.out, Truncated: m.stopping, StopReason: m.stopWhy, StatesExplored: m.states}
+	// Ceiling prune: if even the most significant descendant misses the
+	// threshold, the whole branch is fruitless.
+	s.run(m.visit, func(ceilLogP float64) bool { return ceilLogP > m.logMaxP })
+	return Result{Vectors: m.out, Truncated: s.stopped, StopReason: s.stopWhy, StatesExplored: s.states}
 }
 
-// search is FVMine(x, S, b): x is the current closed vector, set its
-// supporting indices, b the current starting feature position.
-func (m *miner) search(x feature.Vector, set []int, b int) {
-	if m.stopping {
-		return
+// visit is Algorithm 1 lines 1-2: report x when significant.
+func (m *miner) visit(x feature.Vector, set []int, logP float64) bool {
+	if logP > m.logMaxP || (m.opt.SkipZeroFloor && x.IsZero()) {
+		return true
 	}
-	m.states++
-	if err := m.cp.Step(); err != nil {
-		m.stopping = true
-		if se, ok := runctl.AsStop(err); ok {
-			m.stopWhy = se.Reason
+	m.out = append(m.out, newSignificant(x, set, logP))
+	return m.opt.MaxResults <= 0 || len(m.out) < m.opt.MaxResults
+}
+
+func newSignificant(x feature.Vector, set []int, logP float64) Significant {
+	return Significant{
+		Vec:        x.Clone(),
+		Support:    len(set),
+		SupportIdx: append([]int(nil), set...),
+		PValue:     math.Exp(logP),
+		LogPValue:  logP,
+	}
+}
+
+// searcher is the branch kernel shared by the threshold and top-k miners:
+// a depth-first walk over closed vectors (x, S) with support and
+// duplicate-state pruning, leaving what to report and when the ceiling
+// p-value makes a branch fruitless to its caller.
+type searcher struct {
+	n int // vectors in the group
+	// cols[i][idx] = vectors[idx][i]: the column-major copy the branch
+	// filter scans.
+	cols   [][]uint8
+	model  *sigmodel.Model
+	minSup int
+	cp     *runctl.Checkpoint
+	// frames[d] holds the state at depth d. A depth's branches reuse
+	// frames[d+1] one after another; nothing outlives its branch unless
+	// visit copies it.
+	frames []*frame
+
+	visit     func(x feature.Vector, set []int, logP float64) bool
+	fruitless func(ceilLogP float64) bool
+
+	states  int
+	stopped bool
+	stopWhy runctl.Reason
+}
+
+// frame is one search state's scratch: its supporting set, its closed
+// vector (the floor of the set), the ceiling of the set, and the
+// features that vary over the set (floor below ceiling), ascending.
+type frame struct {
+	set         []int
+	floor, ceil feature.Vector
+	vary        []int
+}
+
+func newSearcher(vectors []feature.Vector, model *sigmodel.Model, minSup int, cp *runctl.Checkpoint) *searcher {
+	n, dim := len(vectors), len(vectors[0])
+	slab := make([]uint8, n*dim)
+	cols := make([][]uint8, dim)
+	for i := range cols {
+		cols[i] = slab[i*n : (i+1)*n]
+	}
+	for idx, v := range vectors {
+		for i, x := range v {
+			cols[i][idx] = x
 		}
-		return
 	}
-	// Line 1-2: report x when significant.
-	logP := m.model.LogPValue(x, len(set))
-	if logP <= m.logMaxP && (!m.opt.SkipZeroFloor || !x.IsZero()) {
-		m.out = append(m.out, Significant{
-			Vec:        x.Clone(),
-			Support:    len(set),
-			SupportIdx: append([]int(nil), set...),
-			PValue:     math.Exp(logP),
-			LogPValue:  logP,
+	return &searcher{n: n, cols: cols, model: model, minSup: minSup, cp: cp}
+}
+
+// frame returns the scratch of depth d, allocating it on first use.
+func (s *searcher) frame(d int) *frame {
+	for len(s.frames) <= d {
+		dim := len(s.cols)
+		s.frames = append(s.frames, &frame{
+			set:   make([]int, 0, s.n),
+			floor: make(feature.Vector, dim),
+			ceil:  make(feature.Vector, dim),
+			vary:  make([]int, 0, dim),
 		})
-		if m.opt.MaxResults > 0 && len(m.out) >= m.opt.MaxResults {
-			m.stopping = true
-			return
+	}
+	return s.frames[d]
+}
+
+// run searches from the floor of the whole database. visit sees every
+// state's closed vector, supporting set and log p-value, and returns
+// false to stop the search; both are scratch, valid only during the call.
+// fruitless reports whether a branch whose ceiling has the given log
+// p-value can be skipped.
+func (s *searcher) run(visit func(x feature.Vector, set []int, logP float64) bool, fruitless func(ceilLogP float64) bool) {
+	s.visit, s.fruitless = visit, fruitless
+	root := s.frame(0)
+	for idx := 0; idx < s.n; idx++ {
+		root.set = append(root.set, idx)
+	}
+	for j, col := range s.cols {
+		root.floor[j], root.ceil[j] = span(col, root.set)
+		if root.floor[j] != root.ceil[j] {
+			root.vary = append(root.vary, j)
 		}
 	}
-	// Lines 3-12: branch on each feature position from b.
-	dim := len(x)
-	for i := b; i < dim; i++ {
+	s.search(0, 0)
+}
+
+// span returns the minimum and maximum of col over set, in one pass.
+func span(col []uint8, set []int) (lo, hi uint8) {
+	lo, hi = col[set[0]], col[set[0]]
+	for _, idx := range set[1:] {
+		v := col[idx]
+		lo = min(lo, v)
+		hi = max(hi, v)
+	}
+	return lo, hi
+}
+
+// bounds fills child's floor, ceiling and varying features, where
+// child.set refines the set of parent. A feature constant over the
+// parent's set is constant over child.set, so only the parent's varying
+// features are scanned. For a branch on position i it stops early,
+// returning false, at the first feature j < i whose floor rises above
+// the parent's: the duplicate-state test.
+func (s *searcher) bounds(child, parent *frame, i int) bool {
+	x := parent.floor
+	copy(child.floor, x)
+	copy(child.ceil, x)
+	child.vary = child.vary[:0]
+	for _, j := range parent.vary {
+		lo, hi := span(s.cols[j], child.set)
+		if j < i && lo > x[j] {
+			return false
+		}
+		child.floor[j], child.ceil[j] = lo, hi
+		if lo != hi {
+			child.vary = append(child.vary, j)
+		}
+	}
+	return true
+}
+
+// search is FVMine(x, S, b) on the state in frames[d]: x is its closed
+// vector, S its supporting set, b the first feature position to branch on.
+func (s *searcher) search(d, b int) {
+	if s.stopped {
+		return
+	}
+	s.states++
+	if err := s.cp.Step(); err != nil {
+		s.stopped = true
+		if se, ok := runctl.AsStop(err); ok {
+			s.stopWhy = se.Reason
+		}
+		return
+	}
+	f := s.frame(d)
+	x, set := f.floor, f.set
+	if !s.visit(x, set, s.model.LogPValue(x, len(set))) {
+		s.stopped = true
+		return
+	}
+	// Lines 3-12: branch on each feature position from b. Where x_i is
+	// the ceiling no y exceeds it, so only varying features can branch.
+	child := s.frame(d + 1)
+	for _, i := range f.vary {
+		if i < b {
+			continue
+		}
 		// S' = {y in S : y_i > x_i}.
-		var sub []int
+		col, xi := s.cols[i], x[i]
+		sub := child.set[:0]
 		for _, idx := range set {
-			if m.vectors[idx][i] > x[i] {
+			if col[idx] > xi {
 				sub = append(sub, idx)
 			}
 		}
-		if len(sub) < m.opt.MinSupport {
+		child.set = sub
+		if len(sub) < s.minSup {
 			continue
 		}
-		xp := m.vectors.floor(sub)
 		// Duplicate state: the refined floor raised a feature left of i,
 		// so the state is owned by an earlier branch.
-		dup := false
-		for j := 0; j < i; j++ {
-			if xp[j] > x[j] {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if !s.bounds(child, f, i) {
 			continue
 		}
 		// Ceiling prune: the most significant any descendant can get is
-		// p-value(ceiling(S'), |S'|); if even that misses the threshold,
-		// the whole branch is fruitless.
-		if m.model.LogPValue(m.vectors.ceiling(sub), len(sub)) > m.logMaxP {
+		// p-value(ceiling(S'), |S'|).
+		if s.fruitless(s.model.LogPValue(child.ceil, len(sub))) {
 			continue
 		}
-		m.search(xp, sub, i)
-		if m.stopping {
+		s.search(d+1, i)
+		if s.stopped {
 			return
 		}
 	}

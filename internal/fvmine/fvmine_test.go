@@ -1,8 +1,10 @@
 package fvmine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -195,6 +197,55 @@ func bruteClosed(vectors []feature.Vector, minSup int, maxPvalue float64) map[st
 	return out
 }
 
+// checkMineAgainstBrute compares Mine, and MineTopK at several k, with
+// exhaustive enumeration of the closed vectors of a small instance.
+func checkMineAgainstBrute(vectors []feature.Vector, minSup int, maxP float64) error {
+	want := bruteClosed(vectors, minSup, maxP)
+	res := Mine(vectors, Options{MinSupport: minSup, MaxPvalue: maxP})
+	got := map[string]int{}
+	for _, s := range res.Vectors {
+		if _, dup := got[s.Vec.Key()]; dup {
+			return fmt.Errorf("duplicate output %v", s.Vec)
+		}
+		got[s.Vec.Key()] = s.Support
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("count %d != %d (minSup=%d maxP=%g, db=%v)", len(got), len(want), minSup, maxP, vectors)
+	}
+	for k, sup := range want {
+		if got[k] != sup {
+			return fmt.Errorf("support mismatch for %v: got %d want %d", feature.Vector(k), got[k], sup)
+		}
+	}
+
+	// Top-k: the k smallest log p-values among the non-zero closed
+	// vectors, in order, each from a closed vector with its support.
+	model := sigmodel.New(vectors)
+	closed := bruteClosed(vectors, minSup, 1)
+	var ranked []float64
+	for k, sup := range closed {
+		if !feature.Vector(k).IsZero() {
+			ranked = append(ranked, model.LogPValue(feature.Vector(k), sup))
+		}
+	}
+	sort.Float64s(ranked)
+	for _, k := range []int{1, 2, 5, len(ranked) + 1} {
+		top := MineTopK(vectors, k, minSup, model)
+		if len(top) != min(k, len(ranked)) {
+			return fmt.Errorf("top-%d: %d results; want %d", k, len(top), min(k, len(ranked)))
+		}
+		for i, s := range top {
+			if sup, ok := closed[s.Vec.Key()]; !ok || sup != s.Support {
+				return fmt.Errorf("top-%d: %v (support %d) is not a closed vector of that support", k, s.Vec, s.Support)
+			}
+			if s.LogPValue != ranked[i] {
+				return fmt.Errorf("top-%d rank %d: log p-value %v; want %v", k, i, s.LogPValue, ranked[i])
+			}
+		}
+	}
+	return nil
+}
+
 // TestPropertyMineMatchesBruteForce verifies completeness and soundness
 // of FVMine against exhaustive enumeration on small instances.
 func TestPropertyMineMatchesBruteForce(t *testing.T) {
@@ -204,31 +255,49 @@ func TestPropertyMineMatchesBruteForce(t *testing.T) {
 		vectors := randVectors(rr, 3+rr.Intn(8), 1+rr.Intn(3), 2)
 		minSup := 1 + rr.Intn(2)
 		maxP := []float64{0.2, 0.5, 1}[rr.Intn(3)]
-		want := bruteClosed(vectors, minSup, maxP)
-		res := Mine(vectors, Options{MinSupport: minSup, MaxPvalue: maxP})
-		got := map[string]int{}
-		for _, s := range res.Vectors {
-			if _, dup := got[s.Vec.Key()]; dup {
-				t.Logf("duplicate output %v", s.Vec)
-				return false
-			}
-			got[s.Vec.Key()] = s.Support
-		}
-		if len(got) != len(want) {
-			t.Logf("count %d != %d (minSup=%d maxP=%g, db=%v)", len(got), len(want), minSup, maxP, vectors)
+		if err := checkMineAgainstBrute(vectors, minSup, maxP); err != nil {
+			t.Log(err)
 			return false
-		}
-		for k, sup := range want {
-			if got[k] != sup {
-				t.Logf("support mismatch for %v: got %d want %d", feature.Vector(k), got[k], sup)
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: r}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzFVMineOracle checks Mine and MineTopK against brute force on
+// fuzzer-chosen databases: up to 12 vectors of dimension at most 4 with
+// values at most 3. The first byte picks the dimension, the second the
+// support and p-value thresholds; the rest are the vector entries.
+func FuzzFVMineOracle(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 0, 2, 1, 1, 0, 2, 2, 0, 1, 2, 1, 0, 1, 0})
+	f.Add([]byte{1, 5, 0, 1, 2, 3, 3, 3, 2, 1, 0})
+	f.Add([]byte{3, 9, 1, 0, 0, 1, 1, 0, 2, 0, 1, 1, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		dim := 1 + int(data[0])%4
+		minSup := 1 + int(data[1])%3
+		maxP := []float64{0.05, 0.2, 0.5, 1}[int(data[1]/3)%4]
+		cells := data[2:]
+		count := min(len(cells)/dim, 12)
+		if count == 0 {
+			return
+		}
+		vectors := make([]feature.Vector, count)
+		for i := range vectors {
+			v := make(feature.Vector, dim)
+			for j := range v {
+				v[j] = cells[i*dim+j] % 4
+			}
+			vectors[i] = v
+		}
+		if err := checkMineAgainstBrute(vectors, minSup, maxP); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestSortBySignificance(t *testing.T) {

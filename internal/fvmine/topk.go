@@ -35,18 +35,10 @@ func MineTopKCtl(vectors []feature.Vector, k int, minSupport int, model *sigmode
 	if model == nil {
 		model = sigmodel.New(vectors)
 	}
-	m := &topKMiner{
-		vectors: vectors,
-		model:   model,
-		minSup:  minSupport,
-		k:       k,
-		cp:      ctl.Checkpoint(runctl.StageFVMine),
-	}
-	all := make([]int, len(vectors))
-	for i := range all {
-		all[i] = i
-	}
-	m.search(m.vectors.floor(all), all, 0)
+	m := &topKMiner{k: k}
+	s := newSearcher(vectors, model, minSupport, ctl.Checkpoint(runctl.StageFVMine))
+	// Tightening prune: the most significant any descendant can be.
+	s.run(m.visit, func(ceilLogP float64) bool { return ceilLogP >= m.bound() })
 
 	out := make([]Significant, len(m.best))
 	for i := len(m.best) - 1; i >= 0; i-- {
@@ -56,12 +48,7 @@ func MineTopKCtl(vectors []feature.Vector, k int, minSupport int, model *sigmode
 }
 
 type topKMiner struct {
-	vectors vectorSet
-	model   *sigmodel.Model
-	minSup  int
-	k       int
-	cp      *runctl.Checkpoint
-	stopped bool
+	k int
 	// best is a max-heap on log p-value: the root is the *worst* of the
 	// current top k, ready for eviction.
 	best significantHeap
@@ -76,58 +63,14 @@ func (m *topKMiner) bound() float64 {
 	return m.best[0].LogPValue
 }
 
-func (m *topKMiner) search(x feature.Vector, set []int, b int) {
-	if m.stopped {
-		return
-	}
-	if err := m.cp.Step(); err != nil {
-		m.stopped = true
-		return
-	}
-	logP := m.model.LogPValue(x, len(set))
+func (m *topKMiner) visit(x feature.Vector, set []int, logP float64) bool {
 	if !x.IsZero() && logP < m.bound() {
-		heap.Push(&m.best, Significant{
-			Vec:        x.Clone(),
-			Support:    len(set),
-			SupportIdx: append([]int(nil), set...),
-			PValue:     math.Exp(logP),
-			LogPValue:  logP,
-		})
+		heap.Push(&m.best, newSignificant(x, set, logP))
 		if len(m.best) > m.k {
 			heap.Pop(&m.best)
 		}
 	}
-	dim := len(x)
-	for i := b; i < dim; i++ {
-		var sub []int
-		for _, idx := range set {
-			if m.vectors[idx][i] > x[i] {
-				sub = append(sub, idx)
-			}
-		}
-		if len(sub) < m.minSup {
-			continue
-		}
-		xp := m.vectors.floor(sub)
-		dup := false
-		for j := 0; j < i; j++ {
-			if xp[j] > x[j] {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		// Tightening prune: the most significant any descendant can be.
-		if m.model.LogPValue(m.vectors.ceiling(sub), len(sub)) >= m.bound() {
-			continue
-		}
-		m.search(xp, sub, i)
-		if m.stopped {
-			return
-		}
-	}
+	return true
 }
 
 // significantHeap is a max-heap by log p-value (worst at the root).

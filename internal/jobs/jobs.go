@@ -239,6 +239,11 @@ type Job struct {
 	// events keep appending. Written before the job is published and
 	// immutable afterwards.
 	journaled bool
+	// submitted is closed once Submit has journaled the submission (nil
+	// for jobs that need no wait). The job is on the queue before that
+	// append, so run waits on it before journaling anything: a fold
+	// ignores lifecycle events that precede a job's submission.
+	submitted chan struct{}
 
 	done chan struct{} // closed exactly once, on reaching a terminal state
 
@@ -564,6 +569,9 @@ func (m *Manager) Submit(cfg core.Config, opt SubmitOptions) (*Job, SubmitInfo, 
 	m.met.cacheMisses.Inc()
 	j := m.newJobLocked(key, cfg, opt, now)
 	j.journaled = len(cfgBytes) > 0
+	if j.journaled && m.opts.Journal != nil {
+		j.submitted = make(chan struct{})
+	}
 	// inQueue is set before the send: the moment the job is on the
 	// channel a worker may own it, so no unlocked writes after that.
 	j.inQueue = true
@@ -588,6 +596,9 @@ func (m *Manager) Submit(cfg core.Config, opt SubmitOptions) (*Job, SubmitInfo, 
 		Type: journal.EvSubmitted, Key: key, Label: opt.Label,
 		Config: cfgBytes, TimeoutMs: opt.Timeout.Milliseconds(), AtMs: now.UnixMilli(),
 	})
+	if j.submitted != nil {
+		close(j.submitted)
+	}
 	return j, SubmitInfo{}, nil
 }
 
@@ -763,6 +774,9 @@ func (m *Manager) run(j *Job) {
 		} else {
 			m.logf("jobs: %s checkpoint undecodable, mining from scratch: %v", j.id, err)
 		}
+	}
+	if j.submitted != nil {
+		<-j.submitted
 	}
 	m.journalFor(j, journal.Event{Type: journal.EvStarted, Attempt: attempt})
 

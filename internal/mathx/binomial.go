@@ -55,9 +55,10 @@ func LogBinomialTail(n, k int, p float64) float64 {
 	}
 	sum := 1.0 // term k itself, scaled by exp(logMax)
 	logTerm := logMax
+	lp, lq := math.Log(p), math.Log1p(-p)
 	for i := k + 1; i <= n; i++ {
 		// pmf(i)/pmf(i-1) = (n-i+1)/i * p/(1-p)
-		logTerm += math.Log(float64(n-i+1)/float64(i)) + math.Log(p) - math.Log1p(-p)
+		logTerm += math.Log(float64(n-i+1)/float64(i)) + lp - lq
 		rel := logTerm - logMax
 		if rel < -45 { // below float64 resolution of the running sum
 			break

@@ -3,8 +3,88 @@ package rwr
 import (
 	"math"
 
+	"graphsig/internal/feature"
 	"graphsig/internal/graph"
 )
+
+// Test oracles: the one-source push iteration the batched kernel
+// replaced, and an exact solve it is checked against.
+
+// stationary computes the RWR stationary node distribution by power
+// iteration: p' = α·e_start + (1-α)·PᵀP p with uniform neighbor choice,
+// pushing each node's mass to its neighbours in CSR row order.
+func stationary(g *graph.Graph, start int, cfg Config) []float64 {
+	n := g.NumNodes()
+	c := g.CSR()
+	p := make([]float64, n)
+	next := make([]float64, n)
+	p[start] = 1
+	for iter := 0; iter < cfg.MaxIterations; iter++ {
+		for i := range next {
+			next[i] = 0
+		}
+		next[start] = cfg.Alpha
+		for u := 0; u < n; u++ {
+			if p[u] == 0 {
+				continue
+			}
+			deg := c.RowStart[u+1] - c.RowStart[u]
+			if deg == 0 {
+				// Dangling mass restarts.
+				next[start] += (1 - cfg.Alpha) * p[u]
+				continue
+			}
+			share := (1 - cfg.Alpha) * p[u] / float64(deg)
+			for i := c.RowStart[u]; i < c.RowStart[u+1]; i++ {
+				next[c.Nbr[i]] += share
+			}
+		}
+		delta := 0.0
+		for i := range p {
+			delta += math.Abs(next[i] - p[i])
+		}
+		p, next = next, p
+		if delta < cfg.Tolerance {
+			break
+		}
+	}
+	return p
+}
+
+// pushFeatureMasses is FeatureMasses over the push iteration's
+// stationary distribution p from start, with the feature of each
+// traversal looked up in the set's maps.
+func pushFeatureMasses(g *graph.Graph, start int, p []float64, fs *feature.Set, cfg Config) []float64 {
+	masses := make([]float64, fs.Len())
+	if g.Degree(start) == 0 {
+		return masses
+	}
+	total := 0.0
+	c := g.CSR()
+	for u := 0; u < len(c.NodeLabels); u++ {
+		deg := c.RowStart[u+1] - c.RowStart[u]
+		if p[u] == 0 || deg == 0 {
+			continue
+		}
+		out := p[u] * (1 - cfg.Alpha) / float64(deg)
+		lu := c.NodeLabels[u]
+		for i := c.RowStart[u]; i < c.RowStart[u+1]; i++ {
+			lv, bond := c.NodeLabels[c.Nbr[i]], c.EdgeLabels[i]
+			if fi, ok := fs.EdgeFeature(lu, lv, bond); ok {
+				masses[fi] += out
+			} else if fi, ok := fs.AtomFeature(lv); ok {
+				masses[fi] += out
+			}
+			total += out
+		}
+	}
+	if total > 0 {
+		for i := range masses {
+			masses[i] /= total
+		}
+	}
+	return masses
+}
 
 // StationaryExact solves the RWR stationary distribution as a linear
 // system by Gauss-Seidel iteration to machine precision:

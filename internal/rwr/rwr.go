@@ -53,11 +53,11 @@ func (c *Config) fill() {
 }
 
 // Walk runs RWR from start on g and returns the discretized feature
-// vector of the window centered at start.
+// vector of the window centered at start. It is the one-source case of
+// the batched kernel behind GraphVectors and DatabaseVectors.
 func Walk(g *graph.Graph, start int, fs *feature.Set, cfg Config) feature.Vector {
 	cfg.fill()
-	masses := FeatureMasses(g, start, fs, cfg)
-	return Discretize(masses, cfg.Bins)
+	return Discretize(FeatureMasses(g, start, fs, cfg), cfg.Bins)
 }
 
 // FeatureMasses returns the continuous per-feature traversal distribution
@@ -66,32 +66,227 @@ func Walk(g *graph.Graph, start int, fs *feature.Set, cfg Config) feature.Vector
 // with at least one neighbor, and are all zero for isolated nodes.
 func FeatureMasses(g *graph.Graph, start int, fs *feature.Set, cfg Config) []float64 {
 	cfg.fill()
-	masses := make([]float64, fs.Len())
-	if g.Degree(start) == 0 {
-		return masses
-	}
-	p := stationary(g, start, cfg)
+	var out []float64
+	w := getWalker(fs, cfg)
+	w.walk(g, []int{start}, func(_ int, masses []float64) { out = append([]float64(nil), masses...) })
+	walkers.Put(w)
+	return out
+}
 
-	// At stationarity, a step departs node u with probability p[u]·(1-α)
-	// and picks each incident edge with probability 1/deg(u). Each
-	// directed traversal u->v updates the feature of edge (u,v): the
-	// edge-type feature when the endpoint pair is in the set, otherwise
-	// the atom feature of the node stepped onto (v).
-	total := 0.0
-	c := g.CSR()
-	for u := 0; u < len(c.NodeLabels); u++ {
-		deg := c.RowStart[u+1] - c.RowStart[u]
-		if p[u] == 0 || deg == 0 {
+// maxBatch bounds how many sources one power iteration carries, so a
+// walker's matrices stay at n×maxBatch entries on large graphs. A
+// molecule (tens of nodes) runs every source in one batch.
+const maxBatch = 64
+
+// walker is the arena of the batched kernel; each worker or call takes
+// one from the pool and keeps it for all the graphs it walks. Its
+// matrices are node-major and source-minor: entry u*stride+k is node u's
+// mass in the walk of active column k, so the inner loops run over
+// independent sources.
+type walker struct {
+	cfg Config
+	fs  *feature.Set
+
+	// The graph being walked.
+	rowStart []int32   // the CSR's row starts, shared by in and slotFeat
+	in       []int32   // in[rowStart[v]:rowStart[v+1]]: v's neighbours, ascending
+	deg      []float64 // float64(deg(u))
+	slotFeat []int32   // feature a traversal of CSR slot i updates, or -1
+	cursor   []int32
+
+	// One batch. share holds (1-α)·p[u]/deg(u) for the current p; the
+	// pass that computes next fills nshare for it.
+	stride        int
+	p, next       []float64
+	share, nshare []float64
+	delta         []float64
+	col           []int // col[k]: the batch position walking in column k
+	live, starts  []int
+	nodes         []int
+	masses        []float64
+}
+
+var walkers = sync.Pool{New: func() any { return new(walker) }}
+
+func getWalker(fs *feature.Set, cfg Config) *walker {
+	w := walkers.Get().(*walker)
+	w.fs, w.cfg = fs, cfg
+	return w
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// walk runs RWR on g from every node in sources and calls emit with each
+// source's index in sources and its feature masses, which are scratch
+// valid only during the call. Sources are emitted in the order they
+// converge.
+func (w *walker) walk(g *graph.Graph, sources []int, emit func(i int, masses []float64)) {
+	w.load(g)
+	w.masses = grow(w.masses, w.fs.Len())
+	w.live = w.live[:0]
+	for i, s := range sources {
+		if w.deg[s] > 0 {
+			w.live = append(w.live, i)
 			continue
 		}
-		out := p[u] * (1 - cfg.Alpha) / float64(deg)
+		clear(w.masses)
+		emit(i, w.masses)
+	}
+	for lo := 0; lo < len(w.live); lo += maxBatch {
+		batch := w.live[lo:min(lo+maxBatch, len(w.live))]
+		w.starts = grow(w.starts, len(batch))
+		for j, i := range batch {
+			w.starts[j] = sources[i]
+		}
+		w.iterate(w.starts, func(j, k int) { emit(batch[j], w.featureMasses(k)) })
+	}
+}
+
+// load builds g's pull structure and its slot→feature table.
+func (w *walker) load(g *graph.Graph) {
+	c := g.CSR()
+	n := len(c.NodeLabels)
+	w.rowStart = c.RowStart
+	w.deg = grow(w.deg, n)
+	w.in = grow(w.in, len(c.Nbr))
+	w.slotFeat = grow(w.slotFeat, len(c.Nbr))
+	w.cursor = grow(w.cursor, n)
+	copy(w.cursor, c.RowStart[:n])
+	for u := 0; u < n; u++ {
+		lo, hi := c.RowStart[u], c.RowStart[u+1]
+		w.deg[u] = float64(hi - lo)
 		lu := c.NodeLabels[u]
-		for i := c.RowStart[u]; i < c.RowStart[u+1]; i++ {
-			lv, bond := c.NodeLabels[c.Nbr[i]], c.EdgeLabels[i]
-			if fi, ok := fs.EdgeFeature(lu, lv, bond); ok {
-				masses[fi] += out
-			} else if fi, ok := fs.AtomFeature(lv); ok {
-				masses[fi] += out
+		for i := lo; i < hi; i++ {
+			// The graph is undirected, so v's in-list is as long as its
+			// row; filling it while u ascends leaves it sorted.
+			v := c.Nbr[i]
+			w.in[w.cursor[v]] = int32(u)
+			w.cursor[v]++
+
+			// A traversal u->v updates the edge-type feature when the
+			// endpoint pair is in the set, otherwise the atom feature of
+			// the node stepped onto (v).
+			lv, f := c.NodeLabels[v], int32(-1)
+			if fi, ok := w.fs.EdgeFeature(lu, lv, c.EdgeLabels[i]); ok {
+				f = int32(fi)
+			} else if fi, ok := w.fs.AtomFeature(lv); ok {
+				f = int32(fi)
+			}
+			w.slotFeat[i] = f
+		}
+	}
+}
+
+// iterate computes the RWR stationary distribution from every node of
+// starts (none isolated) by power iteration, p' = α·e_start + (1-α)·Pᵀp
+// with uniform neighbour choice, and calls frozen(j, k) once per source
+// when column k of w.p holds the distribution from starts[j].
+//
+// Each source keeps the arithmetic of a one-source push sweep
+// (for u ascending, next[v] += (1-α)·p[u]/deg(u) for each neighbour v):
+// next[v] starts at [v==start]·α and pulls the same shares from v's
+// neighbours in ascending u, which on a simple graph is the push order.
+// The same pass over v sums the L1 delta per source in ascending node
+// order and computes v's share for the next iteration. A source is
+// frozen at the iteration its own delta drops below the tolerance.
+func (w *walker) iterate(starts []int, frozen func(j, k int)) {
+	n, s := len(w.deg), len(starts)
+	w.stride = s
+	w.p, w.next = grow(w.p, n*s), grow(w.next, n*s)
+	w.share, w.nshare = grow(w.share, n*s), grow(w.nshare, n*s)
+	w.delta, w.col = grow(w.delta, s), grow(w.col, s)
+	clear(w.p)
+	for k, v := range starts {
+		w.p[v*s+k] = 1
+		w.col[k] = k
+	}
+	alpha, beta := w.cfg.Alpha, 1-w.cfg.Alpha
+	// share[u][k] = (1-α)·p[u][k]/deg(u), the push loop's expression.
+	for u, d := range w.deg {
+		if d == 0 {
+			continue // nothing pulls from an isolated node
+		}
+		pu, su := w.p[u*s:u*s+s], w.share[u*s:u*s+s]
+		su = su[:len(pu)]
+		for k, x := range pu {
+			su[k] = beta * x / d
+		}
+	}
+	active := s
+	for iter := 0; iter < w.cfg.MaxIterations && active > 0; iter++ {
+		p, next, share, nshare, delta := w.p, w.next, w.share, w.nshare, w.delta[:active]
+		clear(next)
+		clear(delta)
+		for k, j := range w.col[:active] {
+			next[starts[j]*s+k] = alpha
+		}
+		for v, d := range w.deg {
+			nv := next[v*s : v*s+active]
+			for _, u := range w.in[w.rowStart[v]:w.rowStart[v+1]] {
+				su := share[int(u)*s : int(u)*s+active]
+				su = su[:len(nv)]
+				for k := range nv {
+					nv[k] += su[k]
+				}
+			}
+			if d == 0 {
+				continue // isolated: no mass, and nothing pulls from it
+			}
+			pv, ns := p[v*s:v*s+active], nshare[v*s:v*s+active]
+			pv, ns, delta := pv[:len(nv)], ns[:len(nv)], delta[:len(nv)]
+			for k, x := range nv {
+				delta[k] += math.Abs(x - pv[k])
+				ns[k] = beta * x / d
+			}
+		}
+		w.p, w.next = next, p
+		w.share, w.nshare = nshare, share
+		// Freeze converged columns, refilling each gap from the last
+		// active column; descending k means that column was already
+		// checked this round.
+		for k := active - 1; k >= 0; k-- {
+			if delta[k] >= w.cfg.Tolerance {
+				continue
+			}
+			frozen(w.col[k], k)
+			active--
+			if k != active {
+				for u := 0; u < n; u++ {
+					w.p[u*s+k] = w.p[u*s+active]
+					w.share[u*s+k] = w.share[u*s+active]
+				}
+				w.col[k] = w.col[active]
+			}
+		}
+	}
+	for k := 0; k < active; k++ {
+		frozen(w.col[k], k)
+	}
+}
+
+// featureMasses turns column k of w.p into a per-feature traversal
+// distribution in w.masses.
+func (w *walker) featureMasses(k int) []float64 {
+	// At stationarity, a step departs node u with probability p[u]·(1-α)
+	// and picks each incident edge with probability 1/deg(u).
+	masses := w.masses
+	clear(masses)
+	beta := 1 - w.cfg.Alpha
+	total := 0.0
+	for u, d := range w.deg {
+		pu := w.p[u*w.stride+k]
+		if pu == 0 || d == 0 {
+			continue
+		}
+		out := pu * beta / d
+		for _, f := range w.slotFeat[w.rowStart[u]:w.rowStart[u+1]] {
+			if f >= 0 {
+				masses[f] += out
 			}
 			total += out
 		}
@@ -106,52 +301,15 @@ func FeatureMasses(g *graph.Graph, start int, fs *feature.Set, cfg Config) []flo
 	return masses
 }
 
-// stationary computes the RWR stationary node distribution by power
-// iteration: p' = α·e_start + (1-α)·PᵀP p with uniform neighbor choice.
-// Nodes unreachable from start (or past the walk's effective horizon)
-// receive vanishing mass.
-func stationary(g *graph.Graph, start int, cfg Config) []float64 {
-	n := g.NumNodes()
-	c := g.CSR()
-	p := make([]float64, n)
-	next := make([]float64, n)
-	p[start] = 1
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		for i := range next {
-			next[i] = 0
-		}
-		next[start] = cfg.Alpha
-		for u := 0; u < n; u++ {
-			if p[u] == 0 {
-				continue
-			}
-			deg := c.RowStart[u+1] - c.RowStart[u]
-			if deg == 0 {
-				// Dangling mass restarts.
-				next[start] += (1 - cfg.Alpha) * p[u]
-				continue
-			}
-			share := (1 - cfg.Alpha) * p[u] / float64(deg)
-			for i := c.RowStart[u]; i < c.RowStart[u+1]; i++ {
-				next[c.Nbr[i]] += share
-			}
-		}
-		delta := 0.0
-		for i := range p {
-			delta += math.Abs(next[i] - p[i])
-		}
-		p, next = next, p
-		if delta < cfg.Tolerance {
-			break
-		}
-	}
-	return p
-}
-
 // Discretize maps continuous masses in [0,1] to bins: round(bins·v),
 // matching the paper's example (0.07 -> 1, 0.34 -> 3 with 10 bins).
 func Discretize(masses []float64, bins int) feature.Vector {
 	v := make(feature.Vector, len(masses))
+	discretizeInto(v, masses, bins)
+	return v
+}
+
+func discretizeInto(v feature.Vector, masses []float64, bins int) {
 	for i, m := range masses {
 		b := int(math.Round(float64(bins) * m))
 		if b < 0 {
@@ -162,7 +320,6 @@ func Discretize(masses []float64, bins int) feature.Vector {
 		}
 		v[i] = uint8(b)
 	}
-	return v
 }
 
 // NodeVector is the vector produced by RWR on one node, tagged with its
@@ -182,17 +339,34 @@ type NodeVector struct {
 // GraphVectors runs RWR on every node of g and returns one vector per
 // node, in node order.
 func GraphVectors(g *graph.Graph, fs *feature.Set, cfg Config) []feature.Vector {
+	cfg.fill()
 	out := make([]feature.Vector, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		out[v] = Walk(g, v, fs, cfg)
-	}
+	w := getWalker(fs, cfg)
+	w.graphVectors(g, func(v int, vec feature.Vector) { out[v] = vec })
+	walkers.Put(w)
 	return out
+}
+
+// graphVectors walks from every node of g and calls put with each node
+// and its vector. The vectors of one graph share one allocation.
+func (w *walker) graphVectors(g *graph.Graph, put func(v int, vec feature.Vector)) {
+	n, dim := g.NumNodes(), w.fs.Len()
+	slab := make([]uint8, n*dim)
+	w.nodes = grow(w.nodes, n)
+	for v := range w.nodes {
+		w.nodes[v] = v
+	}
+	w.walk(g, w.nodes, func(v int, masses []float64) {
+		vec := feature.Vector(slab[v*dim : (v+1)*dim : (v+1)*dim])
+		discretizeInto(vec, masses, w.cfg.Bins)
+		put(v, vec)
+	})
 }
 
 // DatabaseVectors converts an entire database into feature space: RWR on
 // every node of every graph (Algorithm 2, lines 3-4). Work is spread
-// across cfg.Workers goroutines (default GOMAXPROCS); output order is
-// deterministic (by graph, then node).
+// across cfg.Workers goroutines (default GOMAXPROCS), one graph at a
+// time; output order is deterministic (by graph, then node).
 func DatabaseVectors(db []*graph.Graph, fs *feature.Set, cfg Config) []NodeVector {
 	cfg.fill()
 	offsets := make([]int, len(db)+1)
@@ -217,17 +391,14 @@ func DatabaseVectors(db []*graph.Graph, fs *feature.Set, cfg Config) []NodeVecto
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			wk := getWalker(fs, cfg)
+			defer walkers.Put(wk)
 			for gi := range work {
 				g := db[gi]
 				base := offsets[gi]
-				for v := 0; v < g.NumNodes(); v++ {
-					out[base+v] = NodeVector{
-						GraphID: gi,
-						NodeID:  v,
-						Label:   g.NodeLabel(v),
-						Vec:     Walk(g, v, fs, cfg),
-					}
-				}
+				wk.graphVectors(g, func(v int, vec feature.Vector) {
+					out[base+v] = NodeVector{GraphID: gi, NodeID: v, Label: g.NodeLabel(v), Vec: vec}
+				})
 			}
 		}()
 	}

@@ -186,30 +186,32 @@ func TestDatabaseVectorsOrderAndParallelism(t *testing.T) {
 		db = append(db, g)
 	}
 	fs := feature.AllEdgeTypesSet(db, nil)
-	cfg := Defaults()
-	nvs := DatabaseVectors(db, fs, cfg)
-
 	wantLen := 0
 	for _, g := range db {
 		wantLen += g.NumNodes()
 	}
-	if len(nvs) != wantLen {
-		t.Fatalf("got %d vectors; want %d", len(nvs), wantLen)
-	}
-	idx := 0
-	for gi, g := range db {
-		for v := 0; v < g.NumNodes(); v++ {
-			nv := nvs[idx]
-			idx++
-			if nv.GraphID != gi || nv.NodeID != v {
-				t.Fatalf("vector %d has provenance (%d,%d); want (%d,%d)", idx-1, nv.GraphID, nv.NodeID, gi, v)
-			}
-			if nv.Label != g.NodeLabel(v) {
-				t.Fatalf("vector %d label mismatch", idx-1)
-			}
-			// Parallel result must equal the serial walk.
-			if want := Walk(g, v, fs, cfg); !nv.Vec.Equal(want) {
-				t.Fatalf("vector %d differs from serial walk", idx-1)
+	for _, workers := range []int{1, 2, 4} {
+		cfg := Defaults()
+		cfg.Workers = workers
+		nvs := DatabaseVectors(db, fs, cfg)
+		if len(nvs) != wantLen {
+			t.Fatalf("workers=%d: got %d vectors; want %d", workers, len(nvs), wantLen)
+		}
+		idx := 0
+		for gi, g := range db {
+			for v := 0; v < g.NumNodes(); v++ {
+				nv := nvs[idx]
+				idx++
+				if nv.GraphID != gi || nv.NodeID != v {
+					t.Fatalf("workers=%d: vector %d has provenance (%d,%d); want (%d,%d)", workers, idx-1, nv.GraphID, nv.NodeID, gi, v)
+				}
+				if nv.Label != g.NodeLabel(v) {
+					t.Fatalf("workers=%d: vector %d label mismatch", workers, idx-1)
+				}
+				// Batched, parallel result must equal the one-source walk.
+				if want := Walk(g, v, fs, cfg); !nv.Vec.Equal(want) {
+					t.Fatalf("workers=%d: vector %d differs from one-source walk", workers, idx-1)
+				}
 			}
 		}
 	}
@@ -259,7 +261,7 @@ func TestStationaryExactMatchesPowerIteration(t *testing.T) {
 		cfg := Defaults()
 		cfg.MaxIterations = 2000
 		cfg.Tolerance = 1e-13
-		power := stationary(g, start, cfg)
+		power := batchedStationary(g, edgeSet(g), cfg)[start]
 		exact := StationaryExact(g, start, cfg.Alpha)
 		for v := 0; v < n; v++ {
 			if math.Abs(power[v]-exact[v]) > 1e-8 {
@@ -321,7 +323,7 @@ func TestStationaryDisconnectedStart(t *testing.T) {
 	// Start node in a 2-node component of a larger graph: mass must stay
 	// in the component.
 	g := build([]graph.Label{0, 1, 2, 3}, [][2]int{{0, 1}, {2, 3}})
-	p := stationary(g, 0, Defaults())
+	p := batchedStationary(g, edgeSet(g), Defaults())[0]
 	if p[2]+p[3] > 1e-9 {
 		t.Errorf("mass leaked to other component: %v", p)
 	}

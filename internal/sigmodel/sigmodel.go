@@ -19,6 +19,8 @@ type Model struct {
 	// tail[i][v] = P(y_i >= v) estimated over the database, for
 	// v in [0, maxBin+1]. tail[i][0] == 1 by construction.
 	tail [][]float64
+	// logTail[i][v] = math.Log(tail[i][v]), -Inf where the prior is 0.
+	logTail [][]float64
 	// trials is the database size m: the number of random-vector trials
 	// in the binomial support model.
 	trials int
@@ -52,17 +54,19 @@ func New(vectors []feature.Vector) *Model {
 			counts[i][x]++
 		}
 	}
-	m := &Model{trials: len(vectors), tail: make([][]float64, dim)}
+	m := &Model{trials: len(vectors), tail: make([][]float64, dim), logTail: make([][]float64, dim)}
 	for i := range counts {
 		tail := make([]float64, maxBin+2)
+		logTail := make([]float64, maxBin+2)
 		cum := 0
 		for v := maxBin + 1; v >= 0; v-- {
 			if v <= maxBin {
 				cum += counts[i][v]
 			}
 			tail[v] = float64(cum) / float64(len(vectors))
+			logTail[v] = math.Log(tail[v])
 		}
-		m.tail[i] = tail
+		m.tail[i], m.logTail[i] = tail, logTail
 	}
 	return m
 }
@@ -93,18 +97,19 @@ func (m *Model) Prob(x feature.Vector) float64 {
 }
 
 // LogProb returns log P(x). It is -Inf when some feature of x exceeds
-// every observed value.
+// every observed value. It sums the precomputed log priors in feature
+// order, so it equals Σ math.Log(FeaturePrior(i, x_i)) bit for bit.
 func (m *Model) LogProb(x feature.Vector) float64 {
-	if len(x) != len(m.tail) {
+	if len(x) != len(m.logTail) {
 		panic("sigmodel: vector dimension mismatch")
 	}
 	sum := 0.0
 	for i, v := range x {
-		p := m.FeaturePrior(i, int(v))
-		if p == 0 {
+		lt := m.logTail[i]
+		if int(v) >= len(lt) || math.IsInf(lt[v], -1) {
 			return math.Inf(-1)
 		}
-		sum += math.Log(p)
+		sum += lt[v]
 	}
 	return sum
 }
