@@ -206,25 +206,29 @@ func (c Code) RightmostPath() []int {
 }
 
 // String renders the code compactly, e.g. "(0,1,C,-,O)(1,2,O,=,C)" with
-// numeric labels. The rendering doubles as the canonical pattern key, so
-// it is built with strconv appends rather than fmt — canonicalization
-// sits on the miners' candidate-dedup hot path.
+// numeric labels. The rendering doubles as the canonical pattern key.
 func (c Code) String() string {
-	buf := make([]byte, 0, 20*len(c))
+	return string(appendString(make([]byte, 0, 20*len(c)), c))
+}
+
+// appendString appends String's rendering of c to dst. It is built with
+// strconv appends rather than fmt because canonicalization sits on the
+// miners' candidate-dedup hot path.
+func appendString(dst []byte, c Code) []byte {
 	for _, e := range c {
-		buf = append(buf, '(')
-		buf = strconv.AppendInt(buf, int64(e.I), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.J), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.LI), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.LE), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.LJ), 10)
-		buf = append(buf, ')')
+		dst = append(dst, '(')
+		dst = strconv.AppendInt(dst, int64(e.I), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.J), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.LI), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.LE), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.LJ), 10)
+		dst = append(dst, ')')
 	}
-	return string(buf)
+	return dst
 }
 
 // embedding maps DFS indices of a partial code to nodes of a host graph.
@@ -237,7 +241,7 @@ type embedding struct {
 
 // embArena bump-allocates embedding buffers in large chunks. One
 // generation of embeddings dies wholesale when the next replaces it, so
-// buildMinimum keeps two arenas and swap-resets the dead one — the
+// the builder keeps two arenas and swap-resets the dead one — the
 // canonicalizer sits on the miners' candidate-dedup hot path, and
 // per-embedding make calls dominated its allocation profile.
 type embArena struct {
@@ -293,13 +297,18 @@ func grown(c, n, floor int) int {
 	return c
 }
 
-// minState carries buildMinimum's working set — the two embedding
-// arenas and the generation slices — across calls via a pool, so
-// canonicalizing a stream of candidates (the miners' dedup loop)
-// settles into zero steady-state allocation.
+// minState is the minimum-code builder's working set: the two embedding
+// arenas and generation slices, the code under construction, its
+// rightmost path and a rendering buffer. It is kept across calls — in a
+// pool for the one-shot entry points, in a Canonicalizer for streams —
+// so canonicalizing a stream of graphs settles into zero steady-state
+// allocation.
 type minState struct {
-	curA, nextA embArena
-	embs, next  []*embedding
+	arenas     [2]embArena
+	embs, next []*embedding
+	code       Code
+	path       []int // rightmost path of code, root first
+	buf        []byte
 }
 
 var minPool = sync.Pool{New: func() any { return new(minState) }}
@@ -334,8 +343,12 @@ func (e *embedding) extend(hostTo int, discovers bool, edgeID int, a *embArena) 
 // (the construction behind gSpan's isMin test). It panics on empty or
 // disconnected graphs, for which the code is undefined.
 func MinimumCode(g *graph.Graph) Code {
-	code, _ := buildMinimum(g, nil)
-	return code
+	requireConnected(g)
+	st := minPool.Get().(*minState)
+	code, _ := st.build(g.CSR(), g.Edges(), nil)
+	out := append(make(Code, 0, len(code)), code...)
+	minPool.Put(st)
+	return out
 }
 
 // IsMinimal reports whether c is the minimum DFS code of the graph it
@@ -344,66 +357,104 @@ func IsMinimal(c Code) bool {
 	if len(c) == 0 {
 		return true
 	}
-	_, minimal := buildMinimum(c.Graph(), c)
+	g := c.Graph()
+	requireConnected(g)
+	st := minPool.Get().(*minState)
+	_, minimal := st.build(g.CSR(), g.Edges(), c)
+	minPool.Put(st)
 	return minimal
 }
 
-// buildMinimum constructs the minimum DFS code of g. When reference is
-// non-nil, construction stops early as soon as the minimum is known to
-// differ from reference, returning (nil, false); if it matches the whole
-// way, returns (reference, true).
-func buildMinimum(g *graph.Graph, reference Code) (Code, bool) {
+// Canonical returns a canonical string key for a connected labeled graph:
+// equal strings iff isomorphic graphs. Single-vertex graphs are encoded
+// by their node label.
+func Canonical(g *graph.Graph) string {
+	if g.NumNodes() != 1 {
+		requireConnected(g)
+	}
+	st := minPool.Get().(*minState)
+	st.buf = st.appendCanonical(st.buf[:0], g.CSR(), g.Edges())
+	key := string(st.buf)
+	minPool.Put(st)
+	return key
+}
+
+// Canonicalizer renders canonical keys for a stream of graphs with one
+// working set kept between calls, so steady-state keys allocate
+// nothing. The zero value is ready to use; it is not safe for
+// concurrent use.
+type Canonicalizer struct{ st minState }
+
+// AppendCanonical appends Canonical's key of the graph described by a
+// CSR view and its edge list (the view's EdgeIDs index edges) to dst.
+// The graph must be nonempty and connected, which is not checked: the
+// caller vouches for it, as FSG does for a one-edge growth of a
+// connected pattern.
+func (c *Canonicalizer) AppendCanonical(dst []byte, gc graph.CSRView, edges []graph.Edge) []byte {
+	return c.st.appendCanonical(dst, gc, edges)
+}
+
+func (st *minState) appendCanonical(dst []byte, gc graph.CSRView, edges []graph.Edge) []byte {
+	if gc.NumNodes() == 1 {
+		dst = append(dst, "v("...)
+		dst = strconv.AppendInt(dst, int64(gc.NodeLabels[0]), 10)
+		return append(dst, ')')
+	}
+	code, _ := st.build(gc, edges, nil)
+	return appendString(dst, code)
+}
+
+func requireConnected(g *graph.Graph) {
 	if g.NumNodes() == 0 || !g.IsConnected() {
 		panic("dfscode: minimum code requires a nonempty connected graph")
 	}
-	if g.NumEdges() == 0 {
+}
+
+// build constructs the minimum DFS code of the connected graph given by
+// its CSR view and edge list into st.code. When reference is non-nil,
+// construction stops early as soon as the minimum is known to differ
+// from reference, returning (nil, false); if it matches the whole way,
+// returns (reference, true). Otherwise the returned code aliases
+// st.code and is valid until the next build.
+func (st *minState) build(gc graph.CSRView, edges []graph.Edge, reference Code) (Code, bool) {
+	code := st.code[:0]
+	if len(edges) == 0 {
 		// Single vertex: represent as empty code. Callers treat
 		// single-node patterns specially.
-		return Code{}, len(reference) == 0
+		return code, len(reference) == 0
 	}
-	// All adjacency below runs on the frozen CSR view: row slices for
-	// neighbor walks, the parallel EdgeIDs array for used-edge sets
-	// (replacing the old per-call (u,v)->id map).
-	gc := g.CSR()
-	var code Code
-	// Pooled working set. Two arenas, swapped each round: curA holds the
-	// live generation, nextA receives its extensions, then the dead
-	// generation's arena is reset and reused.
-	st := minPool.Get().(*minState)
+	// Two arenas, swapped each round: cur holds the live generation,
+	// spare receives its extensions, then the dead generation's arena is
+	// reset and reused.
+	cur, spare := &st.arenas[0], &st.arenas[1]
 	embs, nextEmbs := st.embs[:0], st.next[:0]
-	curA, nextA := &st.curA, &st.nextA
-	defer func() {
-		curA.reset()
-		nextA.reset()
-		st.embs, st.next = embs[:0], nextEmbs[:0]
-		minPool.Put(st)
-	}()
+	path := append(st.path[:0], 0, 1)
 
 	// Seed: minimal first entry over all directed edge instances.
+	nl := gc.NodeLabels
 	var best EdgeCode
-	haveBest := false
-	for _, e := range g.Edges() {
-		for _, dir := range [2][2]int{{e.From, e.To}, {e.To, e.From}} {
-			cand := EdgeCode{I: 0, J: 1, LI: g.NodeLabel(dir[0]), LE: e.Label, LJ: g.NodeLabel(dir[1])}
-			if !haveBest || CompareEdges(cand, best) < 0 {
-				best = cand
-				haveBest = true
-			}
+	for i, e := range edges {
+		a := EdgeCode{I: 0, J: 1, LI: nl[e.From], LE: e.Label, LJ: nl[e.To]}
+		b := EdgeCode{I: 0, J: 1, LI: nl[e.To], LE: e.Label, LJ: nl[e.From]}
+		if compareLabels(b, a) < 0 {
+			a = b
+		}
+		if i == 0 || compareLabels(a, best) < 0 {
+			best = a
 		}
 	}
-	if reference != nil {
-		if c := CompareEdges(best, reference[0]); c != 0 {
-			return nil, false
-		}
+	if reference != nil && CompareEdges(best, reference[0]) != 0 {
+		st.release(embs, nextEmbs, code, path)
+		return nil, false
 	}
 	code = append(code, best)
-	for ei, e := range g.Edges() {
+	for ei, e := range edges {
 		for _, dir := range [2][2]int{{e.From, e.To}, {e.To, e.From}} {
-			if g.NodeLabel(dir[0]) == best.LI && e.Label == best.LE && g.NodeLabel(dir[1]) == best.LJ {
-				buf := curA.intSlice(2 + g.NumNodes())
-				emb := curA.emb()
+			if nl[dir[0]] == best.LI && e.Label == best.LE && nl[dir[1]] == best.LJ {
+				buf := cur.intSlice(2 + len(nl))
+				emb := cur.emb()
 				emb.nodes = buf[:2:2]
-				emb.used = curA.boolSlice(g.NumEdges())
+				emb.used = cur.boolSlice(len(edges))
 				emb.inverse = buf[2:]
 				emb.nodes[0], emb.nodes[1] = dir[0], dir[1]
 				clear(emb.inverse)
@@ -416,100 +467,114 @@ func buildMinimum(g *graph.Graph, reference Code) (Code, bool) {
 		}
 	}
 
-	for len(code) < g.NumEdges() {
-		rmPath := code.RightmostPath()
-		rmv := rmPath[len(rmPath)-1]
-		type ext struct {
-			ec        EdgeCode
-			discovers bool
-		}
-		var bestExt *ext
-		consider := func(e ext) {
-			if bestExt == nil || CompareEdges(e.ec, bestExt.ec) < 0 {
-				cp := e
-				bestExt = &cp
-			}
-		}
-		// Enumerate candidate extensions across all embeddings.
+	for len(code) < len(edges) {
+		rmv := path[len(path)-1]
+		found := false
+		// Backward extensions: from the rightmost vertex to a vertex on
+		// the rightmost path. Every one of them precedes every forward
+		// extension in DFS order (its I, the rightmost vertex, is below
+		// a forward edge's J, the next vertex), so forward extensions
+		// are enumerated only when no embedding has a backward one.
 		for _, emb := range embs {
-			// Backward: from rightmost vertex to rightmost-path vertices.
 			hostRM := emb.nodes[rmv]
 			for i := gc.RowStart[hostRM]; i < gc.RowStart[hostRM+1]; i++ {
-				u, l := int(gc.Nbr[i]), gc.EdgeLabels[i]
 				if emb.used[gc.EdgeIDs[i]] {
 					continue
 				}
+				u := gc.Nbr[i]
 				pi := emb.inverse[u]
-				if pi == 0 {
+				if pi == 0 || !onPath(path, pi-1) {
 					continue
 				}
-				pIdx := pi - 1
-				if !onPath(rmPath, pIdx) {
-					continue
+				ec := EdgeCode{I: rmv, J: pi - 1, LI: nl[hostRM], LE: gc.EdgeLabels[i], LJ: nl[u]}
+				if !found || CompareEdges(ec, best) < 0 {
+					best, found = ec, true
 				}
-				consider(ext{ec: EdgeCode{I: rmv, J: pIdx, LI: gc.NodeLabels[hostRM], LE: l, LJ: gc.NodeLabels[u]}})
 			}
-			// Forward: from rightmost-path vertices to undiscovered nodes.
-			for _, pv := range rmPath {
+		}
+		// Forward extensions: from a rightmost-path vertex to an
+		// undiscovered node. All share J, and a deeper source (larger I)
+		// precedes a shallower one whatever the labels, so the path is
+		// walked from the rightmost vertex up and stops at the first
+		// vertex any embedding can extend from.
+		for pi := len(path) - 1; !found && pi >= 0; pi-- {
+			pv := path[pi]
+			for _, emb := range embs {
 				hostV := emb.nodes[pv]
 				for i := gc.RowStart[hostV]; i < gc.RowStart[hostV+1]; i++ {
-					u, l := int(gc.Nbr[i]), gc.EdgeLabels[i]
+					u := gc.Nbr[i]
 					if emb.inverse[u] != 0 {
 						continue
 					}
-					consider(ext{
-						ec:        EdgeCode{I: pv, J: len(emb.nodes), LI: gc.NodeLabels[hostV], LE: l, LJ: gc.NodeLabels[u]},
-						discovers: true,
-					})
+					ec := EdgeCode{I: pv, J: len(emb.nodes), LI: nl[hostV], LE: gc.EdgeLabels[i], LJ: nl[u]}
+					if !found || CompareEdges(ec, best) < 0 {
+						best, found = ec, true
+					}
 				}
 			}
 		}
-		if bestExt == nil {
+		if !found {
 			panic("dfscode: no extension for connected graph")
 		}
-		if reference != nil {
-			if c := CompareEdges(bestExt.ec, reference[len(code)]); c != 0 {
-				return nil, false
-			}
+		if reference != nil && CompareEdges(best, reference[len(code)]) != 0 {
+			st.release(embs, nextEmbs, code, path)
+			return nil, false
 		}
-		code = append(code, bestExt.ec)
+		code = append(code, best)
 		// Keep only embeddings realizing the chosen extension, extended
 		// into the spare arena; the dead generation is then reset and the
 		// arenas swap roles.
 		next := nextEmbs[:0]
 		for _, emb := range embs {
-			if bestExt.ec.Forward() {
-				hostV := emb.nodes[bestExt.ec.I]
+			hostV := emb.nodes[best.I]
+			if best.Forward() {
 				for i := gc.RowStart[hostV]; i < gc.RowStart[hostV+1]; i++ {
-					u, l := int(gc.Nbr[i]), gc.EdgeLabels[i]
-					if emb.inverse[u] != 0 || l != bestExt.ec.LE || gc.NodeLabels[u] != bestExt.ec.LJ {
+					u := int(gc.Nbr[i])
+					if emb.inverse[u] != 0 || gc.EdgeLabels[i] != best.LE || nl[u] != best.LJ {
 						continue
 					}
-					next = append(next, emb.extend(u, true, int(gc.EdgeIDs[i]), nextA))
+					next = append(next, emb.extend(u, true, int(gc.EdgeIDs[i]), spare))
 				}
-			} else {
-				hostV := emb.nodes[bestExt.ec.I]
-				hostU := emb.nodes[bestExt.ec.J]
-				// One row scan yields the connecting edge's label and id.
-				for i := gc.RowStart[hostV]; i < gc.RowStart[hostV+1]; i++ {
-					if int(gc.Nbr[i]) != hostU {
-						continue
-					}
-					if !emb.used[gc.EdgeIDs[i]] && gc.EdgeLabels[i] == bestExt.ec.LE {
-						next = append(next, emb.extend(hostU, false, int(gc.EdgeIDs[i]), nextA))
-					}
-					break
+				continue
+			}
+			hostU := emb.nodes[best.J]
+			// One row scan yields the connecting edge's label and id.
+			for i := gc.RowStart[hostV]; i < gc.RowStart[hostV+1]; i++ {
+				if int(gc.Nbr[i]) != hostU {
+					continue
 				}
+				if !emb.used[gc.EdgeIDs[i]] && gc.EdgeLabels[i] == best.LE {
+					next = append(next, emb.extend(hostU, false, int(gc.EdgeIDs[i]), spare))
+				}
+				break
 			}
 		}
 		embs, nextEmbs = next, embs
-		curA.reset()
-		curA, nextA = nextA, curA
+		cur.reset()
+		cur, spare = spare, cur
+		// A forward edge from path vertex I makes its new vertex J the
+		// rightmost one: the path is cut below I and J appended.
+		if best.Forward() {
+			i := len(path) - 1
+			for path[i] != best.I {
+				i--
+			}
+			path = append(path[:i+1], best.J)
+		}
 	}
+	st.release(embs, nextEmbs, code, path)
 	if reference != nil {
 		return reference, true
 	}
 	return code, true
+}
+
+// release hands build's working buffers back to st, emptied but with
+// their capacity, for the next call.
+func (st *minState) release(embs, next []*embedding, code Code, path []int) {
+	st.arenas[0].reset()
+	st.arenas[1].reset()
+	st.embs, st.next, st.code, st.path = embs[:0], next[:0], code[:0], path[:0]
 }
 
 func onPath(path []int, v int) bool {
@@ -519,14 +584,4 @@ func onPath(path []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// Canonical returns a canonical string key for a connected labeled graph:
-// equal strings iff isomorphic graphs. Single-vertex graphs are encoded
-// by their node label.
-func Canonical(g *graph.Graph) string {
-	if g.NumNodes() == 1 {
-		return fmt.Sprintf("v(%d)", int(g.NodeLabel(0)))
-	}
-	return MinimumCode(g).String()
 }

@@ -136,19 +136,27 @@ func Mine(pos, neg []*graph.Graph, opt Options) []Pattern {
 		}
 	}
 
-	scored := make([]Pattern, 0, len(scoredByKey))
-	for _, p := range scoredByKey {
-		scored = append(scored, p)
+	// Ties on score and size break on the canonical key each pattern
+	// was scored under, carried along rather than recomputed per
+	// comparison.
+	keys := make([]string, 0, len(scoredByKey))
+	for key := range scoredByKey {
+		keys = append(keys, key)
 	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].Score != scored[j].Score {
-			return scored[i].Score > scored[j].Score
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := scoredByKey[keys[i]], scoredByKey[keys[j]]
+		if a.Score != b.Score {
+			return a.Score > b.Score
 		}
-		if scored[i].Graph.NumEdges() != scored[j].Graph.NumEdges() {
-			return scored[i].Graph.NumEdges() > scored[j].Graph.NumEdges()
+		if a.Graph.NumEdges() != b.Graph.NumEdges() {
+			return a.Graph.NumEdges() > b.Graph.NumEdges()
 		}
-		return dfscode.Canonical(scored[i].Graph) < dfscode.Canonical(scored[j].Graph)
+		return keys[i] < keys[j]
 	})
+	scored := make([]Pattern, len(keys))
+	for i, key := range keys {
+		scored[i] = scoredByKey[key]
+	}
 	return diverseTopK(scored, opt.TopK)
 }
 
@@ -207,17 +215,13 @@ func scoreCandidates(cands []gspan.Pattern, pos, neg []*graph.Graph, opt Options
 
 // diverseTopK keeps the k best patterns, skipping patterns contained in
 // an already-kept pattern with the same score signature (near-duplicate
-// structural variants add no feature diversity).
+// structural variants add no feature diversity). The patterns are
+// pairwise non-isomorphic: they come from a map keyed by canonical code.
 func diverseTopK(scored []Pattern, k int) []Pattern {
 	var out []Pattern
-	seen := map[string]bool{}
 	for _, cand := range scored {
 		if len(out) >= k {
 			break
-		}
-		key := dfscode.Canonical(cand.Graph)
-		if seen[key] {
-			continue
 		}
 		dup := false
 		for _, kept := range out {
@@ -230,7 +234,6 @@ func diverseTopK(scored []Pattern, k int) []Pattern {
 		if dup {
 			continue
 		}
-		seen[key] = true
 		out = append(out, cand)
 	}
 	return out
