@@ -74,7 +74,7 @@ bench-json:
 # Same workload as bench-json, gated: fails when a fresh run is more
 # than 2x slower per run — or allocates more than 2x as much — as the
 # committed baseline, or runs under a different key (dataset, graphs,
-# radius, parallelism) than the baseline's. CI runs this blocking;
+# radius, parallelism, verify) than the baseline's. CI runs this blocking;
 # refresh the baseline with `make bench-json` after intentional
 # performance changes.
 bench-smoke:

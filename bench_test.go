@@ -445,7 +445,7 @@ func BenchmarkSubstrate_TopK(b *testing.B) {
 	model := sigmodel.New(all)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fvmine.MineTopK(carbon, 20, 5, model)
+		fvmine.MineTopK(carbon, 20, 5, model, nil)
 	}
 }
 

@@ -10,7 +10,7 @@
 // With -baseline it compares the fresh elapsed time against a committed
 // baseline file and exits non-zero on regression beyond -max-regression
 // (`make bench-smoke`). The baseline is keyed by dataset, graph count,
-// radius and parallelism; a run under a different key fails instead of
+// radius, parallelism and verification; a run under a different key fails instead of
 // being compared, so the smoke must run at the baseline's key:
 //
 //	benchjson -runs 1 -parallelism 1 -out - -baseline BENCH_graphsig.json
@@ -50,6 +50,7 @@ type benchJSON struct {
 	Runs          int     `json:"runs"`
 	Radius        int     `json:"radius"`
 	Parallelism   int     `json:"parallelism"`
+	Verify        bool    `json:"verify"` // absent (false) in baselines recorded before the field, all without verify
 	ElapsedSec    float64 `json:"elapsedSeconds"`
 	AllocsPerRun  float64 `json:"allocsPerRun"`
 	AllocMBPerRun float64 `json:"allocMBPerRun"`
@@ -122,6 +123,7 @@ func main() {
 		Runs:          *runs,
 		Radius:        *radius,
 		Parallelism:   effParallel,
+		Verify:        *verify,
 		ElapsedSec:    elapsed.Seconds(),
 		AllocsPerRun:  float64(msAfter.Mallocs-msBefore.Mallocs) / float64(*runs),
 		AllocMBPerRun: float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(*runs) / (1 << 20),
@@ -189,7 +191,7 @@ func sumLabel(snap obs.Snapshot, name, label string) int64 {
 
 // checkRegression exits non-zero when the fresh run is slower than
 // maxRegression × the committed baseline, or was run under a different
-// key (workload shape or parallelism). Per-run seconds are compared so
+// key (workload shape, parallelism or verification). Per-run seconds are compared so
 // -runs need not match the baseline's.
 func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	data, err := os.ReadFile(path)
@@ -200,9 +202,11 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	if err := json.Unmarshal(data, &base); err != nil {
 		log.Fatalf("parse baseline %s: %v", path, err)
 	}
-	if base.Dataset != fresh.Dataset || base.Graphs != fresh.Graphs || base.Radius != fresh.Radius || base.Parallelism != fresh.Parallelism {
-		log.Fatalf("baseline %s was recorded for %s/%d graphs/radius %d/parallelism %d, this run is %s/%d/%d/%d; rerun at the baseline's key",
-			path, base.Dataset, base.Graphs, base.Radius, base.Parallelism, fresh.Dataset, fresh.Graphs, fresh.Radius, fresh.Parallelism)
+	if base.Dataset != fresh.Dataset || base.Graphs != fresh.Graphs || base.Radius != fresh.Radius ||
+		base.Parallelism != fresh.Parallelism || base.Verify != fresh.Verify {
+		log.Fatalf("baseline %s was recorded for %s/%d graphs/radius %d/parallelism %d/verify %v, this run is %s/%d/%d/%d/%v; rerun at the baseline's key",
+			path, base.Dataset, base.Graphs, base.Radius, base.Parallelism, base.Verify,
+			fresh.Dataset, fresh.Graphs, fresh.Radius, fresh.Parallelism, fresh.Verify)
 	}
 	if base.Runs < 1 || base.ElapsedSec <= 0 {
 		log.Fatalf("baseline %s has no usable timing", path)

@@ -16,6 +16,7 @@ import (
 	"graphsig/internal/fsg"
 	"graphsig/internal/graph"
 	"graphsig/internal/gspan"
+	"graphsig/internal/runctl"
 )
 
 func main() {
@@ -27,7 +28,7 @@ func main() {
 	freq := flag.Float64("freq", 5, "frequency threshold in percent")
 	maxEdges := flag.Int("maxedges", 0, "bound pattern size in edges (0 = unbounded)")
 	maximal := flag.Bool("maximal", false, "keep only maximal patterns")
-	closed := flag.Bool("closed", false, "keep only closed patterns (gspan only)")
+	closed := flag.Bool("closed", false, "keep only closed patterns")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
 	top := flag.Int("top", 25, "print at most this many patterns (0 = all)")
 	flag.Parse()
@@ -49,9 +50,11 @@ func main() {
 	minSup := gspan.FromPercent(*freq, len(db))
 	log.Printf("loaded %d graphs; frequency %.2f%% = support %d", len(db), *freq, minSup)
 
-	var deadline time.Time
+	// One controller bounds the whole command, the maximality sweep
+	// included; nil leaves it unbounded.
+	var ctl *runctl.Controller
 	if *timeout > 0 {
-		deadline = time.Now().Add(*timeout)
+		ctl = runctl.New(runctl.Options{Deadline: time.Now().Add(*timeout)})
 	}
 
 	type row struct {
@@ -63,20 +66,19 @@ func main() {
 	t0 := time.Now()
 	switch *miner {
 	case "gspan":
-		res := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: *maxEdges, Deadline: deadline})
+		res := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: *closed})
 		truncated = res.Truncated
 		patterns := res.Patterns
-		if *closed {
-			patterns = gspan.Closed(patterns)
-		}
 		if *maximal {
-			patterns = gspan.Maximal(patterns)
+			var err error
+			patterns, err = gspan.Maximal(patterns, ctl.Checkpoint(runctl.StageGSpan))
+			truncated = truncated || err != nil
 		}
 		for _, p := range patterns {
 			rows = append(rows, row{p.Graph, p.Support})
 		}
 	case "fsg":
-		opt := fsg.Options{MinSupport: minSup, MaxEdges: *maxEdges, Deadline: deadline}
+		opt := fsg.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: *closed}
 		var res fsg.Result
 		if *maximal {
 			res = fsg.MaximalMine(db, opt)

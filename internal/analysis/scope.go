@@ -23,15 +23,22 @@ var deterministicScope = map[string][]string{
 	"core":    nil,
 }
 
-// wallClockScope is deterministicScope minus the files that
-// legitimately read the clock: core outside confighash.go measures
-// phase timings (Profile.RWR etc.), which never feed canonical output.
+// wallClockScope lists the packages that must never read the clock:
+// deterministicScope minus the files that legitimately do (core outside
+// confighash.go measures phase timings, Profile.RWR etc., which never
+// feed canonical output), plus the miners and the matcher under them
+// (fsg, gspan, leap, isomorph). Those stop and bound their runs only
+// through a runctl controller, which owns the clock.
 var wallClockScope = map[string][]string{
-	"dfscode": nil,
-	"graph":   nil,
-	"feature": nil,
-	"fvmine":  nil,
-	"core":    {"confighash.go"},
+	"dfscode":  nil,
+	"graph":    nil,
+	"feature":  nil,
+	"fvmine":   nil,
+	"core":     {"confighash.go"},
+	"fsg":      nil,
+	"gspan":    nil,
+	"leap":     nil,
+	"isomorph": nil,
 }
 
 // spawnScope lists the packages in which every goroutine must be

@@ -16,7 +16,8 @@ import (
 var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc: "forbids time.Now/Since/Until and unseeded math/rand in deterministic " +
-		"packages (dfscode, graph, feature, fvmine, core/confighash.go)",
+		"packages (dfscode, graph, feature, fvmine, core/confighash.go) and in the " +
+		"miners and matcher (fsg, gspan, leap, isomorph), which read the clock only through runctl",
 	Run: runWallClock,
 }
 

@@ -390,7 +390,7 @@ func significantVectorGroups(vectors []rwr.NodeVector, cfg Config, ctl *runctl.C
 			minSup := supportThreshold(cfg, len(vecs))
 			var sig []fvmine.Significant
 			if cfg.TopKPerLabel > 0 {
-				sig = fvmine.MineTopKCtl(vecs, cfg.TopKPerLabel, minSup, globalModel, ctl)
+				sig = fvmine.MineTopK(vecs, cfg.TopKPerLabel, minSup, globalModel, ctl)
 			} else {
 				mres := fvmine.Mine(vecs, fvmine.Options{
 					MinSupport:    minSup,
@@ -704,6 +704,11 @@ func mineMaximal(windows []*graph.Graph, minSup int, cfg Config, ctl *runctl.Con
 	// drawn once per explored state, and pruning deterministically
 	// removes states, so budget trips stay reproducible at a fixed
 	// configuration.
+	//
+	// The maximality sweep observes the controller too: after a trip it
+	// returns only the prefix already decided maximal instead of
+	// finishing an O(n²) containment pass over the partial list.
+	var out []groupPattern
 	switch cfg.Miner {
 	case MinerGSpan:
 		r := gspan.Mine(windows, gspan.Options{
@@ -712,26 +717,21 @@ func mineMaximal(windows []*graph.Graph, minSup int, cfg Config, ctl *runctl.Con
 			Ctl:        ctl,
 			ClosedOnly: true,
 		})
-		// The maximality filter observes the controller too: after a trip
-		// it returns only the prefix already decided maximal instead of
-		// finishing an O(n²) containment pass over the partial list.
-		maximal, _ := gspan.MaximalCtl(r.Patterns, ctl.Checkpoint(runctl.StageGSpan))
-		var out []groupPattern
+		maximal, _ := gspan.Maximal(r.Patterns, ctl.Checkpoint(runctl.StageGSpan))
 		for _, p := range maximal {
 			out = append(out, groupPattern{Graph: p.Graph, Support: p.Support})
 		}
-		return out
 	default:
-		r := fsg.MaximalMine(windows, fsg.Options{
+		r := fsg.Mine(windows, fsg.Options{
 			MinSupport: minSup,
 			MaxEdges:   cfg.MaxPatternEdges,
 			Ctl:        ctl,
 			ClosedOnly: true,
 		})
-		var out []groupPattern
-		for _, p := range r.Patterns {
+		maximal, _ := fsg.Maximal(r.Patterns, ctl.Checkpoint(runctl.StageFSG))
+		for _, p := range maximal {
 			out = append(out, groupPattern{Graph: p.Graph, Support: p.Support})
 		}
-		return out
 	}
+	return out
 }

@@ -101,7 +101,7 @@ func classifyDataset(cfg Config, spec chem.DatasetSpec) Table6Row {
 		// LEAP-style classifier.
 		t1 := time.Now()
 		leapModel := classify.TrainLEAP(trainPos, trainNeg, classify.LEAPOptions{
-			Mine: leap.Options{MinPosFreq: 0.3, TopK: 20, MaxEdges: 8, Deadline: time.Now().Add(cfg.RunBudget)},
+			Mine: leap.Options{MinPosFreq: 0.3, TopK: 20, MaxEdges: 8, Ctl: cfg.baselineCtl()},
 			SVM:  svm.LinearOptions{Seed: cfg.Seed},
 		})
 		leapScores := scoreAll(leapModel, testG)

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"graphsig/internal/runctl"
 )
 
 // Config controls workload sizes so the full suite finishes on a laptop.
@@ -70,6 +72,12 @@ func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
+}
+
+// baselineCtl returns a fresh controller that stops one baseline miner
+// run after RunBudget. Every run needs its own: a trip is sticky.
+func (c *Config) baselineCtl() *runctl.Controller {
+	return runctl.New(runctl.Options{Deadline: time.Now().Add(c.RunBudget)})
 }
 
 func (c *Config) printf(format string, args ...any) {

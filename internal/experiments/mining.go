@@ -51,13 +51,13 @@ func Fig2(cfg Config) []Fig2Row {
 		minSup := gspan.FromPercent(f, len(db))
 
 		t0 := time.Now()
-		gr := gspan.Mine(db, gspan.Options{MinSupport: minSup, Deadline: time.Now().Add(cfg.RunBudget)})
+		gr := gspan.Mine(db, gspan.Options{MinSupport: minSup, Ctl: cfg.baselineCtl()})
 		row.GSpan = time.Since(t0)
 		row.GSpanDNF = gr.Truncated
 		row.GSpanResults = len(gr.Patterns)
 
 		t1 := time.Now()
-		fr := fsg.Mine(db, fsg.Options{MinSupport: minSup, Deadline: time.Now().Add(cfg.RunBudget)})
+		fr := fsg.Mine(db, fsg.Options{MinSupport: minSup, Ctl: cfg.baselineCtl()})
 		row.FSG = time.Since(t1)
 		row.FSGDNF = fr.Truncated
 		row.FSGResults = len(fr.Patterns)
@@ -106,12 +106,12 @@ func Fig9(cfg Config) []Fig9Row {
 
 		minSup := gspan.FromPercent(f, len(db))
 		t0 := time.Now()
-		gr := gspan.Mine(db, gspan.Options{MinSupport: minSup, Deadline: time.Now().Add(cfg.RunBudget)})
+		gr := gspan.Mine(db, gspan.Options{MinSupport: minSup, Ctl: cfg.baselineCtl()})
 		row.GSpan = time.Since(t0)
 		row.GSpanDNF = gr.Truncated
 
 		t1 := time.Now()
-		fr := fsg.Mine(db, fsg.Options{MinSupport: minSup, Deadline: time.Now().Add(cfg.RunBudget)})
+		fr := fsg.Mine(db, fsg.Options{MinSupport: minSup, Ctl: cfg.baselineCtl()})
 		row.FSG = time.Since(t1)
 		row.FSGDNF = fr.Truncated
 
@@ -162,12 +162,12 @@ func Fig11(cfg Config) []Fig11Row {
 
 		minSup := gspan.FromPercent(fig11BaselineFreqPct, len(db))
 		t0 := time.Now()
-		gr := gspan.Mine(db, gspan.Options{MinSupport: minSup, Deadline: time.Now().Add(cfg.RunBudget)})
+		gr := gspan.Mine(db, gspan.Options{MinSupport: minSup, Ctl: cfg.baselineCtl()})
 		row.GSpan = time.Since(t0)
 		row.GSpanDNF = gr.Truncated
 
 		t1 := time.Now()
-		fr := fsg.Mine(db, fsg.Options{MinSupport: minSup, Deadline: time.Now().Add(cfg.RunBudget)})
+		fr := fsg.Mine(db, fsg.Options{MinSupport: minSup, Ctl: cfg.baselineCtl()})
 		row.FSG = time.Since(t1)
 		row.FSGDNF = fr.Truncated
 

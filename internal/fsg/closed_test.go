@@ -63,7 +63,11 @@ func TestClosedOnlyMatchesOracleFSG(t *testing.T) {
 		}
 		// The pipeline's load-bearing property: maximality over the
 		// closed output is byte-identical to maximality over everything.
-		mc, mf := Maximal(closed.Patterns), Maximal(full.Patterns)
+		mc, errC := Maximal(closed.Patterns, nil)
+		mf, errF := Maximal(full.Patterns, nil)
+		if errC != nil || errF != nil {
+			t.Fatalf("seed %d: uncontrolled sweep failed: %v, %v", seed, errC, errF)
+		}
 		if len(mc) != len(mf) {
 			t.Fatalf("seed %d: maximal(closed) has %d patterns, maximal(full) %d", seed, len(mc), len(mf))
 		}

@@ -9,6 +9,7 @@ import (
 	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
 	"graphsig/internal/gspan"
+	"graphsig/internal/runctl"
 )
 
 func build(labels []graph.Label, edges [][3]int) *graph.Graph {
@@ -165,9 +166,10 @@ func TestMaximalMineHighThresholdFiltersNoise(t *testing.T) {
 func TestDeadlineTruncates(t *testing.T) {
 	g := build([]graph.Label{1, 1, 1, 1}, [][3]int{{0, 1, 0}, {1, 2, 0}, {2, 3, 0}})
 	db := []*graph.Graph{g, g.Clone()}
-	res := Mine(db, Options{MinSupport: 2, Deadline: time.Now().Add(-time.Second)})
-	if !res.Truncated {
-		t.Error("expected truncation")
+	ctl := runctl.New(runctl.Options{Deadline: time.Now().Add(-time.Second)})
+	res := Mine(db, Options{MinSupport: 2, Ctl: ctl})
+	if !res.Truncated || res.StopReason != runctl.ReasonDeadline {
+		t.Errorf("truncated=%v reason=%q; want a deadline stop", res.Truncated, res.StopReason)
 	}
 }
 

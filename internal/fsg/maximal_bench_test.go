@@ -9,12 +9,6 @@ import (
 	"graphsig/internal/runctl"
 )
 
-// BenchmarkMaximalFilter isolates the O(n²) containment sweep the
-// miners run after pattern generation, on the full frequent set versus
-// the closed set the ClosedOnly mine now hands it. pairs/op is the
-// number of candidate containment pairs surviving the size screen,
-// vf2/op how many of those reached VF2 search — the two costs the
-// closed-pattern mine exists to shrink.
 // motifDB plants one labeled ring-with-chord motif in every graph plus
 // per-graph noise — the GraphSig workload shape, where every frequent
 // subpattern of the motif shares its full support and only the motif
@@ -34,6 +28,12 @@ func motifDB(r *rand.Rand, count int) []*graph.Graph {
 	return db
 }
 
+// BenchmarkMaximalFilter isolates the O(n²) containment sweep the
+// miners run after pattern generation, on the full frequent set versus
+// the closed set the ClosedOnly mine now hands it. pairs/op is the
+// number of candidate containment pairs surviving the size screen,
+// vf2/op how many of those reached VF2 search — the two costs the
+// closed-pattern mine exists to shrink.
 func BenchmarkMaximalFilter(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	db := motifDB(r, 30)
@@ -51,7 +51,7 @@ func BenchmarkMaximalFilter(b *testing.B) {
 			b.ReportMetric(float64(len(res.Patterns)), "patterns")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := MaximalCtl(res.Patterns, ctl.Checkpoint(runctl.StageFSG)); err != nil {
+				if _, err := Maximal(res.Patterns, ctl.Checkpoint(runctl.StageFSG)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,7 +15,6 @@ package fvmine
 import (
 	"math"
 	"sort"
-	"time"
 
 	"graphsig/internal/feature"
 	"graphsig/internal/runctl"
@@ -32,12 +31,6 @@ type Options struct {
 	// Model supplies feature priors. When nil, a model is built from the
 	// input vectors themselves (the paper's empirical priors).
 	Model *sigmodel.Model
-	// MaxResults stops the search after this many significant vectors
-	// (0 = unbounded); the result is flagged Truncated.
-	MaxResults int
-	// Deadline aborts the search when exceeded (zero = none). Ignored
-	// when Ctl is set; kept for standalone runs.
-	Deadline time.Time
 	// Ctl is the shared run controller carrying cancellation, deadline
 	// and the FVMine state budget. The search checkpoints every
 	// runctl.DefaultCheckInterval recursion states, so overshoot past a
@@ -69,8 +62,7 @@ type Significant struct {
 type Result struct {
 	Vectors   []Significant
 	Truncated bool
-	// StopReason classifies why a truncated mine stopped ("" when the
-	// mine completed or was cut by MaxResults).
+	// StopReason classifies why a truncated mine stopped ("" = complete).
 	StopReason runctl.Reason
 	// StatesExplored counts recursion states, exposing pruning behavior.
 	StatesExplored int
@@ -94,12 +86,8 @@ func Mine(vectors []feature.Vector, opt Options) Result {
 	if model == nil {
 		model = sigmodel.New(vectors)
 	}
-	ctl := opt.Ctl
-	if ctl == nil {
-		ctl = runctl.FromDeadline(opt.Deadline)
-	}
 	m := &miner{opt: opt, logMaxP: math.Log(opt.MaxPvalue)}
-	s := newSearcher(vectors, model, opt.MinSupport, ctl.Checkpoint(runctl.StageFVMine))
+	s := newSearcher(vectors, model, opt.MinSupport, opt.Ctl.Checkpoint(runctl.StageFVMine))
 	// Un-amortized check up front so an already-expired deadline or
 	// canceled context truncates before any work.
 	if err := s.cp.Force(); err != nil {
@@ -112,12 +100,11 @@ func Mine(vectors []feature.Vector, opt Options) Result {
 }
 
 // visit is Algorithm 1 lines 1-2: report x when significant.
-func (m *miner) visit(x feature.Vector, set []int, logP float64) bool {
+func (m *miner) visit(x feature.Vector, set []int, logP float64) {
 	if logP > m.logMaxP || (m.opt.SkipZeroFloor && x.IsZero()) {
-		return true
+		return
 	}
 	m.out = append(m.out, newSignificant(x, set, logP))
-	return m.opt.MaxResults <= 0 || len(m.out) < m.opt.MaxResults
 }
 
 func newSignificant(x feature.Vector, set []int, logP float64) Significant {
@@ -147,7 +134,7 @@ type searcher struct {
 	// visit copies it.
 	frames []*frame
 
-	visit     func(x feature.Vector, set []int, logP float64) bool
+	visit     func(x feature.Vector, set []int, logP float64)
 	fruitless func(ceilLogP float64) bool
 
 	states  int
@@ -194,11 +181,11 @@ func (s *searcher) frame(d int) *frame {
 }
 
 // run searches from the floor of the whole database. visit sees every
-// state's closed vector, supporting set and log p-value, and returns
-// false to stop the search; both are scratch, valid only during the call.
+// state's closed vector, supporting set and log p-value; both are
+// scratch, valid only during the call.
 // fruitless reports whether a branch whose ceiling has the given log
 // p-value can be skipped.
-func (s *searcher) run(visit func(x feature.Vector, set []int, logP float64) bool, fruitless func(ceilLogP float64) bool) {
+func (s *searcher) run(visit func(x feature.Vector, set []int, logP float64), fruitless func(ceilLogP float64) bool) {
 	s.visit, s.fruitless = visit, fruitless
 	root := s.frame(0)
 	for idx := 0; idx < s.n; idx++ {
@@ -264,10 +251,7 @@ func (s *searcher) search(d, b int) {
 	}
 	f := s.frame(d)
 	x, set := f.floor, f.set
-	if !s.visit(x, set, s.model.LogPValue(x, len(set))) {
-		s.stopped = true
-		return
-	}
+	s.visit(x, set, s.model.LogPValue(x, len(set)))
 	// Lines 3-12: branch on each feature position from b. Where x_i is
 	// the ceiling no y exceeds it, so only varying features can branch.
 	child := s.frame(d + 1)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"graphsig/internal/feature"
+	"graphsig/internal/runctl"
 	"graphsig/internal/sigmodel"
 )
 
@@ -119,21 +120,15 @@ func TestSkipZeroFloor(t *testing.T) {
 	}
 }
 
-func TestMaxResultsTruncates(t *testing.T) {
-	res := Mine(tableI(), Options{MinSupport: 1, MaxPvalue: 1, MaxResults: 2})
-	if !res.Truncated || len(res.Vectors) != 2 {
-		t.Errorf("truncated=%v count=%d; want true,2", res.Truncated, len(res.Vectors))
-	}
-}
-
 func TestDeadline(t *testing.T) {
-	// A generous vector set with an already-expired deadline must stop
-	// early (the check fires every 64 states, so allow some slack).
+	// A controller whose deadline has already passed stops the mine at
+	// its up-front check, before any state is expanded.
 	r := rand.New(rand.NewSource(81))
 	vectors := randVectors(r, 200, 8, 4)
-	res := Mine(vectors, Options{MinSupport: 1, MaxPvalue: 1, Deadline: time.Now().Add(-time.Second)})
-	if !res.Truncated {
-		t.Skip("mine finished before first deadline check; nothing to assert")
+	ctl := runctl.New(runctl.Options{Deadline: time.Now().Add(-time.Second)})
+	res := Mine(vectors, Options{MinSupport: 1, MaxPvalue: 1, Ctl: ctl})
+	if !res.Truncated || res.StopReason != runctl.ReasonDeadline {
+		t.Errorf("truncated=%v reason=%q; want a deadline stop", res.Truncated, res.StopReason)
 	}
 }
 
@@ -230,7 +225,7 @@ func checkMineAgainstBrute(vectors []feature.Vector, minSup int, maxP float64) e
 	}
 	sort.Float64s(ranked)
 	for _, k := range []int{1, 2, 5, len(ranked) + 1} {
-		top := MineTopK(vectors, k, minSup, model)
+		top := MineTopK(vectors, k, minSup, model, nil)
 		if len(top) != min(k, len(ranked)) {
 			return fmt.Errorf("top-%d: %d results; want %d", k, len(top), min(k, len(ranked)))
 		}

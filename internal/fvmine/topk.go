@@ -14,15 +14,10 @@ import (
 // found so far and dynamically tightens the pruning threshold to the
 // current k-th best p-value, so branches that cannot break into the top
 // k are cut. MinSupport still applies. Results come back most
-// significant first.
-func MineTopK(vectors []feature.Vector, k int, minSupport int, model *sigmodel.Model) []Significant {
-	return MineTopKCtl(vectors, k, minSupport, model, nil)
-}
-
-// MineTopKCtl is MineTopK observing a shared run controller: the search
-// checkpoints per recursion state and unwinds with the best k found so
-// far when the controller trips — a valid (if shallower) top-k set.
-func MineTopKCtl(vectors []feature.Vector, k int, minSupport int, model *sigmodel.Model, ctl *runctl.Controller) []Significant {
+// significant first. The search checkpoints per recursion state on ctl
+// (nil = unbounded) and unwinds with the best k found so far when the
+// controller trips — a valid (if shallower) top-k set.
+func MineTopK(vectors []feature.Vector, k int, minSupport int, model *sigmodel.Model, ctl *runctl.Controller) []Significant {
 	if k <= 0 || len(vectors) == 0 {
 		return nil
 	}
@@ -63,14 +58,13 @@ func (m *topKMiner) bound() float64 {
 	return m.best[0].LogPValue
 }
 
-func (m *topKMiner) visit(x feature.Vector, set []int, logP float64) bool {
+func (m *topKMiner) visit(x feature.Vector, set []int, logP float64) {
 	if !x.IsZero() && logP < m.bound() {
 		heap.Push(&m.best, newSignificant(x, set, logP))
 		if len(m.best) > m.k {
 			heap.Pop(&m.best)
 		}
 	}
-	return true
 }
 
 // significantHeap is a max-heap by log p-value (worst at the root).

@@ -27,7 +27,7 @@ func TestMineTopKMatchesThresholdMine(t *testing.T) {
 			want = want[:k]
 		}
 
-		got := MineTopK(vectors, k, minSup, model)
+		got := MineTopK(vectors, k, minSup, model, nil)
 		if len(got) != len(want) {
 			t.Logf("got %d, want %d (k=%d)", len(got), len(want), k)
 			return false
@@ -49,7 +49,7 @@ func TestMineTopKMatchesThresholdMine(t *testing.T) {
 func TestMineTopKOrdering(t *testing.T) {
 	r := rand.New(rand.NewSource(102))
 	vectors := randVectors(r, 40, 4, 3)
-	got := MineTopK(vectors, 10, 2, nil)
+	got := MineTopK(vectors, 10, 2, nil, nil)
 	for i := 1; i < len(got); i++ {
 		if got[i-1].LogPValue > got[i].LogPValue {
 			t.Fatal("top-k not ordered most significant first")
@@ -58,21 +58,21 @@ func TestMineTopKOrdering(t *testing.T) {
 }
 
 func TestMineTopKEdgeCases(t *testing.T) {
-	if got := MineTopK(nil, 5, 1, nil); got != nil {
+	if got := MineTopK(nil, 5, 1, nil, nil); got != nil {
 		t.Error("empty input should yield nil")
 	}
 	vectors := randVectors(rand.New(rand.NewSource(103)), 10, 3, 2)
-	if got := MineTopK(vectors, 0, 1, nil); got != nil {
+	if got := MineTopK(vectors, 0, 1, nil, nil); got != nil {
 		t.Error("k=0 should yield nil")
 	}
-	if got := MineTopK(vectors, 5, 100, nil); got != nil {
+	if got := MineTopK(vectors, 5, 100, nil, nil); got != nil {
 		t.Error("minSupport beyond input should yield nil")
 	}
 }
 
 func TestMineTopKRespectsSupport(t *testing.T) {
 	vectors := randVectors(rand.New(rand.NewSource(104)), 30, 4, 3)
-	for _, s := range MineTopK(vectors, 8, 5, nil) {
+	for _, s := range MineTopK(vectors, 8, 5, nil, nil) {
 		if s.Support < 5 {
 			t.Errorf("vector with support %d below minimum 5", s.Support)
 		}

@@ -70,14 +70,14 @@ func TestClosedOnlyPreservesMaximal(t *testing.T) {
 		closed := Mine(db, Options{MinSupport: 2, ClosedOnly: true})
 
 		label := fmt.Sprintf("seed %d", seed)
-		diffPatternLists(t, label+" maximal", Maximal(closed.Patterns), Maximal(full.Patterns))
+		diffPatternLists(t, label+" maximal", maximal(closed.Patterns), maximal(full.Patterns))
 		diffPatternLists(t, label+" closure no-op", Closed(closed.Patterns), closed.Patterns)
 
 		inClosed := map[string]bool{}
 		for _, p := range closed.Patterns {
 			inClosed[patternSig(p)] = true
 		}
-		for _, p := range Maximal(full.Patterns) {
+		for _, p := range maximal(full.Patterns) {
 			if !inClosed[patternSig(p)] {
 				t.Fatalf("%s: maximal pattern %s missing from closed output", label, patternSig(p))
 			}

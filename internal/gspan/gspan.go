@@ -13,7 +13,6 @@ package gspan
 
 import (
 	"sort"
-	"time"
 
 	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
@@ -30,20 +29,12 @@ type Options struct {
 	MinSupport int
 	// MaxEdges bounds the pattern size in edges (0 = unbounded).
 	MaxEdges int
-	// MaxPatterns stops the mine after this many patterns (0 = unbounded).
-	// The result is flagged Truncated when the cap is hit.
-	MaxPatterns int
-	// Deadline aborts the mine when exceeded (zero = none). The result is
-	// flagged Truncated. This mirrors the paper's ">10 hours, did not
-	// finish" handling for low-frequency baseline runs. Ignored when Ctl
-	// is set.
-	Deadline time.Time
 	// Ctl is the shared run controller: cancellation, deadline, and the
 	// miner-step budget (one step per search state). The mine checkpoints
-	// once per grow() call.
+	// once per grow() call. A tripped run is flagged Truncated, which
+	// mirrors the paper's ">10 hours, did not finish" handling for
+	// low-frequency baseline runs.
 	Ctl *runctl.Controller
-	// IncludeSingleNodes also reports frequent single-node patterns.
-	IncludeSingleNodes bool
 	// ClosedOnly emits only closed patterns: frequent patterns with no
 	// one-edge extension preserving their full support set (CloseGraph,
 	// Yan & Han KDD 2003). The emitted list equals Closed() applied to
@@ -52,8 +43,6 @@ type Options struct {
 	// can only drop patterns that already had an equal-support (hence
 	// frequent) strict super-pattern. With MaxEdges == 0 the miner also
 	// prunes whole DFS subtrees on equivalent occurrences (see grow).
-	// Single-node patterns (IncludeSingleNodes) are always reported;
-	// closure filtering applies to edge patterns.
 	ClosedOnly bool
 }
 
@@ -71,7 +60,7 @@ func FromPercent(pct float64, n int) int {
 type Pattern struct {
 	// Graph is the pattern structure (node 0 is the DFS root).
 	Graph *graph.Graph
-	// Code is the pattern's minimum DFS code (empty for single nodes).
+	// Code is the pattern's minimum DFS code.
 	Code dfscode.Code
 	// Support is the number of database graphs containing the pattern.
 	Support int
@@ -82,11 +71,10 @@ type Pattern struct {
 // Result is the outcome of a mining run.
 type Result struct {
 	Patterns []Pattern
-	// Truncated reports that MaxPatterns, the deadline, a budget, or
-	// cancellation cut the run short.
+	// Truncated reports that the deadline, a budget, or cancellation cut
+	// the run short.
 	Truncated bool
-	// StopReason classifies a controller-driven stop ("" when the run
-	// completed or only MaxPatterns tripped).
+	// StopReason classifies why a truncated run stopped ("" = complete).
 	StopReason runctl.Reason
 	// Stats exposes the search effort behind the run.
 	Stats Stats
@@ -201,11 +189,7 @@ func Mine(db []*graph.Graph, opt Options) Result {
 	if opt.MinSupport < 1 {
 		opt.MinSupport = 1
 	}
-	ctl := opt.Ctl
-	if ctl == nil {
-		ctl = runctl.FromDeadline(opt.Deadline)
-	}
-	m := &miner{db: db, opt: opt, cp: ctl.Checkpoint(runctl.StageGSpan)}
+	m := &miner{db: db, opt: opt, cp: opt.Ctl.Checkpoint(runctl.StageGSpan)}
 	if opt.ClosedOnly {
 		reg := m.cp.Metrics()
 		m.closedPrunes = reg.Counter(obs.MClosedPrunes, "miner", "gspan")
@@ -215,10 +199,6 @@ func Mine(db []*graph.Graph, opt Options) Result {
 	// canceled context truncates before any work.
 	if err := m.cp.Force(); err != nil {
 		return Result{Truncated: true, StopReason: runctl.ReasonOf(err)}
-	}
-
-	if opt.IncludeSingleNodes {
-		m.mineSingleNodes()
 	}
 
 	// Frequent seed edges, in DFS-code order.
@@ -279,44 +259,14 @@ func Mine(db []*graph.Graph, opt Options) Result {
 	return Result{Patterns: m.patterns, Truncated: m.stop, StopReason: m.stopWhy, Stats: m.stats}
 }
 
-func (m *miner) mineSingleNodes() {
-	counts := make(map[graph.Label]map[int]bool)
-	for gid, g := range m.db {
-		for _, l := range g.Labels() {
-			if counts[l] == nil {
-				counts[l] = make(map[int]bool)
-			}
-			counts[l][gid] = true
-		}
-	}
-	var labels []graph.Label
-	for l, gids := range counts {
-		if len(gids) >= m.opt.MinSupport {
-			labels = append(labels, l)
-		}
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	for _, l := range labels {
-		g := graph.New(1, 0)
-		g.AddNode(l)
-		m.record(Pattern{Graph: g, Support: len(counts[l]), GraphIDs: sortedIDs(counts[l])})
-	}
-}
-
-func sortedIDs(set map[int]bool) []int {
-	ids := make([]int, 0, len(set))
-	for id := range set {
+// record emits the pattern for code with its supporting graph set.
+func (m *miner) record(code dfscode.Code, gids map[int]bool) {
+	ids := make([]int, 0, len(gids))
+	for id := range gids {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	return ids
-}
-
-func (m *miner) record(p Pattern) {
-	m.patterns = append(m.patterns, p)
-	if m.opt.MaxPatterns > 0 && len(m.patterns) >= m.opt.MaxPatterns {
-		m.stop = true
-	}
+	m.patterns = append(m.patterns, Pattern{Graph: code.Graph(), Code: append(dfscode.Code(nil), code...), Support: len(ids), GraphIDs: ids})
 }
 
 // checkpoint consults the shared controller; it flips the stop flag and
@@ -368,8 +318,8 @@ func (m *miner) grow(code dfscode.Code, projs []*projection) {
 	// witness is itself in the (capped) output.
 	doClosure := m.opt.ClosedOnly && !atCap
 	if !doClosure {
-		m.record(Pattern{Graph: code.Graph(), Code: append(dfscode.Code(nil), code...), Support: support, GraphIDs: sortedIDs(gids)})
-		if m.stop || atCap {
+		m.record(code, gids)
+		if atCap {
 			return
 		}
 	}
@@ -427,12 +377,9 @@ func (m *miner) grow(code dfscode.Code, projs []*projection) {
 	if doClosure {
 		closed, prune := m.closureDecide(support, len(projs), rmv)
 		if closed {
-			m.record(Pattern{Graph: code.Graph(), Code: append(dfscode.Code(nil), code...), Support: support, GraphIDs: sortedIDs(gids)})
+			m.record(code, gids)
 		} else {
 			m.closedPrunes.Inc()
-		}
-		if m.stop {
-			return
 		}
 		if prune {
 			m.equivHits.Inc()
@@ -531,72 +478,20 @@ func onPath(path []int, v int) bool {
 }
 
 // Maximal filters patterns down to the maximal ones: those not strictly
-// contained (as a subgraph) in any other pattern of the list. This is the
-// MaximalFSM primitive of Algorithm 2, line 13.
-func Maximal(patterns []Pattern) []Pattern {
-	out, _ := MaximalCtl(patterns, nil)
-	return out
-}
-
-// MaximalCtl is Maximal under a run-controller checkpoint: each
-// containment test draws VF2 search nodes from cp, so the O(n²)
-// pairwise filter cannot overshoot a deadline on a large (e.g.
-// truncated mid-mine) pattern list. Once the run is stopped it returns
-// the patterns already decided maximal plus the stop cause; the
-// undecided tail is dropped, keeping every returned pattern genuinely
-// maximal within the input list.
-func MaximalCtl(patterns []Pattern, cp *runctl.Checkpoint) ([]Pattern, error) {
-	// Summaries reject impossible containments on label histograms and
-	// degree sequences before the quadratic pass reaches VF2; before
-	// even that, containment requires the container's TID list to be a
-	// subset of the containee's, an integer-compare screen over the
-	// already-sorted GraphIDs (skipped when either side lacks a list).
-	sums := make([]*isomorph.Summary, len(patterns))
+// contained (as a subgraph) in any other pattern of the list. This is
+// the MaximalFSM primitive of Algorithm 2, line 13, with
+// isomorph.Maximal's truncation rule: once cp trips it returns the
+// prefix already decided maximal plus the stop cause.
+func Maximal(patterns []Pattern, cp *runctl.Checkpoint) ([]Pattern, error) {
+	graphs := make([]*graph.Graph, len(patterns))
+	tids := make([][]int, len(patterns))
 	for i, p := range patterns {
-		sums[i] = isomorph.Summarize(p.Graph)
+		graphs[i], tids[i] = p.Graph, p.GraphIDs
 	}
-	reg := cp.Metrics()
-	pairs := reg.Counter(obs.MMaximalPairs, "site", "gspan")
-	rejects := reg.Counter(obs.MPrefilterRejects, "site", "maximal")
-	passes := reg.Counter(obs.MPrefilterPasses, "site", "maximal")
+	keep, err := isomorph.Maximal(graphs, tids, cp, "gspan")
 	var out []Pattern
-	for i, p := range patterns {
-		maximal := true
-		for j, q := range patterns {
-			if i == j {
-				continue
-			}
-			if q.Graph.NumEdges() < p.Graph.NumEdges() ||
-				(q.Graph.NumEdges() == p.Graph.NumEdges() && q.Graph.NumNodes() <= p.Graph.NumNodes()) {
-				continue
-			}
-			pairs.Inc()
-			if len(p.GraphIDs) > 0 && len(q.GraphIDs) > 0 && !isomorph.SortedSubset(q.GraphIDs, p.GraphIDs) {
-				rejects.Inc()
-				continue
-			}
-			if !sums[j].CanContain(sums[i]) {
-				rejects.Inc()
-				continue
-			}
-			passes.Inc()
-			hit, err := isoSubgraphCtl(p.Graph, q.Graph, cp)
-			if err != nil {
-				return out, err
-			}
-			if hit {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, p)
-		}
+	for _, i := range keep {
+		out = append(out, patterns[i])
 	}
-	return out, nil
-}
-
-// contains reports whether pattern small occurs inside big.
-func contains(big, small *graph.Graph) bool {
-	return isoSubgraph(small, big)
+	return out, err
 }

@@ -8,7 +8,15 @@ import (
 
 	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
+	"graphsig/internal/runctl"
 )
+
+// maximal runs the maximality sweep without a controller, which cannot
+// stop it early.
+func maximal(patterns []Pattern) []Pattern {
+	out, _ := Maximal(patterns, nil)
+	return out
+}
 
 func build(labels []graph.Label, edges [][3]int) *graph.Graph {
 	g := graph.New(len(labels), len(edges))
@@ -107,21 +115,6 @@ func TestMineNoDuplicates(t *testing.T) {
 	}
 }
 
-func TestMineIncludeSingleNodes(t *testing.T) {
-	db := []*graph.Graph{
-		build([]graph.Label{5}, nil),
-		build([]graph.Label{5, 6}, [][3]int{{0, 1, 0}}),
-	}
-	res := Mine(db, Options{MinSupport: 2, IncludeSingleNodes: true})
-	if len(res.Patterns) != 1 {
-		t.Fatalf("got %d patterns; want 1 (single node 5)", len(res.Patterns))
-	}
-	p := res.Patterns[0]
-	if p.Graph.NumNodes() != 1 || p.Graph.NodeLabel(0) != 5 || p.Support != 2 {
-		t.Errorf("pattern = %+v", p)
-	}
-}
-
 func TestMineMaxEdges(t *testing.T) {
 	g := build([]graph.Label{1, 1, 1, 1}, [][3]int{{0, 1, 0}, {1, 2, 0}, {2, 3, 0}})
 	db := []*graph.Graph{g, g.Clone()}
@@ -133,24 +126,13 @@ func TestMineMaxEdges(t *testing.T) {
 	}
 }
 
-func TestMineMaxPatternsTruncates(t *testing.T) {
-	g := build([]graph.Label{1, 1, 1, 1, 1}, [][3]int{{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {3, 4, 0}})
-	db := []*graph.Graph{g, g.Clone()}
-	res := Mine(db, Options{MinSupport: 2, MaxPatterns: 3})
-	if !res.Truncated {
-		t.Error("expected truncation")
-	}
-	if len(res.Patterns) != 3 {
-		t.Errorf("got %d patterns; want 3", len(res.Patterns))
-	}
-}
-
 func TestMineDeadlineTruncates(t *testing.T) {
 	g := build([]graph.Label{1, 1, 1, 1, 1}, [][3]int{{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {3, 4, 0}})
 	db := []*graph.Graph{g, g.Clone()}
-	res := Mine(db, Options{MinSupport: 2, Deadline: time.Now().Add(-time.Second)})
-	if !res.Truncated {
-		t.Error("expected truncation for past deadline")
+	ctl := runctl.New(runctl.Options{Deadline: time.Now().Add(-time.Second)})
+	res := Mine(db, Options{MinSupport: 2, Ctl: ctl})
+	if !res.Truncated || res.StopReason != runctl.ReasonDeadline {
+		t.Errorf("truncated=%v reason=%q; want a deadline stop", res.Truncated, res.StopReason)
 	}
 }
 
@@ -299,7 +281,7 @@ func TestMaximal(t *testing.T) {
 		build([]graph.Label{1, 2, 3}, [][3]int{{0, 1, 0}, {1, 2, 0}}),
 	}
 	res := Mine(db, Options{MinSupport: 2})
-	max := Maximal(res.Patterns)
+	max := maximal(res.Patterns)
 	if len(max) != 1 {
 		for _, p := range max {
 			t.Logf("maximal: %s", p.Graph)
@@ -319,7 +301,7 @@ func TestMaximalKeepsIncomparable(t *testing.T) {
 		build([]graph.Label{1, 2, 3, 4}, [][3]int{{0, 1, 0}, {2, 3, 0}}),
 	}
 	res := Mine(db, Options{MinSupport: 2})
-	max := Maximal(res.Patterns)
+	max := maximal(res.Patterns)
 	if len(max) != 2 {
 		t.Fatalf("got %d maximal; want 2", len(max))
 	}

@@ -161,12 +161,6 @@ func (pf *Prefilter) SupportCtl(pattern *graph.Graph, cp *runctl.Checkpoint) (in
 	return n, nil
 }
 
-// Support is SupportCtl without a checkpoint.
-func (pf *Prefilter) Support(pattern *graph.Graph) int {
-	n, _ := pf.SupportCtl(pattern, nil)
-	return n
-}
-
 // SupportingIDs returns, in database order, the indices of graphs
 // containing pattern, as isomorph.SupportingIDs with the summary
 // reject applied first.

@@ -36,8 +36,9 @@ func TestPrefilterSupportMatchesPlain(t *testing.T) {
 		pf := NewPrefilter(db)
 		pattern := randGraph(rng, 2+rng.Intn(5), rng.Intn(3), 3, 2)
 
-		if got, want := pf.Support(pattern), Support(pattern, db); got != want {
-			t.Fatalf("trial %d: prefiltered support %d, plain %d", trial, got, want)
+		sup, err := pf.SupportCtl(pattern, nil)
+		if want := Support(pattern, db); err != nil || sup != want {
+			t.Fatalf("trial %d: prefiltered support %d (%v), plain %d", trial, sup, err, want)
 		}
 		got, want := pf.SupportingIDs(pattern), SupportingIDs(pattern, db)
 		if len(got) != len(want) {
@@ -127,10 +128,10 @@ func TestPrefilterMeter(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	pf := NewPrefilter([]*graph.Graph{target}).Meter(reg, "test")
-	if n := pf.Support(big); n != 0 {
+	if n, _ := pf.SupportCtl(big, nil); n != 0 {
 		t.Fatalf("support of triangle in edge = %d, want 0", n)
 	}
-	if n := pf.Support(target); n != 1 {
+	if n, _ := pf.SupportCtl(target, nil); n != 1 {
 		t.Fatalf("support of edge in itself = %d, want 1", n)
 	}
 	snap := reg.Snapshot()

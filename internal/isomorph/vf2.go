@@ -203,13 +203,6 @@ func ForEachEmbedding(pattern, target *graph.Graph, fn func(mapping []int) bool)
 	enumerate(pattern, target, 0, fn)
 }
 
-// ForEachEmbeddingCtl is ForEachEmbedding under a run-controller
-// checkpoint; enumeration stops with the controller's cause when it
-// trips (embeddings already emitted remain valid).
-func ForEachEmbeddingCtl(pattern, target *graph.Graph, cp *runctl.Checkpoint, fn func(mapping []int) bool) error {
-	return enumerateCtl(pattern, target, 0, cp, fn)
-}
-
 // Isomorphic reports whether a and b are isomorphic as labeled graphs.
 func Isomorphic(a, b *graph.Graph) bool {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
@@ -256,19 +249,12 @@ func edgeKey(g *graph.Graph, e graph.Edge) [3]int {
 }
 
 func enumerate(pattern, target *graph.Graph, limit int, emit func([]int) bool) {
-	enumerateCtl(pattern, target, limit, nil, emit)
-}
-
-func enumerateCtl(pattern, target *graph.Graph, limit int, cp *runctl.Checkpoint, emit func([]int) bool) error {
 	s, _ := acquireState(pattern, target, limit, emit)
 	if s == nil {
-		return nil
+		return
 	}
-	s.cp = cp
 	s.match(0)
-	err := s.err
 	s.release()
-	return err
 }
 
 // connectedOrder fills s.order with pattern nodes so that each node

@@ -13,7 +13,6 @@ package leap
 import (
 	"math"
 	"sort"
-	"time"
 
 	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
@@ -32,9 +31,6 @@ type Options struct {
 	TopK int
 	// MaxEdges bounds candidate size (default 10).
 	MaxEdges int
-	// Deadline aborts enumeration when exceeded (zero = none). Ignored
-	// when Ctl is set.
-	Deadline time.Time
 	// Ctl is the shared run controller, threaded into the gSpan
 	// enumeration and the per-candidate scoring loop (each scored
 	// candidate costs one isomorphism sweep over the negative set, so
@@ -93,9 +89,6 @@ func Mine(pos, neg []*graph.Graph, opt Options) []Pattern {
 		return nil
 	}
 	ctl := opt.Ctl
-	if ctl == nil {
-		ctl = runctl.FromDeadline(opt.Deadline)
-	}
 	cp := ctl.Checkpoint(runctl.StageLEAP)
 	// Mining-internal isomorphism charges the miner pool; Budgets.VF2Nodes
 	// is reserved for support verification and query-time search.

@@ -5,9 +5,10 @@
 //
 // Subgraph mining is exponential in the worst case — the paper's own
 // baselines "did not finish in >10 hours" — so every stage must be
-// interruptible and must degrade to a valid partial result. Before this
-// package, four packages polled a bare Deadline time.Time with divergent
-// granularity; now they all observe one checkpoint primitive:
+// interruptible and must degrade to a valid partial result. A
+// Controller is the only way to stop or bound a miner: fsg, gspan,
+// fvmine and leap take one as Options.Ctl (nil = unbounded) and observe
+// one checkpoint primitive:
 //
 //	ctl := runctl.New(runctl.Options{Context: ctx, Deadline: d})
 //	cp := ctl.Checkpoint(runctl.StageFVMine)
@@ -311,16 +312,6 @@ func (c *Controller) Metrics() *obs.Registry {
 		return nil
 	}
 	return c.metrics
-}
-
-// FromDeadline adapts the legacy Deadline time.Time option: it returns
-// a deadline-only controller, or nil (no control, no overhead) when the
-// deadline is zero.
-func FromDeadline(d time.Time) *Controller {
-	if d.IsZero() {
-		return nil
-	}
-	return New(Options{Deadline: d})
 }
 
 // Err returns the stop cause once the run is cut short, else nil.

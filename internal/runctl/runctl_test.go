@@ -32,22 +32,6 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestFromDeadline(t *testing.T) {
-	if FromDeadline(time.Time{}) != nil {
-		t.Fatal("zero deadline should yield nil controller")
-	}
-	c := FromDeadline(time.Now().Add(-time.Second))
-	cp := c.Checkpoint(StageGSpan)
-	var err error
-	for i := 0; i < 2*DefaultCheckInterval && err == nil; i++ {
-		err = cp.Step()
-	}
-	se, ok := AsStop(err)
-	if !ok || se.Reason != ReasonDeadline || se.Stage != StageGSpan {
-		t.Fatalf("got %v; want deadline stop at gspan", err)
-	}
-}
-
 func TestDeadlineAmortization(t *testing.T) {
 	c := New(Options{Deadline: time.Now().Add(-time.Second)})
 	cp := c.Checkpoint(StageFSG)
