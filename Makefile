@@ -61,7 +61,7 @@ crash-test:
 # -race because the mining pipeline fans out vectorization and support
 # counting over worker pools.
 shard-test:
-	go test -race -count=1 -run 'TestShardInvariance|TestStoreBackedMine|TestWindowReadErrorFailsMine' -v ./internal/shard
+	go test -race -count=1 -run 'TestShardInvariance|TestStoreBackedMine|TestSweepSegmentLoadsBounded|TestWindowReadErrorFailsMine' -v ./internal/shard
 
 bench:
 	go test -bench=. -benchmem ./...

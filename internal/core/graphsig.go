@@ -472,6 +472,17 @@ func supportThreshold(cfg Config, setSize int) int {
 	return s
 }
 
+// groupNodes returns the regions of grp that Phase 3 cuts windows
+// around: all supporting nodes, or a MaxGroupSize subsample of them.
+// The window sweep and the group workers both select through it, so the
+// sweep cuts exactly the windows the groups will look up.
+func groupNodes(grp VectorGroup, cfg Config) []rwr.NodeVector {
+	if cfg.MaxGroupSize > 0 && len(grp.Nodes) > cfg.MaxGroupSize {
+		return subsample(grp.Nodes, cfg.MaxGroupSize)
+	}
+	return grp.Nodes
+}
+
 // subsample deterministically picks k evenly spaced elements.
 func subsample(nodes []rwr.NodeVector, k int) []rwr.NodeVector {
 	out := make([]rwr.NodeVector, 0, k)
@@ -572,11 +583,15 @@ func (c *checkpointer) commit(gi int) {
 }
 
 // mineGroups fans Phase 3 out over a pool of cfg.Parallelism workers
-// sharing one window cache. It returns one outcome per launched group
-// (launch stops, in group order, once the controller trips or a window
-// read fails) plus the launch count; outcomes[launched:] are untouched
-// zero values. A resumed prefix is copied in verbatim and never re-mined
-// — its groups count as launched — and each newly finished group is
+// sharing one window cache. Before any group is launched, the cache is
+// filled in one sweep over the database in position order (see
+// windowCache.sweep), so a store-backed source decodes each segment
+// once instead of once per group that touches it. It returns one outcome
+// per launched group (launch stops, in group order, once the controller
+// trips or a window read fails) plus the launch count;
+// outcomes[launched:] are untouched zero values. A resumed prefix is
+// copied in verbatim and never re-mined — its groups count as launched,
+// and their windows are not cut — and each newly finished group is
 // committed to the checkpointer (nil = no snapshots) unless its window
 // read failed.
 func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg Config, ctl *runctl.Controller, resumed []groupOutcome, ckpt *checkpointer) ([]groupOutcome, int) {
@@ -591,16 +606,25 @@ func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg
 	if workers < 1 {
 		workers = 1
 	}
+	if !wc.sweep(sweepPlan(groups[start:], cfg), cfg.Parallelism, ctl) {
+		// A read failed, so unless the run stops first the mine fails.
+		// Mining the groups one at a time makes its error exactly the
+		// first failing group's, and no group after that one reads
+		// anything.
+		workers = 1
+	}
 	var wg sync.WaitGroup
 	var readFailed atomic.Bool
 	sem := make(chan struct{}, workers)
 	launched := start
 	for gi := start; gi < len(groups); gi++ {
+		// Take the slot before the check: a group that finished while
+		// the launcher waited may have stopped the run.
+		sem <- struct{}{}
 		if ctl.Stopped() || readFailed.Load() {
 			break
 		}
 		wg.Add(1)
-		sem <- struct{}{}
 		launched++
 		go func(gi int) {
 			defer wg.Done()
@@ -638,10 +662,7 @@ func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wc *windo
 			out.panicked = true
 		}
 	}()
-	nodes := grp.Nodes
-	if cfg.MaxGroupSize > 0 && len(nodes) > cfg.MaxGroupSize {
-		nodes = subsample(nodes, cfg.MaxGroupSize)
-	}
+	nodes := groupNodes(grp, cfg)
 	windows := make([]*graph.Graph, len(nodes))
 	for i, nv := range nodes {
 		w, err := wc.window(nv.GraphID, nv.NodeID)

@@ -226,7 +226,7 @@ func decodeGraphText(s string) (*graph.Graph, error) {
 	return gs[0], nil
 }
 
-// persistOutcomes converts a committed outcome prefix to wire form.
+// persistOutcomes converts a run of committed outcomes to wire form.
 func persistOutcomes(outcomes []groupOutcome) ([]PersistedOutcome, error) {
 	out := make([]PersistedOutcome, len(outcomes))
 	for i, o := range outcomes {

@@ -230,3 +230,52 @@ func TestResultPersistRoundTrip(t *testing.T) {
 		t.Fatal("profile timings did not survive the round-trip")
 	}
 }
+
+// TestSnapshotsExtendOnePrefix: each snapshot encodes only the outcomes
+// committed since the previous one and appends them to the persisted
+// prefix, so every snapshot must be byte-identical to a full re-render
+// of the last snapshot's outcomes cut at its own frontier — from
+// scratch and after a resume, whose first snapshot carries the resumed
+// prefix too.
+func TestSnapshotsExtendOnePrefix(t *testing.T) {
+	db := plantedDB(60, 18, chem.SbCore())
+	cfg := testConfig()
+	cfg.Parallelism = 4
+	cfg.CheckpointEvery = 1
+	_, snaps := checkpointedMine(t, db, cfg, nil)
+	if len(snaps) < 3 {
+		t.Fatalf("%d snapshots; want several", len(snaps))
+	}
+	rs, err := DecodeResumeState(snaps[len(snaps)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := cfg
+	rcfg.Resume = rs
+	_, resumed := checkpointedMine(t, db, rcfg, nil)
+	if len(resumed) == 0 {
+		t.Fatal("resumed mine emitted no snapshots")
+	}
+	for name, run := range map[string][][]byte{"fresh": snaps, "resumed": resumed} {
+		last, err := DecodeResumeState(run[len(run)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, snap := range run {
+			rs, err := DecodeResumeState(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := EncodeResumeState(&ResumeState{
+				V: persistVersion, Key: last.Key, GroupsHash: last.GroupsHash,
+				Done: rs.Done, Outcomes: last.Outcomes[:rs.Done],
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(snap) != string(want) {
+				t.Fatalf("%s snapshot %d (done %d) differs from a full re-render of its prefix", name, i, rs.Done)
+			}
+		}
+	}
+}

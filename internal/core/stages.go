@@ -132,11 +132,17 @@ func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []V
 			if every <= 0 {
 				every = DefaultCheckpointEvery
 			}
+			// persisted is the wire form of the prefix already snapshotted.
+			// The checkpointer runs emit under its lock, in frontier order,
+			// so each snapshot encodes only the outcomes committed since
+			// the last one instead of re-rendering the whole prefix.
+			var persisted []PersistedOutcome
 			ckpt = newCheckpointer(len(groups), len(resumed), every, func(done int, outcomes []groupOutcome) {
-				persisted, err := persistOutcomes(outcomes)
+				fresh, err := persistOutcomes(outcomes[len(persisted):done])
 				if err != nil {
 					return // unserializable snapshot: skip, never block mining
 				}
+				persisted = append(persisted, fresh...)
 				buf, err := EncodeResumeState(&ResumeState{
 					V: persistVersion, Key: key, GroupsHash: gh,
 					Done: done, Outcomes: persisted,

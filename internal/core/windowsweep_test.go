@@ -1,0 +1,198 @@
+package core
+
+// The Phase-3 window sweep cuts every window the groups will look up in
+// one pass over the database in position order, before any group is
+// mined. These tests pin what it buys — each position is fetched at
+// most once — and what it must not change: the window cache's counters,
+// the read-error contract and the panic contract.
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"graphsig/internal/chem"
+	"graphsig/internal/graph"
+	"graphsig/internal/obs"
+	"graphsig/internal/runctl"
+)
+
+// sweepFixture returns a database, its Phase-2 groups, and the config
+// they were mined under. MaxGroupSize is small enough that some groups
+// are subsampled, so the sweep's node selection is exercised.
+func sweepFixture(t *testing.T) ([]*graph.Graph, []VectorGroup, Config) {
+	t.Helper()
+	db := plantedDB(40, 10, chem.SbCore())
+	cfg := Normalized(testConfig())
+	cfg.MaxGroupSize = 12
+	groups := SignificantGroups(ComputeVectors(db, BuildFeatureSet(db, cfg), cfg), cfg)
+	subsampled := false
+	for _, g := range groups {
+		subsampled = subsampled || len(g.Nodes) > cfg.MaxGroupSize
+	}
+	if len(groups) < 4 || !subsampled {
+		t.Fatalf("%d groups, subsampled=%v; the fixture is too small to test the sweep", len(groups), subsampled)
+	}
+	return db, groups, cfg
+}
+
+func canonicals(subs []*Subgraph) []string {
+	out := make([]string, len(subs))
+	for i, s := range subs {
+		out[i] = fmt.Sprintf("%s|%v|%d|%d", s.Canonical, s.VectorLogPValue, s.GroupSize, s.GroupSupport)
+	}
+	return out
+}
+
+// TestPhase3FetchesEachPositionOnce: at any parallelism, Phase 3 reads
+// each database position at most once, and the window cache still
+// books one miss per distinct window and one hit per repeat lookup.
+func TestPhase3FetchesEachPositionOnce(t *testing.T) {
+	db, groups, cfg := sweepFixture(t)
+	lookups := 0
+	distinct := map[[2]int]bool{}
+	for _, g := range groups {
+		for _, nv := range groupNodes(g, cfg) {
+			lookups++
+			distinct[[2]int{nv.GraphID, nv.NodeID}] = true
+		}
+	}
+	var want []string
+	for _, par := range []int{1, 4} {
+		reads := make([]atomic.Int64, len(db))
+		reg := obs.NewRegistry()
+		pcfg := cfg
+		pcfg.Parallelism = par
+		pcfg.Metrics = reg
+		subs, _ := MinePatterns(func(i int) *graph.Graph {
+			reads[i].Add(1)
+			return db[i]
+		}, groups, pcfg)
+		total := int64(0)
+		for i := range reads {
+			n := reads[i].Load()
+			if n > 1 {
+				t.Errorf("parallelism %d: position %d fetched %d times", par, i, n)
+			}
+			total += n
+		}
+		if total == 0 {
+			t.Fatalf("parallelism %d: Phase 3 read nothing", par)
+		}
+		if got := reg.Counter(obs.MWindowCacheMisses).Value(); got != int64(len(distinct)) {
+			t.Errorf("parallelism %d: %d window misses, want %d (one per distinct window)", par, got, len(distinct))
+		}
+		if got := reg.Counter(obs.MWindowCacheHits).Value(); got != int64(lookups-len(distinct)) {
+			t.Errorf("parallelism %d: %d window hits, want %d (one per repeat lookup)", par, got, lookups-len(distinct))
+		}
+		got := canonicals(subs)
+		if want == nil {
+			want = got
+			continue
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("parallelism %d: patterns differ from parallelism 1", par)
+		}
+	}
+}
+
+// touching returns the first group, in group order, with a window in
+// graph gid, or -1.
+func touching(groups []VectorGroup, cfg Config, gid int) int {
+	for gi, g := range groups {
+		for _, nv := range groupNodes(g, cfg) {
+			if nv.GraphID == gid {
+				return gi
+			}
+		}
+	}
+	return -1
+}
+
+// TestSweepReadErrorFailsFirstTouchingGroup: when the sweep fails to
+// read a graph, the mine fails with the error of the first group in
+// group order that has a window there, no later group is launched, and
+// the failed graph is read once — the group finds the error cached.
+func TestSweepReadErrorFailsFirstTouchingGroup(t *testing.T) {
+	db, groups, cfg := sweepFixture(t)
+	// A graph the first group does not touch, so the groups before the
+	// failing one are mined normally.
+	bad, first := -1, -1
+	for gid := range db {
+		if gi := touching(groups, cfg, gid); gi > 0 {
+			bad, first = gid, gi
+			break
+		}
+	}
+	if bad < 0 {
+		t.Fatal("every graph is touched by group 0; the test is vacuous")
+	}
+	errBad := errors.New("injected read failure")
+	var badReads atomic.Int64
+	fetch := func(i int) (*graph.Graph, error) {
+		if i == bad {
+			badReads.Add(1)
+			return nil, errBad
+		}
+		return db[i], nil
+	}
+	cfg.Parallelism = 4
+	ctl := runctl.New(runctl.Options{})
+	outcomes, launched := mineGroups(fetch, groups, cfg, ctl, nil, nil)
+	if launched != first+1 {
+		t.Errorf("launched %d groups; want %d (through the first group touching graph %d)", launched, first+1, bad)
+	}
+	for gi := 0; gi < first; gi++ {
+		if outcomes[gi].err != nil {
+			t.Errorf("group %d failed: %v", gi, outcomes[gi].err)
+		}
+	}
+	if !errors.Is(outcomes[first].err, errBad) {
+		t.Errorf("group %d error = %v; want the injected failure", first, outcomes[first].err)
+	}
+	if n := badReads.Load(); n != 1 {
+		t.Errorf("failing graph read %d times; want 1", n)
+	}
+	_, _, err := minePatterns(fetch, "", groups, cfg, runctl.New(runctl.Options{}))
+	if !errors.Is(err, errBad) || !strings.Contains(err.Error(), fmt.Sprintf("vector group %d:", first)) {
+		t.Errorf("minePatterns error = %v; want group %d's injected failure", err, first)
+	}
+}
+
+// TestSweepCutPanicLeftToGroupWorker: a panic while the sweep cuts a
+// graph's windows is not the sweep's to report. It leaves that graph's
+// windows uncut; the group worker that needs one cuts it, panics, and
+// its own recovery books the panic on the group stage. Every other
+// group is mined as usual.
+func TestSweepCutPanicLeftToGroupWorker(t *testing.T) {
+	db, groups, cfg := sweepFixture(t)
+	bad := groups[0].Nodes[0].GraphID
+	// An empty graph makes CutGraph index out of range.
+	fetch := func(i int) *graph.Graph {
+		if i == bad {
+			return graph.New(0, 0)
+		}
+		return db[i]
+	}
+	cfg.Parallelism = 2
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	cfg.Ctl = runctl.New(runctl.Options{Metrics: reg})
+	subs, stats := MinePatterns(fetch, groups, cfg)
+	if stats.GroupErrors == 0 {
+		t.Fatal("no group error for the group whose window cut panicked")
+	}
+	if len(subs) == 0 {
+		t.Error("one panicking graph emptied the whole answer set")
+	}
+	if n := reg.Counter(obs.MPanics, "stage", string(runctl.StageGroup)).Value(); n == 0 {
+		t.Error("no panic booked on the group stage")
+	}
+	for _, st := range cfg.Ctl.Report().Stages {
+		if st.Reason == runctl.ReasonPanic && !strings.Contains(st.Detail, "worker") {
+			t.Errorf("panic booked outside a group worker: %q", st.Detail)
+		}
+	}
+}

@@ -13,9 +13,13 @@
 // pooled inputs. Answers are therefore byte-identical to core.Mine at
 // any shard count.
 //
-// Peak residency is one shard's graphs plus the pooled vectors — with a
+// Peak residency is one shard's graphs plus the pooled vectors in the
+// shard passes, and the cut region windows in Phase 3 — with a
 // store.Reader underneath, a corpus larger than RAM mines in bounded
-// memory. Per-shard RWR vectors are cached under the shard's content
+// memory. Phase 3 reads its windows in one sweep in database order, so
+// each segment is decoded once; the windows stay cached until Phase 3
+// ends, and no segment graph is kept beyond the reader's LRU. Per-shard
+// RWR vectors are cached under the shard's content
 // fingerprint: after an incremental append under the Hash strategy,
 // unchanged shards hit their cache and only the shards that actually
 // gained graphs re-vectorize.

@@ -250,6 +250,60 @@ func TestStoreBackedMineMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestSweepSegmentLoadsBounded: Phase 3 cuts every region window in one
+// sweep over the database in position order, so a store-backed mine
+// decodes each segment at most once per shard in each of the three
+// shard passes (features, RWR, verify) plus once for the sweep, even
+// with an LRU smaller than the segment count. Fetching windows in group
+// order instead reloads segments for every group.
+func TestSweepSegmentLoadsBounded(t *testing.T) {
+	db := plantedDB(48, 8, chem.SbCore())
+	ref := core.Mine(db, testConfig())
+	if len(ref.Subgraphs) == 0 {
+		t.Fatal("reference mine found nothing")
+	}
+	dir := t.TempDir()
+	man, err := store.Build(dir, db, store.BuildOptions{SegmentGraphs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lru = 4
+	segments := len(man.Segments)
+	if segments <= lru {
+		t.Fatalf("%d segments do not exceed the %d-segment LRU", segments, lru)
+	}
+	const shards = 2
+	for _, strategy := range []Strategy{Hash, Contiguous} {
+		for _, par := range []int{1, 2} {
+			label := fmt.Sprintf("%s-p%d", strategy, par)
+			t.Run(label, func(t *testing.T) {
+				reg := obs.NewRegistry()
+				r, err := store.Open(dir, store.Options{CachedSegments: lru, Metrics: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := New(r, Options{Shards: shards, Strategy: strategy, Fingerprint: man.Fingerprint})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := testConfig()
+				cfg.Parallelism = par
+				res, err := c.Mine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, label, ref, res)
+				bound := int64(3*shards*segments + segments)
+				loads := reg.Counter(obs.MStoreSegmentLoads).Value()
+				t.Logf("%d segment loads, bound %d", loads, bound)
+				if loads > bound {
+					t.Errorf("%d segment loads; want at most %d (3 passes × %d shards × %d segments + one sweep)", loads, bound, shards, segments)
+				}
+			})
+		}
+	}
+}
+
 var errInjectedRead = errors.New("injected read failure")
 
 // failingSource serves its first `reads` graph reads, then fails every

@@ -56,24 +56,33 @@ func appendGraph(buf []byte, g *graph.Graph) []byte {
 
 // decodeGraph rebuilds one graph from a frame payload. Every frame must
 // be fully consumed: trailing bytes mean the payload was not written by
-// this codec.
-func decodeGraph(payload []byte) (*graph.Graph, error) {
+// this codec. The node labels are read into labels (scratch, returned
+// for reuse) first, so the graph is allocated once at its final size
+// from the frame's node and edge counts.
+func decodeGraph(payload []byte, labels []graph.Label) (*graph.Graph, []graph.Label, error) {
 	r := &varintReader{buf: payload}
 	id := r.varint()
 	numNodes := r.uvarint()
 	if r.err == nil && numNodes > uint64(len(payload)) {
 		// Each node costs at least one payload byte; anything larger is
 		// a corrupt count, not a huge graph.
-		return nil, fmt.Errorf("store: node count %d exceeds payload", numNodes)
+		return nil, labels, fmt.Errorf("store: node count %d exceeds payload", numNodes)
 	}
-	g := graph.New(int(numNodes), 0)
-	g.ID = int(id)
+	labels = labels[:0]
 	for i := uint64(0); i < numNodes && r.err == nil; i++ {
-		g.AddNode(graph.Label(r.varint()))
+		labels = append(labels, graph.Label(r.varint()))
 	}
 	numEdges := r.uvarint()
 	if r.err == nil && numEdges > uint64(len(payload)) {
-		return nil, fmt.Errorf("store: edge count %d exceeds payload", numEdges)
+		return nil, labels, fmt.Errorf("store: edge count %d exceeds payload", numEdges)
+	}
+	if r.err != nil {
+		return nil, labels, r.err
+	}
+	g := graph.New(len(labels), int(numEdges))
+	g.ID = int(id)
+	for _, l := range labels {
+		g.AddNode(l)
 	}
 	for i := uint64(0); i < numEdges && r.err == nil; i++ {
 		from := int(r.uvarint())
@@ -83,21 +92,21 @@ func decodeGraph(payload []byte) (*graph.Graph, error) {
 			break
 		}
 		if from < 0 || from >= g.NumNodes() || to < 0 || to >= g.NumNodes() || from == to {
-			return nil, fmt.Errorf("store: edge (%d,%d) out of range", from, to)
+			return nil, labels, fmt.Errorf("store: edge (%d,%d) out of range", from, to)
 		}
 		if err := g.AddEdge(from, to, label); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+			return nil, labels, fmt.Errorf("store: %w", err)
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, labels, r.err
 	}
 	if r.off != len(payload) {
-		return nil, fmt.Errorf("store: %d trailing bytes after graph record", len(payload)-r.off)
+		return nil, labels, fmt.Errorf("store: %d trailing bytes after graph record", len(payload)-r.off)
 	}
 	// Decoded graphs are read-only from here on; freezing builds the CSR
 	// once on the decode goroutine instead of lazily under mining load.
-	return g.Freeze(), nil
+	return g.Freeze(), labels, nil
 }
 
 // varintReader decodes varints off a byte slice, latching the first
@@ -202,6 +211,7 @@ func decodeSegment(data []byte, wantCount int, wantFP, name string) ([]*graph.Gr
 	}
 	data = data[len(segmentMagic):]
 	var graphs []*graph.Graph
+	var labels []graph.Label
 	fpr := graph.NewFingerprinter()
 	for len(data) > 0 {
 		if len(data) < 8 {
@@ -219,7 +229,8 @@ func decodeSegment(data []byte, wantCount int, wantFP, name string) ([]*graph.Gr
 		if crc32.ChecksumIEEE(payload) != sum {
 			return nil, fmt.Errorf("store: %s: frame %d CRC mismatch — segment rejected", name, len(graphs))
 		}
-		g, err := decodeGraph(payload)
+		g, scratch, err := decodeGraph(payload, labels)
+		labels = scratch
 		if err != nil {
 			return nil, fmt.Errorf("store: %s: frame %d: %w", name, len(graphs), err)
 		}

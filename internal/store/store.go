@@ -306,9 +306,18 @@ type Reader struct {
 	hits   *obs.Counter
 	misses *obs.Counter
 
-	mu    sync.Mutex
-	cache map[int][]*graph.Graph // segment index → decoded graphs
-	lru   []int                  // segment indices, least recent first
+	mu      sync.Mutex
+	cache   map[int][]*graph.Graph // segment index → decoded graphs
+	lru     []int                  // segment indices, least recent first
+	loading map[int]*segmentLoad   // segment index → decode in flight
+}
+
+// segmentLoad is one in-flight segment decode. Callers that miss on a
+// segment already being decoded wait on done and share its result.
+type segmentLoad struct {
+	done   chan struct{}
+	graphs []*graph.Graph
+	err    error
 }
 
 // Open reads and validates the manifest in dir and returns a lazy
@@ -327,6 +336,7 @@ func Open(dir string, opts Options) (*Reader, error) {
 		manifest: m,
 		cap:      capacity,
 		cache:    map[int][]*graph.Graph{},
+		loading:  map[int]*segmentLoad{},
 	}
 	if reg := opts.Metrics; reg != nil {
 		r.loads = reg.Counter(obs.MStoreSegmentLoads)
@@ -385,7 +395,11 @@ func (r *Reader) Graphs() ([]*graph.Graph, error) {
 	return out, nil
 }
 
-// segment returns segment si's decoded graphs, consulting the LRU.
+// segment returns segment si's decoded graphs, consulting the LRU. A
+// miss on a segment another goroutine is already decoding waits for
+// that decode instead of starting its own, so concurrent misses on one
+// segment cost one load. A failed load is handed to every waiter and
+// not cached; the next call retries it.
 func (r *Reader) segment(si int) ([]*graph.Graph, error) {
 	r.mu.Lock()
 	if graphs, ok := r.cache[si]; ok {
@@ -394,32 +408,43 @@ func (r *Reader) segment(si int) ([]*graph.Graph, error) {
 		r.hits.Inc()
 		return graphs, nil
 	}
-	r.mu.Unlock()
 	r.misses.Inc()
+	if l, ok := r.loading[si]; ok {
+		r.mu.Unlock()
+		<-l.done
+		return l.graphs, l.err
+	}
+	l := &segmentLoad{done: make(chan struct{})}
+	r.loading[si] = l
+	r.mu.Unlock()
+	r.load(si, l)
+	return l.graphs, l.err
+}
 
+// load decodes segment si into l, caches it on success, and releases
+// l's waiters — on every path, so a panicking decode cannot strand them.
+func (r *Reader) load(si int, l *segmentLoad) {
 	info := r.manifest.Segments[si]
-	graphs, err := readSegment(filepath.Join(r.dir, info.File), info.Count, info.Fingerprint)
-	if err != nil {
-		return nil, err
+	l.err = fmt.Errorf("store: %s: segment load did not complete", info.File)
+	defer func() {
+		r.mu.Lock()
+		delete(r.loading, si)
+		if l.err == nil {
+			r.cache[si] = l.graphs
+			r.lru = append(r.lru, si)
+			for len(r.cache) > r.cap {
+				evict := r.lru[0]
+				r.lru = r.lru[1:]
+				delete(r.cache, evict)
+			}
+		}
+		r.mu.Unlock()
+		close(l.done)
+	}()
+	l.graphs, l.err = readSegment(filepath.Join(r.dir, info.File), info.Count, info.Fingerprint)
+	if l.err == nil {
+		r.loads.Inc()
 	}
-	r.loads.Inc()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prior, ok := r.cache[si]; ok {
-		// Another goroutine decoded it concurrently; keep theirs so all
-		// callers share one copy.
-		r.touch(si)
-		return prior, nil
-	}
-	r.cache[si] = graphs
-	r.lru = append(r.lru, si)
-	for len(r.cache) > r.cap {
-		evict := r.lru[0]
-		r.lru = r.lru[1:]
-		delete(r.cache, evict)
-	}
-	return graphs, nil
 }
 
 // touch moves si to the most-recent end of the LRU. Caller holds mu.
