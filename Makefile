@@ -57,11 +57,12 @@ crash-test:
 # byte-identically — every p-value and verified support — to an
 # unsharded in-memory mine at shard counts 1, 2, and 4 under both
 # partition strategies, plus the out-of-core store-backed path, and a
-# store read failure in Phase 3 must fail the mine with its error. Under
-# -race because the mining pipeline fans out vectorization and support
-# counting over worker pools.
+# store read failure in Phase 3 must fail the mine with its error, and a
+# coordinator must keep nothing between mines. Under -race because the
+# mining pipeline fans out vectorization and support counting over
+# worker pools.
 shard-test:
-	go test -race -count=1 -run 'TestShardInvariance|TestStoreBackedMine|TestSweepSegmentLoadsBounded|TestWindowReadErrorFailsMine' -v ./internal/shard
+	go test -race -count=1 -run 'TestShardInvariance|TestStoreBackedMine|TestSweepSegmentLoadsBounded|TestWindowReadErrorFailsMine|TestCoordinatorRetainsNothingBetweenMines' -v ./internal/shard
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -225,8 +225,8 @@ func TestBoundedPoolGolden(t *testing.T) {
 	runGolden(t, BoundedPool, pkgs["boundedpool"])
 }
 
-// TestFsyncCloseShardScope: the shard package's vector-cache files are
-// in the durability scope.
+// TestFsyncCloseShardScope: the shard package is in the durability
+// scope.
 func TestFsyncCloseShardScope(t *testing.T) {
 	pkgs := loadTestdata(t, "shard")
 	runGolden(t, FsyncClose, pkgs["shard"])

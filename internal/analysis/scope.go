@@ -58,9 +58,8 @@ var spawnScope = map[string]bool{
 var fsyncScope = map[string]bool{
 	"journal": true,
 	"store":   true,
-	// The shard coordinator persists per-shard vectorization caches;
-	// a dropped Sync/Close there silently invalidates the cache's
-	// content-fingerprint contract.
+	// The shard package sits on the store and is held to the same
+	// rule for any file it writes.
 	"shard": true,
 }
 

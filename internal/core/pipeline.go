@@ -44,39 +44,26 @@ func Fingerprint(src Source) (string, error) {
 	return f.Sum(), nil
 }
 
-// Scatter says how the per-graph passes of a mine — feature statistics,
-// RWR and support verification — visit the database. Each pass loads one
+// Mine runs GraphSig over an in-memory database: the one-shard case of
+// MineSource, whose reads cannot fail.
+func Mine(db []*graph.Graph, cfg Config) Result {
+	res, _ := MineSource(Slice(db), nil, cfg)
+	return res
+}
+
+// MineSource runs GraphSig (Algorithm 2) over src. The per-graph passes
+// — feature statistics, RWR and support verification — visit the
+// database shard by shard: shards lists each shard's database positions
+// in ascending order (a shard may be empty), and each pass loads one
 // shard at a time, so at most one shard's graphs are resident. Every
 // decision that reads a distribution (significance priors, FVMine
 // thresholds, group mining, pattern dedup) runs once over pooled
 // inputs, which is what keeps answers identical at any shard count.
-// The zero value is the in-memory case: one shard holding the whole
-// database in order.
-type Scatter struct {
-	// Shards lists each shard's database positions in ascending order;
-	// a shard may be empty.
-	Shards [][]int
-	// Vectors, when non-nil, returns shard s's RWR vectors with GraphIDs
-	// indexing the shard's members, either from a cache keyed by fp (the
-	// graph.Fingerprint of the shard's graphs in member order) or by
-	// calling compute. compute reads the shard only when called, so a
-	// cache hit costs no reads; it reports complete == false when the
-	// run was cut short partway, and such vectors must not be cached.
-	Vectors func(s int, fp string, compute func() (vecs []rwr.NodeVector, complete bool, err error)) ([]rwr.NodeVector, error)
-}
-
-// Mine runs GraphSig over an in-memory database: the one-shard case of
-// MineSource, whose reads cannot fail.
-func Mine(db []*graph.Graph, cfg Config) Result {
-	res, _ := MineSource(Slice(db), Scatter{}, cfg)
-	return res
-}
-
-// MineSource runs GraphSig (Algorithm 2) over src, scattering the
-// per-graph passes as sc says. An error means a read from src failed;
-// truncation (deadline, budget, cancellation) is reported in
-// Result.Degradation instead.
-func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
+// Nil shards is the in-memory case: one shard holding the whole
+// database in order. An error means a read from src failed; truncation
+// (deadline, budget, cancellation) is reported in Result.Degradation
+// instead.
+func MineSource(src Source, shards [][]int, cfg Config) (Result, error) {
 	fillConfig(&cfg)
 	var res Result
 	n := src.Len()
@@ -84,21 +71,13 @@ func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
 		return res, nil
 	}
 	ctl := ControllerFor(cfg)
-	whole := sc.Shards == nil
-	shards := sc.Shards
+	whole := shards == nil
 	if whole {
 		all := make([]int, n)
 		for i := range all {
 			all[i] = i
 		}
 		shards = [][]int{all}
-	}
-	// Shard fingerprints key the vector cache. Each is taken the first
-	// time its shard is loaded — normally in the feature-stats pass — so
-	// a cache hit in the RWR pass reads nothing.
-	var shardFPs []string
-	if sc.Vectors != nil {
-		shardFPs = make([]string, len(shards))
 	}
 	load := func(s int) ([]*graph.Graph, error) {
 		graphs, ok := src.(Slice)
@@ -111,9 +90,6 @@ func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
 				}
 				graphs[k] = g
 			}
-		}
-		if shardFPs != nil && shardFPs[s] == "" {
-			shardFPs[s] = graph.Fingerprint(graphs)
 		}
 		return graphs, nil
 	}
@@ -159,31 +135,12 @@ func MineSource(src Source, sc Scatter, cfg Config) (Result, error) {
 		if ctl.Stopped() {
 			break
 		}
-		// graphs stays nil until the shard is read: up front when there is
-		// no cache or no fingerprint yet, else only on a cache miss.
-		var graphs []*graph.Graph
-		var err error
-		if sc.Vectors == nil || shardFPs[s] == "" {
-			graphs, err = load(s)
-		}
-		compute := func() ([]rwr.NodeVector, bool, error) {
-			if graphs == nil {
-				if graphs, err = load(s); err != nil {
-					return nil, false, err
-				}
-			}
-			return computeVectors(graphs, fs, cfg, ctl), !ctl.Stopped(), nil
-		}
-		var vecs []rwr.NodeVector
-		if err == nil && sc.Vectors != nil {
-			vecs, err = sc.Vectors(s, shardFPs[s], compute)
-		} else if err == nil {
-			vecs, _, err = compute()
-		}
+		graphs, err := load(s)
 		if err != nil {
 			rwrSpan.Fail(runctl.ReasonPanic, 0)
 			return res, err
 		}
+		vecs := computeVectors(graphs, fs, cfg, ctl)
 		if whole {
 			vectors = vecs
 			continue

@@ -53,9 +53,10 @@ func (e *permanentError) Unwrap() error { return e.err }
 
 // Permanent wraps err so the retry loop treats it as non-retryable. An
 // executor that detects a deterministic failure — invalid input, a
-// config that can never mine — panics with Permanent(err); anything
-// else (allocation pressure, transient runtime faults) stays transient
-// and is retried up to Options.MaxRetries.
+// config that can never mine — returns or panics with Permanent(err);
+// anything else (a failed store read, allocation pressure, transient
+// runtime faults) stays transient and is retried up to
+// Options.MaxRetries.
 func Permanent(err error) error {
 	if err == nil {
 		return nil

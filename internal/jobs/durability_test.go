@@ -86,10 +86,10 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	started := make(chan struct{}, 1)
 	m1 := NewManager(Options{
 		DB: tinyDB(), Logf: t.Logf, Journal: jr,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			started <- struct{}{}
 			<-block
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	j, _, err := m1.Submit(cfgN(4), SubmitOptions{Detached: true, Label: "interrupted"})
@@ -163,11 +163,11 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 	var attempts atomic.Int64
 	m := newTestManager(t, Options{
 		Workers: 1, MaxRetries: 3, RetryBackoff: time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			if attempts.Add(1) <= 2 {
 				panic("transient fault")
 			}
-			return core.Result{VectorsMined: 5}
+			return core.Result{VectorsMined: 5}, nil
 		},
 	})
 	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -194,12 +194,12 @@ func TestRetryCoalesceDuringBackoff(t *testing.T) {
 	gate := make(chan struct{})
 	m := newTestManager(t, Options{
 		Workers: 1, MaxRetries: 1, RetryBackoff: 50 * time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			if attempts.Add(1) == 1 {
 				close(gate)
 				panic("first attempt fails")
 			}
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -221,7 +221,7 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	var attempts atomic.Int64
 	m := newTestManager(t, Options{
 		MaxRetries: 5, RetryBackoff: time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			attempts.Add(1)
 			panic(Permanent(errors.New("config can never mine")))
 		},
@@ -254,7 +254,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	var resumedWith atomic.Value
 	m := newTestManager(t, Options{
 		DB: db, Journal: jr, MaxRetries: 1, RetryBackoff: time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			ctl := cfg.Ctl
 			if attempts.Add(1) == 1 {
 				// Emit a synthetic checkpoint, then die.
@@ -268,7 +268,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 			if cfg.Resume != nil {
 				resumedWith.Store(cfg.Resume.Key)
 			}
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	j, _, err := m.Submit(snapshotCfg, SubmitOptions{Detached: true})
@@ -287,10 +287,10 @@ func TestAdmissionShedsDoomedSubmissions(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newTestManager(t, Options{
 		Workers: 1, QueueDepth: 4, Metrics: reg,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			started <- struct{}{}
 			<-block
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	// Seed the service-time estimate: a cold manager never sheds.
@@ -334,9 +334,9 @@ func TestStallWatchdogCancelsWedgedJob(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newTestManager(t, Options{
 		StallTimeout: 50 * time.Millisecond, Metrics: reg,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			<-wedged // no controller checkpoints ever advance
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -373,7 +373,7 @@ func TestStallWatchdogSparesAdvancingJob(t *testing.T) {
 	release := make(chan struct{})
 	m := newTestManager(t, Options{
 		StallTimeout: 60 * time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			ctl := cfg.Ctl
 			// Step tightly: the amortized checkpoint syncs every interval
 			// steps, each sync advancing Spent().Checks.
@@ -385,7 +385,7 @@ func TestStallWatchdogSparesAdvancingJob(t *testing.T) {
 				}
 			}
 			close(release)
-			return core.Result{VectorsMined: 1}
+			return core.Result{VectorsMined: 1}, nil
 		},
 	})
 	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -404,10 +404,10 @@ func TestTTLNeverEvictsRunningJob(t *testing.T) {
 	started := make(chan struct{}, 1)
 	m := newTestManager(t, Options{
 		TTL: 5 * time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			started <- struct{}{}
 			<-block
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -434,10 +434,10 @@ func TestTTLHoldsCanceledJobStillInQueue(t *testing.T) {
 	started := make(chan struct{}, 1)
 	m := newTestManager(t, Options{
 		Workers: 1, TTL: time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			started <- struct{}{}
 			<-block
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	if _, _, err := m.Submit(cfgN(1), SubmitOptions{Detached: true}); err != nil {
@@ -474,11 +474,11 @@ func TestTTLHoldsRetryPendingJob(t *testing.T) {
 	var attempts atomic.Int64
 	m := newTestManager(t, Options{
 		TTL: time.Millisecond, MaxRetries: 1, RetryBackoff: 80 * time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			if attempts.Add(1) == 1 {
 				panic("transient")
 			}
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})

@@ -68,10 +68,12 @@ func (s State) Finished() bool {
 }
 
 // ExecFunc runs one mine. cfg arrives with Ctl set to the job's
-// controller and Parallelism to the job's share of the host. The
-// default executes core.Mine over the manager's database; tests inject
-// counters or blocking fakes here.
-type ExecFunc func(cfg core.Config) core.Result
+// controller and Parallelism to the job's share of the host. An error
+// (a failed read of the database) fails the attempt: the job is retried
+// under Options.MaxRetries or ends failed, and is never cached. The
+// default executes core.MineSource over the manager's database; tests
+// inject counters or blocking fakes here.
+type ExecFunc func(cfg core.Config) (core.Result, error)
 
 // Options configures a Manager.
 type Options struct {
@@ -110,7 +112,7 @@ type Options struct {
 	// budget variation is deliberately unsupported: budgets are excluded
 	// from the dedup key, which is only sound when they are constant.
 	Budgets runctl.Budgets
-	// Exec overrides the mine executor (nil = core.Mine over DB).
+	// Exec overrides the mine executor (nil = core.MineSource over DB).
 	Exec ExecFunc
 	// Logf receives operational log lines (log.Printf when nil).
 	Logf func(format string, args ...any)
@@ -462,7 +464,7 @@ func NewManager(opt Options) *Manager {
 	m.met = newManagerMetrics(opt.Metrics, opt.Workers, opt.QueueDepth)
 	m.exec = opt.Exec
 	if m.exec == nil {
-		m.exec = func(cfg core.Config) core.Result { return core.Mine(opt.DB, cfg) }
+		m.exec = func(cfg core.Config) (core.Result, error) { return core.MineSource(core.Slice(opt.DB), nil, cfg) }
 	}
 	for i := 0; i < opt.Workers; i++ {
 		m.workers.Add(1)
@@ -888,7 +890,7 @@ func (m *Manager) execIsolated(cfg core.Config) (res core.Result, err error) {
 			err = fmt.Errorf("mine panicked: %v", rec)
 		}
 	}()
-	return m.exec(cfg), nil
+	return m.exec(cfg)
 }
 
 // janitor evicts finished jobs past their TTL.

@@ -72,11 +72,11 @@ func TestCoalesceConcurrentExactlyOnce(t *testing.T) {
 	started := make(chan struct{}, 16)
 	m := newTestManager(t, Options{
 		Workers: 2,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			execs.Add(1)
 			started <- struct{}{}
 			<-release
-			return core.Result{VectorsMined: 7}
+			return core.Result{VectorsMined: 7}, nil
 		},
 	})
 
@@ -126,9 +126,9 @@ func TestSequentialCacheHit(t *testing.T) {
 	var execs atomic.Int64
 	m := newTestManager(t, Options{
 		Workers: 1,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			execs.Add(1)
-			return core.Result{VectorsMined: int(execs.Load())}
+			return core.Result{VectorsMined: int(execs.Load())}, nil
 		},
 	})
 	j1, info1, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -177,9 +177,9 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 	var execs atomic.Int64
 	m := newTestManager(t, Options{
 		Workers: 1,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			execs.Add(1)
-			return core.Result{Truncated: true}
+			return core.Result{Truncated: true}, nil
 		},
 	})
 	j1, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -204,7 +204,7 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 // returning a partial result — a stand-in for the real pipeline's
 // cancellation behavior.
 func ctlLoopExec(started chan<- string) ExecFunc {
-	return func(cfg core.Config) core.Result {
+	return func(cfg core.Config) (core.Result, error) {
 		ctl := cfg.Ctl
 		if started != nil {
 			started <- "running"
@@ -212,7 +212,7 @@ func ctlLoopExec(started chan<- string) ExecFunc {
 		cp := ctl.Checkpoint(runctl.StageFVMine)
 		for {
 			if err := cp.Force(); err != nil {
-				return core.Result{Truncated: true}
+				return core.Result{Truncated: true}, nil
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -270,11 +270,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers:    1,
 		QueueDepth: 4,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			execs.Add(1)
 			started <- struct{}{}
 			<-release
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	blocker, _, err := m.Submit(cfgN(1), SubmitOptions{Detached: true})
@@ -313,10 +313,10 @@ func TestQueueFullBackpressure(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers:    1,
 		QueueDepth: 1,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			started <- struct{}{}
 			<-release
-			return core.Result{}
+			return core.Result{}, nil
 		},
 	})
 	defer close(release)
@@ -370,10 +370,10 @@ func TestDetachedJobSurvivesRelease(t *testing.T) {
 	started := make(chan struct{}, 1)
 	m := newTestManager(t, Options{
 		Workers: 1,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			started <- struct{}{}
 			<-release
-			return core.Result{VectorsMined: 1}
+			return core.Result{VectorsMined: 1}, nil
 		},
 	})
 	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -401,8 +401,8 @@ func TestTTLEviction(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers: 1,
 		TTL:     30 * time.Millisecond,
-		Exec: func(cfg core.Config) core.Result {
-			return core.Result{}
+		Exec: func(cfg core.Config) (core.Result, error) {
+			return core.Result{}, nil
 		},
 	})
 	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
@@ -431,11 +431,11 @@ func TestTTLEviction(t *testing.T) {
 func TestFailedJobIsolation(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers: 1,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			if cfg.CutoffRadius == 13 {
 				panic("boom")
 			}
-			return core.Result{VectorsMined: 1}
+			return core.Result{VectorsMined: 1}, nil
 		},
 	})
 	bad, _, err := m.Submit(cfgN(13), SubmitOptions{Detached: true})
@@ -470,10 +470,10 @@ func TestShutdownDrains(t *testing.T) {
 		DB:      tinyDB(),
 		Workers: 1,
 		Logf:    t.Logf,
-		Exec: func(cfg core.Config) core.Result {
+		Exec: func(cfg core.Config) (core.Result, error) {
 			started <- struct{}{}
 			<-release
-			return core.Result{VectorsMined: 1}
+			return core.Result{VectorsMined: 1}, nil
 		},
 	})
 	running, _, err := m.Submit(cfgN(1), SubmitOptions{Detached: true})
@@ -534,8 +534,8 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	m := newTestManager(t, Options{
 		Workers: 3,
-		Exec: func(cfg core.Config) core.Result {
-			return core.Result{}
+		Exec: func(cfg core.Config) (core.Result, error) {
+			return core.Result{}, nil
 		},
 	})
 	j, _, _ := m.Submit(cfgN(1), SubmitOptions{Detached: true})

@@ -133,10 +133,9 @@ const (
 	MStoreSegments   = "graphsig_store_segments"
 
 	// Scatter-gather sharded mining (internal/shard; label: shard).
-	// MShardGraphs gauges each shard's member count. The vector-cache
-	// counters track the coordinator's content-keyed per-shard RWR
-	// vector cache — after an incremental append, unchanged shards hit.
-	MShardGraphs            = "graphsig_shard_graphs"
+	// MShardGraphs gauges each shard's member count.
+	MShardGraphs = "graphsig_shard_graphs"
+	// Never recorded (the coordinator caches no vectors); kept because perfbench reads them.
 	MShardVectorCacheHits   = "graphsig_shard_vector_cache_hits_total"
 	MShardVectorCacheMisses = "graphsig_shard_vector_cache_misses_total"
 	// MShardMines counts scatter-gather coordinator runs.

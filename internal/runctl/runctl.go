@@ -238,9 +238,8 @@ type Controller struct {
 	metrics  *obs.Registry
 	sink     func([]byte)
 
-	checks    atomic.Int64
-	snapshots atomic.Int64
-	cause     atomic.Pointer[StopError]
+	checks atomic.Int64
+	cause  atomic.Pointer[StopError]
 
 	spentFV    atomic.Int64
 	spentMiner atomic.Int64
@@ -292,17 +291,7 @@ func (c *Controller) EmitCheckpoint(payload []byte) {
 		}
 	}()
 	c.sink(payload)
-	c.snapshots.Add(1)
 	c.metrics.Counter(obs.MCheckpointsEmitted).Inc()
-}
-
-// CheckpointsEmitted returns how many snapshots reached the sink (test
-// and watchdog observability; zero for a nil controller).
-func (c *Controller) CheckpointsEmitted() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.snapshots.Load()
 }
 
 // Metrics returns the controller's metrics registry (nil when the run
@@ -517,7 +506,6 @@ type Checkpoint struct {
 	interval int64
 	// pending counts local steps not yet flushed to the shared counter.
 	pending int64
-	flushed int64
 }
 
 // Step counts one unit of work and, every interval steps, consults the
@@ -556,15 +544,6 @@ func (cp *Checkpoint) Metrics() *obs.Registry {
 	return cp.ctl.Metrics()
 }
 
-// Steps returns the checkpoint's local step count (work attributable
-// to this goroutine's stage loop).
-func (cp *Checkpoint) Steps() int64 {
-	if cp == nil {
-		return 0
-	}
-	return cp.flushed + cp.pending
-}
-
 // sync flushes pending steps into the shared stage counter and checks
 // hook, context, deadline, and budget, in that order.
 func (cp *Checkpoint) sync() error {
@@ -589,7 +568,6 @@ func (cp *Checkpoint) sync() error {
 		return c.fail(cp.stage, ReasonDeadline, "")
 	}
 	add := cp.pending
-	cp.flushed += add
 	cp.pending = 0
 	if cp.spent != nil {
 		total := cp.spent.Add(add)

@@ -153,8 +153,16 @@ func TestStepsAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := cp.Steps(); got != 25 {
-		t.Fatalf("Steps() = %d; want 25", got)
+	// Two full intervals reached the shared counter; the last five
+	// steps are still local until the next consultation flushes them.
+	if got := c.Spent(); got.MinerSteps != 20 || got.Checks != 2 {
+		t.Fatalf("after 25 steps Spent() = %+v; want 20 miner steps over 2 checks", got)
+	}
+	if err := cp.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Spent(); got.MinerSteps != 26 || got.Checks != 3 {
+		t.Fatalf("after Force Spent() = %+v; want 26 miner steps over 3 checks", got)
 	}
 }
 

@@ -59,11 +59,11 @@ func TestJobsMineCoalescesConcurrentIdentical(t *testing.T) {
 	var execs atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
-	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) (core.Result, error) {
 		execs.Add(1)
 		started <- struct{}{}
 		<-release
-		return benzeneResult()
+		return benzeneResult(), nil
 	})
 
 	body := mineRequest{Radius: 3, Limit: 5}
@@ -121,13 +121,13 @@ func TestJobsMineCoalescesConcurrentIdentical(t *testing.T) {
 // canceled with a degradation report.
 func TestJobCancelLifecycle(t *testing.T) {
 	started := make(chan struct{}, 1)
-	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) (core.Result, error) {
 		ctl := cfg.Ctl
 		started <- struct{}{}
 		cp := ctl.Checkpoint(runctl.StageFVMine)
 		for {
 			if err := cp.Force(); err != nil {
-				return core.Result{Truncated: true}
+				return core.Result{Truncated: true}, nil
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -204,9 +204,9 @@ func TestJobCancelLifecycle(t *testing.T) {
 // from cache without re-executing.
 func TestSyncMineSharesCacheAndCoalescing(t *testing.T) {
 	var execs atomic.Int64
-	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) (core.Result, error) {
 		execs.Add(1)
-		return benzeneResult()
+		return benzeneResult(), nil
 	})
 	var first, second mineResponse
 	if code := postJSON(t, srv.URL+"/mine", mineRequest{Radius: 3}, &first); code != http.StatusOK {
@@ -240,8 +240,8 @@ func TestSyncMineSharesCacheAndCoalescing(t *testing.T) {
 // TestMineEmptyPatternsIsArray: a mine with nothing to report renders
 // "patterns":[] — never null (satellite fix).
 func TestMineEmptyPatternsIsArray(t *testing.T) {
-	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
-		return core.Result{} // nothing mined
+	srv, _ := fakeServer(t, func(cfg core.Config) (core.Result, error) {
+		return core.Result{}, nil // nothing mined
 	})
 	resp, err := http.Post(srv.URL+"/mine", "application/json", strings.NewReader(`{"radius":3}`))
 	if err != nil {
@@ -260,8 +260,8 @@ func TestMineEmptyPatternsIsArray(t *testing.T) {
 // TestStatsExposesJobCounters: /stats carries queue, worker, and cache
 // counters from the jobs subsystem.
 func TestStatsExposesJobCounters(t *testing.T) {
-	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
-		return benzeneResult()
+	srv, _ := fakeServer(t, func(cfg core.Config) (core.Result, error) {
+		return benzeneResult(), nil
 	})
 	postJSON(t, srv.URL+"/mine", mineRequest{Radius: 3}, nil)
 	postJSON(t, srv.URL+"/mine", mineRequest{Radius: 3}, nil) // cache hit
@@ -293,10 +293,10 @@ func TestQueueFullReturns503(t *testing.T) {
 	s.Logf = t.Logf
 	s.JobWorkers = 1
 	s.JobQueueDepth = 1
-	s.mineFn = func(cfg core.Config) core.Result {
+	s.mineFn = func(cfg core.Config) (core.Result, error) {
 		started <- struct{}{}
 		<-release
-		return core.Result{}
+		return core.Result{}, nil
 	}
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -352,7 +352,7 @@ func TestDeadlineShedReturns503(t *testing.T) {
 	s.Logf = t.Logf
 	s.JobWorkers = 1
 	s.JobQueueDepth = 8
-	s.mineFn = func(cfg core.Config) core.Result {
+	s.mineFn = func(cfg core.Config) (core.Result, error) {
 		// Real elapsed time: the EWMA the admission controller keeps is
 		// measured, so a no-op executor would never produce a wait
 		// estimate above anyone's deadline.
@@ -362,7 +362,7 @@ func TestDeadlineShedReturns503(t *testing.T) {
 		default:
 		}
 		<-release
-		return core.Result{}
+		return core.Result{}, nil
 	}
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -431,9 +431,9 @@ func TestDeadlineShedReturns503(t *testing.T) {
 // typed client.
 func TestClientJobHelpers(t *testing.T) {
 	var execs atomic.Int64
-	srv, _ := fakeServer(t, func(cfg core.Config) core.Result {
+	srv, _ := fakeServer(t, func(cfg core.Config) (core.Result, error) {
 		execs.Add(1)
-		return benzeneResult()
+		return benzeneResult(), nil
 	})
 	c := NewClient(srv.URL)
 

@@ -128,7 +128,8 @@ type Server struct {
 	jobsOnce sync.Once
 	jobsMgr  *jobs.Manager
 	// mineFn overrides the job executor (tests count executions or
-	// inject blocking fakes); nil = core.Mine over the database.
+	// inject blocking fakes); nil = the manager's default over the
+	// in-memory database, or the shard coordinator over the store.
 	mineFn jobs.ExecFunc
 }
 
@@ -153,8 +154,8 @@ func New(db []*graph.Graph) *Server {
 type StoreOptions struct {
 	// Shards is the scatter-gather partition count (minimum 1).
 	Shards int
-	// Strategy maps graph positions to shards (default shard.Hash, so
-	// incremental appends keep unchanged shards' caches warm).
+	// Strategy maps graph positions to shards (the zero value means
+	// shard.Hash).
 	Strategy shard.Strategy
 	// CachedSegments bounds the reader's decoded-segment LRU
 	// (0 = store.DefaultCachedSegments).
@@ -426,26 +427,11 @@ func (s *Server) Jobs() *jobs.Manager {
 			// coordinator instead of an in-memory core.Mine, and the
 			// dedup key is scoped by the manifest fingerprint and
 			// generation so results cached before an append can never be
-			// served after it.
+			// served after it. A store read failure fails the job.
 			fp = s.reader.Fingerprint()
 			gen = s.reader.Generation()
 			if exec == nil {
-				exec = func(cfg core.Config) core.Result {
-					res, err := s.coord.Mine(cfg)
-					if err != nil {
-						// A store read failure voids the run; surface it
-						// as a degraded (empty) result rather than a
-						// panic so the job terminates cleanly.
-						s.logf("server: sharded mine failed: %v", err)
-						res.Truncated = true
-						res.Degradation = runctl.Degradation{
-							Truncated: true,
-							Reason:    runctl.ReasonPanic,
-							Detail:    fmt.Sprintf("store read failed: %v", err),
-						}
-					}
-					return res
-				}
+				exec = s.coord.Mine
 			}
 		}
 		s.jobsMgr = jobs.NewManager(jobs.Options{

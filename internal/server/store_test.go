@@ -1,13 +1,19 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"graphsig/internal/chem"
+	"graphsig/internal/jobs"
 	"graphsig/internal/store"
 )
 
@@ -85,5 +91,72 @@ func TestStoreBackedServerMatchesInMemory(t *testing.T) {
 	}
 	if sig.Frequency < 0.4 {
 		t.Errorf("benzene frequency = %f", sig.Frequency)
+	}
+}
+
+// TestStoreReadFailureFailsJob: a store-backed job whose segment file
+// vanished after the server opened the store must end failed with the
+// read error, after being retried JobMaxRetries times — not finish
+// "done" with an empty truncated result — and must never enter the
+// result cache, so a resubmission mines again.
+func TestStoreReadFailureFailsJob(t *testing.T) {
+	d := chem.GenerateN(chem.AIDSSpec(), 40)
+	dir := t.TempDir()
+	man, err := store.Build(dir, d.Graphs, store.BuildOptions{SegmentGraphs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFromStore(dir, StoreOptions{Shards: 2, CachedSegments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Logf = t.Logf
+	const retries = 2
+	s.JobMaxRetries = retries
+	s.JobRetryBackoff = time.Millisecond
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		s.Close(ctx)
+	})
+	lost := man.Segments[len(man.Segments)-1].File
+	if err := os.Remove(filepath.Join(dir, lost)); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := mineConfig(mineRequest{Radius: 3})
+	for round := 0; round < 2; round++ {
+		job, info, err := s.Jobs().Submit(cfg, jobs.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Cached {
+			t.Fatalf("round %d: a failed mine was served from the result cache", round)
+		}
+		select {
+		case <-job.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("round %d: job did not finish", round)
+		}
+		snap := job.Snapshot()
+		if snap.State != jobs.StateFailed {
+			t.Fatalf("round %d: job ended %s; want failed", round, snap.State)
+		}
+		if !strings.Contains(snap.Err, lost) {
+			t.Errorf("round %d: job error %q does not name the missing segment %s", round, snap.Err, lost)
+		}
+		if snap.Result != nil {
+			t.Errorf("round %d: failed job carries a result", round)
+		}
+		if snap.Attempt != retries {
+			t.Errorf("round %d: job ended on attempt %d; want %d", round, snap.Attempt, retries)
+		}
+	}
+	st := s.Jobs().Stats()
+	if st.Executions != 2*(retries+1) || st.Retries != 2*retries {
+		t.Errorf("executions %d, retries %d; want %d and %d", st.Executions, st.Retries, 2*(retries+1), 2*retries)
+	}
+	if st.CacheSize != 0 {
+		t.Errorf("result cache holds %d entries after failed mines", st.CacheSize)
 	}
 }

@@ -3,15 +3,18 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"strconv"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"graphsig/internal/chem"
 	"graphsig/internal/core"
+	"graphsig/internal/feature"
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
+	"graphsig/internal/rwr"
 	"graphsig/internal/store"
 )
 
@@ -114,104 +117,6 @@ func TestShardInvariance(t *testing.T) {
 			})
 		}
 	}
-}
-
-// countingSource counts graph reads.
-type countingSource struct {
-	core.Slice
-	reads atomic.Int64
-}
-
-func (c *countingSource) Graph(i int) (*graph.Graph, error) {
-	c.reads.Add(1)
-	return c.Slice.Graph(i)
-}
-
-// TestShardVectorCacheHitReadsNothing: a shard whose vectors come from
-// the cache is not read in the RWR pass — its fingerprint is taken in
-// the feature-statistics pass — so a repeat mine reads exactly one full
-// database pass less than the first.
-func TestShardVectorCacheHitReadsNothing(t *testing.T) {
-	db := plantedDB(40, 8, chem.SbCore())
-	src := &countingSource{Slice: db}
-	c, err := New(src, Options{Shards: 4, Strategy: Hash, Fingerprint: graph.Fingerprint(db)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reads [2]int64
-	for i := range reads {
-		before := src.reads.Load()
-		if _, err := c.Mine(testConfig()); err != nil {
-			t.Fatal(err)
-		}
-		reads[i] = src.reads.Load() - before
-	}
-	if reads[0]-reads[1] != int64(len(db)) {
-		t.Errorf("first mine read %d graphs, repeat mine %d; the cache hits should save exactly %d reads", reads[0], reads[1], len(db))
-	}
-}
-
-// TestShardVectorCacheRepeatMine: a second identical mine on the same
-// coordinator hits every shard's vector cache.
-func TestShardVectorCacheRepeatMine(t *testing.T) {
-	db := plantedDB(40, 8, chem.SbCore())
-	reg := obs.NewRegistry()
-	c, err := New(core.Slice(db), Options{Shards: 4, Strategy: Hash, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.Mine(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := c.Mine(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "repeat mine", first, second)
-	for s := 0; s < 4; s++ {
-		label := strconv.Itoa(s)
-		if got := reg.Counter(obs.MShardVectorCacheHits, "shard", label).Value(); got != 1 {
-			t.Errorf("shard %d: %d cache hits, want 1", s, got)
-		}
-		if got := reg.Counter(obs.MShardVectorCacheMisses, "shard", label).Value(); got != 1 {
-			t.Errorf("shard %d: %d cache misses, want 1", s, got)
-		}
-	}
-}
-
-// TestAppendInvalidatesOnlyAffectedShards: after an incremental append
-// under the Hash strategy, shards that gained no graphs serve their
-// cached vectors; only the shards the new graphs landed in recompute.
-func TestAppendInvalidatesOnlyAffectedShards(t *testing.T) {
-	db := plantedDB(42, 8, chem.SbCore())
-	reg := obs.NewRegistry()
-	c, err := New(core.Slice(db[:40]), Options{Shards: 4, Strategy: Hash, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Mine(testConfig()); err != nil {
-		t.Fatal(err)
-	}
-	// Positions 40 and 41 hash to shards 0 and 1; shards 2 and 3 keep
-	// their exact member lists.
-	c.Reload(core.Slice(db), graph.Fingerprint(db))
-	res, err := c.Mine(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Affected shards missed twice (initial + post-append), unchanged
-	// shards missed once and hit once.
-	for s, wantMisses := range []int64{2, 2, 1, 1} {
-		label := strconv.Itoa(s)
-		if got := reg.Counter(obs.MShardVectorCacheMisses, "shard", label).Value(); got != wantMisses {
-			t.Errorf("shard %d: %d cache misses, want %d", s, got, wantMisses)
-		}
-	}
-	// And the post-append result is still exactly the whole-database
-	// answer, cached vectors and all.
-	ref := core.Mine(db, testConfig())
-	assertSameResult(t, "post-append", ref, res)
 }
 
 // TestStoreBackedMineMatchesInMemory is the out-of-core acceptance
@@ -326,8 +231,8 @@ func (f *failingSource) Graph(i int) (*graph.Graph, error) {
 // cuts region windows must fail the mine with that error — not be booked
 // as a per-group error behind a successful return — and no group whose
 // read failed may reach a checkpoint. Reads succeed through the two
-// scatter passes (feature statistics, then RWR with a cold vector cache)
-// and fail from the first window fetch on. Once a group has failed, no
+// scatter passes (feature statistics, then RWR) and fail from the first
+// window fetch on. Once a group has failed, no
 // further group is launched: only the groups already in flight read.
 func TestWindowReadErrorFailsMine(t *testing.T) {
 	db := plantedDB(40, 8, chem.SbCore())
@@ -359,4 +264,87 @@ func TestWindowReadErrorFailsMine(t *testing.T) {
 	if n := src.failed.Load(); n > 3 {
 		t.Errorf("%d failed reads across %d groups; groups kept launching after the first failure", n, res.VectorsMined)
 	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection. The second GC clears what the first left in sync.Pool
+// victim caches, so the reading does not depend on GC timing.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// vectorBytes is the heap footprint of one mine's RWR vectors over db.
+func vectorBytes(db []*graph.Graph, cfg core.Config) uint64 {
+	cfg = core.Normalized(cfg)
+	st := feature.NewStats()
+	for _, g := range db {
+		st.Add(g)
+	}
+	fs := feature.ChemistrySetFromStats(st, cfg.Alphabet, cfg.TopAtoms)
+	vecs := core.ComputeVectors(db, fs, cfg)
+	total := uint64(cap(vecs)) * uint64(unsafe.Sizeof(rwr.NodeVector{}))
+	for _, v := range vecs {
+		total += uint64(cap(v.Vec))
+	}
+	return total
+}
+
+// TestCoordinatorRetainsNothingBetweenMines: a coordinator is a plan,
+// not a cache. Mining many distinct configs through one coordinator
+// over a store must leave the live heap where the first mine left it —
+// less than one mine's vectors above it — and repeating a config must
+// answer byte-identically.
+func TestCoordinatorRetainsNothingBetweenMines(t *testing.T) {
+	db := plantedDB(40, 8, chem.SbCore())
+	dir := t.TempDir()
+	man, err := store.Build(dir, db, store.BuildOptions{SegmentGraphs: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := store.Open(dir, store.Options{CachedSegments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(r, Options{Shards: 4, Strategy: Hash, Fingerprint: man.Fingerprint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneMine := vectorBytes(db, testConfig())
+	config := func(i int) core.Config {
+		cfg := testConfig()
+		cfg.MaxPvalue = 0.1 + 0.001*float64(i)
+		return cfg
+	}
+	mine := func(i int) core.Result {
+		t.Helper()
+		res, err := c.Mine(config(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated {
+			t.Fatalf("mine %d truncated: %s", i, res.Degradation.String())
+		}
+		return res
+	}
+	const distinct = 12
+	first := mine(0)
+	if len(first.Subgraphs) == 0 {
+		t.Fatal("first mine found nothing; the repeat comparison is vacuous")
+	}
+	base := liveHeap()
+	for i := 1; i < distinct; i++ {
+		mine(i)
+	}
+	after := liveHeap()
+	grown := int64(after) - int64(base)
+	t.Logf("live heap %d B after the first mine, %d B after %d distinct mines; one mine's vectors are %d B", base, after, distinct, oneMine)
+	if grown >= int64(oneMine) {
+		t.Errorf("live heap grew %d B over %d further mines; want less than one mine's vectors (%d B)", grown, distinct-1, oneMine)
+	}
+	assertSameResult(t, "repeat of the first config", first, mine(0))
+	assertSameResult(t, "repeat of the last config", mine(distinct-1), mine(distinct-1))
 }
