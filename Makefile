@@ -68,18 +68,20 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # Machine-readable per-stage mining profile (the Fig-10 workload read
-# through the obs registry) for CI trend tracking, at parallelism 1.
+# through the obs registry) for CI trend tracking, at parallelism 1,
+# with each of the 5 runs timed and their median and minimum recorded.
 bench-json:
-	go run ./cmd/benchjson -runs 3 -parallelism 1 -out BENCH_graphsig.json
+	go run ./cmd/benchjson -runs 5 -parallelism 1 -out BENCH_graphsig.json
 
-# Same workload as bench-json, gated: fails when a fresh run is more
-# than 2x slower per run — or allocates more than 2x as much — as the
-# committed baseline, or runs under a different key (dataset, graphs,
-# radius, parallelism, verify) than the baseline's. CI runs this blocking;
+# Same workload as bench-json, gated: fails when a fresh median run is
+# more than 2x slower — or a run allocates more than 2x as much, or makes
+# more than 2x the FSG minimality checks — than in the committed
+# baseline, or runs under a different key (dataset, graphs, radius,
+# parallelism, verify) than the baseline's. CI runs this blocking;
 # refresh the baseline with `make bench-json` after intentional
 # performance changes.
 bench-smoke:
-	go run ./cmd/benchjson -runs 1 -parallelism 1 -out - -baseline BENCH_graphsig.json -max-regression 2
+	go run ./cmd/benchjson -runs 5 -parallelism 1 -out - -baseline BENCH_graphsig.json -max-regression 2
 
 # Regenerate every paper table/figure (writes CSVs into ./csv).
 experiments:

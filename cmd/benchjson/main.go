@@ -5,15 +5,17 @@
 // and tooling can track where mining time goes per stage without
 // scraping `go test -bench` text:
 //
-//	benchjson -n 120 -runs 3 -out BENCH_graphsig.json
+//	benchjson -n 120 -runs 5 -out BENCH_graphsig.json
 //
-// With -baseline it compares the fresh elapsed time against a committed
-// baseline file and exits non-zero on regression beyond -max-regression
-// (`make bench-smoke`). The baseline is keyed by dataset, graph count,
-// radius, parallelism and verification; a run under a different key fails instead of
-// being compared, so the smoke must run at the baseline's key:
+// Each run is timed on its own, and the file records every run's
+// seconds with their median and minimum. With -baseline it compares the
+// fresh median per-run time against a committed baseline file and exits
+// non-zero on regression beyond -max-regression (`make bench-smoke`).
+// The baseline is keyed by dataset, graph count, radius, parallelism and
+// verification; a run under a different key fails instead of being
+// compared, so the smoke must run at the baseline's key:
 //
-//	benchjson -runs 1 -parallelism 1 -out - -baseline BENCH_graphsig.json
+//	benchjson -runs 5 -parallelism 1 -out - -baseline BENCH_graphsig.json
 //
 // The emitted stages are the same series /metrics serves, read through
 // the same snapshot API, so benchmark numbers and production telemetry
@@ -26,6 +28,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"graphsig/internal/chem"
@@ -59,15 +62,25 @@ type benchJSON struct {
 	WindowMisses  int64   `json:"windowCacheMisses"`
 	PrefilterHit  int64   `json:"prefilterRejects"`
 	PrefilterMiss int64   `json:"prefilterPasses"`
+
+	// Per-run wall times in run order, and their median and minimum.
+	// Baselines recorded before these fields have only elapsedSeconds.
+	RunSec       []float64 `json:"runSeconds"`
+	MedianRunSec float64   `json:"medianRunSeconds"`
+	MinRunSec    float64   `json:"minRunSeconds"`
+
 	// Closed-pattern mining counters: patterns suppressed at emission,
 	// DFS subtrees cut by equivalent-occurrence detection, containment
 	// pairs the maximality sweeps examined, and how many reached VF2.
 	// Together they make the closed-mine's effect on the O(n²) sweep
-	// visible in CI, not just in wall time.
+	// visible in CI, not just in wall time. FSGMinChecks counts FSG
+	// Phase-2 minimality checks, one per frequent extension key that is
+	// a rightmost-path extension of its parent's code.
 	ClosedPrunes    int64                `json:"closedPrunes"`
 	EquivOccHits    int64                `json:"equivOccurrenceHits"`
 	MaximalPairs    int64                `json:"maximalSweepPairs"`
 	MaximalVF2Calls int64                `json:"maximalVF2Calls"`
+	FSGMinChecks    int64                `json:"fsgMinChecks"`
 	Stages          map[string]stageJSON `json:"stages"`
 	StageOrder      []string             `json:"stageOrder"`
 	GeneratedUnix   int64                `json:"generatedUnix"`
@@ -78,14 +91,17 @@ func main() {
 	log.SetPrefix("benchjson: ")
 
 	n := flag.Int("n", 120, "molecules in the generated MOLT-4 slice")
-	runs := flag.Int("runs", 1, "full mining runs to accumulate")
+	runs := flag.Int("runs", 1, "full mining runs, each timed on its own")
 	radius := flag.Int("radius", 3, "cutoff radius")
 	parallelism := flag.Int("parallelism", 0, "Config.Parallelism (0 = GOMAXPROCS)")
 	verify := flag.Bool("verify", false, "include graph-space support verification")
 	out := flag.String("out", "BENCH_graphsig.json", "output file (- for stdout)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to compare against (empty = no comparison)")
-	maxRegression := flag.Float64("max-regression", 2.0, "fail when elapsed exceeds this multiple of the baseline")
+	maxRegression := flag.Float64("max-regression", 2.0, "fail when the median run time, allocations or FSG minimality checks exceed this multiple of the baseline")
 	flag.Parse()
+	if *runs < 1 {
+		log.Fatal("-runs must be at least 1")
+	}
 
 	spec := chem.CancerSpecs()[1] // MOLT-4, the Fig-10 screen
 	db := chem.GenerateN(spec, *n).Graphs
@@ -101,14 +117,19 @@ func main() {
 	runtime.ReadMemStats(&msBefore)
 	t0 := time.Now()
 	patterns := 0
+	runSec := make([]float64, 0, *runs)
 	for i := 0; i < *runs; i++ {
+		t := time.Now()
 		res := core.Mine(db, cfg)
+		runSec = append(runSec, time.Since(t).Seconds())
 		if res.Truncated {
 			log.Fatalf("benchmark run truncated: %s", res.Degradation.String())
 		}
 		patterns = len(res.Subgraphs)
 	}
 	elapsed := time.Since(t0)
+	sorted := slices.Clone(runSec)
+	slices.Sort(sorted)
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
 
@@ -125,6 +146,9 @@ func main() {
 		Parallelism:   effParallel,
 		Verify:        *verify,
 		ElapsedSec:    elapsed.Seconds(),
+		RunSec:        runSec,
+		MedianRunSec:  median(sorted),
+		MinRunSec:     sorted[0],
 		AllocsPerRun:  float64(msAfter.Mallocs-msBefore.Mallocs) / float64(*runs),
 		AllocMBPerRun: float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(*runs) / (1 << 20),
 		Patterns:      patterns,
@@ -137,6 +161,7 @@ func main() {
 		MaximalPairs:  sumSites(snap, obs.MMaximalPairs),
 		MaximalVF2Calls: snap.CounterValue(obs.MPrefilterPasses,
 			"site", "maximal"),
+		FSGMinChecks:  snap.CounterValue(obs.MFSGMinChecks, "miner", "fsg"),
 		Stages:        map[string]stageJSON{},
 		StageOrder:    snap.LabelValues(obs.MStageStarted, "stage"),
 		GeneratedUnix: t0.Unix(),
@@ -174,6 +199,24 @@ func main() {
 	}
 }
 
+// median returns the median of an ascending, nonempty sample.
+func median(sorted []float64) float64 {
+	n := len(sorted)
+	if n%2 == 1 {
+		return sorted[n/2]
+	}
+	return (sorted[n/2-1] + sorted[n/2]) / 2
+}
+
+// perRun is a result's gated per-run time: the median run, or for a
+// baseline recorded before per-run times, elapsed time over runs.
+func perRun(b benchJSON) float64 {
+	if b.MedianRunSec > 0 {
+		return b.MedianRunSec
+	}
+	return b.ElapsedSec / float64(b.Runs)
+}
+
 // sumSites totals a labelled counter across its "site" label values
 // (maximal-filter and verify prefilters report separately).
 func sumSites(snap obs.Snapshot, name string) int64 {
@@ -189,9 +232,10 @@ func sumLabel(snap obs.Snapshot, name, label string) int64 {
 	return total
 }
 
-// checkRegression exits non-zero when the fresh run is slower than
-// maxRegression × the committed baseline, or was run under a different
-// key (workload shape, parallelism or verification). Per-run seconds are compared so
+// checkRegression exits non-zero when the fresh run's median run time,
+// allocations or FSG minimality checks exceed maxRegression × the
+// committed baseline's, or it was run under a different key (workload
+// shape, parallelism or verification). Per-run figures are compared so
 // -runs need not match the baseline's.
 func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	data, err := os.ReadFile(path)
@@ -211,8 +255,7 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	if base.Runs < 1 || base.ElapsedSec <= 0 {
 		log.Fatalf("baseline %s has no usable timing", path)
 	}
-	basePer := base.ElapsedSec / float64(base.Runs)
-	freshPer := fresh.ElapsedSec / float64(fresh.Runs)
+	basePer, freshPer := perRun(base), perRun(fresh)
 	ratio := freshPer / basePer
 	log.Printf("%.3fs/run vs baseline %.3fs/run (%.2fx, limit %.2fx)", freshPer, basePer, ratio, maxRegression)
 	if ratio > maxRegression {
@@ -226,6 +269,19 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 			fresh.AllocsPerRun, base.AllocsPerRun, aRatio, maxRegression)
 		if aRatio > maxRegression {
 			log.Fatalf("allocation regression: %.2fx exceeds the %.2fx limit", aRatio, maxRegression)
+		}
+	}
+	// FSG's Phase-2 work is gated the same way: a rise in minimality
+	// checks means candidates are being reached from more than their
+	// canonical parent. Baselines without the field skip the check.
+	if base.FSGMinChecks > 0 {
+		baseChecks := float64(base.FSGMinChecks) / float64(base.Runs)
+		freshChecks := float64(fresh.FSGMinChecks) / float64(fresh.Runs)
+		cRatio := freshChecks / baseChecks
+		log.Printf("%.0f FSG minimality checks/run vs baseline %.0f (%.2fx, limit %.2fx)",
+			freshChecks, baseChecks, cRatio, maxRegression)
+		if cRatio > maxRegression {
+			log.Fatalf("FSG minimality-check regression: %.2fx exceeds the %.2fx limit", cRatio, maxRegression)
 		}
 	}
 	// Closed-pattern pruning must stay engaged: a baseline that recorded

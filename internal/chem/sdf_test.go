@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"graphsig/internal/graph"
-	"graphsig/internal/isomorph"
 )
 
 func TestSDFRoundTripMotifs(t *testing.T) {
@@ -22,7 +21,7 @@ func TestSDFRoundTripMotifs(t *testing.T) {
 		if len(back) != 1 || names[0] != name {
 			t.Fatalf("%s: got %d records, names %v", name, len(back), names)
 		}
-		if !isomorph.Isomorphic(g, back[0]) {
+		if !isomorphic(g, back[0]) {
 			t.Errorf("%s: round trip not isomorphic", name)
 		}
 	}
@@ -51,7 +50,7 @@ func TestSDFRoundTripGenerated(t *testing.T) {
 		if back[i].ID != i {
 			t.Fatalf("record %d has ID %d", i, back[i].ID)
 		}
-		if !isomorph.Isomorphic(mols[i], back[i]) {
+		if !isomorphic(mols[i], back[i]) {
 			t.Fatalf("record %d not isomorphic after round trip", i)
 		}
 	}

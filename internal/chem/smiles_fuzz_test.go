@@ -1,10 +1,6 @@
 package chem
 
-import (
-	"testing"
-
-	"graphsig/internal/isomorph"
-)
+import "testing"
 
 // FuzzParseSMILES: arbitrary input must never panic, and accepted input
 // must survive a write/parse round trip up to isomorphism.
@@ -35,7 +31,7 @@ func FuzzParseSMILES(f *testing.F) {
 		if g.NumNodes() != back.NumNodes() || g.NumEdges() != back.NumEdges() {
 			t.Fatalf("round trip changed shape: %q -> %q", input, s)
 		}
-		if g.NumNodes() <= 12 && !isomorph.Isomorphic(g, back) {
+		if g.NumNodes() <= 12 && !isomorphic(g, back) {
 			t.Fatalf("round trip not isomorphic: %q -> %q", input, s)
 		}
 	})

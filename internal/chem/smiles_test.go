@@ -54,10 +54,10 @@ func TestParseSMILESBenzeneForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Benzene()
-	if !isomorph.Isomorphic(aromatic, want) {
+	if !isomorphic(aromatic, want) {
 		t.Errorf("lowercase benzene wrong: %s", aromatic)
 	}
-	if !isomorph.Isomorphic(explicit, want) {
+	if !isomorphic(explicit, want) {
 		t.Errorf("explicit benzene wrong: %s", explicit)
 	}
 }
@@ -101,7 +101,7 @@ func TestParseSMILESPercentRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !isomorph.Isomorphic(a, mustParse(t, "C1CCCCC1")) {
+	if !isomorphic(a, mustParse(t, "C1CCCCC1")) {
 		t.Error("%nn ring differs from digit ring")
 	}
 }
@@ -151,7 +151,7 @@ func TestWriteSMILESRoundTripMotifs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: re-parse %q: %v", name, s, err)
 		}
-		if !isomorph.Isomorphic(g, back) {
+		if !isomorphic(g, back) {
 			t.Errorf("%s: round trip %q not isomorphic", name, s)
 		}
 	}
@@ -169,7 +169,7 @@ func TestWriteSMILESRoundTripGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("molecule %d: re-parse %q: %v", i, s, err)
 		}
-		if !isomorph.Isomorphic(g, back) {
+		if !isomorphic(g, back) {
 			t.Fatalf("molecule %d: round trip not isomorphic (%s)", i, s)
 		}
 	}
@@ -221,7 +221,7 @@ func TestSMILESFileRoundTrip(t *testing.T) {
 		t.Fatalf("got %d molecules", len(back))
 	}
 	for i := range mols {
-		if !isomorph.Isomorphic(mols[i], back[i]) {
+		if !isomorphic(mols[i], back[i]) {
 			t.Errorf("molecule %d not isomorphic after round trip", i)
 		}
 		if back[i].ID != i {
@@ -245,4 +245,11 @@ func TestReadSMILESFileCommentsAndErrors(t *testing.T) {
 	if _, _, err := ReadSMILESFile(strings.NewReader("C(\n")); err == nil {
 		t.Error("bad SMILES accepted")
 	}
+}
+
+// isomorphic reports whether a and b are isomorphic as labeled graphs:
+// with equal node and edge counts, an embedding of a in b maps nodes
+// and edges bijectively.
+func isomorphic(a, b *graph.Graph) bool {
+	return a.NumNodes() == b.NumNodes() && a.NumEdges() == b.NumEdges() && isomorph.SubgraphIsomorphic(a, b)
 }

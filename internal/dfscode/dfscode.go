@@ -208,7 +208,8 @@ func (c Code) RightmostPath() []int {
 // String renders the code compactly, e.g. "(0,1,C,-,O)(1,2,O,=,C)" with
 // numeric labels. The rendering doubles as the canonical pattern key.
 func (c Code) String() string {
-	return string(appendString(make([]byte, 0, 20*len(c)), c))
+	var buf [512]byte // on the stack: a typical pattern renders in one copy
+	return string(appendString(buf[:0], c))
 }
 
 // appendString appends String's rendering of c to dst. It is built with
@@ -369,39 +370,33 @@ func IsMinimal(c Code) bool {
 // equal strings iff isomorphic graphs. Single-vertex graphs are encoded
 // by their node label.
 func Canonical(g *graph.Graph) string {
-	if g.NumNodes() != 1 {
-		requireConnected(g)
+	if g.NumNodes() == 1 {
+		return "v(" + strconv.Itoa(int(g.NodeLabel(0))) + ")"
 	}
+	requireConnected(g)
 	st := minPool.Get().(*minState)
-	st.buf = st.appendCanonical(st.buf[:0], g.CSR(), g.Edges())
+	code, _ := st.build(g.CSR(), g.Edges(), nil)
+	st.buf = appendString(st.buf[:0], code)
 	key := string(st.buf)
 	minPool.Put(st)
 	return key
 }
 
-// Canonicalizer renders canonical keys for a stream of graphs with one
-// working set kept between calls, so steady-state keys allocate
+// Canonicalizer checks a stream of candidate codes for minimality with
+// one working set kept between calls, so steady-state checks allocate
 // nothing. The zero value is ready to use; it is not safe for
 // concurrent use.
 type Canonicalizer struct{ st minState }
 
-// AppendCanonical appends Canonical's key of the graph described by a
-// CSR view and its edge list (the view's EdgeIDs index edges) to dst.
-// The graph must be nonempty and connected, which is not checked: the
-// caller vouches for it, as FSG does for a one-edge growth of a
-// connected pattern.
-func (c *Canonicalizer) AppendCanonical(dst []byte, gc graph.CSRView, edges []graph.Edge) []byte {
-	return c.st.appendCanonical(dst, gc, edges)
-}
-
-func (st *minState) appendCanonical(dst []byte, gc graph.CSRView, edges []graph.Edge) []byte {
-	if gc.NumNodes() == 1 {
-		dst = append(dst, "v("...)
-		dst = strconv.AppendInt(dst, int64(gc.NodeLabels[0]), 10)
-		return append(dst, ')')
-	}
-	code, _ := st.build(gc, edges, nil)
-	return appendString(dst, code)
+// Minimal reports whether code is the minimum DFS code of the graph
+// described by a CSR view and its edge list (the view's EdgeIDs index
+// edges), stopping at the first entry where the minimum departs from
+// code. code must hold one entry per edge. The graph must be nonempty
+// and connected, which is not checked: the caller vouches for it, as
+// FSG does for a one-edge growth of a connected pattern.
+func (c *Canonicalizer) Minimal(gc graph.CSRView, edges []graph.Edge, code Code) bool {
+	_, minimal := c.st.build(gc, edges, code)
+	return minimal
 }
 
 func requireConnected(g *graph.Graph) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"graphsig/internal/graph"
-	"graphsig/internal/isomorph"
 )
 
 // FuzzCanonicalInvariance decodes a byte string into a random connected
@@ -41,7 +40,7 @@ func FuzzCanonicalInvariance(f *testing.F) {
 		}
 		if g.NumEdges() > 0 {
 			back := MinimumCode(g).Graph()
-			if !isomorph.Isomorphic(g, back) {
+			if !isomorphic(g, back) {
 				t.Fatal("min-code graph not isomorphic to original")
 			}
 		}

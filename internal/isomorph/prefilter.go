@@ -20,7 +20,7 @@ type Summary struct {
 	// sorted descending.
 	degrees map[graph.Label][]int
 	// edges counts edges per (min node label, max node label, edge
-	// label) triple — the same key edgeKey produces.
+	// label) triple.
 	edges map[[3]int]int
 }
 

@@ -203,51 +203,6 @@ func ForEachEmbedding(pattern, target *graph.Graph, fn func(mapping []int) bool)
 	enumerate(pattern, target, 0, fn)
 }
 
-// Isomorphic reports whether a and b are isomorphic as labeled graphs.
-func Isomorphic(a, b *graph.Graph) bool {
-	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
-		return false
-	}
-	if !labelMultisetsEqual(a, b) {
-		return false
-	}
-	// Same node and edge count plus monomorphism a -> b implies edge
-	// bijectivity, hence isomorphism.
-	return SubgraphIsomorphic(a, b)
-}
-
-func labelMultisetsEqual(a, b *graph.Graph) bool {
-	ca, cb := a.LabelCounts(), b.LabelCounts()
-	if len(ca) != len(cb) {
-		return false
-	}
-	for l, n := range ca {
-		if cb[l] != n {
-			return false
-		}
-	}
-	ea := make(map[[3]int]int)
-	for _, e := range a.Edges() {
-		ea[edgeKey(a, e)]++
-	}
-	for _, e := range b.Edges() {
-		k := edgeKey(b, e)
-		ea[k]--
-		if ea[k] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func edgeKey(g *graph.Graph, e graph.Edge) [3]int {
-	la, lb := int(g.NodeLabel(e.From)), int(g.NodeLabel(e.To))
-	if la > lb {
-		la, lb = lb, la
-	}
-	return [3]int{la, lb, int(e.Label)}
-}
-
 func enumerate(pattern, target *graph.Graph, limit int, emit func([]int) bool) {
 	s, _ := acquireState(pattern, target, limit, emit)
 	if s == nil {

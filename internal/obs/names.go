@@ -61,6 +61,11 @@ const (
 	// then either fast-rejects (TID subset or summary, MPrefilterRejects
 	// site="maximal") or reaches VF2 (MPrefilterPasses).
 	MMaximalPairs = "graphsig_maximal_sweep_pairs_total"
+	// MFSGMinChecks counts FSG Phase-2 minimality checks (label: miner):
+	// one per frequent extension key that is a rightmost-path extension
+	// of its parent's minimum code. Every other key is left to the
+	// candidate's canonical parent without building anything.
+	MFSGMinChecks = "graphsig_fsg_min_checks_total"
 
 	// Jobs subsystem (internal/jobs).
 	MJobsWorkers     = "graphsig_jobs_workers"
