@@ -7,8 +7,12 @@ all: build vet lint test
 build:
 	go build ./...
 
+# perfbench is its own module (it imports this one through a replace
+# directive), so ./... does not reach it; vetting it here compiles it
+# in CI, and a removed name it still uses fails this step.
 vet:
 	go vet ./...
+	cd perfbench && go vet ./...
 
 # Project-invariant analyzer suite (internal/analysis): determinism of
 # canonical codes/fingerprints/cache keys, runctl checkpoint coverage,

@@ -5,16 +5,11 @@
 //
 // Usage:
 //
-//	graphsiglint [-run maporder,errwrap] [-json] [-baseline file]
-//	             [-write-baseline file] [packages ...]
+//	graphsiglint [-run maporder,errwrap] [-json] [-list] [packages ...]
 //
 // Packages default to ./... resolved from the current directory. The
 // exit status is 0 when clean, 1 when diagnostics were reported, and 2
 // on usage or load errors.
-//
-// -write-baseline records the current findings to a suppression file;
-// -baseline loads one and reports only findings not in it, so a new
-// analyzer can land in CI before its legacy findings are burned down.
 package main
 
 import (
@@ -32,11 +27,9 @@ func main() {
 
 func run() int {
 	var (
-		jsonOut       = flag.Bool("json", false, "emit diagnostics as a JSON array")
-		filter        = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-		list          = flag.Bool("list", false, "list the available analyzers and exit")
-		baselinePath  = flag.String("baseline", "", "suppress diagnostics recorded in this baseline file")
-		writeBaseline = flag.String("write-baseline", "", "write current diagnostics to this baseline file and exit")
+		jsonOut = flag.Bool("json", false, "emit diagnostics as a JSON array")
+		filter  = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
+		list    = flag.Bool("list", false, "list the available analyzers and exit")
 	)
 	flag.Parse()
 
@@ -67,31 +60,6 @@ func run() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphsiglint:", err)
 		return 2
-	}
-
-	// Baseline paths are relative to the module root so the file works
-	// from any working directory; fall back to raw paths outside one.
-	root, _ := analysis.ModuleRoot("")
-
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "graphsiglint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "graphsiglint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphsiglint:", err)
-			return 2
-		}
-		var suppressed int
-		diags, suppressed = b.Filter(root, diags)
-		if suppressed > 0 && !*jsonOut {
-			fmt.Fprintf(os.Stderr, "graphsiglint: %d baselined finding(s) suppressed\n", suppressed)
-		}
 	}
 
 	if *jsonOut {

@@ -38,9 +38,7 @@ type listedPackage struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -196,32 +194,4 @@ func (ei *exportImporter) Import(path string) (*types.Package, error) {
 		return p, nil
 	}
 	return ei.gc.Import(path)
-}
-
-// ModuleRoot walks up from dir (or the working directory when dir is
-// empty) to the enclosing go.mod. The driver and the meta-test use it so
-// `go list ./...` always resolves the whole module regardless of where
-// the process started.
-func ModuleRoot(dir string) (string, error) {
-	if dir == "" {
-		wd, err := os.Getwd()
-		if err != nil {
-			return "", err
-		}
-		dir = wd
-	}
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
 }

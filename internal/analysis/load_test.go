@@ -80,19 +80,3 @@ func TestImporterMissingExportData(t *testing.T) {
 		t.Fatalf("error should name the missing export data, got: %v", err)
 	}
 }
-
-func TestModuleRootWalksUp(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod":              loadTestGoMod,
-		"deep/nested/file.go": "package nested\n",
-	})
-	root, err := ModuleRoot(filepath.Join(dir, "deep", "nested"))
-	if err != nil {
-		t.Fatalf("ModuleRoot: %v", err)
-	}
-	// MacOS tempdirs resolve through symlinks; compare the go.mod
-	// presence rather than the literal path.
-	if _, statErr := os.Stat(filepath.Join(root, "go.mod")); statErr != nil {
-		t.Fatalf("ModuleRoot returned %s with no go.mod: %v", root, statErr)
-	}
-}

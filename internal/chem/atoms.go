@@ -59,10 +59,6 @@ var atomTable = []struct {
 	{"U", 0.12}, {"La", 0.11}, {"Ce", 0.1},
 }
 
-// NumAtomTypes is the size of the atom alphabet (58, as in the AIDS
-// screen).
-const NumAtomTypes = 58
-
 // Alphabet returns a fresh atom alphabet with all 58 symbols interned in
 // frequency-rank order, so atom labels are stable across runs.
 func Alphabet() *graph.Alphabet {

@@ -70,12 +70,6 @@ func TrainGraphSig(pos, neg []*graph.Graph, opt GraphSigOptions) *GraphSigClassi
 	return c
 }
 
-// NumVectors returns the sizes of the mined positive and negative
-// significant vector sets.
-func (c *GraphSigClassifier) NumVectors() (pos, neg int) {
-	return len(c.pos), len(c.neg)
-}
-
 // MinDist implements Algorithm 4: the least L1 gap between x and any
 // sub-vector of x in vs, or +Inf when no vector in vs is a sub-vector.
 func MinDist(x feature.Vector, vs []feature.Vector) float64 {
@@ -123,54 +117,4 @@ func (c *GraphSigClassifier) Score(g *graph.Graph) float64 {
 		score += e.vote / (e.dist + c.opt.Delta)
 	}
 	return score
-}
-
-// Classify returns true (positive) when Score(g) > 0.
-func (c *GraphSigClassifier) Classify(g *graph.Graph) bool {
-	return c.Score(g) > 0
-}
-
-// Evidence is one voting entry of the classifier's decision: a query
-// node, its distance to the closest significant training vector, and the
-// class of that vector.
-type Evidence struct {
-	// Node is the query-graph node whose region matched.
-	Node int
-	// Distance is the minDist to the closest significant vector.
-	Distance float64
-	// Positive reports the matched vector's class.
-	Positive bool
-	// Weight is the vote contribution 1/(Distance+delta), signed.
-	Weight float64
-}
-
-// Explain returns the k voting entries behind Score(g), strongest match
-// first — the interpretability view of Algorithm 3: which regions of the
-// query looked like which class's significant patterns.
-func (c *GraphSigClassifier) Explain(g *graph.Graph) []Evidence {
-	vecs := rwr.GraphVectors(g, c.fs, rwr.Config{Alpha: c.opt.Core.Alpha, Bins: c.opt.Core.Bins})
-	var out []Evidence
-	for node, x := range vecs {
-		posDist := MinDist(x, c.pos)
-		negDist := MinDist(x, c.neg)
-		if math.IsInf(posDist, 1) && math.IsInf(negDist, 1) {
-			continue
-		}
-		ev := Evidence{Node: node}
-		if negDist < posDist {
-			ev.Distance = negDist
-			ev.Positive = false
-			ev.Weight = -1 / (negDist + c.opt.Delta)
-		} else {
-			ev.Distance = posDist
-			ev.Positive = true
-			ev.Weight = 1 / (posDist + c.opt.Delta)
-		}
-		out = append(out, ev)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
-	if len(out) > c.opt.K {
-		out = out[:c.opt.K]
-	}
-	return out
 }

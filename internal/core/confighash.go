@@ -15,11 +15,11 @@ import (
 // the config is normalized through the same fillConfig that Mine itself
 // applies before hashing.
 //
-// Runtime controls are deliberately excluded: Ctx, Ctl, Deadline,
-// Budgets, and Parallelism shape *when* a run is cut short or how many
-// workers it spreads over, not what a complete run computes, and
-// result caches refuse to store truncated runs. Callers that vary
-// budgets per request must not share a cache across those requests.
+// Runtime controls are deliberately excluded: Ctl, Deadline, Budgets,
+// and Parallelism shape *when* a run is cut short or how many workers
+// it spreads over, not what a complete run computes, and result caches
+// refuse to store truncated runs. Callers that vary budgets per request
+// must not share a cache across those requests.
 //
 // The Alphabet and FeatureSet are hashed by content (interned symbol
 // list; feature names), so two structurally identical sets produce the

@@ -74,9 +74,8 @@ func TestCacheKeyIgnoresRuntimeControls(t *testing.T) {
 	base := Defaults().CacheKey()
 	cfg := Defaults()
 	cfg.Deadline = time.Now().Add(time.Hour)
-	cfg.Ctx = context.Background()
 	cfg.Budgets = runctl.Budgets{FVMineStates: 10, MinerSteps: 20, VF2Nodes: 30}
-	cfg.Ctl = runctl.New(runctl.Options{})
+	cfg.Ctl = runctl.New(runctl.Options{Context: context.Background()})
 	if cfg.CacheKey() != base {
 		t.Error("runtime controls leaked into the cache key")
 	}

@@ -286,7 +286,7 @@ func TestMineContextCancelPartialResult(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := testConfig()
-	cfg.Ctx = ctx
+	cfg.Ctl = runctl.New(runctl.Options{Context: ctx})
 	limit := 250 * time.Millisecond
 	if raceEnabled {
 		limit *= 10

@@ -10,7 +10,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -109,17 +108,13 @@ type Config struct {
 	// is flagged Truncated with a Degradation report. Ignored when Ctl
 	// is set.
 	Deadline time.Time
-	// Ctx cancels the mine when done (nil = background). Ignored when
-	// Ctl is set.
-	//graphsiglint:ignore ctxfirst Config is the API boundary; Mine hands Ctx straight to runctl.New
-	Ctx context.Context
 	// Budgets bounds per-stage work (FVMine states, miner steps, VF2
 	// nodes); zero fields are unbounded. Ignored when Ctl is set.
 	Budgets runctl.Budgets
 	// Ctl, when non-nil, is the run controller the mine observes —
 	// supply one to share cancellation and budgets with a caller (e.g.
-	// an HTTP handler). When nil, Mine builds one from Ctx, Deadline,
-	// Budgets and Metrics.
+	// an HTTP handler) or to cancel the mine through a context. When
+	// nil, Mine builds one from Deadline, Budgets and Metrics.
 	Ctl *runctl.Controller
 	// Metrics, when non-nil, receives per-stage operational metrics
 	// (span counters, work units, duration histograms — see
@@ -216,11 +211,6 @@ type Profile struct {
 	FeatureAnalysis time.Duration
 	FSM             time.Duration
 	Verify          time.Duration
-}
-
-// Total returns the summed phase time.
-func (p Profile) Total() time.Duration {
-	return p.RWR + p.FeatureAnalysis + p.FSM + p.Verify
 }
 
 // Result is the outcome of a GraphSig mine.

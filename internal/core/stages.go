@@ -28,15 +28,15 @@ func Normalized(cfg Config) Config {
 }
 
 // ControllerFor returns the run controller a mine under cfg observes:
-// cfg.Ctl when supplied, else a fresh one from the config's context,
-// deadline, budgets and metrics. Callers that split a mine across
-// stages must pin one controller into cfg.Ctl so cancellation, budgets
-// and degradation reports stay shared.
+// cfg.Ctl when supplied, else a fresh one from the config's deadline,
+// budgets and metrics. Callers that split a mine across stages must pin
+// one controller into cfg.Ctl so cancellation, budgets and degradation
+// reports stay shared.
 func ControllerFor(cfg Config) *runctl.Controller {
 	if cfg.Ctl != nil {
 		return cfg.Ctl
 	}
-	return runctl.New(runctl.Options{Context: cfg.Ctx, Deadline: cfg.Deadline, Budgets: cfg.Budgets, Metrics: cfg.Metrics})
+	return runctl.New(runctl.Options{Deadline: cfg.Deadline, Budgets: cfg.Budgets, Metrics: cfg.Metrics})
 }
 
 // ComputeVectors runs the RWR phase over db: one feature vector per

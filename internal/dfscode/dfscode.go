@@ -83,27 +83,6 @@ func edgeLess(a, b EdgeCode) bool {
 	}
 }
 
-// Compare orders codes lexicographically entry by entry; a strict prefix
-// precedes its extensions.
-func Compare(a, b Code) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := CompareEdges(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
 // NumNodes returns the number of vertices the code describes.
 func (c Code) NumNodes() int {
 	max := -1
@@ -143,19 +122,6 @@ func (c Code) Graph() *graph.Graph {
 		}
 	}
 	return g
-}
-
-// RightmostVertex returns the DFS index of the rightmost vertex — the
-// most recently discovered one — without materializing the rightmost
-// path. Forward edges discover vertices in index order, so this is
-// always NumNodes()-1 (-1 for the empty code). The closed miner's
-// early-termination rule needs exactly this index: backward extensions
-// anywhere in a pattern's DFS subtree can only attach at the current
-// rightmost vertex, which is either this vertex or one not yet
-// discovered, so an internal edge avoiding it can never be added by a
-// descendant.
-func (c Code) RightmostVertex() int {
-	return c.NumNodes() - 1
 }
 
 // HasEdge reports whether the code contains an edge between DFS indices

@@ -226,18 +226,6 @@ func TestMinimumCodePanicsOnDisconnected(t *testing.T) {
 	MinimumCode(g)
 }
 
-func TestCompareCodesPrefix(t *testing.T) {
-	a := Code{{I: 0, J: 1, LI: 1, LE: 0, LJ: 2}}
-	b := Code{{I: 0, J: 1, LI: 1, LE: 0, LJ: 2}, {I: 1, J: 2, LI: 2, LE: 0, LJ: 3}}
-	if Compare(a, b) != -1 || Compare(b, a) != 1 || Compare(a, a) != 0 {
-		t.Error("prefix ordering wrong")
-	}
-	c := Code{{I: 0, J: 1, LI: 0, LE: 0, LJ: 0}}
-	if Compare(c, a) != -1 {
-		t.Error("label ordering wrong")
-	}
-}
-
 func TestCodeString(t *testing.T) {
 	c := Code{{I: 0, J: 1, LI: 5, LE: 2, LJ: 7}}
 	if got := c.String(); got != "(0,1,5,2,7)" {

@@ -2,9 +2,9 @@ package dfscode
 
 import "testing"
 
-// The rightmost-path extension metadata the closed miner consumes:
-// RightmostVertex is the last-discovered DFS index, HasEdge the
-// pattern-adjacency oracle over code entries.
+// The rightmost-path extension metadata the closed miner consumes: the
+// rightmost vertex (the tail of RightmostPath) is the last-discovered
+// DFS index, HasEdge the pattern-adjacency oracle over code entries.
 func TestRightmostVertexAndHasEdge(t *testing.T) {
 	// 0-1-2 path plus backward edge (2,0): a triangle.
 	code := Code{
@@ -12,12 +12,8 @@ func TestRightmostVertexAndHasEdge(t *testing.T) {
 		{I: 1, J: 2, LI: 2, LE: 0, LJ: 3},
 		{I: 2, J: 0, LI: 3, LE: 0, LJ: 1},
 	}
-	if got := code.RightmostVertex(); got != 2 {
-		t.Fatalf("RightmostVertex = %d, want 2", got)
-	}
-	rm := code.RightmostPath()
-	if rm[len(rm)-1] != code.RightmostVertex() {
-		t.Fatalf("RightmostVertex %d disagrees with RightmostPath tail %d", code.RightmostVertex(), rm[len(rm)-1])
+	if rm := code.RightmostPath(); rm[len(rm)-1] != code.NumNodes()-1 {
+		t.Fatalf("RightmostPath tail %d, want the last-discovered vertex %d", rm[len(rm)-1], code.NumNodes()-1)
 	}
 	for _, tc := range []struct {
 		i, j int
@@ -31,9 +27,6 @@ func TestRightmostVertexAndHasEdge(t *testing.T) {
 		if got := code.HasEdge(tc.i, tc.j); got != tc.want {
 			t.Errorf("HasEdge(%d,%d) = %v, want %v", tc.i, tc.j, got, tc.want)
 		}
-	}
-	if Code(nil).RightmostVertex() != -1 {
-		t.Errorf("empty code RightmostVertex = %d, want -1", Code(nil).RightmostVertex())
 	}
 	if Code(nil).HasEdge(0, 1) {
 		t.Errorf("empty code HasEdge(0,1) = true")

@@ -38,11 +38,6 @@ func TestFloorCeiling(t *testing.T) {
 	if !floor.Equal(want) {
 		t.Errorf("Floor = %v; want %v", floor, want)
 	}
-	ceil := Ceiling(vs)
-	wantC := Vector{4, 1, 3, 2}
-	if !ceil.Equal(wantC) {
-		t.Errorf("Ceiling = %v; want %v", ceil, wantC)
-	}
 }
 
 func TestFloorOfEmptyPanics(t *testing.T) {
@@ -78,9 +73,6 @@ func TestVectorHelpers(t *testing.T) {
 	if v.IsZero() || !(Vector{0, 0}).IsZero() {
 		t.Error("IsZero wrong")
 	}
-	if v.NonZero() != 2 || v.Sum() != 5 {
-		t.Errorf("NonZero=%d Sum=%d; want 2,5", v.NonZero(), v.Sum())
-	}
 	if v.String() != "[0 2 0 3]" {
 		t.Errorf("String = %q", v.String())
 	}
@@ -112,9 +104,8 @@ func TestPropertyFloorIsLowerBound(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		vs := randVectors(rr, 1+rr.Intn(6), 1+rr.Intn(8))
 		floor := Floor(vs)
-		ceil := Ceiling(vs)
 		for _, v := range vs {
-			if !floor.SubVectorOf(v) || !v.SubVectorOf(ceil) {
+			if !floor.SubVectorOf(v) {
 				return false
 			}
 		}

@@ -55,26 +55,6 @@ func (v Vector) IsZero() bool {
 	return true
 }
 
-// NonZero returns the number of non-zero entries.
-func (v Vector) NonZero() int {
-	n := 0
-	for _, x := range v {
-		if x != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Sum returns the total of all entries.
-func (v Vector) Sum() int {
-	s := 0
-	for _, x := range v {
-		s += int(x)
-	}
-	return s
-}
-
 // L1DistanceFrom returns sum_i (w_i - v_i), the distance used by the
 // classifier's minDist (Algorithm 4) for a sub-vector v of w. It panics
 // if v is not a sub-vector of w.
@@ -117,26 +97,6 @@ func Floor(vs []Vector) Vector {
 		}
 		for i := range out {
 			if v[i] < out[i] {
-				out[i] = v[i]
-			}
-		}
-	}
-	return out
-}
-
-// Ceiling returns the component-wise maximum of vs. It panics on an empty
-// input or mismatched lengths.
-func Ceiling(vs []Vector) Vector {
-	if len(vs) == 0 {
-		panic("feature: Ceiling of empty set")
-	}
-	out := vs[0].Clone()
-	for _, v := range vs[1:] {
-		if len(v) != len(out) {
-			panic("feature: length mismatch")
-		}
-		for i := range out {
-			if v[i] > out[i] {
 				out[i] = v[i]
 			}
 		}

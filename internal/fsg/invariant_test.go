@@ -22,7 +22,7 @@ func realizedKeys(db []*graph.Graph, p Pattern, minSup int) []isomorph.ExtKey {
 	hasEdge := func(pv, pu int) bool { return p.Graph.HasEdge(pv, pu) }
 	for _, gid := range p.GraphIDs {
 		hc := db[gid].CSR()
-		inv := make([]int32, hc.NumNodes())
+		inv := make([]int32, db[gid].NumNodes())
 		isomorph.ForEachEmbedding(p.Graph, db[gid], func(m []int) bool {
 			isomorph.ForEachExtension(hc, m, inv, hasEdge, func(k isomorph.ExtKey, _ int32) {
 				if n, seen := last[k]; !seen || n != gid+1 {

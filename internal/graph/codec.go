@@ -48,63 +48,6 @@ func labelString(l Label, alpha *Alphabet) string {
 	return strconv.Itoa(int(l))
 }
 
-// ReadDBFunc parses graphs in transaction format, streaming each
-// completed graph to fn instead of accumulating a slice — the right
-// entry point for paper-scale files (tens of thousands of molecules).
-// fn returning false stops the scan early without error.
-func ReadDBFunc(r io.Reader, alpha *Alphabet, fn func(*Graph) bool) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var cur *Graph
-	count := 0
-	lineNo := 0
-	flush := func() bool {
-		if cur == nil {
-			return true
-		}
-		g := cur
-		cur = nil
-		return fn(g)
-	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") || strings.HasPrefix(line, "//") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "t":
-			if !flush() {
-				return nil
-			}
-			id := count
-			if len(fields) >= 3 {
-				if v, err := strconv.Atoi(fields[2]); err == nil {
-					id = v
-				}
-			}
-			cur = New(0, 0)
-			cur.ID = id
-			count++
-		case "v", "e":
-			if cur == nil {
-				return fmt.Errorf("graph codec: line %d: record before transaction header", lineNo)
-			}
-			if err := parseRecord(cur, fields, alpha, lineNo); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("graph codec: line %d: unknown record %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	flush()
-	return nil
-}
-
 // parseRecord applies one "v" or "e" line to the graph under
 // construction.
 func parseRecord(cur *Graph, fields []string, alpha *Alphabet, lineNo int) error {

@@ -160,72 +160,3 @@ func TestWriteDOT(t *testing.T) {
 		t.Error("DOT output not deterministic")
 	}
 }
-
-func TestReadDBFuncStreaming(t *testing.T) {
-	const in = "t # 0\nv 0 1\nt # 1\nv 0 2\nt # 2\nv 0 3\n"
-	var ids []int
-	if err := ReadDBFunc(strings.NewReader(in), nil, func(g *Graph) bool {
-		ids = append(ids, g.ID)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 3 || ids[0] != 0 || ids[2] != 2 {
-		t.Fatalf("ids = %v", ids)
-	}
-}
-
-func TestReadDBFuncEarlyStop(t *testing.T) {
-	const in = "t # 0\nv 0 1\nt # 1\nv 0 2\nt # 2\nv 0 3\n"
-	calls := 0
-	if err := ReadDBFunc(strings.NewReader(in), nil, func(g *Graph) bool {
-		calls++
-		return calls < 2
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("calls = %d; want 2 (early stop)", calls)
-	}
-}
-
-func TestReadDBFuncMatchesReadDB(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	var db []*Graph
-	for i := 0; i < 5; i++ {
-		g := randomConnectedGraph(r, 2+r.Intn(8), r.Intn(4), 3, 2)
-		g.ID = i
-		db = append(db, g)
-	}
-	var sb strings.Builder
-	if err := WriteDB(&sb, db, nil); err != nil {
-		t.Fatal(err)
-	}
-	batch, err := ReadDB(strings.NewReader(sb.String()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []*Graph
-	if err := ReadDBFunc(strings.NewReader(sb.String()), nil, func(g *Graph) bool {
-		streamed = append(streamed, g)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(streamed) {
-		t.Fatalf("batch %d vs streamed %d", len(batch), len(streamed))
-	}
-	for i := range batch {
-		if batch[i].String() != streamed[i].String() {
-			t.Fatalf("graph %d differs between readers", i)
-		}
-	}
-}
-
-func TestReadDBFuncErrors(t *testing.T) {
-	for _, in := range []string{"v 0 1\n", "t # 0\nx\n", "t # 0\nv 1 1\n"} {
-		if err := ReadDBFunc(strings.NewReader(in), nil, func(*Graph) bool { return true }); err == nil {
-			t.Errorf("no error for %q", in)
-		}
-	}
-}

@@ -102,20 +102,6 @@ type CSRView struct {
 	EdgeIDs    []int32
 }
 
-// Row returns node v's packed neighbor and edge-label rows.
-func (c CSRView) Row(v int) ([]int32, []Label) {
-	lo, hi := c.RowStart[v], c.RowStart[v+1]
-	return c.Nbr[lo:hi], c.EdgeLabels[lo:hi]
-}
-
-// Degree returns the degree of node v in the view.
-func (c CSRView) Degree(v int) int {
-	return int(c.RowStart[v+1] - c.RowStart[v])
-}
-
-// NumNodes returns the node count of the view.
-func (c CSRView) NumNodes() int { return len(c.NodeLabels) }
-
 // New returns an empty graph with capacity hints for n nodes and m edges.
 func New(n, m int) *Graph {
 	return &Graph{
@@ -303,17 +289,6 @@ func (g *Graph) Neighbors(v int, fn func(u int, l Label)) {
 	}
 }
 
-// NeighborIDs returns the neighbor ids of v in insertion order.
-func (g *Graph) NeighborIDs(v int) []int {
-	c := g.freeze()
-	lo, hi := c.rowStart[v], c.rowStart[v+1]
-	out := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, int(c.nbr[i]))
-	}
-	return out
-}
-
 // Edges returns the edge list. The caller must not mutate it.
 func (g *Graph) Edges() []Edge { return g.edges }
 
@@ -419,15 +394,6 @@ func (g *Graph) Relabel(perm []int) *Graph {
 		out.MustAddEdge(perm[e.From], perm[e.To], e.Label)
 	}
 	return out
-}
-
-// LabelCounts returns a map from node label to its count in g.
-func (g *Graph) LabelCounts() map[Label]int {
-	m := make(map[Label]int)
-	for _, l := range g.labels {
-		m[l]++
-	}
-	return m
 }
 
 // String renders a compact human-readable form, stable across runs.

@@ -169,14 +169,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestLabelCounts(t *testing.T) {
-	g := path(1, 2, 1, 1)
-	counts := g.LabelCounts()
-	if counts[1] != 3 || counts[2] != 1 {
-		t.Fatalf("counts = %v; want 1:3 2:1", counts)
-	}
-}
-
 // randomConnectedGraph builds a random connected labeled graph for
 // property tests: a random spanning tree plus extra edges.
 func randomConnectedGraph(r *rand.Rand, n, extraEdges, nodeLabels, edgeLabels int) *Graph {
@@ -274,9 +266,10 @@ func TestPropertyRelabelRoundTrip(t *testing.T) {
 
 func TestNeighborIDsAndLabels(t *testing.T) {
 	g := path(7, 8, 9)
-	ids := g.NeighborIDs(1)
+	var ids []int
+	g.Neighbors(1, func(u int, _ Label) { ids = append(ids, u) })
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
-		t.Errorf("NeighborIDs = %v", ids)
+		t.Errorf("Neighbors(1) = %v", ids)
 	}
 	labels := g.Labels()
 	if len(labels) != 3 || labels[0] != 7 || labels[2] != 9 {

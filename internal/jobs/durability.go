@@ -45,31 +45,6 @@ func (e *ErrDeadline) Error() string {
 	return fmt.Sprintf("jobs: shed: expected queue wait %s exceeds deadline", e.ExpectedWait.Round(time.Millisecond))
 }
 
-// permanentError marks a failure that retrying cannot fix.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so the retry loop treats it as non-retryable. An
-// executor that detects a deterministic failure — invalid input, a
-// config that can never mine — returns or panics with Permanent(err);
-// anything else (a failed store read, allocation pressure, transient
-// runtime faults) stays transient and is retried up to
-// Options.MaxRetries.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	var p *permanentError
-	return errors.As(err, &p)
-}
-
 // journalFor appends ev for j when the manager has a journal and the
 // job's submission was journaled. Failures are logged and counted by
 // the journal itself; a job never fails because its audit trail did.

@@ -1,9 +1,8 @@
 package jobs
 
 // Durability suite: journaled lifecycle + restart replay, checkpoint
-// resume across retries, transient/permanent failure classification,
-// deadline-aware admission control, the stall watchdog, and the
-// TTL-vs-in-flight eviction regression tests.
+// resume across retries, deadline-aware admission control, the stall
+// watchdog, and the TTL-vs-in-flight eviction regression tests.
 
 import (
 	"context"
@@ -217,31 +216,6 @@ func TestRetryCoalesceDuringBackoff(t *testing.T) {
 	waitState(t, j, StateDone)
 }
 
-func TestPermanentFailureNotRetried(t *testing.T) {
-	var attempts atomic.Int64
-	m := newTestManager(t, Options{
-		MaxRetries: 5, RetryBackoff: time.Millisecond,
-		Exec: func(cfg core.Config) (core.Result, error) {
-			attempts.Add(1)
-			panic(Permanent(errors.New("config can never mine")))
-		},
-	})
-	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j, StateFailed)
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("permanent failure executed %d times, want 1", got)
-	}
-	if snap := j.Snapshot(); !strings.Contains(snap.Err, "config can never mine") {
-		t.Errorf("error lost: %q", snap.Err)
-	}
-	if st := m.Stats(); st.Retries != 0 {
-		t.Errorf("Stats.Retries = %d, want 0", st.Retries)
-	}
-}
-
 func TestRetryResumesFromCheckpoint(t *testing.T) {
 	// The attempt after a transient failure receives the checkpoint the
 	// failed attempt emitted, as a decoded Config.Resume.
@@ -260,7 +234,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 				// Emit a synthetic checkpoint, then die.
 				buf, err := core.EncodeResumeState(&core.ResumeState{V: 1, Key: "k", GroupsHash: "h", Done: 0})
 				if err != nil {
-					panic(Permanent(err))
+					panic(err)
 				}
 				ctl.EmitCheckpoint(buf)
 				panic("transient")

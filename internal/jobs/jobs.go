@@ -108,10 +108,6 @@ type Options struct {
 	// CacheSize bounds the dedup result cache, in entries
 	// (0 = DefaultCacheSize; negative = cache disabled).
 	CacheSize int
-	// Budgets applies uniformly to every job's controller. Per-request
-	// budget variation is deliberately unsupported: budgets are excluded
-	// from the dedup key, which is only sound when they are constant.
-	Budgets runctl.Budgets
 	// Exec overrides the mine executor (nil = core.MineSource over DB).
 	Exec ExecFunc
 	// Logf receives operational log lines (log.Printf when nil).
@@ -130,9 +126,8 @@ type Options struct {
 	// interrupted jobs re-enter the queue resuming from their last
 	// checkpoint.
 	Replay []journal.JobRecord
-	// MaxRetries bounds automatic re-runs of transiently failed jobs
-	// (0 = retries disabled). Failures marked with Permanent are never
-	// retried; neither are canceled runs.
+	// MaxRetries bounds automatic re-runs of failed jobs (0 = retries
+	// disabled). Canceled runs are never retried.
 	MaxRetries int
 	// RetryBackoff is the base of the jittered exponential backoff
 	// between attempts (0 = DefaultRetryBackoff).
@@ -282,9 +277,6 @@ type Job struct {
 
 // ID returns the job's stable identifier.
 func (j *Job) ID() string { return j.id }
-
-// Key returns the job's canonical dedup key.
-func (j *Job) Key() string { return j.key }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -747,7 +739,7 @@ func (m *Manager) run(j *Job) {
 			m.journalFor(j, journal.Event{Type: journal.EvCheckpoint, State: payload})
 		}
 	}
-	ctl := runctl.New(runctl.Options{Deadline: deadline, Budgets: m.opts.Budgets, Metrics: m.opts.Metrics, CheckpointSink: sink})
+	ctl := runctl.New(runctl.Options{Deadline: deadline, Metrics: m.opts.Metrics, CheckpointSink: sink})
 	j.ctl = ctl
 	j.state = StateRunning
 	started := time.Now()
@@ -810,8 +802,8 @@ func (m *Manager) run(j *Job) {
 	m.mu.Lock()
 	j.mu.Lock()
 	canceled := j.cancelRequested || (deg.Truncated && deg.Reason == runctl.ReasonCancel)
-	if err != nil && !IsPermanent(err) && !canceled && !m.draining.Load() && attempt < m.opts.MaxRetries {
-		// Transient failure with retry budget left: back to queued; the
+	if err != nil && !canceled && !m.draining.Load() && attempt < m.opts.MaxRetries {
+		// Failure with retry budget left: back to queued; the
 		// backoff timer re-enqueues, and the next attempt resumes from
 		// the last checkpoint instead of from zero.
 		j.state = StateQueued
@@ -877,16 +869,11 @@ func (m *Manager) run(j *Job) {
 }
 
 // execIsolated runs the executor behind a panic barrier so one
-// pathological mine cannot take down the worker pool. A panic carrying
-// a Permanent-marked error keeps the marker, so the retry loop sees it;
-// any other panic value is a transient failure.
+// pathological mine cannot take down the worker pool; a panic is a
+// failure like any other.
 func (m *Manager) execIsolated(cfg core.Config) (res core.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok && IsPermanent(e) {
-				err = e
-				return
-			}
 			err = fmt.Errorf("mine panicked: %v", rec)
 		}
 	}()

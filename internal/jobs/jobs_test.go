@@ -578,7 +578,7 @@ func TestProgressSnapshot(t *testing.T) {
 	}
 	m.Cancel(j.ID())
 	<-j.Done()
-	if p := j.Snapshot().Progress; p.Total() == 0 {
+	if p := j.Snapshot().Progress; p.FVMineStates == 0 {
 		t.Errorf("final progress zero: %+v", p)
 	}
 }

@@ -1,9 +1,8 @@
 // Package mathx provides the special functions underlying GraphSig's
-// statistical model: the regularized incomplete beta function, binomial
-// tail probabilities (exact and in log space), and a normal CDF
-// approximation. Everything is implemented on top of math.Lgamma so that
-// p-values far below the smallest positive float64 remain comparable in
-// log space.
+// statistical model: the regularized incomplete beta function and
+// binomial tail probabilities (exact and in log space). Everything is
+// implemented on top of math.Lgamma so that p-values far below the
+// smallest positive float64 remain comparable in log space.
 package mathx
 
 import (
@@ -53,29 +52,6 @@ func RegularizedBeta(x, a, b float64) float64 {
 	// Symmetric evaluation for the fast-converging regime.
 	logPreSym := b*math.Log1p(-x) + a*math.Log(x) - math.Log(b) - LogBeta(b, a)
 	return 1 - math.Exp(logPreSym)*betaContinuedFraction(1-x, b, a)
-}
-
-// LogRegularizedBeta returns log(I_x(a, b)), stable even when the result
-// underflows float64 (p-values below ~1e-308).
-func LogRegularizedBeta(x, a, b float64) float64 {
-	switch {
-	case a <= 0 || b <= 0:
-		return math.NaN()
-	case x <= 0:
-		return math.Inf(-1)
-	case x >= 1:
-		return 0
-	}
-	if x < (a+1)/(a+b+2) {
-		logPre := a*math.Log(x) + b*math.Log1p(-x) - math.Log(a) - LogBeta(a, b)
-		return logPre + math.Log(betaContinuedFraction(x, a, b))
-	}
-	// On the other side the value is 1 - small; compute via complement.
-	comp := RegularizedBeta(x, a, b)
-	if comp >= 1 {
-		return 0
-	}
-	return math.Log(comp)
 }
 
 // betaContinuedFraction evaluates the continued fraction for the

@@ -98,32 +98,3 @@ func LogChoose(n, k int) float64 {
 	lnk, _ := math.Lgamma(float64(n - k + 1))
 	return ln1 - lk - lnk
 }
-
-// NormalCDF returns Phi(x), the standard normal CDF, via erf from the
-// standard library. The paper notes the normal approximation to the
-// binomial when n·p and n·(1-p) are both large; BinomialTailNormal uses it.
-func NormalCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
-}
-
-// BinomialTailNormal approximates P(X >= k) for X ~ Binomial(n, p) with a
-// continuity-corrected normal approximation. Accurate when n·p and
-// n·(1-p) are both large (≥ ~10).
-func BinomialTailNormal(n, k int, p float64) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if k > n {
-		return 0
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(float64(n) * p * (1 - p))
-	if sd == 0 {
-		if float64(k) <= mean {
-			return 1
-		}
-		return 0
-	}
-	z := (float64(k) - 0.5 - mean) / sd
-	return 1 - NormalCDF(z)
-}

@@ -225,36 +225,6 @@ func TestLogChoose(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	tests := []struct{ x, want float64 }{
-		{0, 0.5},
-		{1.959963985, 0.975},
-		{-1.959963985, 0.025},
-		{3, 0.99865},
-	}
-	for _, tc := range tests {
-		if got := NormalCDF(tc.x); !almostEqual(got, tc.want, 1e-4) {
-			t.Errorf("NormalCDF(%g) = %g; want %g", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestBinomialTailNormalApproximation(t *testing.T) {
-	// With n·p and n·(1-p) large, the normal approximation should be
-	// within ~1e-2 of the exact tail.
-	for _, tc := range []struct {
-		n, k int
-		p    float64
-	}{{1000, 520, 0.5}, {2000, 210, 0.1}, {500, 260, 0.5}} {
-		exact := BinomialTail(tc.n, tc.k, tc.p)
-		approx := BinomialTailNormal(tc.n, tc.k, tc.p)
-		if math.Abs(exact-approx) > 0.01 {
-			t.Errorf("normal approx off: n=%d k=%d p=%g exact=%g approx=%g",
-				tc.n, tc.k, tc.p, exact, approx)
-		}
-	}
-}
-
 func TestBinomialTailPaperExample(t *testing.T) {
 	// Sanity example in the spirit of §III-B: P(x)=3/16, m=4 trials,
 	// observed support 2 => p-value = sum_{i=2..4} C(4,i) q^i (1-q)^(4-i).
@@ -282,32 +252,6 @@ func TestLogBeta(t *testing.T) {
 	}
 }
 
-func TestLogRegularizedBeta(t *testing.T) {
-	// Boundary behavior.
-	if got := LogRegularizedBeta(0, 2, 3); !math.IsInf(got, -1) {
-		t.Errorf("x=0: %v", got)
-	}
-	if got := LogRegularizedBeta(1, 2, 3); got != 0 {
-		t.Errorf("x=1: %v", got)
-	}
-	if got := LogRegularizedBeta(0.5, -1, 1); !math.IsNaN(got) {
-		t.Errorf("invalid args: %v", got)
-	}
-	// Consistency with the linear form on the fast-converging side.
-	for _, tc := range []struct{ x, a, b float64 }{{0.1, 3, 5}, {0.01, 2, 2}, {0.3, 10, 3}} {
-		lin := RegularizedBeta(tc.x, tc.a, tc.b)
-		lg := LogRegularizedBeta(tc.x, tc.a, tc.b)
-		if !almostEqual(math.Log(lin), lg, 1e-8) {
-			t.Errorf("I_%g(%g,%g): log %g vs linear-log %g", tc.x, tc.a, tc.b, lg, math.Log(lin))
-		}
-	}
-	// Complement side stays finite and consistent for moderate values.
-	lin := RegularizedBeta(0.9, 2, 5)
-	if lg := LogRegularizedBeta(0.9, 2, 5); !almostEqual(math.Log(lin), lg, 1e-8) {
-		t.Errorf("complement side: %g vs %g", lg, math.Log(lin))
-	}
-}
-
 func TestBinomialPMFEdges(t *testing.T) {
 	if BinomialPMF(5, -1, 0.5) != 0 || BinomialPMF(5, 6, 0.5) != 0 {
 		t.Error("out-of-range k should have zero mass")
@@ -317,18 +261,5 @@ func TestBinomialPMFEdges(t *testing.T) {
 	}
 	if BinomialPMF(5, 5, 1) != 1 || BinomialPMF(5, 2, 1) != 0 {
 		t.Error("p=1 edge wrong")
-	}
-}
-
-func TestBinomialTailNormalEdges(t *testing.T) {
-	if BinomialTailNormal(10, 0, 0.5) != 1 || BinomialTailNormal(10, 11, 0.5) != 0 {
-		t.Error("k edges wrong")
-	}
-	// Degenerate distribution (sd = 0).
-	if BinomialTailNormal(10, 5, 0) != 0 {
-		t.Errorf("p=0 tail: %v", BinomialTailNormal(10, 5, 0))
-	}
-	if BinomialTailNormal(10, 5, 1) != 1 {
-		t.Errorf("p=1 tail: %v", BinomialTailNormal(10, 5, 1))
 	}
 }

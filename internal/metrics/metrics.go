@@ -1,4 +1,4 @@
-// Package metrics provides the evaluation machinery of §VI-D: ROC/AUC
+// Package metrics provides the evaluation machinery of §VI-D: AUC
 // computation and stratified k-fold cross validation.
 package metrics
 
@@ -55,56 +55,6 @@ func AUC(scores []float64, labels []bool) float64 {
 	}
 	u := rankSum - float64(nPos)*float64(nPos+1)/2
 	return u / (float64(nPos) * float64(nNeg))
-}
-
-// ROCPoint is one point of an ROC curve.
-type ROCPoint struct {
-	FPR, TPR  float64
-	Threshold float64
-}
-
-// ROC returns the ROC curve points, threshold descending, starting at
-// (0,0) and ending at (1,1).
-func ROC(scores []float64, labels []bool) []ROCPoint {
-	type pair struct {
-		score float64
-		pos   bool
-	}
-	ps := make([]pair, len(scores))
-	nPos, nNeg := 0, 0
-	for i, s := range scores {
-		ps[i] = pair{s, labels[i]}
-		if labels[i] {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].score > ps[j].score })
-	curve := []ROCPoint{{0, 0, 0}}
-	tp, fp := 0, 0
-	i := 0
-	for i < len(ps) {
-		j := i
-		for j < len(ps) && ps[j].score == ps[i].score {
-			if ps[j].pos {
-				tp++
-			} else {
-				fp++
-			}
-			j++
-		}
-		pt := ROCPoint{Threshold: ps[i].score}
-		if nNeg > 0 {
-			pt.FPR = float64(fp) / float64(nNeg)
-		}
-		if nPos > 0 {
-			pt.TPR = float64(tp) / float64(nPos)
-		}
-		curve = append(curve, pt)
-		i = j
-	}
-	return curve
 }
 
 // Fold is one cross-validation split: indices into the original dataset.

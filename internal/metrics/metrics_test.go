@@ -93,24 +93,6 @@ func TestAUCMatchesPairCounting(t *testing.T) {
 	}
 }
 
-func TestROCEndpoints(t *testing.T) {
-	scores := []float64{0.9, 0.4, 0.6, 0.1}
-	labels := []bool{true, false, true, false}
-	curve := ROC(scores, labels)
-	first, last := curve[0], curve[len(curve)-1]
-	if first.FPR != 0 || first.TPR != 0 {
-		t.Errorf("curve starts at (%f,%f)", first.FPR, first.TPR)
-	}
-	if last.FPR != 1 || last.TPR != 1 {
-		t.Errorf("curve ends at (%f,%f)", last.FPR, last.TPR)
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].FPR < curve[i-1].FPR || curve[i].TPR < curve[i-1].TPR {
-			t.Error("ROC not monotone")
-		}
-	}
-}
-
 func TestStratifiedKFold(t *testing.T) {
 	labels := make([]bool, 100)
 	for i := 0; i < 20; i++ {

@@ -72,14 +72,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Snapshot captures the histogram's state. The count is read before
 // the buckets, so under concurrent Observe calls the snapshot's bucket
 // total is always >= its Count — consumers padding quantile math with
@@ -112,14 +104,6 @@ type HistogramSnapshot struct {
 	// Counts are per-bucket (non-cumulative) observation counts;
 	// len(Counts) == len(Bounds)+1 and the last entry is the overflow.
 	Counts []int64 `json:"counts"`
-}
-
-// Mean returns Sum/Count (NaN with no observations).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) by locating the

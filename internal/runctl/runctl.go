@@ -317,15 +317,6 @@ func (c *Controller) Err() error {
 // Stopped reports whether the run has been cut short.
 func (c *Controller) Stopped() bool { return c.Err() != nil }
 
-// Context returns the controller's context (context.Background for a
-// nil controller).
-func (c *Controller) Context() context.Context {
-	if c == nil {
-		return context.Background()
-	}
-	return c.ctx
-}
-
 // fail records the first stop cause; later causes are dropped and the
 // winner returned, so every checkpoint reports one consistent error.
 // The CAS winner — and only the winner — counts the degradation event,
@@ -431,15 +422,6 @@ func (c *Controller) Report() Degradation {
 	return d
 }
 
-// Checks returns the number of amortized checkpoint consultations so
-// far (test observability).
-func (c *Controller) Checks() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.checks.Load()
-}
-
 // Spent is a live snapshot of the controller's shared work counters —
 // the per-stage-family spend the budgets draw against plus the number
 // of amortized checkpoint consultations. Job orchestration reads it to
@@ -450,9 +432,6 @@ type Spent struct {
 	MinerSteps   int64 `json:"minerSteps,omitempty"`
 	VF2Nodes     int64 `json:"vf2Nodes,omitempty"`
 }
-
-// Total returns the summed stage-family spend.
-func (s Spent) Total() int64 { return s.FVMineStates + s.MinerSteps + s.VF2Nodes }
 
 // Spent snapshots the shared work counters. Safe to call concurrently
 // with running checkpoints; a nil controller reports zeros. Counters

@@ -60,9 +60,6 @@ func TestSpentSnapshot(t *testing.T) {
 	if s.FVMineStates != 5 || s.MinerSteps != 3 || s.VF2Nodes != 2 {
 		t.Errorf("spent = %+v; want 5/3/2", s)
 	}
-	if s.Total() != 10 {
-		t.Errorf("total = %d; want 10", s.Total())
-	}
 	if s.Checks != 10 {
 		t.Errorf("checks = %d; want 10 at interval 1", s.Checks)
 	}

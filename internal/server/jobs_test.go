@@ -427,50 +427,57 @@ func TestDeadlineShedReturns503(t *testing.T) {
 	}
 }
 
-// TestClientJobHelpers round-trips submit/poll/wait/cancel through the
-// typed client.
+// TestClientJobHelpers walks the asynchronous job API over raw HTTP:
+// submit, poll to done, an identical resubmit served from the cache,
+// the job list, and unknown ids.
 func TestClientJobHelpers(t *testing.T) {
 	var execs atomic.Int64
 	srv, _ := fakeServer(t, func(cfg core.Config) (core.Result, error) {
 		execs.Add(1)
 		return benzeneResult(), nil
 	})
-	c := NewClient(srv.URL)
 
-	id, coalesced, cached, err := c.SubmitMine(MineOptions{Radius: 3, Limit: 5})
-	if err != nil || coalesced || cached {
-		t.Fatalf("SubmitMine: id=%q coalesced=%v cached=%v err=%v", id, coalesced, cached, err)
+	var sub jobSubmitResponse
+	if code := postJSON(t, srv.URL+"/jobs/mine", mineRequest{Radius: 3, Limit: 5}, &sub); code != http.StatusAccepted || sub.Coalesced || sub.Cached {
+		t.Fatalf("submit: status %d, %+v", code, sub)
 	}
-	j, err := c.WaitJob(id, 5*time.Millisecond, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	waitForJob(t, srv.URL, sub.ID)
+	var j jobStatus
+	getJSON(t, srv.URL+"/jobs/"+sub.ID, &j)
+	if j.State != jobs.StateDone || j.Result == nil || len(j.Result.Patterns) != 1 {
+		t.Fatalf("finished job = %+v", j)
 	}
-	if j.State != jobs.StateDone || len(j.Patterns) != 1 || j.Patterns[0].Graph == nil {
-		t.Errorf("waited job = %+v", j)
+	if _, err := chem.ParseSMILES(j.Result.Patterns[0].SMILES); err != nil {
+		t.Errorf("unparseable pattern %q: %v", j.Result.Patterns[0].SMILES, err)
 	}
 
 	// Resubmit: cache hit, instantly done.
-	_, _, cached2, err := c.SubmitMine(MineOptions{Radius: 3})
-	if err != nil || !cached2 {
-		t.Errorf("resubmit cached=%v err=%v", cached2, err)
+	var again jobSubmitResponse
+	if code := postJSON(t, srv.URL+"/jobs/mine", mineRequest{Radius: 3}, &again); code != http.StatusAccepted || !again.Cached {
+		t.Errorf("resubmit: status %d, %+v", code, again)
 	}
 
-	list, err := c.Jobs()
-	if err != nil || len(list) < 2 {
-		t.Errorf("Jobs() = %d entries, err=%v", len(list), err)
+	var list struct {
+		Jobs []jobStatus `json:"jobs"`
+	}
+	if code := getJSON(t, srv.URL+"/jobs", &list); code != http.StatusOK || len(list.Jobs) < 2 {
+		t.Errorf("GET /jobs: status %d, %d entries", code, len(list.Jobs))
 	}
 
-	// MineAsync convenience end to end (third distinct config).
-	patterns, truncated, err := c.MineAsync(MineOptions{Radius: 5}, 5*time.Millisecond, 5*time.Second)
-	if err != nil || truncated || len(patterns) != 1 {
-		t.Errorf("MineAsync: %d patterns truncated=%v err=%v", len(patterns), truncated, err)
+	var e struct {
+		Error string `json:"error"`
 	}
-
-	if _, err := c.Job("nope"); err == nil {
-		t.Error("Job on unknown id returned no error")
+	if code := getJSON(t, srv.URL+"/jobs/nope", &e); code != http.StatusNotFound {
+		t.Errorf("GET unknown job status %d", code)
 	}
-	if _, err := c.CancelJob("nope"); err == nil {
-		t.Error("CancelJob on unknown id returned no error")
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/nope", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("DELETE unknown job status %d", resp.StatusCode)
 	}
 }
 

@@ -76,13 +76,8 @@ type Server struct {
 	MaxConcurrent int
 	// MaxBodyBytes caps request body size (0 = unbounded).
 	MaxBodyBytes int64
-	// MineTimeout is the default /mine deadline when the request names
-	// none; MineTimeoutCap clamps what a request may ask for.
-	MineTimeout    time.Duration
+	// MineTimeoutCap clamps the /mine deadline a request may ask for.
 	MineTimeoutCap time.Duration
-	// MineBudgets bounds per-stage mining work for every /mine request
-	// (zero fields = unbounded).
-	MineBudgets runctl.Budgets
 	// JobWorkers, JobQueueDepth, JobTTL, and JobCacheSize configure the
 	// jobs subsystem (zero = the internal/jobs defaults). Set them
 	// before the first request or Jobs() call.
@@ -142,7 +137,6 @@ func New(db []*graph.Graph) *Server {
 		vecCfg:         core.Defaults(),
 		MaxConcurrent:  DefaultMaxConcurrent,
 		MaxBodyBytes:   DefaultMaxBodyBytes,
-		MineTimeout:    DefaultMineTimeout,
 		MineTimeoutCap: DefaultMineTimeoutCap,
 		Metrics:        obs.NewRegistry(),
 	}
@@ -199,7 +193,6 @@ func NewFromStore(dir string, opts StoreOptions) (*Server, error) {
 		vecCfg:         core.Defaults(),
 		MaxConcurrent:  DefaultMaxConcurrent,
 		MaxBodyBytes:   DefaultMaxBodyBytes,
-		MineTimeout:    DefaultMineTimeout,
 		MineTimeoutCap: DefaultMineTimeoutCap,
 		Metrics:        reg,
 	}
@@ -379,7 +372,7 @@ type mineResponse struct {
 // countdown starts when a worker picks the job up, so queue wait does
 // not eat the mining budget.
 func (s *Server) mineTimeout(timeoutMs int) time.Duration {
-	d := s.MineTimeout
+	d := DefaultMineTimeout
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
 	}
@@ -442,7 +435,6 @@ func (s *Server) Jobs() *jobs.Manager {
 			QueueDepth:      s.JobQueueDepth,
 			TTL:             s.JobTTL,
 			CacheSize:       s.JobCacheSize,
-			Budgets:         s.MineBudgets,
 			Exec:            exec,
 			Logf:            s.Logf,
 			Metrics:         s.Metrics,

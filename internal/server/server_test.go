@@ -38,6 +38,19 @@ func postJSON(t *testing.T, url string, body any, out any) int {
 	return resp.StatusCode
 }
 
+func getJSON(t *testing.T, url string, out any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	return resp.StatusCode
+}
+
 func TestHealthAndStats(t *testing.T) {
 	srv, _ := testServer(t)
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -148,51 +161,53 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestClientRoundTrip drives the HTTP API the way a client does:
+// stats, a bounded mine whose patterns parse back into graphs, a query
+// and a significance probe, all over raw JSON.
 func TestClientRoundTrip(t *testing.T) {
 	srv, d := testServer(t)
-	c := NewClient(srv.URL)
 
-	graphs, avgAtoms, _, err := c.Stats()
-	if err != nil || graphs != 120 || avgAtoms < 15 {
-		t.Fatalf("Stats: %d, %f, %v", graphs, avgAtoms, err)
+	var stats statsResponse
+	if code := getJSON(t, srv.URL+"/stats", &stats); code != http.StatusOK || stats.Graphs != 120 || stats.AvgAtoms < 15 {
+		t.Fatalf("stats: status %d, %+v", code, stats)
 	}
 
-	patterns, truncated, err := c.Mine(MineOptions{Radius: 3, Limit: 4, TimeoutMs: 60000})
-	if err != nil || truncated {
-		t.Fatalf("Mine: %v truncated=%v", err, truncated)
+	var mined mineResponse
+	if code := postJSON(t, srv.URL+"/mine", mineRequest{Radius: 3, Limit: 4, TimeoutMs: 60000}, &mined); code != http.StatusOK || mined.Truncated {
+		t.Fatalf("mine: status %d truncated=%v", code, mined.Truncated)
 	}
-	if len(patterns) == 0 || len(patterns) > 4 {
-		t.Fatalf("got %d patterns", len(patterns))
+	if len(mined.Patterns) == 0 || len(mined.Patterns) > 4 {
+		t.Fatalf("got %d patterns", len(mined.Patterns))
 	}
-	for _, p := range patterns {
-		if p.Graph == nil || p.Graph.NumEdges() == 0 || p.Support <= 0 {
-			t.Errorf("bad pattern %+v", p)
+	for _, p := range mined.Patterns {
+		g, err := chem.ParseSMILES(p.SMILES)
+		if err != nil || g.NumEdges() == 0 || p.Support <= 0 {
+			t.Errorf("bad pattern %+v (parse err %v)", p, err)
 		}
 	}
 
-	ids, err := c.Query("c1ccccc1")
-	if err != nil {
-		t.Fatal(err)
+	var q queryResponse
+	if code := postJSON(t, srv.URL+"/query", smilesRequest{SMILES: "c1ccccc1"}, &q); code != http.StatusOK {
+		t.Fatalf("query: status %d", code)
 	}
 	want := gindex.ScanQuery(d.Graphs, chem.Benzene())
-	if len(ids) != len(want) {
-		t.Errorf("query ids %d; scan %d", len(ids), len(want))
+	if len(q.IDs) != len(want) {
+		t.Errorf("query ids %d; scan %d", len(q.IDs), len(want))
 	}
 
-	sup, freq, p, err := c.Significance("c1ccccc1")
-	if err != nil || sup != len(want) || freq < 0.4 || p <= 0.1 {
-		t.Errorf("Significance: sup=%d freq=%f p=%f err=%v", sup, freq, p, err)
+	var sig significanceResponse
+	code := postJSON(t, srv.URL+"/significance", smilesRequest{SMILES: "c1ccccc1"}, &sig)
+	if code != http.StatusOK || sig.Support != len(want) || sig.Frequency < 0.4 || sig.PValue <= 0.1 {
+		t.Errorf("significance: status %d, %+v", code, sig)
 	}
 }
 
 func TestClientServerError(t *testing.T) {
 	srv, _ := testServer(t)
-	c := NewClient(srv.URL)
-	if _, err := c.Query("C(("); err == nil {
-		t.Error("bad SMILES accepted by client")
+	var e struct {
+		Error string `json:"error"`
 	}
-	c2 := NewClient("http://127.0.0.1:1") // nothing listening
-	if _, _, _, err := c2.Stats(); err == nil {
-		t.Error("unreachable server produced no error")
+	if code := postJSON(t, srv.URL+"/query", smilesRequest{SMILES: "C(("}, &e); code != http.StatusBadRequest || e.Error == "" {
+		t.Errorf("bad SMILES: status %d, error %q", code, e.Error)
 	}
 }

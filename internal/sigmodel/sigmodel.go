@@ -2,9 +2,9 @@
 // empirical per-feature prior probabilities, the probability of a
 // sub-feature vector occurring in a random vector (Eqn 3-4, assuming
 // feature independence), and the binomial-tail p-value of a vector given
-// its observed support (Eqn 5-6). All p-values are also exposed in log
-// space so that extremely significant patterns (p far below float64's
-// smallest positive value) remain comparable.
+// its observed support (Eqn 5-6). P-values are exposed in log space so
+// that extremely significant patterns (p far below float64's smallest
+// positive value) remain comparable.
 package sigmodel
 
 import (
@@ -71,25 +71,6 @@ func New(vectors []feature.Vector) *Model {
 	return m
 }
 
-// Trials returns the number of random-vector trials m (the database size
-// the model was built from).
-func (m *Model) Trials() int { return m.trials }
-
-// Dim returns the feature dimensionality.
-func (m *Model) Dim() int { return len(m.tail) }
-
-// FeaturePrior returns P(y_i >= v) for feature i.
-func (m *Model) FeaturePrior(i int, v int) float64 {
-	if v <= 0 {
-		return 1
-	}
-	t := m.tail[i]
-	if v >= len(t) {
-		return 0
-	}
-	return t[v]
-}
-
 // Prob returns P(x): the probability that x is a sub-vector of a random
 // feature vector, as the product of per-feature priors (Eqn 4).
 func (m *Model) Prob(x feature.Vector) float64 {
@@ -97,8 +78,8 @@ func (m *Model) Prob(x feature.Vector) float64 {
 }
 
 // LogProb returns log P(x). It is -Inf when some feature of x exceeds
-// every observed value. It sums the precomputed log priors in feature
-// order, so it equals Σ math.Log(FeaturePrior(i, x_i)) bit for bit.
+// every observed value. It sums the precomputed log priors
+// log P(y_i >= x_i) in feature order.
 func (m *Model) LogProb(x feature.Vector) float64 {
 	if len(x) != len(m.logTail) {
 		panic("sigmodel: vector dimension mismatch")
@@ -114,14 +95,10 @@ func (m *Model) LogProb(x feature.Vector) float64 {
 	return sum
 }
 
-// PValue returns the p-value of x at observed support: the probability
-// that x occurs in a random database of m vectors with support >= the
-// observed support (Eqn 6). Clamped to [0, 1].
-func (m *Model) PValue(x feature.Vector, support int) float64 {
-	return math.Exp(m.LogPValue(x, support))
-}
-
-// LogPValue returns log PValue(x, support), stable in deep underflow.
+// LogPValue returns the log p-value of x at observed support: the log
+// probability that x occurs in a random database of m vectors with
+// support >= the observed support (Eqn 6). It is stable in deep
+// underflow.
 func (m *Model) LogPValue(x feature.Vector, support int) float64 {
 	if support <= 0 {
 		return 0
@@ -133,28 +110,4 @@ func (m *Model) LogPValue(x feature.Vector, support int) float64 {
 		return math.Inf(-1)
 	}
 	return mathx.LogBinomialTail(m.trials, support, p)
-}
-
-// PValueNormal approximates the p-value with a continuity-corrected
-// normal distribution, as the paper notes is valid "when both m·P(x) and
-// m·(1-P(x)) are large". It exists for callers that trade accuracy for a
-// constant-time evaluation; NormalApproxOK reports whether the
-// approximation is trustworthy for x.
-func (m *Model) PValueNormal(x feature.Vector, support int) float64 {
-	if support <= 0 {
-		return 1
-	}
-	p := m.Prob(x)
-	if p <= 0 {
-		return 0
-	}
-	return mathx.BinomialTailNormal(m.trials, support, p)
-}
-
-// NormalApproxOK reports whether the normal approximation is reasonable
-// for x under the usual rule of thumb m·P(x) >= 10 and m·(1-P(x)) >= 10.
-func (m *Model) NormalApproxOK(x feature.Vector) bool {
-	p := m.Prob(x)
-	mp := float64(m.trials) * p
-	return mp >= 10 && float64(m.trials)-mp >= 10
 }

@@ -21,22 +21,23 @@ func tableI() []feature.Vector {
 
 func TestPriorsMatchPaperTableI(t *testing.T) {
 	m := New(tableI())
-	// Paper: P(a-b >= 2) = 1/4, P(b-b >= 1) = 2/4.
-	if got := m.FeaturePrior(0, 2); got != 0.25 {
-		t.Errorf("P(a-b >= 2) = %f; want 0.25", got)
+	// A vector with one non-zero feature has the probability of that
+	// feature's prior. Paper: P(a-b >= 2) = 1/4, P(b-b >= 1) = 2/4.
+	priors := []struct {
+		x    feature.Vector
+		want float64
+	}{
+		{feature.Vector{2, 0, 0, 0}, 0.25},
+		{feature.Vector{0, 0, 1, 0}, 0.5},
+		// Any feature at threshold 0 has prior 1.
+		{feature.Vector{0, 0, 0, 0}, 1},
+		// Beyond observed maxima the prior is 0.
+		{feature.Vector{3, 0, 0, 0}, 0},
 	}
-	if got := m.FeaturePrior(2, 1); got != 0.5 {
-		t.Errorf("P(b-b >= 1) = %f; want 0.5", got)
-	}
-	// Any feature at threshold 0 has prior 1.
-	for i := 0; i < m.Dim(); i++ {
-		if m.FeaturePrior(i, 0) != 1 {
-			t.Errorf("P(y_%d >= 0) != 1", i)
+	for _, c := range priors {
+		if got := m.Prob(c.x); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("P(%v) = %f; want %f", c.x, got, c.want)
 		}
-	}
-	// Beyond observed maxima the prior is 0.
-	if m.FeaturePrior(0, 3) != 0 {
-		t.Errorf("P(a-b >= 3) = %f; want 0", m.FeaturePrior(0, 3))
 	}
 }
 
@@ -53,12 +54,11 @@ func TestProbMatchesPaperExample(t *testing.T) {
 func TestPValueBounds(t *testing.T) {
 	m := New(tableI())
 	x := feature.Vector{1, 0, 0, 0}
-	if got := m.PValue(x, 0); got != 1 {
-		t.Errorf("PValue at support 0 = %f; want 1", got)
+	if got := m.LogPValue(x, 0); got != 0 {
+		t.Errorf("LogPValue at support 0 = %f; want 0 (p = 1)", got)
 	}
-	p := m.PValue(x, 4)
-	if p < 0 || p > 1 {
-		t.Errorf("PValue out of range: %f", p)
+	if lp := m.LogPValue(x, 4); lp > 0 || math.IsNaN(lp) {
+		t.Errorf("LogPValue out of range: %f", lp)
 	}
 }
 
@@ -66,9 +66,6 @@ func TestPValueImpossibleVector(t *testing.T) {
 	m := New(tableI())
 	// Feature 0 never reaches 5 in the database.
 	x := feature.Vector{5, 0, 0, 0}
-	if got := m.PValue(x, 1); got != 0 {
-		t.Errorf("PValue of impossible vector = %f; want 0", got)
-	}
 	if !math.IsInf(m.LogPValue(x, 1), -1) {
 		t.Error("LogPValue of impossible vector not -Inf")
 	}
@@ -137,15 +134,17 @@ func TestZeroVectorPValueIsHigh(t *testing.T) {
 	zero := make(feature.Vector, 4)
 	// The zero vector occurs in every random vector (P=1), so observing
 	// it in all m vectors is exactly expected: p-value 1.
-	if got := m.PValue(zero, len(db)); got != 1 {
-		t.Errorf("PValue(zero, m) = %f; want 1", got)
+	if got := m.LogPValue(zero, len(db)); got != 0 {
+		t.Errorf("LogPValue(zero, m) = %f; want 0 (p = 1)", got)
 	}
 }
 
 func TestEmptyModel(t *testing.T) {
+	// No vectors: zero dimensions, so only the empty vector fits, with
+	// the empty product as its probability.
 	m := New(nil)
-	if m.Trials() != 0 || m.Dim() != 0 {
-		t.Errorf("empty model: trials=%d dim=%d", m.Trials(), m.Dim())
+	if got := m.LogProb(feature.Vector{}); got != 0 {
+		t.Errorf("empty model: LogProb(empty) = %f; want 0", got)
 	}
 }
 
@@ -177,35 +176,5 @@ func TestRareVectorMoreSignificant(t *testing.T) {
 	if !(m.LogPValue(rare, 2) < m.LogPValue(common, 2)) {
 		t.Errorf("rare %v not more significant than common %v",
 			m.LogPValue(rare, 2), m.LogPValue(common, 2))
-	}
-}
-
-func TestPValueNormalApproximation(t *testing.T) {
-	// A large database where the approximation conditions hold.
-	r := rand.New(rand.NewSource(8))
-	db := randVectors(r, 2000, 3, 3)
-	m := New(db)
-	x := feature.Vector{1, 1, 0}
-	if !m.NormalApproxOK(x) {
-		t.Skip("approximation conditions not met for this vector")
-	}
-	exact := m.PValue(x, 300)
-	approx := m.PValueNormal(x, 300)
-	if math.Abs(exact-approx) > 0.02 {
-		t.Errorf("normal approx off: exact %f approx %f", exact, approx)
-	}
-}
-
-func TestPValueNormalEdges(t *testing.T) {
-	m := New(tableI())
-	if got := m.PValueNormal(feature.Vector{1, 0, 0, 0}, 0); got != 1 {
-		t.Errorf("support 0: %f", got)
-	}
-	if got := m.PValueNormal(feature.Vector{5, 0, 0, 0}, 1); got != 0 {
-		t.Errorf("impossible vector: %f", got)
-	}
-	// Tiny database: rule of thumb must reject.
-	if m.NormalApproxOK(feature.Vector{2, 1, 1, 2}) {
-		t.Error("approximation accepted on a 4-vector database with a rare vector")
 	}
 }

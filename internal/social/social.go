@@ -173,16 +173,3 @@ func RoleOverlapSimilarity(types []feature.EdgeType) func(i, j int) float64 {
 		return shared
 	}
 }
-
-// FeatureSet builds the §II-A custom feature set for a database: the k
-// greedily selected edge types plus all role atom features.
-func FeatureSet(db []*graph.Graph, k int, w1, w2 float64) *feature.Set {
-	cands, types := CandidateEdgeTypes(db)
-	selected := feature.GreedySelect(cands, k, w1, w2, RoleOverlapSimilarity(types))
-	var chosen []feature.EdgeType
-	for _, idx := range selected {
-		chosen = append(chosen, types[idx])
-	}
-	return feature.NewCustomSet(chosen,
-		[]graph.Label{RoleDev, RoleOps, RoleMgr, RoleSec}, RoleNames)
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphsig/internal/core"
+	"graphsig/internal/feature"
 	"graphsig/internal/graph"
 	"graphsig/internal/isomorph"
 )
@@ -51,9 +52,21 @@ func TestDatabasePlantsPattern(t *testing.T) {
 	}
 }
 
+// featureSet builds the §II-A custom feature set the way
+// examples/generalgraphs does: the k greedily selected edge types plus
+// all role atom features.
+func featureSet(db []*graph.Graph, k int, w1, w2 float64) *feature.Set {
+	cands, types := CandidateEdgeTypes(db)
+	var chosen []feature.EdgeType
+	for _, idx := range feature.GreedySelect(cands, k, w1, w2, RoleOverlapSimilarity(types)) {
+		chosen = append(chosen, types[idx])
+	}
+	return feature.NewCustomSet(chosen, []graph.Label{RoleDev, RoleOps, RoleMgr, RoleSec}, RoleNames)
+}
+
 func TestFeatureSetSelection(t *testing.T) {
 	db := NewGenerator(4).Database(60, 5)
-	fs := FeatureSet(db, 5, 1.0, 0.3)
+	fs := featureSet(db, 5, 1.0, 0.3)
 	if fs.Len() < 6 { // 5 edge types (some may dedup) + 4 roles, at least
 		t.Fatalf("feature set too small: %d (%v)", fs.Len(), fs.Names())
 	}
@@ -65,7 +78,7 @@ func TestFeatureSetSelection(t *testing.T) {
 func TestGraphSigRecoversIncidentTriangle(t *testing.T) {
 	db := NewGenerator(5).Database(250, 10)
 	cfg := core.Defaults()
-	cfg.FeatureSet = FeatureSet(db, 6, 1.0, 0.3)
+	cfg.FeatureSet = featureSet(db, 6, 1.0, 0.3)
 	cfg.CutoffRadius = 2
 	cfg.MinSupportFloor = 4
 	res := core.Mine(db, cfg)
