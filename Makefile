@@ -28,8 +28,9 @@ lint:
 # format, manifest JSON), FVMine (threshold and top-k) against a
 # brute-force enumeration of closed vectors, and FSG (full, closed-only
 # and maximal) against a brute-force enumeration of connected edge
-# subsets with VF2 support counts. `go test -fuzz` accepts one target
-# per invocation, hence one line each.
+# subsets with VF2 support counts, and FSG's per-parent trace
+# minimality check against dfscode.IsMinimal. `go test -fuzz` accepts
+# one target per invocation, hence one line each.
 fuzz:
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzReadDB               -fuzztime=2000x
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzCSRRoundTrip         -fuzztime=500x
@@ -42,6 +43,7 @@ fuzz:
 	go test ./internal/store    -run='^$$' -fuzz=FuzzManifestJSON         -fuzztime=500x
 	go test ./internal/fvmine   -run='^$$' -fuzz=FuzzFVMineOracle         -fuzztime=2000x
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzFSGOracle            -fuzztime=1000x
+	go test ./internal/fsg      -run='^$$' -fuzz=FuzzTraceMinimal         -fuzztime=1000x
 
 test:
 	go test -shuffle=on ./...

@@ -236,11 +236,15 @@ func TestResultPersistRoundTrip(t *testing.T) {
 // prefix, so every snapshot must be byte-identical to a full re-render
 // of the last snapshot's outcomes cut at its own frontier — from
 // scratch and after a resume, whose first snapshot carries the resumed
-// prefix too.
+// prefix too. The fresh mine runs at parallelism 1, which commits one
+// group at a time and so snapshots once per group: with several
+// workers the snapshot count hinges on which group finishes last. The
+// resume runs at parallelism 4; parallelism is not part of MineKey, so
+// the resume state still matches.
 func TestSnapshotsExtendOnePrefix(t *testing.T) {
 	db := plantedDB(60, 18, chem.SbCore())
 	cfg := testConfig()
-	cfg.Parallelism = 4
+	cfg.Parallelism = 1
 	cfg.CheckpointEvery = 1
 	_, snaps := checkpointedMine(t, db, cfg, nil)
 	if len(snaps) < 3 {
@@ -251,6 +255,7 @@ func TestSnapshotsExtendOnePrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	rcfg := cfg
+	rcfg.Parallelism = 4
 	rcfg.Resume = rs
 	_, resumed := checkpointedMine(t, db, rcfg, nil)
 	if len(resumed) == 0 {

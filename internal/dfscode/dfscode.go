@@ -12,6 +12,7 @@
 package dfscode
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"sync"
@@ -198,6 +199,21 @@ func appendString(dst []byte, c Code) []byte {
 	return dst
 }
 
+// CompareRendered orders two code entries the way strings.Compare
+// orders their String renderings: field by field, each field by its
+// decimal digits, so 10 sorts before 9. A field that is a proper prefix
+// of the other sorts first, as the separator after it sorts below every
+// digit.
+func CompareRendered(a, b EdgeCode) int {
+	for _, f := range [5][2]int{{a.I, b.I}, {a.J, b.J}, {int(a.LI), int(b.LI)}, {int(a.LE), int(b.LE)}, {int(a.LJ), int(b.LJ)}} {
+		if f[0] != f[1] {
+			var x, y [20]byte
+			return bytes.Compare(strconv.AppendInt(x[:0], int64(f[0]), 10), strconv.AppendInt(y[:0], int64(f[1]), 10))
+		}
+	}
+	return 0
+}
+
 // embedding maps DFS indices of a partial code to nodes of a host graph.
 type embedding struct {
 	nodes []int // DFS index -> host node
@@ -266,10 +282,9 @@ func grown(c, n, floor int) int {
 
 // minState is the minimum-code builder's working set: the two embedding
 // arenas and generation slices, the code under construction, its
-// rightmost path and a rendering buffer. It is kept across calls — in a
-// pool for the one-shot entry points, in a Canonicalizer for streams —
-// so canonicalizing a stream of graphs settles into zero steady-state
-// allocation.
+// rightmost path and a rendering buffer. It is kept across calls in a
+// pool, so canonicalizing a stream of graphs settles into zero
+// steady-state allocation.
 type minState struct {
 	arenas     [2]embArena
 	embs, next []*embedding
@@ -346,23 +361,6 @@ func Canonical(g *graph.Graph) string {
 	key := string(st.buf)
 	minPool.Put(st)
 	return key
-}
-
-// Canonicalizer checks a stream of candidate codes for minimality with
-// one working set kept between calls, so steady-state checks allocate
-// nothing. The zero value is ready to use; it is not safe for
-// concurrent use.
-type Canonicalizer struct{ st minState }
-
-// Minimal reports whether code is the minimum DFS code of the graph
-// described by a CSR view and its edge list (the view's EdgeIDs index
-// edges), stopping at the first entry where the minimum departs from
-// code. code must hold one entry per edge. The graph must be nonempty
-// and connected, which is not checked: the caller vouches for it, as
-// FSG does for a one-edge growth of a connected pattern.
-func (c *Canonicalizer) Minimal(gc graph.CSRView, edges []graph.Edge, code Code) bool {
-	_, minimal := c.st.build(gc, edges, code)
-	return minimal
 }
 
 func requireConnected(g *graph.Graph) {

@@ -2,6 +2,7 @@ package dfscode
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -270,4 +271,26 @@ func TestRightmostPathEmptyCode(t *testing.T) {
 // and edges bijectively.
 func isomorphic(a, b *graph.Graph) bool {
 	return a.NumNodes() == b.NumNodes() && a.NumEdges() == b.NumEdges() && isomorph.SubgraphIsomorphic(a, b)
+}
+
+// TestCompareRenderedMatchesStrings checks CompareRendered against
+// strings.Compare of the String renderings over random entries whose
+// fields straddle digit-count boundaries (9/10, 99/100).
+func TestCompareRenderedMatchesStrings(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	field := func() int { return []int{0, 1, 2, 9, 10, 11, 19, 99, 100, 101}[r.Intn(10)] }
+	entry := func() EdgeCode {
+		return EdgeCode{I: field(), J: field(), LI: graph.Label(field()), LE: graph.Label(field()), LJ: graph.Label(field())}
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := entry(), entry()
+		if r.Intn(4) == 0 {
+			b = a
+			b.LJ = graph.Label(field())
+		}
+		want := strings.Compare(Code{a}.String(), Code{b}.String())
+		if got := CompareRendered(a, b); got != want {
+			t.Fatalf("CompareRendered(%s, %s) = %d, strings.Compare %d", Code{a}, Code{b}, got, want)
+		}
+	}
 }

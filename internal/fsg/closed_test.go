@@ -3,6 +3,7 @@ package fsg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -88,13 +89,19 @@ func TestFrequentEdgeEmbeddings(t *testing.T) {
 		build([]graph.Label{1, 1, 2}, [][3]int{{0, 1, 0}, {1, 2, 0}}),
 		build([]graph.Label{1, 2}, [][3]int{{0, 1, 0}}),
 	}
-	level, embs := frequentEdges(db, 1)
-	if len(level) != len(embs) {
-		t.Fatalf("got %d patterns but %d embedding lists", len(level), len(embs))
-	}
+	gr := growerPool.New().(*grower)
+	gr.db, gr.opt = db, Options{MinSupport: 1}
+	gr.frequentEdges()
+	level := gr.levels[0]
 	byCanon := map[string]*embList{}
-	for i, p := range level {
-		byCanon[dfscode.Canonical(p.Graph)] = embs[i]
+	for i := range level {
+		r := &level[i]
+		// Each row's TID list is exactly the graphs its embeddings lie in.
+		gids := slices.Compact(slices.Clone(r.embs.gids))
+		if !slices.Equal(gids, r.tids) {
+			t.Errorf("row %d: TID list %v, embeddings in graphs %v", i, r.tids, gids)
+		}
+		byCanon[dfscode.Canonical(gr.spell(nil, 0, i).Graph())] = &r.embs
 	}
 	for canon, el := range byCanon {
 		if !sort.IntsAreSorted(el.gids) {

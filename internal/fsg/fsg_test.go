@@ -2,6 +2,8 @@ package fsg
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -196,5 +198,87 @@ func TestCandidatesGeneratedCounted(t *testing.T) {
 	}
 	if res.CandidatesGenerated < survivors {
 		t.Errorf("candidates %d < survivors %d", res.CandidatesGenerated, survivors)
+	}
+}
+
+// TestPooledGrowerKeepsNothing runs two mines on one grower, releasing
+// it after each the way Mine does: the release leaves no reference into
+// the mine — inputs, controller, rows of any level, keys — and the
+// first mine's patterns survive the second mine reusing the buffers.
+func TestPooledGrowerKeepsNothing(t *testing.T) {
+	gr := growerPool.New().(*grower)
+	r := rand.New(rand.NewSource(3))
+	opt := Options{MinSupport: 2, Ctl: runctl.New(runctl.Options{})}
+	first := gr.mine(randDB(r, 6, 8, 2, 2), opt)
+	gr.release()
+	want := make([]string, len(first.Patterns))
+	for i, p := range first.Patterns {
+		want[i] = fsgSig(p)
+	}
+	if len(want) == 0 {
+		t.Fatal("first mine found no patterns")
+	}
+	gr.mine(randDB(r, 6, 8, 2, 2), opt)
+	gr.release()
+	if gr.db != nil || gr.opt != (Options{}) || gr.cp != nil || gr.cpEmb != nil || gr.minChecks != nil {
+		t.Fatalf("released grower holds its inputs: db %v, opt %+v, checkpoints %v %v, counter %v", gr.db, gr.opt, gr.cp, gr.cpEmb, gr.minChecks)
+	}
+	if len(gr.levels) != 0 || len(gr.keyIdx) != 0 || len(gr.keys) != 0 || len(gr.gens) != 0 {
+		t.Fatalf("released grower holds %d levels, %d indexed keys, %d keys, %d generators", len(gr.levels), len(gr.keyIdx), len(gr.keys), len(gr.gens))
+	}
+	for d, lv := range gr.levels[:cap(gr.levels)] {
+		for i, r := range lv[:cap(lv)] {
+			if r.tids != nil || r.embs.gids != nil || r.embs.flat != nil {
+				t.Fatalf("released grower's level %d row %d still holds lists", d+1, i)
+			}
+		}
+	}
+	for i, p := range first.Patterns {
+		if got := fsgSig(p); got != want[i] {
+			t.Fatalf("pattern %d of the first mine changed after the second: %s, was %s", i, got, want[i])
+		}
+	}
+}
+
+// TestConcurrentMinesMatchSequential runs mines from several goroutines
+// at once, as GraphSig's group workers do, so growers pass between
+// them through the pool: each result must equal the same mine run
+// alone.
+func TestConcurrentMinesMatchSequential(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	const mines = 8
+	dbs := make([][]*graph.Graph, mines)
+	want := make([][]string, mines)
+	for i := range dbs {
+		dbs[i] = randDB(r, 5, 9, 2, 2)
+		for _, p := range Mine(dbs[i], Options{MinSupport: 2, ClosedOnly: i%2 == 0}).Patterns {
+			want[i] = append(want[i], fsgSig(p))
+		}
+	}
+	got := make([][]string, mines)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < mines*4; i += 4 {
+				m := i % mines
+				var sigs []string
+				for _, p := range Mine(dbs[m], Options{MinSupport: 2, ClosedOnly: m%2 == 0}).Patterns {
+					sigs = append(sigs, fsgSig(p))
+				}
+				if i < mines {
+					got[m] = sigs
+				} else if !slices.Equal(sigs, want[m]) {
+					t.Errorf("mine %d, round %d: concurrent result differs from the sequential one", m, i/mines)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for m := range got {
+		if !slices.Equal(got[m], want[m]) {
+			t.Errorf("mine %d: concurrent result differs from the sequential one", m)
+		}
 	}
 }

@@ -69,7 +69,7 @@ func checkGrowthInvariants(t *testing.T, db []*graph.Graph, opt Options) {
 		t.Fatalf("unexpected truncation (%s)", res.StopReason)
 	}
 	var (
-		s      grower
+		s      = growerPool.New().(*grower)
 		start  int
 		passes int
 		checks int64
@@ -78,9 +78,8 @@ func checkGrowthInvariants(t *testing.T, db []*graph.Graph, opt Options) {
 		level := res.Patterns[start : start+n]
 		start += n
 		for _, p := range level {
-			s.setParent(p.Graph)
-			if want := dfscode.MinimumCode(p.Graph); !slices.Equal(s.pcode, want) {
-				t.Fatalf("level %d pattern %v reads as code %s, minimum code %s", li+1, p.Graph, s.pcode, want)
+			if got, want := readCode(p.Graph), dfscode.MinimumCode(p.Graph); !slices.Equal(got, want) {
+				t.Fatalf("level %d pattern %v reads as code %s, minimum code %s", li+1, p.Graph, got, want)
 			}
 		}
 		if opt.MaxEdges > 0 && li+1 >= opt.MaxEdges {
@@ -89,10 +88,10 @@ func checkGrowthInvariants(t *testing.T, db []*graph.Graph, opt Options) {
 		forms := map[string]bool{}
 		levelPasses := 0
 		for _, p := range level {
-			s.setParent(p.Graph)
+			s.setParent(readCode(p.Graph))
 			for _, k := range realizedKeys(db, p, opt.MinSupport) {
-				forms[dfscode.Canonical(buildExtension(p.Graph, k))] = true
-				checked, minimal := s.checkKey(p.Graph, k)
+				forms[dfscode.Canonical(extend(p.Graph, k))] = true
+				_, checked, minimal := s.checkKey(k)
 				if checked {
 					checks++
 				}
