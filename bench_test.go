@@ -95,40 +95,27 @@ func BenchmarkFig9_GraphSig(b *testing.B) {
 
 // BenchmarkFig10_Profile runs the full pipeline on one cancer screen and
 // reports the per-phase split as custom metrics. The split is read from
-// the obs stage metrics — the same per-stage instrumentation /metrics
-// serves — so the benchmark and the running service report one truth.
+// Result.Profile, which the pipeline fills from its stage spans — the
+// same spans /metrics serves — and folds the phases as Fig 10 does.
 func BenchmarkFig10_Profile(b *testing.B) {
 	spec := chem.CancerSpecs()[1] // MOLT-4
 	db := chem.GenerateN(spec, 120).Graphs
 	cfg := benchMiningConfig()
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
-	var profT time.Duration
+	var rwrT, featT, fsmT time.Duration
 	for i := 0; i < b.N; i++ {
-		res := core.Mine(db, cfg)
-		profT += res.Profile.RWR + res.Profile.FeatureAnalysis + res.Profile.FSM
+		p := core.Mine(db, cfg).Profile
+		rwrT += p.RWR
+		featT += p.FeatureAnalysis
+		fsmT += p.FSM
+	}
+	if total := rwrT + featT + fsmT; total > 0 {
+		b.ReportMetric(100*float64(rwrT)/float64(total), "rwr%")
+		b.ReportMetric(100*float64(featT)/float64(total), "feature%")
+		b.ReportMetric(100*float64(fsmT)/float64(total), "fsm%")
 	}
 	snap := reg.Snapshot()
-	stageSeconds := func(stage string) float64 {
-		h, _ := snap.HistogramValue(obs.MStageDuration, "stage", stage)
-		return h.Sum
-	}
-	// Fold the six stages into the paper's three phases (Fig 10).
-	rwrT := stageSeconds("rwr")
-	featT := stageSeconds("features") + stageSeconds("fvmine") + stageSeconds("group")
-	fsmT := stageSeconds("group-mine") + stageSeconds("verify")
-	total := rwrT + featT + fsmT
-	if total > 0 {
-		b.ReportMetric(100*rwrT/total, "rwr%")
-		b.ReportMetric(100*featT/total, "feature%")
-		b.ReportMetric(100*fsmT/total, "fsm%")
-	}
-	if profT > 0 {
-		// Cross-check the legacy profile against the obs split: the two
-		// instrumentations measure the same run, so they must agree
-		// within bookkeeping overhead.
-		b.ReportMetric(total/profT.Seconds(), "obs/profile")
-	}
 	for _, stage := range []string{"features", "rwr", "fvmine", "group", "group-mine"} {
 		started := snap.CounterValue(obs.MStageStarted, "stage", stage)
 		completed := snap.CounterValue(obs.MStageCompleted, "stage", stage)

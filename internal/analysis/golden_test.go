@@ -168,8 +168,9 @@ func TestWallClockGolden(t *testing.T) {
 	runGolden(t, WallClock, pkgs["fvmine"])
 }
 
-// TestWallClockFileScope checks the file-granular scope: in a package
-// named core only confighash.go is a deterministic path.
+// TestWallClockFileScope checks that every file of a package named core
+// is in scope: clock reads in confighash.go and timing.go are both
+// flagged.
 func TestWallClockFileScope(t *testing.T) {
 	pkgs := loadTestdata(t, "core")
 	runGolden(t, WallClock, pkgs["core"])

@@ -41,10 +41,10 @@ var fmtWriterFuncs = map[string]bool{
 }
 
 func runMapOrder(pass *Pass) error {
+	if !pass.inDeterministicScope() {
+		return nil
+	}
 	for _, file := range pass.Files {
-		if !pass.inDeterministicScope(file) {
-			continue
-		}
 		// Walk function by function so the "sorted afterwards"
 		// suppression can scan the rest of the enclosing body.
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"path"
-	"path/filepath"
 )
 
 // deterministicScope lists the packages whose outputs must be
@@ -15,30 +14,29 @@ import (
 // maporder applies everywhere inside this scope; packages are matched
 // by their final import path segment so the rule also binds the
 // analyzer test corpora.
-var deterministicScope = map[string][]string{
-	"dfscode": nil, // nil = every file in the package
-	"graph":   nil,
-	"feature": nil,
-	"fvmine":  nil,
-	"core":    nil,
+var deterministicScope = map[string]bool{
+	"dfscode": true,
+	"graph":   true,
+	"feature": true,
+	"fvmine":  true,
+	"core":    true,
 }
 
 // wallClockScope lists the packages that must never read the clock:
-// deterministicScope minus the files that legitimately do (core outside
-// confighash.go measures phase timings, Profile.RWR etc., which never
-// feed canonical output), plus the miners and the matcher under them
-// (fsg, gspan, leap, isomorph). Those stop and bound their runs only
-// through a runctl controller, which owns the clock.
-var wallClockScope = map[string][]string{
-	"dfscode":  nil,
-	"graph":    nil,
-	"feature":  nil,
-	"fvmine":   nil,
-	"core":     {"confighash.go"},
-	"fsg":      nil,
-	"gspan":    nil,
-	"leap":     nil,
-	"isomorph": nil,
+// deterministicScope plus the miners and the matcher under them (fsg,
+// gspan, leap, isomorph). They stop and bound their runs, and core
+// times its phases, only through a runctl controller and its stage
+// spans, which own the clock.
+var wallClockScope = map[string]bool{
+	"dfscode":  true,
+	"graph":    true,
+	"feature":  true,
+	"fvmine":   true,
+	"core":     true,
+	"fsg":      true,
+	"gspan":    true,
+	"leap":     true,
+	"isomorph": true,
 }
 
 // spawnScope lists the packages in which every goroutine must be
@@ -79,33 +77,12 @@ var keytaintScope = map[string]bool{
 	"journal": true,
 }
 
-// inDeterministicScope reports whether the file is part of a
-// deterministic path for maporder.
-func (p *Pass) inDeterministicScope(file *ast.File) bool {
-	return p.inScope(deterministicScope, file)
+func (p *Pass) inDeterministicScope() bool {
+	return deterministicScope[path.Base(p.ImportPath)]
 }
 
-// inWallClockScope reports whether the file is part of a deterministic
-// path for wallclock.
-func (p *Pass) inWallClockScope(file *ast.File) bool {
-	return p.inScope(wallClockScope, file)
-}
-
-func (p *Pass) inScope(scope map[string][]string, file *ast.File) bool {
-	files, ok := scope[path.Base(p.ImportPath)]
-	if !ok {
-		return false
-	}
-	if files == nil {
-		return true
-	}
-	name := filepath.Base(p.Fset.Position(file.Pos()).Filename)
-	for _, f := range files {
-		if f == name {
-			return true
-		}
-	}
-	return false
+func (p *Pass) inWallClockScope() bool {
+	return wallClockScope[path.Base(p.ImportPath)]
 }
 
 func (p *Pass) inSpawnScope() bool {

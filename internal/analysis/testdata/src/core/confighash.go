@@ -1,6 +1,5 @@
-// Package core is the file-scoped wallclock corpus: only confighash.go
-// is a deterministic path; the rest of the package may read the clock
-// for phase timings.
+// Package core is the wallclock corpus for the mining core: every file
+// of the package is a deterministic path.
 package core
 
 import "time"

@@ -10,14 +10,14 @@ import (
 // folds in time.Now (or draws from the shared math/rand source, which
 // is seeded randomly at process start) differs between runs, silently
 // breaking result caching, request coalescing, and the reproducibility
-// of mined pattern sets. Deadline handling belongs in runctl, which owns
-// the clock; code that genuinely needs randomness must thread an
+// of mined pattern sets. Deadline handling and phase timing belong in
+// runctl, which owns the clock; code that genuinely needs randomness must thread an
 // explicitly seeded *rand.Rand.
 var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc: "forbids time.Now/Since/Until and unseeded math/rand in deterministic " +
-		"packages (dfscode, graph, feature, fvmine, core/confighash.go) and in the " +
-		"miners and matcher (fsg, gspan, leap, isomorph), which read the clock only through runctl",
+		"packages (dfscode, graph, feature, fvmine, core) and in the miners and " +
+		"matcher (fsg, gspan, leap, isomorph), which read the clock only through runctl",
 	Run: runWallClock,
 }
 
@@ -36,10 +36,10 @@ var seededRandFuncs = map[string]bool{
 }
 
 func runWallClock(pass *Pass) error {
+	if !pass.inWallClockScope() {
+		return nil
+	}
 	for _, file := range pass.Files {
-		if !pass.inWallClockScope(file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

@@ -205,7 +205,9 @@ type Subgraph struct {
 	Unverified bool
 }
 
-// Profile records where GraphSig's time went (Fig 10's three phases).
+// Profile records where GraphSig's time went (Fig 10's three phases),
+// read from the mine's stage spans: RWR is features + rwr, FSM is the
+// group span (Phase 3's wall time), the others their namesake spans.
 type Profile struct {
 	RWR             time.Duration
 	FeatureAnalysis time.Duration
@@ -632,23 +634,19 @@ func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg
 }
 
 // mineOneGroup cuts one group's region windows and runs maximal FSM on
-// them, keeping the per-group stage spans balanced: every span this
-// worker starts is ended or failed here, even on panic, so the
-// started == completed + degraded invariant survives fan-out.
+// them, keeping its group-mine span balanced: the span is ended or
+// failed here, even on panic, so the started == completed + degraded
+// invariant survives fan-out.
 func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wc *windowCache) (out groupOutcome) {
-	groupSpan := ctl.StartStage(runctl.StageGroup)
-	var fsmSpan *runctl.StageSpan
+	var fsmSpan runctl.StageSpan
 	defer func() {
 		if r := recover(); r != nil {
 			// mineMaximalIsolated catches miner panics; this barrier
 			// catches the rest (cutting, subsampling) so one bad group
-			// cannot bring the pool down. Fail is idempotent: spans
-			// already closed on the normal path are left as booked.
+			// cannot bring the pool down. Fail is idempotent, and a no-op
+			// on a span never started.
 			ctl.Recovered(runctl.StageGroup, fmt.Sprintf("group worker for label %d (%d regions)", grp.Label, len(grp.Nodes)), r)
-			groupSpan.Fail(runctl.ReasonPanic, 0)
-			if fsmSpan != nil {
-				fsmSpan.Fail(runctl.ReasonPanic, 0)
-			}
+			fsmSpan.Fail(runctl.ReasonPanic, 0)
 			out.panicked = true
 		}
 	}()
@@ -657,13 +655,11 @@ func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wc *windo
 	for i, nv := range nodes {
 		w, err := wc.window(nv.GraphID, nv.NodeID)
 		if err != nil {
-			groupSpan.Fail(runctl.ReasonPanic, 0)
 			out.err = err
 			return out
 		}
 		windows[i] = w
 	}
-	groupSpan.End(int64(len(windows)))
 	out.windows = len(windows)
 	minSup := int(math.Ceil(cfg.FSMFreqPct / 100 * float64(len(windows))))
 	if minSup < 2 {

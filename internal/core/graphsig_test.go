@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"graphsig/internal/chem"
 	"graphsig/internal/graph"
 	"graphsig/internal/isomorph"
+	"graphsig/internal/obs"
 	"graphsig/internal/rwr"
 )
 
@@ -174,6 +177,73 @@ func TestMineProfileCoversPhases(t *testing.T) {
 	p := res.Profile
 	if p.RWR <= 0 || p.FeatureAnalysis <= 0 {
 		t.Errorf("profile phases empty: %+v", p)
+	}
+}
+
+// TestProfileIsStageSpans: Result.Profile is read from the stage spans,
+// so each phase equals its stage histogram sum for one metered mine, in
+// memory and 2-shard, at parallelism 1 and 4. Phase 3 is one wall-time
+// group span whose units are the windows cut across all groups, with
+// one group-mine span per mined group inside it.
+func TestProfileIsStageSpans(t *testing.T) {
+	db := chem.GenerateN(chem.CancerSpecs()[1], 120).Graphs
+	base := Defaults()
+	base.CutoffRadius = 3
+	groups := SignificantGroups(ComputeVectors(db, BuildFeatureSet(db, base), base), base)
+	var windows int64
+	for _, g := range groups {
+		windows += int64(len(groupNodes(g, Normalized(base))))
+	}
+	half := make([][]int, 2)
+	for i := range db {
+		half[i*2/len(db)] = append(half[i*2/len(db)], i)
+	}
+	for _, shards := range [][][]int{nil, half} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/par=%d", len(shards), par), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				cfg := base
+				cfg.Parallelism = par
+				cfg.Metrics = reg
+				res, err := MineSource(Slice(db), shards, cfg)
+				if err != nil || res.Truncated || res.GroupsMined == 0 {
+					t.Fatalf("mine: err %v, truncated %v, %d groups mined", err, res.Truncated, res.GroupsMined)
+				}
+				snap := reg.Snapshot()
+				spanSum := func(stages ...string) float64 {
+					var sum float64
+					for _, st := range stages {
+						h, _ := snap.HistogramValue(obs.MStageDuration, "stage", st)
+						sum += h.Sum
+					}
+					return sum
+				}
+				p := res.Profile
+				for _, c := range []struct {
+					phase string
+					got   time.Duration
+					spans float64
+				}{
+					{"RWR", p.RWR, spanSum("features", "rwr")},
+					{"FeatureAnalysis", p.FeatureAnalysis, spanSum("fvmine")},
+					{"FSM", p.FSM, spanSum("group")},
+					{"Verify", p.Verify, spanSum("verify")},
+				} {
+					if c.got <= 0 || math.Abs(c.got.Seconds()-c.spans) > 1e-9 {
+						t.Errorf("Profile.%s = %v; stage spans sum to %gs", c.phase, c.got, c.spans)
+					}
+				}
+				if n := snap.CounterValue(obs.MStageStarted, "stage", "group"); n != 1 {
+					t.Errorf("started{group} = %d, want 1", n)
+				}
+				if n := snap.CounterValue(obs.MStageStarted, "stage", "group-mine"); n != int64(res.GroupsMined) {
+					t.Errorf("started{group-mine} = %d, want GroupsMined %d", n, res.GroupsMined)
+				}
+				if n := snap.CounterValue(obs.MStageUnits, "stage", "group"); n != windows {
+					t.Errorf("units{group} = %d, want %d windows", n, windows)
+				}
+			})
+		}
 	}
 }
 

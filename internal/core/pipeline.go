@@ -109,8 +109,8 @@ func MineSource(src Source, shards [][]int, cfg Config) (Result, error) {
 	}
 
 	// Phase 1: the feature set from merged per-shard statistics, then RWR
-	// over every node of every graph (Alg 2 lines 3-4).
-	t0 := time.Now()
+	// over every node of every graph (Alg 2 lines 3-4). Result.Profile
+	// is read from the stage spans, the mine's only clock.
 	featSpan := ctl.StartStage(runctl.StageFeatures)
 	fs := cfg.FeatureSet
 	if fs == nil {
@@ -128,7 +128,7 @@ func MineSource(src Source, shards [][]int, cfg Config) (Result, error) {
 		}
 		fs = feature.ChemistrySetFromStats(merged, cfg.Alphabet, cfg.TopAtoms)
 	}
-	featSpan.End(int64(fs.Len()))
+	res.Profile.RWR = featSpan.End(int64(fs.Len()))
 	rwrSpan := ctl.StartStage(runctl.StageRWR)
 	var vectors []rwr.NodeVector
 	for s, members := range shards {
@@ -161,28 +161,27 @@ func MineSource(src Source, shards [][]int, cfg Config) (Result, error) {
 			return vectors[i].NodeID < vectors[j].NodeID
 		})
 	}
-	rwrSpan.End(int64(len(vectors)))
-	res.Profile.RWR = time.Since(t0)
+	res.Profile.RWR += rwrSpan.End(int64(len(vectors)))
 
 	// Phase 2: group by source label, FVMine per group (lines 5-7), with
 	// priors over the pooled vectors of the whole database.
-	t1 := time.Now()
 	fvSpan := ctl.StartStage(runctl.StageFVMine)
 	groups := significantVectorGroups(vectors, cfg, ctl)
-	fvSpan.End(int64(len(groups)))
+	res.Profile.FeatureAnalysis = fvSpan.End(int64(len(groups)))
 	res.VectorsMined = len(groups)
-	res.Profile.FeatureAnalysis = time.Since(t1)
 
 	// Phase 3: cut regions and run maximal FSM per group (lines 8-13).
 	// Windows are read through src on demand. The checkpoint/resume
 	// identity needs the database fingerprint; trust a caller-supplied
 	// one (jobs manager, store manifest) and hash the database only when
-	// nobody did it already.
-	t2 := time.Now()
+	// nobody did it already. One StageGroup span times the whole phase;
+	// the StageGroupMine spans inside it are its busy time.
+	groupSpan := ctl.StartStage(runctl.StageGroup)
 	dbFP := cfg.DBFingerprint
 	if dbFP == "" && (cfg.Resume != nil || ctl.WantsCheckpoints()) {
 		var err error
 		if dbFP, err = Fingerprint(src); err != nil {
+			groupSpan.Fail(runctl.ReasonPanic, 0)
 			return res, err
 		}
 	}
@@ -190,15 +189,15 @@ func MineSource(src Source, shards [][]int, cfg Config) (Result, error) {
 	res.GroupsMined = stats.GroupsMined
 	res.GroupsPruned = stats.GroupsPruned
 	res.GroupErrors = stats.GroupErrors
-	res.Profile.FSM = time.Since(t2)
 	if err != nil {
+		res.Profile.FSM = groupSpan.Fail(runctl.ReasonPanic, 0)
 		return res, err
 	}
+	res.Profile.FSM = groupSpan.End(int64(stats.windows))
 
 	// Final: verify support in graph space and order the answer set.
-	t3 := time.Now()
 	if !cfg.SkipVerify {
-		if err := verify(each, n, patterns, cfg.Parallelism, ctl); err != nil {
+		if res.Profile.Verify, err = verify(each, n, patterns, cfg.Parallelism, ctl); err != nil {
 			return res, err
 		}
 	}
@@ -206,7 +205,6 @@ func MineSource(src Source, shards [][]int, cfg Config) (Result, error) {
 		res.Subgraphs = append(res.Subgraphs, *sg)
 	}
 	SortSubgraphs(res.Subgraphs)
-	res.Profile.Verify = time.Since(t3)
 	res.Degradation = ctl.Report()
 	res.Truncated = res.Degradation.Truncated
 	return res, nil
@@ -221,8 +219,9 @@ func MineSource(src Source, shards [][]int, cfg Config) (Result, error) {
 // pattern Unverified. If the run was cut short, every pattern stays
 // Unverified: under a shared budget, which counts finished before the
 // trip depends on scheduling, and a partial verification would make the
-// answer differ between runs and parallelism levels.
-func verify(each func(func([]*graph.Graph)) error, n int, patterns []*Subgraph, workers int, ctl *runctl.Controller) error {
+// answer differ between runs and parallelism levels. It returns the
+// verify span's duration.
+func verify(each func(func([]*graph.Graph)) error, n int, patterns []*Subgraph, workers int, ctl *runctl.Controller) (time.Duration, error) {
 	span := ctl.StartStage(runctl.StageVerify)
 	supports := make([]atomic.Int64, len(patterns))
 	incomplete := make([]atomic.Bool, len(patterns))
@@ -247,8 +246,7 @@ func verify(each func(func([]*graph.Graph)) error, n int, patterns []*Subgraph, 
 			wg.Wait()
 		})
 		if err != nil {
-			span.Fail(runctl.ReasonPanic, 0)
-			return err
+			return span.Fail(runctl.ReasonPanic, 0), err
 		}
 	}
 	verified := 0
@@ -263,11 +261,11 @@ func verify(each func(func([]*graph.Graph)) error, n int, patterns []*Subgraph, 
 			verified++
 		}
 	}
-	span.End(int64(verified))
+	d := span.End(int64(verified))
 	if verified < len(patterns) {
 		ctl.RecordStop(runctl.StageVerify, int64(verified), int64(len(patterns)), "patterns support-verified")
 	}
-	return nil
+	return d, nil
 }
 
 // countOne adds one pattern's support within one shard behind a panic

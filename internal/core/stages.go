@@ -76,13 +76,16 @@ type PatternStats struct {
 	GroupsPruned int
 	// GroupErrors counts isolated group-worker panics.
 	GroupErrors int
+	// windows counts the region windows cut by the groups mined in this
+	// run (a resumed prefix cut none): the StageGroup span's work units.
+	windows int
 }
 
 // MinePatterns runs Phase 3: cut region windows around each group's
 // supporting nodes (through fetch, so the database may live behind a
 // lazy store reader), run maximal FSM per group, and dedup patterns by
-// minimum DFS code keeping the most significant provenance. Patterns
-// return sorted by canonical code, all marked Unverified — graph-space
+// minimum DFS code keeping the most significant provenance, under a
+// StageGroup span. Patterns return sorted by canonical code, all marked Unverified — graph-space
 // support verification is the caller's (schedulable, shardable) step.
 // Checkpoint/resume (cfg.Resume, a controller checkpoint sink) needs a
 // database identity and therefore requires cfg.DBFingerprint; with an
@@ -90,7 +93,9 @@ type PatternStats struct {
 func MinePatterns(fetch func(int) *graph.Graph, groups []VectorGroup, cfg Config) ([]*Subgraph, PatternStats) {
 	fillConfig(&cfg)
 	ctl := ControllerFor(cfg)
+	span := ctl.StartStage(runctl.StageGroup)
 	patterns, stats, _ := minePatterns(func(i int) (*graph.Graph, error) { return fetch(i), nil }, cfg.DBFingerprint, groups, cfg, ctl)
+	span.End(int64(stats.windows))
 	return patterns, stats
 }
 
@@ -169,6 +174,9 @@ func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []V
 	for gi := 0; gi < launched; gi++ {
 		o := &outcomes[gi]
 		grp := groups[gi]
+		if gi >= len(resumed) {
+			stats.windows += o.windows
+		}
 		if o.mined {
 			stats.GroupsMined++
 		}

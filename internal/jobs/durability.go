@@ -80,7 +80,6 @@ func (m *Manager) retryBackoff(attempt int) time.Duration {
 // backoff. Called from run() with no locks held.
 func (m *Manager) scheduleRetry(j *Job, nextAttempt int, cause error) {
 	backoff := m.retryBackoff(nextAttempt - 1)
-	m.retries.Add(1)
 	m.met.retries.Inc()
 	m.journalFor(j, journal.Event{Type: journal.EvRetrying, Attempt: nextAttempt, Error: cause.Error()})
 	m.logf("jobs: %s attempt %d failed (%v); retry %d in %s", j.id, nextAttempt-1, cause, nextAttempt, backoff.Round(time.Millisecond))
@@ -156,7 +155,7 @@ func (m *Manager) expectedWaitLocked() time.Duration {
 	if avg <= 0 {
 		return 0 // no service-time evidence yet: admit everything
 	}
-	backlog := float64(len(m.queue)) + 0.5*float64(m.busy.Load())
+	backlog := float64(len(m.queue)) + 0.5*float64(m.met.busy.Value())
 	return time.Duration(float64(avg) * backlog / float64(m.opts.Workers))
 }
 
@@ -227,7 +226,6 @@ func (m *Manager) sweepStalls(now time.Time, lastChecks map[string]int64, lastAd
 		if alreadyStalled {
 			continue // cancel already issued; the pipeline is unwinding
 		}
-		m.stalled.Add(1)
 		m.met.stalled.Inc()
 		m.logf("jobs: %s stalled (no controller progress for %s); canceling", id, m.opts.StallTimeout)
 		r.ctl.Cancel(fmt.Sprintf("stall watchdog: no progress for %s", m.opts.StallTimeout))
@@ -258,11 +256,6 @@ func (m *Manager) replay(records []journal.JobRecord) {
 	}
 }
 
-func (m *Manager) replayOutcome(outcome string) {
-	m.replayed.Add(1)
-	m.met.replayed(outcome).Inc()
-}
-
 // replayFinished surfaces a terminal job from the journal.
 func (m *Manager) replayFinished(rec *journal.JobRecord) {
 	j := &Job{
@@ -282,7 +275,7 @@ func (m *Manager) replayFinished(rec *journal.JobRecord) {
 		res, err := core.DecodeResult(rec.Result)
 		if err != nil {
 			m.logf("jobs: replay %s: result undecodable, dropping: %v", rec.ID, err)
-			m.replayOutcome("dropped")
+			m.met.replayed("dropped").Inc()
 			return
 		}
 		j.state = StateDone
@@ -297,7 +290,7 @@ func (m *Manager) replayFinished(rec *journal.JobRecord) {
 		j.state = StateCanceled
 		j.degradation = &runctl.Degradation{Truncated: true, Reason: runctl.ReasonCancel, Detail: rec.Error}
 	default:
-		m.replayOutcome("dropped")
+		m.met.replayed("dropped").Inc()
 		return
 	}
 	close(j.done)
@@ -310,14 +303,14 @@ func (m *Manager) replayFinished(rec *journal.JobRecord) {
 	entries, _ := m.cache.stats()
 	m.met.cacheEntries.Set(int64(entries))
 	m.mu.Unlock()
-	m.replayOutcome("finished")
+	m.met.replayed("finished").Inc()
 }
 
 // replayInterrupted re-enqueues a job the last process never finished.
 func (m *Manager) replayInterrupted(rec *journal.JobRecord) {
 	drop := func(why string, err error) {
 		m.logf("jobs: replay %s: %s: %v", rec.ID, why, err)
-		m.replayOutcome("dropped")
+		m.met.replayed("dropped").Inc()
 		// Mark the record terminal so it stops resurfacing on every
 		// restart; use the journal directly — journalFor needs a job.
 		if aerr := m.opts.Journal.Append(journal.Event{
@@ -358,7 +351,7 @@ func (m *Manager) replayInterrupted(rec *journal.JobRecord) {
 		m.byKey[j.key] = j
 		m.met.queueDepth.Set(int64(len(m.queue)))
 		m.mu.Unlock()
-		m.replayOutcome("requeued")
+		m.met.replayed("requeued").Inc()
 	default:
 		j.inQueue = false
 		m.mu.Unlock()

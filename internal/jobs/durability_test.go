@@ -63,6 +63,9 @@ func TestJournalReplaySurfacesFinishedJob(t *testing.T) {
 	if n := reg.Counter(obs.MJobsReplayed, "outcome", "finished").Value(); n != 1 {
 		t.Errorf("replayed{finished} = %d, want 1", n)
 	}
+	if n := m2.Stats().Replayed; n != 1 {
+		t.Errorf("Stats.Replayed = %d, want 1", n)
+	}
 	// The replayed result warms the dedup cache: an identical submit
 	// completes instantly.
 	_, info, err := m2.Submit(cfgN(4), SubmitOptions{Detached: true})

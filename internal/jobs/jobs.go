@@ -115,7 +115,9 @@ type Options struct {
 	// Metrics, when non-nil, receives the manager's operational metrics
 	// (queue depth, worker utilization, cache hit/miss/coalesce counts)
 	// and is handed to every job's controller, so mining-stage metrics
-	// land in the same registry. Nil disables metering.
+	// land in the same registry. Nil keeps the manager's own series in a
+	// private registry, which Stats reads, and leaves its mines
+	// unmetered.
 	Metrics *obs.Registry
 	// Journal, when non-nil, receives every job lifecycle event as a
 	// durable write-ahead record, and each running mine's resumable
@@ -360,17 +362,7 @@ type Manager struct {
 	// slipped through the dequeue/running-snapshot window.
 	draining atomic.Bool
 
-	busy        atomic.Int64
-	executions  atomic.Int64
-	coalesced   atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	rejected    atomic.Int64
-	shed        atomic.Int64
-	retries     atomic.Int64
-	replayed    atomic.Int64
-	stalled     atomic.Int64
-	seq         atomic.Int64
+	seq atomic.Int64
 	// avgRunNs is the EWMA of executed-job wall time, in nanoseconds;
 	// 0 = no evidence yet. Admission control divides the backlog by it.
 	avgRunNs atomic.Int64
@@ -379,10 +371,11 @@ type Manager struct {
 }
 
 // managerMetrics caches the manager's obs series so hot paths skip the
-// registry lookup. With a nil Options.Metrics every field is nil and
-// every call a no-op — the obs nil-receiver contract keeps the wiring
-// branch-free.
+// registry lookup. They are the manager's only counters: Stats reads
+// them back, so with a nil Options.Metrics they live in a private
+// registry.
 type managerMetrics struct {
+	reg          *obs.Registry
 	queueDepth   *obs.Gauge
 	busy         *obs.Gauge
 	cacheEntries *obs.Gauge
@@ -403,6 +396,7 @@ func newManagerMetrics(r *obs.Registry, workers, queueCap int) managerMetrics {
 	r.Gauge(obs.MJobsWorkers).Set(int64(workers))
 	r.Gauge(obs.MJobsQueueCap).Set(int64(queueCap))
 	return managerMetrics{
+		reg:          r,
 		queueDepth:   r.Gauge(obs.MJobsQueueDepth),
 		busy:         r.Gauge(obs.MJobsBusy),
 		cacheEntries: r.Gauge(obs.MJobsCacheSize),
@@ -453,7 +447,11 @@ func NewManager(opt Options) *Manager {
 		byKey:       make(map[string]*Job),
 		janitorStop: make(chan struct{}),
 	}
-	m.met = newManagerMetrics(opt.Metrics, opt.Workers, opt.QueueDepth)
+	reg := opt.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	m.met = newManagerMetrics(reg, opt.Workers, opt.QueueDepth)
 	m.exec = opt.Exec
 	if m.exec == nil {
 		m.exec = func(cfg core.Config) (core.Result, error) { return core.MineSource(core.Slice(opt.DB), nil, cfg) }
@@ -525,7 +523,6 @@ func (m *Manager) Submit(cfg core.Config, opt SubmitOptions) (*Job, SubmitInfo, 
 		return nil, SubmitInfo{}, ErrClosed
 	}
 	if j := m.byKey[key]; j != nil {
-		m.coalesced.Add(1)
 		m.met.coalesced.Inc()
 		j.mu.Lock()
 		j.detached = j.detached || opt.Detached
@@ -537,7 +534,6 @@ func (m *Manager) Submit(cfg core.Config, opt SubmitOptions) (*Job, SubmitInfo, 
 		return j, SubmitInfo{Coalesced: true}, nil
 	}
 	if res, ok := m.cache.get(key); ok {
-		m.cacheHits.Add(1)
 		m.met.cacheHits.Inc()
 		j := m.newJobLocked(key, cfg, opt, now)
 		j.state = StateDone
@@ -553,13 +549,11 @@ func (m *Manager) Submit(cfg core.Config, opt SubmitOptions) (*Job, SubmitInfo, 
 	// work, so shedding happens after the free paths (coalesce, cache).
 	if !opt.Deadline.IsZero() {
 		if wait := m.expectedWaitLocked(); wait > 0 && now.Add(wait).After(opt.Deadline) {
-			m.shed.Add(1)
 			m.met.shed.Inc()
 			m.mu.Unlock()
 			return nil, SubmitInfo{}, &ErrDeadline{ExpectedWait: wait, Deadline: opt.Deadline}
 		}
 	}
-	m.cacheMisses.Add(1)
 	m.met.cacheMisses.Inc()
 	j := m.newJobLocked(key, cfg, opt, now)
 	j.journaled = len(cfgBytes) > 0
@@ -573,7 +567,6 @@ func (m *Manager) Submit(cfg core.Config, opt SubmitOptions) (*Job, SubmitInfo, 
 	case m.queue <- j:
 	default:
 		j.inQueue = false
-		m.rejected.Add(1)
 		m.met.rejected.Inc()
 		m.mu.Unlock()
 		return nil, SubmitInfo{}, &ErrQueueFull{Depth: len(m.queue), Cap: cap(m.queue)}
@@ -784,12 +777,9 @@ func (m *Manager) run(j *Job) {
 		m.mu.Unlock()
 	}
 
-	m.busy.Add(1)
-	m.executions.Add(1)
 	m.met.busy.Add(1)
 	m.met.executions.Inc()
 	res, err := m.execIsolated(cfg)
-	m.busy.Add(-1)
 	m.met.busy.Add(-1)
 
 	deg := ctl.Report()
@@ -936,22 +926,27 @@ func (m *Manager) Stats() Stats {
 	qcap := cap(m.queue)
 	m.mu.Unlock()
 	entries, capacity := m.cache.stats()
+	var replayed int64
+	snap := m.met.reg.Snapshot()
+	for _, outcome := range snap.LabelValues(obs.MJobsReplayed, "outcome") {
+		replayed += snap.CounterValue(obs.MJobsReplayed, "outcome", outcome)
+	}
 	return Stats{
 		Workers:     m.opts.Workers,
-		Busy:        int(m.busy.Load()),
+		Busy:        int(m.met.busy.Value()),
 		QueueDepth:  depth,
 		QueueCap:    qcap,
 		Jobs:        jobs,
 		ByState:     byState,
-		Executions:  m.executions.Load(),
-		Coalesced:   m.coalesced.Load(),
-		CacheHits:   m.cacheHits.Load(),
-		CacheMisses: m.cacheMisses.Load(),
-		Rejected:    m.rejected.Load(),
-		Shed:        m.shed.Load(),
-		Retries:     m.retries.Load(),
-		Replayed:    m.replayed.Load(),
-		Stalled:     m.stalled.Load(),
+		Executions:  m.met.executions.Value(),
+		Coalesced:   m.met.coalesced.Value(),
+		CacheHits:   m.met.cacheHits.Value(),
+		CacheMisses: m.met.cacheMisses.Value(),
+		Rejected:    m.met.rejected.Value(),
+		Shed:        m.met.shed.Value(),
+		Retries:     m.met.retries.Value(),
+		Replayed:    replayed,
+		Stalled:     m.met.stalled.Value(),
 		CacheSize:   entries,
 		CacheCap:    capacity,
 	}

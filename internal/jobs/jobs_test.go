@@ -10,6 +10,7 @@ import (
 
 	"graphsig/internal/core"
 	"graphsig/internal/graph"
+	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
 )
 
@@ -553,6 +554,76 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.CacheSize != 1 {
 		t.Errorf("cacheSize = %d; want 1", st.CacheSize)
+	}
+}
+
+// TestStatsMatchRegistry: Stats reads the manager's obs series, so after
+// a miss, a cache hit, a coalesce, a queue-full reject and a deadline
+// shed every Stats counter equals its registry series. Replayed is
+// checked in TestJournalReplaySurfacesFinishedJob.
+func TestStatsMatchRegistry(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	reg := obs.NewRegistry()
+	m := newTestManager(t, Options{
+		Workers: 1, QueueDepth: 1, Metrics: reg,
+		Exec: func(cfg core.Config) (core.Result, error) {
+			if cfg.CutoffRadius > 1 {
+				started <- struct{}{}
+				<-release
+			}
+			return core.Result{}, nil
+		},
+	})
+	defer close(release)
+	detached := SubmitOptions{Detached: true}
+	j, _, err := m.Submit(cfgN(1), detached) // miss, runs to completion
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if _, info, _ := m.Submit(cfgN(1), detached); !info.Cached {
+		t.Fatal("resubmit missed the cache")
+	}
+	if _, _, err := m.Submit(cfgN(2), detached); err != nil { // miss, holds the worker
+		t.Fatal(err)
+	}
+	<-started
+	if _, info, _ := m.Submit(cfgN(2), detached); !info.Coalesced {
+		t.Fatal("identical submit did not coalesce")
+	}
+	if _, _, err := m.Submit(cfgN(3), detached); err != nil { // miss, fills the queue
+		t.Fatal(err)
+	}
+	var full *ErrQueueFull
+	if _, _, err := m.Submit(cfgN(4), detached); !errors.As(err, &full) {
+		t.Fatalf("overflow submit error = %v; want ErrQueueFull", err)
+	}
+	m.updateAvgRun(time.Second)
+	var shed *ErrDeadline
+	if _, _, err := m.Submit(cfgN(5), SubmitOptions{Detached: true, Deadline: time.Now().Add(time.Millisecond)}); !errors.As(err, &shed) {
+		t.Fatalf("doomed submit error = %v; want ErrDeadline", err)
+	}
+
+	st := m.Stats()
+	for _, c := range []struct {
+		name        string
+		stats, want int64
+		series      int64
+	}{
+		{"busy", int64(st.Busy), 1, reg.Gauge(obs.MJobsBusy).Value()},
+		{"executions", st.Executions, 2, reg.Counter(obs.MJobsExecutions).Value()},
+		{"coalesced", st.Coalesced, 1, reg.Counter(obs.MJobsCoalesced).Value()},
+		{"cacheHits", st.CacheHits, 1, reg.Counter(obs.MJobsCacheHits).Value()},
+		{"cacheMisses", st.CacheMisses, 4, reg.Counter(obs.MJobsCacheMisses).Value()},
+		{"rejected", st.Rejected, 1, reg.Counter(obs.MJobsRejected).Value()},
+		{"shed", st.Shed, 1, reg.Counter(obs.MJobsShed).Value()},
+		{"retries", st.Retries, 0, reg.Counter(obs.MJobsRetries).Value()},
+		{"stalled", st.Stalled, 0, reg.Counter(obs.MJobsStalled).Value()},
+	} {
+		if c.stats != c.series || c.stats != c.want {
+			t.Errorf("%s: Stats %d, registry %d, want %d", c.name, c.stats, c.series, c.want)
+		}
 	}
 }
 

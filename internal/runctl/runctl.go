@@ -69,10 +69,13 @@ const (
 	StageFSG Stage = "fsg"
 	// StageLEAP is discriminative pattern mining.
 	StageLEAP Stage = "leap"
-	// StageGroup is GraphSig's region-grouping phase: cutting the
-	// radius-bounded windows around each vector's supporting nodes.
+	// StageGroup is GraphSig's Phase 3 as a whole (Alg 2 lines 8-13):
+	// cutting the radius-bounded windows around each vector's
+	// supporting nodes, mining every group and merging the patterns. It
+	// is one span per mine, so its duration is Phase 3's wall time.
 	StageGroup Stage = "group"
-	// StageGroupMine is GraphSig's per-group maximal FSM phase.
+	// StageGroupMine is GraphSig's per-group maximal FSM phase, one span
+	// per mined group: summed, Phase 3's busy time.
 	StageGroupMine Stage = "group-mine"
 	// StageVF2 is (sub)graph isomorphism search.
 	StageVF2 Stage = "vf2"

@@ -6,10 +6,13 @@ import (
 	"graphsig/internal/obs"
 )
 
-// StageSpan meters one execution of one pipeline stage: its wall time,
-// its completed work units, and whether it ended completed or degraded.
-// Spans are the producer side of the per-stage invariant the test suite
-// locks down:
+// StageSpan times one execution of one pipeline stage and meters its
+// wall time, its completed work units, and whether it ended completed
+// or degraded. Spans are the only clock of a mine: the pipeline reads
+// Result.Profile from the durations End and Fail return, so the
+// profile, /metrics, the CLI -stats table and benchjson report one
+// measurement. Spans are also the producer side of the per-stage
+// invariant the test suite locks down:
 //
 //	started_total == completed_total + degraded_total
 //
@@ -19,8 +22,9 @@ import (
 // including mid-run trips, where a stage that began under a live
 // controller ends under a stopped one and books itself degraded.
 //
-// A nil *StageSpan is valid and free: StartStage returns nil whenever
-// the run is unmetered, so call sites never branch.
+// A span is a value: StartStage times whether or not the run is
+// metered (an unmetered run books into no-op obs handles), and the zero
+// span is a no-op whose End and Fail return 0.
 type StageSpan struct {
 	ctl   *Controller
 	stage Stage
@@ -28,56 +32,48 @@ type StageSpan struct {
 	done  bool
 }
 
-// StartStage opens a metered span for stage, incrementing its started
-// counter. It returns nil (a no-op span) when the controller is nil or
-// carries no metrics registry. Spans are goroutine-local, like
+// StartStage opens a span for stage, incrementing its started counter
+// when the run is metered. Spans are goroutine-local, like
 // Checkpoints: do not share one across goroutines.
-func (c *Controller) StartStage(stage Stage) *StageSpan {
-	if c == nil || c.metrics == nil {
-		return nil
-	}
-	c.metrics.Counter(obs.MStageStarted, "stage", string(stage)).Inc()
-	return &StageSpan{ctl: c, stage: stage, start: time.Now()}
+func (c *Controller) StartStage(stage Stage) StageSpan {
+	c.Metrics().Counter(obs.MStageStarted, "stage", string(stage)).Inc()
+	return StageSpan{ctl: c, stage: stage, start: time.Now()}
 }
 
-// End closes the span with units of completed work. The outcome is
-// derived from the shared run state: if the run has a stop cause the
-// stage is booked degraded (it ran under — or into — a trip), otherwise
-// completed. Duration and units are recorded either way; units of a
-// degraded stage are the work that did finish, mirroring
-// StageReport.Completed. Only the first End or Fail counts.
-func (s *StageSpan) End(units int64) {
-	if s == nil || s.done {
-		return
-	}
-	if err := s.ctl.Err(); err != nil {
-		s.close(units, ReasonOf(err))
-		return
-	}
-	s.close(units, "")
+// End closes the span with units of completed work and returns its
+// duration. The outcome is derived from the shared run state: if the
+// run has a stop cause the stage is booked degraded (it ran under — or
+// into — a trip), otherwise completed. Duration and units are recorded
+// either way; units of a degraded stage are the work that did finish,
+// mirroring StageReport.Completed. Only the first End or Fail counts;
+// later calls return 0.
+func (s *StageSpan) End(units int64) time.Duration {
+	return s.close(units, ReasonOf(s.ctl.Err()))
 }
 
-// Fail closes the span explicitly degraded with the given reason — for
-// failures that do not stop the whole run, like an isolated per-group
-// worker panic, which Controller.Recovered records without setting the
-// shared stop cause.
-func (s *StageSpan) Fail(reason Reason, units int64) {
-	if s == nil || s.done {
-		return
-	}
-	s.close(units, reason)
+// Fail closes the span explicitly degraded with the given reason and
+// returns its duration — for failures that do not stop the whole run,
+// like an isolated per-group worker panic, which Controller.Recovered
+// records without setting the shared stop cause.
+func (s *StageSpan) Fail(reason Reason, units int64) time.Duration {
+	return s.close(units, reason)
 }
 
 // close books the span's duration, units, and outcome exactly once.
-func (s *StageSpan) close(units int64, degraded Reason) {
+func (s *StageSpan) close(units int64, degraded Reason) time.Duration {
+	if s.done || s.start.IsZero() {
+		return 0
+	}
 	s.done = true
-	m := s.ctl.metrics
+	d := time.Since(s.start)
+	m := s.ctl.Metrics()
 	st := string(s.stage)
-	m.Histogram(obs.MStageDuration, obs.DefBuckets, "stage", st).ObserveDuration(time.Since(s.start))
+	m.Histogram(obs.MStageDuration, obs.DefBuckets, "stage", st).ObserveDuration(d)
 	m.Counter(obs.MStageUnits, "stage", st).Add(units)
 	if degraded != "" {
 		m.Counter(obs.MStageDegraded, "stage", st).Inc()
-		return
+	} else {
+		m.Counter(obs.MStageCompleted, "stage", st).Inc()
 	}
-	m.Counter(obs.MStageCompleted, "stage", st).Inc()
+	return d
 }

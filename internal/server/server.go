@@ -148,8 +148,8 @@ func New(db []*graph.Graph) *Server {
 type StoreOptions struct {
 	// Shards is the scatter-gather partition count (minimum 1).
 	Shards int
-	// Strategy maps graph positions to shards (the zero value means
-	// shard.Hash).
+	// Strategy maps graph positions to shards (the zero value is
+	// shard.Contiguous, as in shard.Options).
 	Strategy shard.Strategy
 	// CachedSegments bounds the reader's decoded-segment LRU
 	// (0 = store.DefaultCachedSegments).
@@ -173,13 +173,9 @@ func NewFromStore(dir string, opts StoreOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy := opts.Strategy
-	if strategy == 0 {
-		strategy = shard.Hash
-	}
 	coord, err := shard.New(r, shard.Options{
 		Shards:      opts.Shards,
-		Strategy:    strategy,
+		Strategy:    opts.Strategy,
 		Fingerprint: r.Fingerprint(),
 		Metrics:     reg,
 	})

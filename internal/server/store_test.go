@@ -14,6 +14,8 @@ import (
 
 	"graphsig/internal/chem"
 	"graphsig/internal/jobs"
+	"graphsig/internal/obs"
+	"graphsig/internal/shard"
 	"graphsig/internal/store"
 )
 
@@ -91,6 +93,48 @@ func TestStoreBackedServerMatchesInMemory(t *testing.T) {
 	}
 	if sig.Frequency < 0.4 {
 		t.Errorf("benzene frequency = %f", sig.Frequency)
+	}
+}
+
+// TestStoreStrategyContiguous: the zero StoreOptions.Strategy is
+// shard.Contiguous, as in shard.Options, and is honored rather than
+// remapped. On a store with more segments than LRU slots a contiguous
+// plan decodes fewer segments than a hash plan, whose every shard pass
+// touches every segment, and both answer byte-identically.
+func TestStoreStrategyContiguous(t *testing.T) {
+	d := chem.GenerateN(chem.AIDSSpec(), 48)
+	dir := t.TempDir()
+	if _, err := store.Build(dir, d.Graphs, store.BuildOptions{SegmentGraphs: 8}); err != nil {
+		t.Fatal(err)
+	}
+	mine := func(strategy shard.Strategy) ([]byte, int64) {
+		s, err := NewFromStore(dir, StoreOptions{Shards: 2, Strategy: strategy, CachedSegments: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Logf = t.Logf
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		var resp mineResponse
+		if code := postJSON(t, srv.URL+"/mine", mineRequest{Radius: 3, TimeoutMs: 120000}, &resp); code != http.StatusOK {
+			t.Fatalf("%s mine: status %d", strategy, code)
+		}
+		if len(resp.Patterns) == 0 || resp.Truncated {
+			t.Fatalf("%s mine: %d patterns, truncated %v", strategy, len(resp.Patterns), resp.Truncated)
+		}
+		answer, err := json.Marshal(resp.Patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer, s.Metrics.Snapshot().CounterValue(obs.MStoreSegmentLoads)
+	}
+	contiguous, contiguousLoads := mine(shard.Contiguous)
+	hash, hashLoads := mine(shard.Hash)
+	if string(contiguous) != string(hash) {
+		t.Errorf("answers differ:\n  contiguous %s\n  hash       %s", contiguous, hash)
+	}
+	if contiguousLoads >= hashLoads {
+		t.Errorf("segment loads: contiguous %d, hash %d; want contiguous < hash", contiguousLoads, hashLoads)
 	}
 }
 
