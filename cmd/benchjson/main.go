@@ -64,7 +64,6 @@ type benchJSON struct {
 	PrefilterMiss int64   `json:"prefilterPasses"`
 
 	// Per-run wall times in run order, and their median and minimum.
-	// Baselines recorded before these fields have only elapsedSeconds.
 	RunSec       []float64 `json:"runSeconds"`
 	MedianRunSec float64   `json:"medianRunSeconds"`
 	MinRunSec    float64   `json:"minRunSeconds"`
@@ -208,15 +207,6 @@ func median(sorted []float64) float64 {
 	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
-// perRun is a result's gated per-run time: the median run, or for a
-// baseline recorded before per-run times, elapsed time over runs.
-func perRun(b benchJSON) float64 {
-	if b.MedianRunSec > 0 {
-		return b.MedianRunSec
-	}
-	return b.ElapsedSec / float64(b.Runs)
-}
-
 // sumSites totals a labelled counter across its "site" label values
 // (maximal-filter and verify prefilters report separately).
 func sumSites(snap obs.Snapshot, name string) int64 {
@@ -252,37 +242,34 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 			path, base.Dataset, base.Graphs, base.Radius, base.Parallelism, base.Verify,
 			fresh.Dataset, fresh.Graphs, fresh.Radius, fresh.Parallelism, fresh.Verify)
 	}
-	if base.Runs < 1 || base.ElapsedSec <= 0 {
-		log.Fatalf("baseline %s has no usable timing", path)
+	// Every gated figure must be in the baseline: one that lacks a field
+	// would otherwise pass its check by default.
+	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 {
+		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun or fsgMinChecks; re-record it with make bench-json", path)
 	}
-	basePer, freshPer := perRun(base), perRun(fresh)
+	basePer, freshPer := base.MedianRunSec, fresh.MedianRunSec
 	ratio := freshPer / basePer
 	log.Printf("%.3fs/run vs baseline %.3fs/run (%.2fx, limit %.2fx)", freshPer, basePer, ratio, maxRegression)
 	if ratio > maxRegression {
 		log.Fatalf("performance regression: %.2fx exceeds the %.2fx limit", ratio, maxRegression)
 	}
-	// Allocation churn is gated at the same multiple; baselines written
-	// before the field existed decode to 0 and skip the check.
-	if base.AllocsPerRun > 0 && fresh.AllocsPerRun > 0 {
-		aRatio := fresh.AllocsPerRun / base.AllocsPerRun
-		log.Printf("%.0f allocs/run vs baseline %.0f allocs/run (%.2fx, limit %.2fx)",
-			fresh.AllocsPerRun, base.AllocsPerRun, aRatio, maxRegression)
-		if aRatio > maxRegression {
-			log.Fatalf("allocation regression: %.2fx exceeds the %.2fx limit", aRatio, maxRegression)
-		}
+	// Allocation churn is gated at the same multiple.
+	aRatio := fresh.AllocsPerRun / base.AllocsPerRun
+	log.Printf("%.0f allocs/run vs baseline %.0f allocs/run (%.2fx, limit %.2fx)",
+		fresh.AllocsPerRun, base.AllocsPerRun, aRatio, maxRegression)
+	if aRatio > maxRegression {
+		log.Fatalf("allocation regression: %.2fx exceeds the %.2fx limit", aRatio, maxRegression)
 	}
 	// FSG's Phase-2 work is gated the same way: a rise in minimality
 	// checks means candidates are being reached from more than their
-	// canonical parent. Baselines without the field skip the check.
-	if base.FSGMinChecks > 0 {
-		baseChecks := float64(base.FSGMinChecks) / float64(base.Runs)
-		freshChecks := float64(fresh.FSGMinChecks) / float64(fresh.Runs)
-		cRatio := freshChecks / baseChecks
-		log.Printf("%.0f FSG minimality checks/run vs baseline %.0f (%.2fx, limit %.2fx)",
-			freshChecks, baseChecks, cRatio, maxRegression)
-		if cRatio > maxRegression {
-			log.Fatalf("FSG minimality-check regression: %.2fx exceeds the %.2fx limit", cRatio, maxRegression)
-		}
+	// canonical parent.
+	baseChecks := float64(base.FSGMinChecks) / float64(base.Runs)
+	freshChecks := float64(fresh.FSGMinChecks) / float64(fresh.Runs)
+	cRatio := freshChecks / baseChecks
+	log.Printf("%.0f FSG minimality checks/run vs baseline %.0f (%.2fx, limit %.2fx)",
+		freshChecks, baseChecks, cRatio, maxRegression)
+	if cRatio > maxRegression {
+		log.Fatalf("FSG minimality-check regression: %.2fx exceeds the %.2fx limit", cRatio, maxRegression)
 	}
 	// Closed-pattern pruning must stay engaged: a baseline that recorded
 	// prunes against a fresh run with none means the miners silently fell

@@ -10,12 +10,12 @@ import (
 // pattern lists whose sizes are input-controlled; a goroutine per
 // element with no semaphore means thousands of concurrent miners on a
 // large input, and the scheduler thrash defeats the parallelism the
-// fan-out was meant to buy. The project convention is a channel
-// semaphore acquired in the loop body *before* the spawn
-// (`sem <- struct{}{}` then `go ...`), which every parallel stage in
-// internal/core follows; worker pools spawned by a counted loop
-// (`for w := 0; w < workers; w++`) are bounded by construction and not
-// flagged.
+// fan-out was meant to buy. The mining pipeline's fan-outs all run on
+// runctl.Controller.FanOut, a worker pool spawned by a counted loop;
+// such pools (`for w := 0; w < workers; w++`) are bounded by
+// construction and not flagged. A range loop that must spawn acquires a
+// channel semaphore in the loop body *before* the spawn
+// (`sem <- struct{}{}` then `go ...`).
 //
 // A channel send inside the spawned function literal does not count:
 // the loop would still spawn every goroutine before any of them block,
@@ -24,7 +24,8 @@ var BoundedPool = &Analyzer{
 	Name: "boundedpool",
 	Doc: "a go statement in a range loop must be preceded by a blocking " +
 		"acquire (channel-semaphore send) in the same loop body, so fan-out " +
-		"is bounded by a pool instead of the input size",
+		"is bounded by a pool instead of the input size; mining fan-outs " +
+		"use runctl.Controller.FanOut, which needs neither",
 	Run: runBoundedPool,
 }
 

@@ -348,71 +348,57 @@ func significantVectorGroups(vectors []rwr.NodeVector, cfg Config, ctl *runctl.C
 
 	// Label groups are independent: mine them in parallel, then assemble
 	// in sorted label order so the output stays deterministic. A panic
-	// in one worker degrades only that label's group (recorded on the
-	// controller); the rest of the mine proceeds.
+	// in one label's mine degrades only that label's group (recorded on
+	// the controller); the rest of the mine proceeds.
 	perLabel := make([][]VectorGroup, len(labels))
 	var statesMined, labelsTrunc atomic.Int64
-	var wg sync.WaitGroup
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	spawned := 0
-	for li, label := range labels {
-		if ctl.Stopped() {
-			break
+	mineLabel := func(li int) {
+		label := labels[li]
+		defer func() {
+			if r := recover(); r != nil {
+				ctl.Recovered(runctl.StageFVMine, fmt.Sprintf("label %d group worker", label), r)
+			}
+		}()
+		idxs := byLabel[label]
+		vecs := make([]feature.Vector, len(idxs))
+		for i, idx := range idxs {
+			vecs[i] = vectors[idx].Vec
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		spawned++
-		go func(li int, label graph.Label) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					ctl.Recovered(runctl.StageFVMine, fmt.Sprintf("label %d group worker", label), r)
-				}
-			}()
-			idxs := byLabel[label]
-			vecs := make([]feature.Vector, len(idxs))
-			for i, idx := range idxs {
-				vecs[i] = vectors[idx].Vec
+		minSup := supportThreshold(cfg, len(vecs))
+		var sig []fvmine.Significant
+		if cfg.TopKPerLabel > 0 {
+			sig = fvmine.MineTopK(vecs, cfg.TopKPerLabel, minSup, globalModel, ctl)
+		} else {
+			mres := fvmine.Mine(vecs, fvmine.Options{
+				MinSupport:    minSup,
+				MaxPvalue:     cfg.MaxPvalue,
+				Model:         globalModel,
+				SkipZeroFloor: true,
+				Ctl:           ctl,
+			})
+			statesMined.Add(int64(mres.StatesExplored))
+			if mres.Truncated {
+				labelsTrunc.Add(1)
 			}
-			minSup := supportThreshold(cfg, len(vecs))
-			var sig []fvmine.Significant
-			if cfg.TopKPerLabel > 0 {
-				sig = fvmine.MineTopK(vecs, cfg.TopKPerLabel, minSup, globalModel, ctl)
-			} else {
-				mres := fvmine.Mine(vecs, fvmine.Options{
-					MinSupport:    minSup,
-					MaxPvalue:     cfg.MaxPvalue,
-					Model:         globalModel,
-					SkipZeroFloor: true,
-					Ctl:           ctl,
-				})
-				statesMined.Add(int64(mres.StatesExplored))
-				if mres.Truncated {
-					labelsTrunc.Add(1)
-				}
-				sig = mres.Vectors
-				fvmine.SortBySignificance(sig)
-				if cfg.MaxVectorsPerLabel > 0 && len(sig) > cfg.MaxVectorsPerLabel {
-					sig = sig[:cfg.MaxVectorsPerLabel]
-				}
+			sig = mres.Vectors
+			fvmine.SortBySignificance(sig)
+			if cfg.MaxVectorsPerLabel > 0 && len(sig) > cfg.MaxVectorsPerLabel {
+				sig = sig[:cfg.MaxVectorsPerLabel]
 			}
-			out := make([]VectorGroup, 0, len(sig))
-			for _, s := range sig {
-				g := VectorGroup{Label: label, Sig: s}
-				for _, vi := range s.SupportIdx {
-					g.Nodes = append(g.Nodes, vectors[idxs[vi]])
-				}
-				out = append(out, g)
+		}
+		out := make([]VectorGroup, 0, len(sig))
+		for _, s := range sig {
+			g := VectorGroup{Label: label, Sig: s}
+			for _, vi := range s.SupportIdx {
+				g.Nodes = append(g.Nodes, vectors[idxs[vi]])
 			}
-			perLabel[li] = out
-		}(li, label)
+			out = append(out, g)
+		}
+		perLabel[li] = out
 	}
-	wg.Wait()
+	started := ctl.FanOut(len(labels), cfg.Parallelism, func() func(int) bool {
+		return func(li int) bool { mineLabel(li); return true }
+	})
 	var groups []VectorGroup
 	for li := range perLabel {
 		groups = append(groups, perLabel[li]...)
@@ -420,7 +406,7 @@ func significantVectorGroups(vectors []rwr.NodeVector, cfg Config, ctl *runctl.C
 	if ctl.Stopped() || labelsTrunc.Load() > 0 {
 		ctl.RecordStop(runctl.StageFVMine, statesMined.Load(), 0,
 			fmt.Sprintf("%d of %d label groups truncated, %d not started",
-				labelsTrunc.Load(), len(labels), len(labels)-spawned))
+				labelsTrunc.Load(), len(labels), len(labels)-started))
 	}
 	return groups
 }
@@ -574,7 +560,7 @@ func (c *checkpointer) commit(gi int) {
 	}
 }
 
-// mineGroups fans Phase 3 out over a pool of cfg.Parallelism workers
+// mineGroups fans Phase 3 out over cfg.Parallelism FanOut workers
 // sharing one window cache. Before any group is launched, the cache is
 // filled in one sweep over the database in position order (see
 // windowCache.sweep), so a store-backed source decodes each segment
@@ -592,12 +578,6 @@ func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg
 	start := copy(outcomes, resumed)
 	ckpt.attach(outcomes)
 	workers := cfg.Parallelism
-	if workers > len(groups)-start {
-		workers = len(groups) - start
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	if !wc.sweep(sweepPlan(groups[start:], cfg), cfg.Parallelism, ctl) {
 		// A read failed, so unless the run stops first the mine fails.
 		// Mining the groups one at a time makes its error exactly the
@@ -605,32 +585,18 @@ func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg
 		// anything.
 		workers = 1
 	}
-	var wg sync.WaitGroup
-	var readFailed atomic.Bool
-	sem := make(chan struct{}, workers)
-	launched := start
-	for gi := start; gi < len(groups); gi++ {
-		// Take the slot before the check: a group that finished while
-		// the launcher waited may have stopped the run.
-		sem <- struct{}{}
-		if ctl.Stopped() || readFailed.Load() {
-			break
-		}
-		wg.Add(1)
-		launched++
-		go func(gi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	launched := ctl.FanOut(len(groups)-start, workers, func() func(int) bool {
+		return func(i int) bool {
+			gi := start + i
 			outcomes[gi] = mineOneGroup(groups[gi], cfg, ctl, wc)
 			if outcomes[gi].err != nil {
-				readFailed.Store(true)
-				return
+				return false
 			}
 			ckpt.commit(gi)
-		}(gi)
-	}
-	wg.Wait()
-	return outcomes, launched
+			return true
+		}
+	})
+	return outcomes, start + launched
 }
 
 // mineOneGroup cuts one group's region windows and runs maximal FSM on

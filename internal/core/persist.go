@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
@@ -325,8 +324,10 @@ type PersistedSubgraph struct {
 	Unverified      bool    `json:"unverified,omitempty"`
 }
 
-// persistedResult is the wire form of a completed Result. Profile
-// timings are carried as nanoseconds.
+// persistedResult is the wire form of a completed Result. Profile is
+// not persisted: it times one process's run, and a decoded result is
+// served, never profiled. Journals written while it was carried (as
+// "profileNs") still decode; encoding/json skips the field.
 type persistedResult struct {
 	V            int                 `json:"v"`
 	Subgraphs    []PersistedSubgraph `json:"subgraphs"`
@@ -336,7 +337,6 @@ type persistedResult struct {
 	GroupErrors  int                 `json:"groupErrors"`
 	Truncated    bool                `json:"truncated"`
 	Degradation  json.RawMessage     `json:"degradation,omitempty"`
-	ProfileNs    [4]int64            `json:"profileNs"`
 }
 
 // EncodeResult serializes a finished mine for the journal, so a
@@ -351,10 +351,6 @@ func EncodeResult(res Result) ([]byte, error) {
 		GroupsPruned: res.GroupsPruned,
 		GroupErrors:  res.GroupErrors,
 		Truncated:    res.Truncated,
-		ProfileNs: [4]int64{
-			int64(res.Profile.RWR), int64(res.Profile.FeatureAnalysis),
-			int64(res.Profile.FSM), int64(res.Profile.Verify),
-		},
 	}
 	deg, err := json.Marshal(res.Degradation)
 	if err != nil {
@@ -399,10 +395,6 @@ func DecodeResult(data []byte) (Result, error) {
 		GroupErrors:  pr.GroupErrors,
 		Truncated:    pr.Truncated,
 	}
-	res.Profile.RWR = time.Duration(pr.ProfileNs[0])
-	res.Profile.FeatureAnalysis = time.Duration(pr.ProfileNs[1])
-	res.Profile.FSM = time.Duration(pr.ProfileNs[2])
-	res.Profile.Verify = time.Duration(pr.ProfileNs[3])
 	if len(pr.Degradation) > 0 {
 		if err := json.Unmarshal(pr.Degradation, &res.Degradation); err != nil {
 			return Result{}, fmt.Errorf("core: decode degradation: %w", err)

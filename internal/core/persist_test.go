@@ -7,6 +7,7 @@ package core
 // round-trip exactly.
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -226,9 +227,22 @@ func TestResultPersistRoundTrip(t *testing.T) {
 	if back.Truncated != res.Truncated || back.GroupErrors != res.GroupErrors {
 		t.Fatal("result flags did not survive the round-trip")
 	}
-	if back.Profile.RWR != res.Profile.RWR || back.Profile.Verify != res.Profile.Verify {
-		t.Fatal("profile timings did not survive the round-trip")
+	// Journals written while Profile was persisted carry "profileNs";
+	// they must still decode, to the same answer.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(buf, &fields); err != nil {
+		t.Fatal(err)
 	}
+	fields["profileNs"] = json.RawMessage(`[1,2,3,4]`)
+	old, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := DecodeResult(old)
+	if err != nil {
+		t.Fatalf("result carrying profileNs did not decode: %v", err)
+	}
+	assertSameMine(t, "result with profileNs", res, legacy)
 }
 
 // TestSnapshotsExtendOnePrefix: each snapshot encodes only the outcomes

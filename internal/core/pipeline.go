@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -212,8 +211,8 @@ func MineSource(src Source, shards [][]int, cfg Config) (Result, error) {
 
 // verify counts every pattern's graph-space support shard by shard and
 // sums: shards partition the database, so the per-shard counts add up to
-// the exact support. Within a shard, workers claim patterns by atomic
-// index and share the controller's VF2 budget, and a prefilter over the
+// the exact support. Within a shard, FanOut workers claim patterns in
+// order and share the controller's VF2 budget, and a prefilter over the
 // shard lets them reject graphs that provably cannot contain a pattern
 // before VF2. A panic while counting one pattern leaves only that
 // pattern Unverified. If the run was cut short, every pattern stays
@@ -225,25 +224,18 @@ func verify(each func(func([]*graph.Graph)) error, n int, patterns []*Subgraph, 
 	span := ctl.StartStage(runctl.StageVerify)
 	supports := make([]atomic.Int64, len(patterns))
 	incomplete := make([]atomic.Bool, len(patterns))
-	workers = min(workers, len(patterns))
 	if len(patterns) > 0 {
 		err := each(func(graphs []*graph.Graph) {
 			pf := isomorph.NewPrefilter(graphs).Meter(ctl.Metrics(), "verify")
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					cp := ctl.Checkpoint(runctl.StageVerify)
-					for i := int(next.Add(1)) - 1; i < len(patterns); i = int(next.Add(1)) - 1 {
-						if ctl.Stopped() || !countOne(pf, patterns[i], &supports[i], cp, ctl) {
-							incomplete[i].Store(true)
-						}
+			ctl.FanOut(len(patterns), workers, func() func(int) bool {
+				cp := ctl.Checkpoint(runctl.StageVerify)
+				return func(i int) bool {
+					if !countOne(pf, patterns[i], &supports[i], cp, ctl) {
+						incomplete[i].Store(true)
 					}
-				}()
-			}
-			wg.Wait()
+					return true
+				}
+			})
 		})
 		if err != nil {
 			return span.Fail(runctl.ReasonPanic, 0), err

@@ -146,25 +146,16 @@ func sweepPlan(groups []VectorGroup, cfg Config) []sweepGraph {
 // group workers cut lazily, exactly as they would without a sweep. It
 // reports false when a read failed.
 func (c *windowCache) sweep(plan []sweepGraph, workers int, ctl *runctl.Controller) bool {
-	workers = min(workers, len(plan))
-	var next atomic.Int64
 	var readFailed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(plan); i = int(next.Add(1)) - 1 {
-				if ctl.Stopped() || readFailed.Load() {
-					return
-				}
-				if !c.cutGraph(plan[i]) {
-					readFailed.Store(true)
-				}
+	ctl.FanOut(len(plan), workers, func() func(int) bool {
+		return func(i int) bool {
+			if c.cutGraph(plan[i]) {
+				return true
 			}
-		}()
-	}
-	wg.Wait()
+			readFailed.Store(true)
+			return false
+		}
+	})
 	return !readFailed.Load()
 }
 

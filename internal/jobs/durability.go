@@ -83,10 +83,7 @@ func (m *Manager) scheduleRetry(j *Job, nextAttempt int, cause error) {
 	m.met.retries.Inc()
 	m.journalFor(j, journal.Event{Type: journal.EvRetrying, Attempt: nextAttempt, Error: cause.Error()})
 	m.logf("jobs: %s attempt %d failed (%v); retry %d in %s", j.id, nextAttempt-1, cause, nextAttempt, backoff.Round(time.Millisecond))
-	timer := time.AfterFunc(backoff, func() { m.requeue(j) })
-	j.mu.Lock()
-	j.retryTimer = timer
-	j.mu.Unlock()
+	time.AfterFunc(backoff, func() { m.requeue(j) })
 }
 
 // requeue puts a retry-pending job back on the queue when its backoff
@@ -97,7 +94,6 @@ func (m *Manager) requeue(j *Job) {
 	defer m.mu.Unlock()
 	j.mu.Lock()
 	j.retryPending = false
-	j.retryTimer = nil
 	if j.state != StateQueued {
 		j.mu.Unlock()
 		return // canceled (or otherwise settled) during backoff
@@ -219,16 +215,21 @@ func (m *Manager) sweepStalls(now time.Time, lastChecks map[string]int64, lastAd
 		if now.Sub(lastAdvance[id]) < m.opts.StallTimeout {
 			continue
 		}
+		// Cancel before Stalled becomes visible, under the job lock run()
+		// settles the job in: a job flagged Stalled then always ends
+		// canceled, and one that settled first is left alone.
 		r.j.mu.Lock()
-		alreadyStalled := r.j.stalled
-		r.j.stalled = true
+		fire := !r.j.stalled && r.j.state == StateRunning && r.j.ctl == r.ctl
+		if fire {
+			r.ctl.Cancel(fmt.Sprintf("stall watchdog: no progress for %s", m.opts.StallTimeout))
+			r.j.stalled = true
+		}
 		r.j.mu.Unlock()
-		if alreadyStalled {
-			continue // cancel already issued; the pipeline is unwinding
+		if !fire {
+			continue // cancel already issued, or the job settled meanwhile
 		}
 		m.met.stalled.Inc()
-		m.logf("jobs: %s stalled (no controller progress for %s); canceling", id, m.opts.StallTimeout)
-		r.ctl.Cancel(fmt.Sprintf("stall watchdog: no progress for %s", m.opts.StallTimeout))
+		m.logf("jobs: %s stalled (no controller progress for %s); canceled", id, m.opts.StallTimeout)
 	}
 	for id := range lastChecks {
 		if !seen[id] {

@@ -346,6 +346,47 @@ func TestStallWatchdogCancelsWedgedJob(t *testing.T) {
 	}
 }
 
+// TestStallWatchdogCancelsBeforeFlagging: by the time a job reads
+// Stalled, its controller is already canceled. The manager's logger
+// sleeps on the watchdog's "stalled" line, so a watchdog that flagged
+// the job, logged and only then canceled would let the exec below
+// return a complete mine inside that gap and the job end done.
+func TestStallWatchdogCancelsBeforeFlagging(t *testing.T) {
+	wedged := make(chan struct{})
+	m := newTestManager(t, Options{
+		StallTimeout: 50 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "stalled") {
+				time.Sleep(300 * time.Millisecond)
+			}
+		},
+		Exec: func(cfg core.Config) (core.Result, error) {
+			<-wedged
+			return core.Result{}, nil
+		},
+	})
+	j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !j.Snapshot().Stalled {
+		if time.Now().After(deadline) {
+			t.Fatal("watchdog never flagged the wedged job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(wedged)
+	<-j.Done()
+	snap := j.Snapshot()
+	if snap.State != StateCanceled {
+		t.Fatalf("stalled job ended %s, want %s", snap.State, StateCanceled)
+	}
+	if snap.Degradation == nil || !strings.Contains(snap.Degradation.Detail, "stall watchdog") {
+		t.Errorf("degradation = %+v, want stall watchdog detail", snap.Degradation)
+	}
+}
+
 func TestStallWatchdogSparesAdvancingJob(t *testing.T) {
 	release := make(chan struct{})
 	m := newTestManager(t, Options{
@@ -473,4 +514,43 @@ func TestTTLHoldsRetryPendingJob(t *testing.T) {
 		t.Fatal("retry-pending job evicted during backoff")
 	}
 	waitState(t, j, StateDone)
+}
+
+// TestTTLEvictsRetriedJob: a job that failed once, was retried and is
+// done becomes evictable once its TTL has passed; nothing its backoff
+// timer left behind may pin it. A backoff of a nanosecond lets the
+// timer's requeue race the code that scheduled it.
+func TestTTLEvictsRetriedJob(t *testing.T) {
+	const n = 20
+	var failed [n + 1]atomic.Bool
+	m := newTestManager(t, Options{
+		Workers: 2, TTL: time.Millisecond, MaxRetries: 1, RetryBackoff: time.Nanosecond,
+		Exec: func(cfg core.Config) (core.Result, error) {
+			if !failed[cfg.CutoffRadius].Swap(true) {
+				panic("transient")
+			}
+			return core.Result{}, nil
+		},
+	})
+	var jobs []*Job
+	for r := 1; r <= n; r++ {
+		j, _, err := m.Submit(cfgN(r), SubmitOptions{Detached: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		waitState(t, j, StateDone)
+		if a := j.Snapshot().Attempt; a != 1 {
+			t.Fatalf("job %s finished on attempt %d, want 1 (one retry)", j.ID(), a)
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // every TTL expired
+	m.evictExpired(time.Now())
+	for _, j := range jobs {
+		if _, ok := m.Get(j.ID()); ok {
+			t.Errorf("retried job %s done and past its TTL, still not evicted", j.ID())
+		}
+	}
 }

@@ -269,10 +269,9 @@ type Job struct {
 	// The janitor never evicts such a job — a worker will still
 	// dequeue it — even when cancellation already made it terminal.
 	inQueue bool
-	// retryPending + retryTimer: a backoff timer holds the job for
-	// re-enqueueing; eviction must wait for it to fire or be settled.
+	// retryPending: a backoff timer holds the job for re-enqueueing;
+	// eviction must wait for it to fire.
 	retryPending bool
-	retryTimer   *time.Timer
 	// stalled: the watchdog canceled this job for lack of progress.
 	stalled bool
 }
@@ -782,7 +781,6 @@ func (m *Manager) run(j *Job) {
 	res, err := m.execIsolated(cfg)
 	m.met.busy.Add(-1)
 
-	deg := ctl.Report()
 	now := time.Now()
 	// Every execution, terminal or retried, occupied a worker for this
 	// long — exactly what the admission-control wait estimate needs.
@@ -791,6 +789,10 @@ func (m *Manager) run(j *Job) {
 
 	m.mu.Lock()
 	j.mu.Lock()
+	// Read the report under the job lock: the stall watchdog cancels
+	// and flags a running job under it too, so a job flagged Stalled
+	// always settles canceled.
+	deg := ctl.Report()
 	canceled := j.cancelRequested || (deg.Truncated && deg.Reason == runctl.ReasonCancel)
 	if err != nil && !canceled && !m.draining.Load() && attempt < m.opts.MaxRetries {
 		// Failure with retry budget left: back to queued; the
@@ -904,7 +906,7 @@ func (m *Manager) evictExpired(now time.Time) {
 	for id, j := range m.jobs {
 		j.mu.Lock()
 		expired := j.state.Finished() && !j.inQueue && !j.retryPending &&
-			j.retryTimer == nil && j.finished.Before(cutoff)
+			j.finished.Before(cutoff)
 		j.mu.Unlock()
 		if expired {
 			delete(m.jobs, id)

@@ -22,6 +22,10 @@
 // Checkpoint is goroutine-local; the Controller behind it is shared and
 // safe for concurrent use. All Controller and Checkpoint methods are
 // nil-receiver safe, so unconstrained runs pass nil and pay nothing.
+//
+// Controller.FanOut is the pipeline's one bounded pool: every parallel
+// stage runs its items on it, and it stops handing out items once the
+// controller has stopped.
 package runctl
 
 import (

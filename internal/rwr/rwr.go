@@ -8,11 +8,11 @@ package rwr
 
 import (
 	"math"
-	"runtime"
 	"sync"
 
 	"graphsig/internal/feature"
 	"graphsig/internal/graph"
+	"graphsig/internal/runctl"
 )
 
 // Config controls the walk. The zero value is not valid; use Defaults.
@@ -27,8 +27,9 @@ type Config struct {
 	MaxIterations int
 	// Tolerance is the L1 convergence threshold (default 1e-9).
 	Tolerance float64
-	// Workers bounds DatabaseVectors' goroutine fan-out (0 or negative
-	// = GOMAXPROCS). Output is deterministic at any setting.
+	// Workers bounds DatabaseVectors' fan-out, which runs on
+	// runctl.Controller.FanOut (0 or negative = GOMAXPROCS). Output is
+	// deterministic at any setting.
 	Workers int
 }
 
@@ -374,39 +375,20 @@ func DatabaseVectors(db []*graph.Graph, fs *feature.Set, cfg Config) []NodeVecto
 		offsets[i+1] = offsets[i] + g.NumNodes()
 	}
 	out := make([]NodeVector, offsets[len(db)])
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(db) {
-		workers = len(db)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	// A nil controller never stops, so every graph is vectorized. Each
+	// graph borrows a walker from the pool, which keeps one per P warm.
+	var ctl *runctl.Controller
+	ctl.FanOut(len(db), cfg.Workers, func() func(int) bool {
+		return func(gi int) bool {
+			g, base := db[gi], offsets[gi]
 			wk := getWalker(fs, cfg)
-			defer walkers.Put(wk)
-			for gi := range work {
-				g := db[gi]
-				base := offsets[gi]
-				wk.graphVectors(g, func(v int, vec feature.Vector) {
-					out[base+v] = NodeVector{GraphID: gi, NodeID: v, Label: g.NodeLabel(v), Vec: vec}
-				})
-			}
-		}()
-	}
-	for gi := range db {
-		work <- gi
-	}
-	close(work)
-	wg.Wait()
+			wk.graphVectors(g, func(v int, vec feature.Vector) {
+				out[base+v] = NodeVector{GraphID: gi, NodeID: v, Label: g.NodeLabel(v), Vec: vec}
+			})
+			walkers.Put(wk)
+			return true
+		}
+	})
 	return out
 }
 
