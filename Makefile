@@ -26,11 +26,13 @@ lint:
 # minimality under node relabeling and edge-order mutation, the SMILES
 # parser, the store's two untrusted-input decoders (segment binary
 # format, manifest JSON), FVMine (threshold and top-k) against a
-# brute-force enumeration of closed vectors, and FSG (full, closed-only
-# and maximal) against a brute-force enumeration of connected edge
-# subsets with VF2 support counts, and FSG's per-parent trace
-# minimality check against dfscode.IsMinimal. `go test -fuzz` accepts
-# one target per invocation, hence one line each.
+# brute-force enumeration of closed vectors, on groups of up to 12
+# vectors (one bitset word) and of 65 to 400 (several words, with the
+# list scan of small sets), and FSG (full, closed-only and maximal)
+# against a brute-force enumeration of connected edge subsets with VF2
+# support counts, and FSG's per-parent trace minimality check against
+# dfscode.IsMinimal. `go test -fuzz` accepts one target per invocation,
+# hence one line each, and a name that prefixes another is anchored.
 fuzz:
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzReadDB               -fuzztime=2000x
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzCSRRoundTrip         -fuzztime=500x
@@ -41,7 +43,8 @@ fuzz:
 	go test ./internal/chem     -run='^$$' -fuzz=FuzzParseSMILES          -fuzztime=2000x
 	go test ./internal/store    -run='^$$' -fuzz=FuzzDecodeSegment        -fuzztime=500x
 	go test ./internal/store    -run='^$$' -fuzz=FuzzManifestJSON         -fuzztime=500x
-	go test ./internal/fvmine   -run='^$$' -fuzz=FuzzFVMineOracle         -fuzztime=2000x
+	go test ./internal/fvmine   -run='^$$' -fuzz='^FuzzFVMineOracle$$'    -fuzztime=2000x
+	go test ./internal/fvmine   -run='^$$' -fuzz=FuzzFVMineOracleWide     -fuzztime=1000x
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzFSGOracle            -fuzztime=1000x
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzTraceMinimal         -fuzztime=1000x
 

@@ -14,6 +14,7 @@ package fvmine
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"graphsig/internal/feature"
@@ -100,18 +101,20 @@ func Mine(vectors []feature.Vector, opt Options) Result {
 }
 
 // visit is Algorithm 1 lines 1-2: report x when significant.
-func (m *miner) visit(x feature.Vector, set []int, logP float64) {
-	if logP > m.logMaxP || (m.opt.SkipZeroFloor && x.IsZero()) {
+func (m *miner) visit(f *frame, logP float64) {
+	if logP > m.logMaxP || (m.opt.SkipZeroFloor && f.floor.IsZero()) {
 		return
 	}
-	m.out = append(m.out, newSignificant(x, set, logP))
+	m.out = append(m.out, newSignificant(f, logP))
 }
 
-func newSignificant(x feature.Vector, set []int, logP float64) Significant {
+// newSignificant copies out the state in f, expanding its supporting
+// set into indices.
+func newSignificant(f *frame, logP float64) Significant {
 	return Significant{
-		Vec:        x.Clone(),
-		Support:    len(set),
-		SupportIdx: append([]int(nil), set...),
+		Vec:        f.floor.Clone(),
+		Support:    f.size,
+		SupportIdx: append([]int(nil), f.indices()...),
 		PValue:     math.Exp(logP),
 		LogPValue:  logP,
 	}
@@ -121,11 +124,20 @@ func newSignificant(x feature.Vector, set []int, logP float64) Significant {
 // a depth-first walk over closed vectors (x, S) with support and
 // duplicate-state pruning, leaving what to report and when the ceiling
 // p-value makes a branch fruitless to its caller.
+//
+// A supporting set S is a bitset over the group's vectors. The index ge
+// turns the branch filter into a word-wise AND and a state's floor and
+// ceiling into subset and disjointness tests that stop at the first
+// word deciding them.
 type searcher struct {
-	n int // vectors in the group
-	// cols[i][idx] = vectors[idx][i]: the column-major copy the branch
-	// filter scans.
-	cols   [][]uint8
+	n     int // vectors in the group
+	words int // 64-bit words per supporting set
+	// cols[j][idx] = vectors[idx][j]: the column-major copy the bounds of
+	// small sets scan.
+	cols [][]uint8
+	// ge[j][v] = {idx : vectors[idx][j] >= v} for v in 1..max_j; ge[j][0]
+	// is unused. The sets share one slab, their headers another.
+	ge     [][][]uint64
 	model  *sigmodel.Model
 	minSup int
 	cp     *runctl.Checkpoint
@@ -134,7 +146,7 @@ type searcher struct {
 	// visit copies it.
 	frames []*frame
 
-	visit     func(x feature.Vector, set []int, logP float64)
+	visit     func(f *frame, logP float64)
 	fruitless func(ceilLogP float64) bool
 
 	states  int
@@ -142,28 +154,83 @@ type searcher struct {
 	stopWhy runctl.Reason
 }
 
-// frame is one search state's scratch: its supporting set, its closed
-// vector (the floor of the set), the ceiling of the set, and the
-// features that vary over the set (floor below ceiling), ascending.
+// frame is one search state's scratch: its supporting set and its size,
+// its closed vector (the floor of the set), the ceiling of the set, and
+// the features that vary over the set (floor below ceiling), ascending.
 type frame struct {
-	set         []int
+	set  []uint64
+	size int
+	// idx lists set ascending once expanded, and is empty until then
+	// (no state's set is empty). Only a small set's bounds and a reported
+	// state expand it.
+	idx         []int
 	floor, ceil feature.Vector
 	vary        []int
 }
 
-func newSearcher(vectors []feature.Vector, model *sigmodel.Model, minSup int, cp *runctl.Checkpoint) *searcher {
-	n, dim := len(vectors), len(vectors[0])
-	slab := make([]uint8, n*dim)
-	cols := make([][]uint8, dim)
-	for i := range cols {
-		cols[i] = slab[i*n : (i+1)*n]
-	}
-	for idx, v := range vectors {
-		for i, x := range v {
-			cols[i][idx] = x
+// indices returns the supporting set as ascending vector indices.
+func (f *frame) indices() []int {
+	if len(f.idx) == 0 {
+		for w, word := range f.set {
+			for ; word != 0; word &= word - 1 {
+				f.idx = append(f.idx, w<<6|bits.TrailingZeros64(word))
+			}
 		}
 	}
-	return &searcher{n: n, cols: cols, model: model, minSup: minSup, cp: cp}
+	return f.idx
+}
+
+func newSearcher(vectors []feature.Vector, model *sigmodel.Model, minSup int, cp *runctl.Checkpoint) *searcher {
+	n, dim := len(vectors), len(vectors[0])
+	words := (n + 63) / 64
+	slab := make([]uint8, n*dim)
+	// Transpose 64 rows at a time, so each column write is sequential.
+	for base := 0; base < n; base += 64 {
+		rows := vectors[base:min(base+64, n)]
+		for j := 0; j < dim; j++ {
+			col := slab[j*n+base : j*n+base+len(rows)]
+			for k, v := range rows {
+				col[k] = v[j]
+			}
+		}
+	}
+	s := &searcher{n: n, words: words, cols: make([][]uint8, dim), ge: make([][][]uint64, dim), model: model, minSup: minSup, cp: cp}
+	root := s.frame(0)
+	total := 0
+	for j := range s.cols {
+		col := slab[j*n : (j+1)*n]
+		lo, hi := col[0], col[0]
+		for _, x := range col {
+			lo = min(lo, x)
+			hi = max(hi, x)
+		}
+		s.cols[j], root.floor[j], root.ceil[j] = col, lo, hi
+		total += int(hi)
+	}
+	sets := make([]uint64, total*words)
+	heads := make([][]uint64, total+dim)
+	for j, col := range s.cols {
+		c := int(root.ceil[j]) + 1
+		ge := heads[:c:c]
+		heads = heads[c:]
+		for v := 1; v < c; v++ {
+			ge[v], sets = sets[:words:words], sets[words:]
+		}
+		// Mark each vector at its own value, then fold every set into
+		// the one below it.
+		for idx, x := range col {
+			if x > 0 {
+				ge[x][idx>>6] |= 1 << (idx & 63)
+			}
+		}
+		for v := len(ge) - 2; v >= 1; v-- {
+			for w, word := range ge[v+1] {
+				ge[v][w] |= word
+			}
+		}
+		s.ge[j] = ge
+	}
+	return s
 }
 
 // frame returns the scratch of depth d, allocating it on first use.
@@ -171,7 +238,8 @@ func (s *searcher) frame(d int) *frame {
 	for len(s.frames) <= d {
 		dim := len(s.cols)
 		s.frames = append(s.frames, &frame{
-			set:   make([]int, 0, s.n),
+			set:   make([]uint64, s.words),
+			idx:   make([]int, 0, s.words),
 			floor: make(feature.Vector, dim),
 			ceil:  make(feature.Vector, dim),
 			vary:  make([]int, 0, dim),
@@ -181,18 +249,20 @@ func (s *searcher) frame(d int) *frame {
 }
 
 // run searches from the floor of the whole database. visit sees every
-// state's closed vector, supporting set and log p-value; both are
-// scratch, valid only during the call.
-// fruitless reports whether a branch whose ceiling has the given log
-// p-value can be skipped.
-func (s *searcher) run(visit func(x feature.Vector, set []int, logP float64), fruitless func(ceilLogP float64) bool) {
+// state's frame and log p-value; the frame is scratch, valid only
+// during the call. fruitless reports whether a branch whose ceiling has
+// the given log p-value can be skipped.
+func (s *searcher) run(visit func(f *frame, logP float64), fruitless func(ceilLogP float64) bool) {
 	s.visit, s.fruitless = visit, fruitless
 	root := s.frame(0)
-	for idx := 0; idx < s.n; idx++ {
-		root.set = append(root.set, idx)
+	for w := range root.set {
+		root.set[w] = ^uint64(0)
 	}
-	for j, col := range s.cols {
-		root.floor[j], root.ceil[j] = span(col, root.set)
+	if tail := s.n & 63; tail != 0 {
+		root.set[s.words-1] = 1<<tail - 1
+	}
+	root.size = s.n
+	for j := range root.floor {
 		if root.floor[j] != root.ceil[j] {
 			root.vary = append(root.vary, j)
 		}
@@ -200,32 +270,99 @@ func (s *searcher) run(visit func(x feature.Vector, set []int, logP float64), fr
 	s.search(0, 0)
 }
 
-// span returns the minimum and maximum of col over set, in one pass.
-func span(col []uint8, set []int) (lo, hi uint8) {
-	lo, hi = col[set[0]], col[set[0]]
-	for _, idx := range set[1:] {
+// span returns the minimum and maximum of col over set, which lie
+// within [lo0, hi0]; it stops once both reach those limits.
+func span(col []uint8, set []int, lo0, hi0 uint8) (lo, hi uint8) {
+	lo, hi = hi0, lo0
+	for _, idx := range set {
 		v := col[idx]
 		lo = min(lo, v)
 		hi = max(hi, v)
+		if lo == lo0 && hi == hi0 {
+			break
+		}
 	}
 	return lo, hi
+}
+
+// and stores a AND b into dst and returns its population count.
+func and(dst, a, b []uint64) int {
+	a, b = a[:len(dst)], b[:len(dst)]
+	n := 0
+	for w := range dst {
+		word := a[w] & b[w]
+		dst[w] = word
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// subset reports whether a is a subset of b.
+func subset(a, b []uint64) bool {
+	b = b[:len(a)]
+	for w, word := range a {
+		if word&^b[w] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// disjoint reports whether a and b share no element.
+func disjoint(a, b []uint64) bool {
+	b = b[:len(a)]
+	for w, word := range a {
+		if word&b[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // bounds fills child's floor, ceiling and varying features, where
 // child.set refines the set of parent. A feature constant over the
 // parent's set is constant over child.set, so only the parent's varying
-// features are scanned. For a branch on position i it stops early,
+// features are examined. For a branch on position i it stops early,
 // returning false, at the first feature j < i whose floor rises above
 // the parent's: the duplicate-state test.
+//
+// The child's floor and ceiling on j lie between the parent's. The
+// floor rises while child.set is a subset of ge[j][floor+1]; the
+// ceiling falls while child.set misses ge[j][ceiling]. A set with fewer
+// members than words is scanned as an index list instead.
 func (s *searcher) bounds(child, parent *frame, i int) bool {
 	x := parent.floor
 	copy(child.floor, x)
 	copy(child.ceil, x)
 	child.vary = child.vary[:0]
+	if child.size < s.words {
+		set := child.indices()
+		for _, j := range parent.vary {
+			lo, hi := span(s.cols[j], set, x[j], parent.ceil[j])
+			if j < i && lo > x[j] {
+				return false
+			}
+			child.floor[j], child.ceil[j] = lo, hi
+			if lo != hi {
+				child.vary = append(child.vary, j)
+			}
+		}
+		return true
+	}
 	for _, j := range parent.vary {
-		lo, hi := span(s.cols[j], child.set)
-		if j < i && lo > x[j] {
-			return false
+		ge := s.ge[j]
+		lo, hi := x[j], parent.ceil[j]
+		if j == i {
+			lo++ // the filter kept exactly ge[i][x_i+1]
+		}
+		for lo < hi && subset(child.set, ge[lo+1]) {
+			if j < i {
+				return false
+			}
+			lo++
+		}
+		for hi > lo && disjoint(child.set, ge[hi]) {
+			hi--
 		}
 		child.floor[j], child.ceil[j] = lo, hi
 		if lo != hi {
@@ -250,8 +387,8 @@ func (s *searcher) search(d, b int) {
 		return
 	}
 	f := s.frame(d)
-	x, set := f.floor, f.set
-	s.visit(x, set, s.model.LogPValue(x, len(set)))
+	x := f.floor
+	s.visit(f, s.model.LogPValue(x, f.size))
 	// Lines 3-12: branch on each feature position from b. Where x_i is
 	// the ceiling no y exceeds it, so only varying features can branch.
 	child := s.frame(d + 1)
@@ -260,15 +397,9 @@ func (s *searcher) search(d, b int) {
 			continue
 		}
 		// S' = {y in S : y_i > x_i}.
-		col, xi := s.cols[i], x[i]
-		sub := child.set[:0]
-		for _, idx := range set {
-			if col[idx] > xi {
-				sub = append(sub, idx)
-			}
-		}
-		child.set = sub
-		if len(sub) < s.minSup {
+		child.size = and(child.set, f.set, s.ge[i][x[i]+1])
+		child.idx = child.idx[:0]
+		if child.size < s.minSup {
 			continue
 		}
 		// Duplicate state: the refined floor raised a feature left of i,
@@ -278,7 +409,7 @@ func (s *searcher) search(d, b int) {
 		}
 		// Ceiling prune: the most significant any descendant can get is
 		// p-value(ceiling(S'), |S'|).
-		if s.fruitless(s.model.LogPValue(child.ceil, len(sub))) {
+		if s.fruitless(s.model.LogPValue(child.ceil, child.size)) {
 			continue
 		}
 		s.search(d+1, i)

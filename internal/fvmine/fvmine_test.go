@@ -2,8 +2,10 @@ package fvmine
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -192,6 +194,21 @@ func bruteClosed(vectors []feature.Vector, minSup int, maxPvalue float64) map[st
 	return out
 }
 
+// exactSupport reports whether s.SupportIdx lists, ascending, exactly
+// the vectors s.Vec is a sub-vector of.
+func exactSupport(vectors []feature.Vector, s Significant) error {
+	var want []int
+	for i, v := range vectors {
+		if s.Vec.SubVectorOf(v) {
+			want = append(want, i)
+		}
+	}
+	if s.Support != len(want) || !slices.Equal(s.SupportIdx, want) {
+		return fmt.Errorf("vector %v: support %d %v; want %v", s.Vec, s.Support, s.SupportIdx, want)
+	}
+	return nil
+}
+
 // checkMineAgainstBrute compares Mine, and MineTopK at several k, with
 // exhaustive enumeration of the closed vectors of a small instance.
 func checkMineAgainstBrute(vectors []feature.Vector, minSup int, maxP float64) error {
@@ -201,6 +218,9 @@ func checkMineAgainstBrute(vectors []feature.Vector, minSup int, maxP float64) e
 	for _, s := range res.Vectors {
 		if _, dup := got[s.Vec.Key()]; dup {
 			return fmt.Errorf("duplicate output %v", s.Vec)
+		}
+		if err := exactSupport(vectors, s); err != nil {
+			return err
 		}
 		got[s.Vec.Key()] = s.Support
 	}
@@ -232,6 +252,9 @@ func checkMineAgainstBrute(vectors []feature.Vector, minSup int, maxP float64) e
 		for i, s := range top {
 			if sup, ok := closed[s.Vec.Key()]; !ok || sup != s.Support {
 				return fmt.Errorf("top-%d: %v (support %d) is not a closed vector of that support", k, s.Vec, s.Support)
+			}
+			if err := exactSupport(vectors, s); err != nil {
+				return fmt.Errorf("top-%d: %w", k, err)
 			}
 			if s.LogPValue != ranked[i] {
 				return fmt.Errorf("top-%d rank %d: log p-value %v; want %v", k, i, s.LogPValue, ranked[i])
@@ -289,6 +312,70 @@ func FuzzFVMineOracle(f *testing.F) {
 			}
 			vectors[i] = v
 		}
+		if err := checkMineAgainstBrute(vectors, minSup, maxP); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// wideVectors draws count vectors of dimension dim from seed, with
+// values at most 3. Zero takes five entries in eight, so the states of
+// high floors have few members: a group of 65 or more vectors spans
+// several words, and its small sets take the list scan in bounds.
+func wideVectors(seed int64, count, dim int) []feature.Vector {
+	r := rand.New(rand.NewSource(seed))
+	vs := make([]feature.Vector, count)
+	for i := range vs {
+		v := make(feature.Vector, dim)
+		for j := range v {
+			v[j] = uint8(r.Intn(4) * r.Intn(2))
+		}
+		vs[i] = v
+	}
+	return vs
+}
+
+// TestPropertyWideMineMatchesBruteForce checks Mine and MineTopK against
+// brute force on groups of 65 to 400 vectors: multi-word supporting
+// sets, through both the bitset bounds and the list scan.
+func TestPropertyWideMineMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(84))
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		vectors := wideVectors(rr.Int63(), 65+rr.Intn(336), 1+rr.Intn(3))
+		minSup := 1 + rr.Intn(4)
+		maxP := []float64{0.05, 0.2, 0.5, 1}[rr.Intn(4)]
+		if err := checkMineAgainstBrute(vectors, minSup, maxP); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: r}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzFVMineOracleWide is FuzzFVMineOracle on groups of 65 to 400
+// vectors of dimension at most 3 with values at most 3, drawn by
+// wideVectors from a seed hashed from the input. The first two bytes
+// pick the vector count, the third the dimension, the support (1 to 4)
+// and the p-value threshold.
+func FuzzFVMineOracleWide(f *testing.F) {
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{1, 7, 11, 42})
+	f.Add([]byte{255, 255, 47, 3, 1, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		count := 65 + (int(data[0])<<8|int(data[1]))%336
+		dim := 1 + int(data[2])%3
+		minSup := 1 + int(data[2]/3)%4
+		maxP := []float64{0.05, 0.2, 0.5, 1}[int(data[2]/12)%4]
+		h := fnv.New64a()
+		h.Write(data[3:])
+		vectors := wideVectors(int64(h.Sum64()), count, dim)
 		if err := checkMineAgainstBrute(vectors, minSup, maxP); err != nil {
 			t.Fatal(err)
 		}

@@ -18,14 +18,20 @@ import (
 // (nil = unbounded) and unwinds with the best k found so far when the
 // controller trips — a valid (if shallower) top-k set.
 func MineTopK(vectors []feature.Vector, k int, minSupport int, model *sigmodel.Model, ctl *runctl.Controller) []Significant {
+	out, _ := mineTopK(vectors, k, minSupport, model, ctl)
+	return out
+}
+
+// mineTopK is MineTopK that also returns the states the search explored.
+func mineTopK(vectors []feature.Vector, k int, minSupport int, model *sigmodel.Model, ctl *runctl.Controller) ([]Significant, int) {
 	if k <= 0 || len(vectors) == 0 {
-		return nil
+		return nil, 0
 	}
 	if minSupport < 1 {
 		minSupport = 1
 	}
 	if len(vectors) < minSupport {
-		return nil
+		return nil, 0
 	}
 	if model == nil {
 		model = sigmodel.New(vectors)
@@ -39,7 +45,7 @@ func MineTopK(vectors []feature.Vector, k int, minSupport int, model *sigmodel.M
 	for i := len(m.best) - 1; i >= 0; i-- {
 		out[i] = heap.Pop(&m.best).(Significant)
 	}
-	return out
+	return out, s.states
 }
 
 type topKMiner struct {
@@ -58,9 +64,9 @@ func (m *topKMiner) bound() float64 {
 	return m.best[0].LogPValue
 }
 
-func (m *topKMiner) visit(x feature.Vector, set []int, logP float64) {
-	if !x.IsZero() && logP < m.bound() {
-		heap.Push(&m.best, newSignificant(x, set, logP))
+func (m *topKMiner) visit(f *frame, logP float64) {
+	if !f.floor.IsZero() && logP < m.bound() {
+		heap.Push(&m.best, newSignificant(f, logP))
 		if len(m.best) > m.k {
 			heap.Pop(&m.best)
 		}

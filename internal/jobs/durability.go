@@ -163,6 +163,7 @@ func (m *Manager) expectedWaitLocked() time.Duration {
 // degradation report through the normal cancel path and is flagged
 // Stalled on its snapshot.
 func (m *Manager) watchdog() {
+	defer m.background.Done()
 	interval := m.opts.StallTimeout / 4
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond

@@ -387,6 +387,44 @@ func TestStallWatchdogCancelsBeforeFlagging(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForWatchdog: a watchdog sweep in flight when
+// Shutdown starts finishes before Shutdown returns, so Options.Logf is
+// never called after it.
+func TestShutdownWaitsForWatchdog(t *testing.T) {
+	wedged := make(chan struct{})
+	logging := make(chan struct{})
+	var logReturned atomic.Bool
+	m := newTestManager(t, Options{
+		StallTimeout: 50 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "stalled") {
+				close(logging)
+				time.Sleep(300 * time.Millisecond)
+				logReturned.Store(true)
+			}
+		},
+		Exec: func(cfg core.Config) (core.Result, error) {
+			<-wedged
+			return core.Result{}, nil
+		},
+	})
+	if _, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-logging:
+	case <-time.After(5 * time.Second):
+		t.Fatal("watchdog never flagged the wedged job")
+	}
+	close(wedged)
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !logReturned.Load() {
+		t.Fatal("Shutdown returned while the watchdog was still logging")
+	}
+}
+
 func TestStallWatchdogSparesAdvancingJob(t *testing.T) {
 	release := make(chan struct{})
 	m := newTestManager(t, Options{

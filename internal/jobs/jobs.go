@@ -356,6 +356,9 @@ type Manager struct {
 
 	workers     sync.WaitGroup
 	janitorStop chan struct{}
+	// background tracks the janitor and the stall watchdog, which exit
+	// once janitorStop closes.
+	background sync.WaitGroup
 	// draining flips when Shutdown's drain deadline passes: every
 	// running job is being canceled, and run() self-cancels jobs that
 	// slipped through the dequeue/running-snapshot window.
@@ -459,8 +462,10 @@ func NewManager(opt Options) *Manager {
 		m.workers.Add(1)
 		runctl.Spawn("jobs worker", m.spawnPanic, m.worker)
 	}
+	m.background.Add(1)
 	runctl.Spawn("jobs janitor", m.spawnPanic, m.janitor)
 	if opt.StallTimeout > 0 {
+		m.background.Add(1)
 		runctl.Spawn("jobs stall watchdog", m.spawnPanic, m.watchdog)
 	}
 	if len(opt.Replay) > 0 {
@@ -874,6 +879,7 @@ func (m *Manager) execIsolated(cfg core.Config) (res core.Result, err error) {
 
 // janitor evicts finished jobs past their TTL.
 func (m *Manager) janitor() {
+	defer m.background.Done()
 	interval := m.opts.TTL / 4
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
@@ -959,12 +965,15 @@ func (m *Manager) Stats() Stats {
 // process exits), and running jobs get until ctx is done to finish
 // before their controllers are tripped. Shutdown returns once every
 // worker has exited; the returned error is ctx's if the drain deadline
-// forced cancellation. Idempotent.
+// forced cancellation. The janitor and the stall watchdog have exited
+// too by then, so neither logs, evicts nor cancels after Shutdown
+// returns. Idempotent.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		m.workers.Wait()
+		m.background.Wait()
 		return nil
 	}
 	m.closed = true
@@ -986,13 +995,14 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	close(m.queue)
 	m.mu.Unlock()
 
-	workersDone := make(chan struct{})
+	done := make(chan struct{})
 	runctl.Spawn("jobs shutdown waiter", m.spawnPanic, func() {
 		m.workers.Wait()
-		close(workersDone)
+		m.background.Wait()
+		close(done)
 	})
 	select {
-	case <-workersDone:
+	case <-done:
 		return nil
 	case <-ctx.Done():
 	}
@@ -1006,6 +1016,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		m.cancelLocked(j, "shutdown drain deadline")
 	}
 	m.mu.Unlock()
-	<-workersDone
+	<-done
 	return ctx.Err()
 }
