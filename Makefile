@@ -30,9 +30,11 @@ lint:
 # vectors (one bitset word) and of 65 to 400 (several words, with the
 # list scan of small sets), and FSG (full, closed-only and maximal)
 # against a brute-force enumeration of connected edge subsets with VF2
-# support counts, and FSG's per-parent trace minimality check against
-# dfscode.IsMinimal. `go test -fuzz` accepts one target per invocation,
-# hence one line each, and a name that prefixes another is anchored.
+# support counts, FSG's per-parent trace minimality check against
+# dfscode.IsMinimal, and RWR's early freeze against the push iteration
+# on graphs that put feature masses on bin boundaries. `go test -fuzz`
+# accepts one target per invocation, hence one line each, and a name
+# that prefixes another is anchored.
 fuzz:
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzReadDB               -fuzztime=2000x
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzCSRRoundTrip         -fuzztime=500x
@@ -47,6 +49,7 @@ fuzz:
 	go test ./internal/fvmine   -run='^$$' -fuzz=FuzzFVMineOracleWide     -fuzztime=1000x
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzFSGOracle            -fuzztime=1000x
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzTraceMinimal         -fuzztime=1000x
+	go test ./internal/rwr      -run='^$$' -fuzz=FuzzRWRCertificate       -fuzztime=2000x
 
 test:
 	go test -shuffle=on ./...
@@ -84,11 +87,11 @@ bench-json:
 
 # Same workload as bench-json, gated: fails when a fresh median run is
 # more than 2x slower — or a run allocates more than 2x as much, or makes
-# more than 2x the FSG minimality checks — than in the committed
-# baseline, or runs under a different key (dataset, graphs, radius,
-# parallelism, verify) than the baseline's. CI runs this blocking;
-# refresh the baseline with `make bench-json` after intentional
-# performance changes.
+# more than 2x the FSG minimality checks or RWR power iterations — than
+# in the committed baseline, or runs under a different key (dataset,
+# graphs, radius, parallelism, verify) than the baseline's. CI runs this
+# blocking; refresh the baseline with `make bench-json` after
+# intentional performance changes.
 bench-smoke:
 	go run ./cmd/benchjson -runs 5 -parallelism 1 -out - -baseline BENCH_graphsig.json -max-regression 2
 

@@ -325,7 +325,7 @@ func BenchmarkAblation_GroupMiner(b *testing.B) {
 func BenchmarkAblation_FVMinePriors(b *testing.B) {
 	db := benchDB(100)
 	fs := feature.ChemistrySet(db, chem.Alphabet(), 5)
-	vectors := rwr.DatabaseVectors(db, fs, rwr.Defaults())
+	vectors, _ := rwr.DatabaseVectors(db, fs, rwr.Defaults())
 	var all []feature.Vector
 	var carbon []feature.Vector
 	for _, nv := range vectors {
@@ -401,7 +401,7 @@ func BenchmarkSubstrate_RWRGraph(b *testing.B) {
 func BenchmarkSubstrate_FVMine(b *testing.B) {
 	db := benchDB(100)
 	fs := feature.ChemistrySet(db, chem.Alphabet(), 5)
-	vectors := rwr.DatabaseVectors(db, fs, rwr.Defaults())
+	vectors, _ := rwr.DatabaseVectors(db, fs, rwr.Defaults())
 	var all, carbon []feature.Vector
 	for _, nv := range vectors {
 		all = append(all, nv.Vec)
@@ -421,7 +421,7 @@ func BenchmarkSubstrate_FVMine(b *testing.B) {
 func BenchmarkSubstrate_TopK(b *testing.B) {
 	db := benchDB(100)
 	fs := feature.ChemistrySet(db, chem.Alphabet(), 5)
-	vectors := rwr.DatabaseVectors(db, fs, rwr.Defaults())
+	vectors, _ := rwr.DatabaseVectors(db, fs, rwr.Defaults())
 	var all, carbon []feature.Vector
 	for _, nv := range vectors {
 		all = append(all, nv.Vec)

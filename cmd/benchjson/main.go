@@ -74,12 +74,14 @@ type benchJSON struct {
 	// Together they make the closed-mine's effect on the O(n²) sweep
 	// visible in CI, not just in wall time. FSGMinChecks counts FSG
 	// Phase-2 minimality checks, one per frequent extension key that is
-	// a rightmost-path extension of its parent's code.
+	// a rightmost-path extension of its parent's code. RWRIterations
+	// counts RWR power iterations, one per source per iteration.
 	ClosedPrunes    int64                `json:"closedPrunes"`
 	EquivOccHits    int64                `json:"equivOccurrenceHits"`
 	MaximalPairs    int64                `json:"maximalSweepPairs"`
 	MaximalVF2Calls int64                `json:"maximalVF2Calls"`
 	FSGMinChecks    int64                `json:"fsgMinChecks"`
+	RWRIterations   int64                `json:"rwrIterations"`
 	Stages          map[string]stageJSON `json:"stages"`
 	StageOrder      []string             `json:"stageOrder"`
 	GeneratedUnix   int64                `json:"generatedUnix"`
@@ -96,7 +98,7 @@ func main() {
 	verify := flag.Bool("verify", false, "include graph-space support verification")
 	out := flag.String("out", "BENCH_graphsig.json", "output file (- for stdout)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to compare against (empty = no comparison)")
-	maxRegression := flag.Float64("max-regression", 2.0, "fail when the median run time, allocations or FSG minimality checks exceed this multiple of the baseline")
+	maxRegression := flag.Float64("max-regression", 2.0, "fail when the median run time, allocations, FSG minimality checks or RWR iterations exceed this multiple of the baseline")
 	flag.Parse()
 	if *runs < 1 {
 		log.Fatal("-runs must be at least 1")
@@ -161,6 +163,7 @@ func main() {
 		MaximalVF2Calls: snap.CounterValue(obs.MPrefilterPasses,
 			"site", "maximal"),
 		FSGMinChecks:  snap.CounterValue(obs.MFSGMinChecks, "miner", "fsg"),
+		RWRIterations: snap.CounterValue(obs.MRWRIterations),
 		Stages:        map[string]stageJSON{},
 		StageOrder:    snap.LabelValues(obs.MStageStarted, "stage"),
 		GeneratedUnix: t0.Unix(),
@@ -223,7 +226,8 @@ func sumLabel(snap obs.Snapshot, name, label string) int64 {
 }
 
 // checkRegression exits non-zero when the fresh run's median run time,
-// allocations or FSG minimality checks exceed maxRegression × the
+// allocations, FSG minimality checks or RWR iterations exceed
+// maxRegression × the
 // committed baseline's, or it was run under a different key (workload
 // shape, parallelism or verification). Per-run figures are compared so
 // -runs need not match the baseline's.
@@ -244,8 +248,8 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	}
 	// Every gated figure must be in the baseline: one that lacks a field
 	// would otherwise pass its check by default.
-	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 {
-		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun or fsgMinChecks; re-record it with make bench-json", path)
+	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 || base.RWRIterations <= 0 {
+		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun, fsgMinChecks or rwrIterations; re-record it with make bench-json", path)
 	}
 	basePer, freshPer := base.MedianRunSec, fresh.MedianRunSec
 	ratio := freshPer / basePer
@@ -270,6 +274,16 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 		freshChecks, baseChecks, cRatio, maxRegression)
 	if cRatio > maxRegression {
 		log.Fatalf("FSG minimality-check regression: %.2fx exceeds the %.2fx limit", cRatio, maxRegression)
+	}
+	// So is RWR's: a rise in power iterations means sources stopped
+	// certifying their vectors early and ran on towards the tolerance.
+	baseIters := float64(base.RWRIterations) / float64(base.Runs)
+	freshIters := float64(fresh.RWRIterations) / float64(fresh.Runs)
+	iRatio := freshIters / baseIters
+	log.Printf("%.0f RWR iterations/run vs baseline %.0f (%.1f per source; %.2fx, limit %.2fx)",
+		freshIters, baseIters, float64(fresh.RWRIterations)/float64(fresh.Stages["rwr"].Units), iRatio, maxRegression)
+	if iRatio > maxRegression {
+		log.Fatalf("RWR iteration regression: %.2fx exceeds the %.2fx limit", iRatio, maxRegression)
 	}
 	// Closed-pattern pruning must stay engaged: a baseline that recorded
 	// prunes against a fresh run with none means the miners silently fell

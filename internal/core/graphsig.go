@@ -307,6 +307,7 @@ func computeVectors(db []*graph.Graph, fs *feature.Set, cfg Config, ctl *runctl.
 		return out
 	}
 	var out []rwr.NodeVector
+	iterations := ctl.Metrics().Counter(obs.MRWRIterations)
 	for base := 0; base < len(db); base += rwrChunk {
 		if err := cp.Force(); err != nil {
 			ctl.RecordStop(runctl.StageRWR, int64(base), int64(len(db)), "graphs vectorized")
@@ -316,7 +317,8 @@ func computeVectors(db []*graph.Graph, fs *feature.Set, cfg Config, ctl *runctl.
 		if end > len(db) {
 			end = len(db)
 		}
-		vecs := rwr.DatabaseVectors(db[base:end], fs, rwr.Config{Alpha: cfg.Alpha, Bins: cfg.Bins, Workers: cfg.Parallelism})
+		vecs, iters := rwr.DatabaseVectors(db[base:end], fs, rwr.Config{Alpha: cfg.Alpha, Bins: cfg.Bins, Workers: cfg.Parallelism})
+		iterations.Add(iters)
 		for i := range vecs {
 			vecs[i].GraphID += base
 		}

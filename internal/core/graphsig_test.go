@@ -278,7 +278,7 @@ func TestEvaluateSubgraphRareVsFrequent(t *testing.T) {
 	db := plantedDB(80, 8, core)
 	cfg := testConfig()
 	fsSet := BuildFeatureSet(db, cfg)
-	vectors := rwr.DatabaseVectors(db, fsSet, rwr.Config{Alpha: cfg.Alpha, Bins: cfg.Bins})
+	vectors, _ := rwr.DatabaseVectors(db, fsSet, rwr.Config{Alpha: cfg.Alpha, Bins: cfg.Bins})
 
 	rare := EvaluateSubgraph(db, vectors, core, cfg)
 	benzene := EvaluateSubgraph(db, vectors, chem.Benzene(), cfg)
@@ -300,7 +300,7 @@ func TestEvaluateSubgraphAbsentPattern(t *testing.T) {
 	db := plantedDB(20, 0, chem.SbCore())
 	cfg := testConfig()
 	fsSet := BuildFeatureSet(db, cfg)
-	vectors := rwr.DatabaseVectors(db, fsSet, rwr.Config{Alpha: cfg.Alpha, Bins: cfg.Bins})
+	vectors, _ := rwr.DatabaseVectors(db, fsSet, rwr.Config{Alpha: cfg.Alpha, Bins: cfg.Bins})
 	stats := EvaluateSubgraph(db, vectors, chem.BiCore(), cfg)
 	if stats.Support != 0 || stats.PValue != 1 {
 		t.Errorf("absent pattern stats = %+v; want support 0, p-value 1", stats)

@@ -173,7 +173,7 @@ func Fig16(cfg Config) Fig16Result {
 	}
 
 	fs := core.BuildFeatureSet(d.Graphs, gcfg)
-	vectors := rwr.DatabaseVectors(d.Graphs, fs, rwr.Config{Alpha: gcfg.Alpha, Bins: gcfg.Bins})
+	vectors, _ := rwr.DatabaseVectors(d.Graphs, fs, rwr.Config{Alpha: gcfg.Alpha, Bins: gcfg.Bins})
 	out.Benzene = core.EvaluateSubgraph(d.Graphs, vectors, chem.Benzene(), gcfg)
 
 	cfg.printf("Fig 16 — p-value vs frequency (%d significant subgraphs)\n", len(out.Points))

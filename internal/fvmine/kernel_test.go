@@ -23,7 +23,7 @@ import (
 func molt4Groups(n int) ([][]feature.Vector, *sigmodel.Model) {
 	db := chem.GenerateN(chem.CancerSpecs()[1], n).Graphs
 	fs := feature.ChemistrySet(db, chem.Alphabet(), 5)
-	vectors := rwr.DatabaseVectors(db, fs, rwr.Config{Alpha: 0.25, Bins: 10})
+	vectors, _ := rwr.DatabaseVectors(db, fs, rwr.Config{Alpha: 0.25, Bins: 10})
 	all := make([]feature.Vector, len(vectors))
 	byLabel := map[graph.Label][]feature.Vector{}
 	for i, nv := range vectors {

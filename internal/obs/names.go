@@ -66,6 +66,10 @@ const (
 	// of its parent's minimum code. Every other key is left to the
 	// candidate's canonical parent without building anything.
 	MFSGMinChecks = "graphsig_fsg_min_checks_total"
+	// MRWRIterations counts RWR power iterations, one per source per
+	// iteration: a source stops once its discretized vector is certain
+	// or its L1 change drops below the tolerance.
+	MRWRIterations = "graphsig_rwr_iterations_total"
 
 	// Jobs subsystem (internal/jobs).
 	MJobsWorkers     = "graphsig_jobs_workers"

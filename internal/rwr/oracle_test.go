@@ -12,14 +12,19 @@ import (
 
 // stationary computes the RWR stationary node distribution by power
 // iteration: p' = α·e_start + (1-α)·PᵀP p with uniform neighbor choice,
-// pushing each node's mass to its neighbours in CSR row order.
-func stationary(g *graph.Graph, start int, cfg Config) []float64 {
+// pushing each node's mass to its neighbours in CSR row order. It stops
+// when the L1 delta drops below the tolerance or after
+// min(cfg.MaxIterations, stopAt) iterations, and returns the
+// distribution and the number of iterations it ran.
+func stationary(g *graph.Graph, start int, cfg Config, stopAt int) ([]float64, int) {
 	n := g.NumNodes()
 	c := g.CSR()
 	p := make([]float64, n)
 	next := make([]float64, n)
 	p[start] = 1
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
+	iter := 0
+	for iter < min(cfg.MaxIterations, stopAt) {
+		iter++
 		for i := range next {
 			next[i] = 0
 		}
@@ -48,12 +53,21 @@ func stationary(g *graph.Graph, start int, cfg Config) []float64 {
 			break
 		}
 	}
+	return p, iter
+}
+
+// converged is stationary run to its own stop.
+func converged(g *graph.Graph, start int, cfg Config) []float64 {
+	p, _ := stationary(g, start, cfg, cfg.MaxIterations)
 	return p
 }
 
-// pushFeatureMasses is FeatureMasses over the push iteration's
-// stationary distribution p from start, with the feature of each
-// traversal looked up in the set's maps.
+// pushFeatureMasses is the per-feature traversal distribution of the
+// push iteration's stationary distribution p from start: entry i is the
+// probability that a non-restart step traverses feature i, with the
+// feature of each traversal looked up in the set's maps. The entries sum
+// to 1 for any start with at least one neighbor, and are all zero for
+// an isolated start.
 func pushFeatureMasses(g *graph.Graph, start int, p []float64, fs *feature.Set, cfg Config) []float64 {
 	masses := make([]float64, fs.Len())
 	if g.Degree(start) == 0 {
@@ -84,6 +98,12 @@ func pushFeatureMasses(g *graph.Graph, start int, p []float64, fs *feature.Set, 
 		}
 	}
 	return masses
+}
+
+// oracleMasses is pushFeatureMasses over the push iteration run to its
+// own stop.
+func oracleMasses(g *graph.Graph, start int, fs *feature.Set, cfg Config) []float64 {
+	return pushFeatureMasses(g, start, converged(g, start, cfg), fs, cfg)
 }
 
 // StationaryExact solves the RWR stationary distribution as a linear

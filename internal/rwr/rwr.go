@@ -9,6 +9,7 @@ package rwr
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"graphsig/internal/feature"
 	"graphsig/internal/graph"
@@ -25,7 +26,9 @@ type Config struct {
 	Bins int
 	// MaxIterations bounds the power iteration (default 100).
 	MaxIterations int
-	// Tolerance is the L1 convergence threshold (default 1e-9).
+	// Tolerance is the L1 convergence threshold (default 1e-9). A
+	// source may stop before either limit, once its discretized vector
+	// is certain to be the one they give.
 	Tolerance float64
 	// Workers bounds DatabaseVectors' fan-out, which runs on
 	// runctl.Controller.FanOut (0 or negative = GOMAXPROCS). Output is
@@ -58,20 +61,11 @@ func (c *Config) fill() {
 // the batched kernel behind GraphVectors and DatabaseVectors.
 func Walk(g *graph.Graph, start int, fs *feature.Set, cfg Config) feature.Vector {
 	cfg.fill()
-	return Discretize(FeatureMasses(g, start, fs, cfg), cfg.Bins)
-}
-
-// FeatureMasses returns the continuous per-feature traversal distribution
-// of an RWR from start: entry i is the stationary probability that a
-// non-restart step traverses feature i. The entries sum to 1 for any node
-// with at least one neighbor, and are all zero for isolated nodes.
-func FeatureMasses(g *graph.Graph, start int, fs *feature.Set, cfg Config) []float64 {
-	cfg.fill()
-	var out []float64
+	v := make(feature.Vector, fs.Len())
 	w := getWalker(fs, cfg)
-	w.walk(g, []int{start}, func(_ int, masses []float64) { out = append([]float64(nil), masses...) })
+	w.walk(g, []int{start}, func(_ int, masses []float64) { discretizeInto(v, masses, cfg.Bins) })
 	walkers.Put(w)
-	return out
+	return v
 }
 
 // maxBatch bounds how many sources one power iteration carries, so a
@@ -88,19 +82,28 @@ type walker struct {
 	cfg Config
 	fs  *feature.Set
 
-	// The graph being walked.
+	// The graph being walked. Its features are numbered locally, in
+	// order of first traversal: feats[l] is the set's index of local
+	// feature l, and local[f] maps back (-1 for a feature g lacks).
 	rowStart []int32   // the CSR's row starts, shared by in and slotFeat
 	in       []int32   // in[rowStart[v]:rowStart[v+1]]: v's neighbours, ascending
 	deg      []float64 // float64(deg(u))
-	slotFeat []int32   // feature a traversal of CSR slot i updates, or -1
+	slotFeat []int32   // local feature a traversal of CSR slot i updates, or -1
+	feats    []int32
+	local    []int32
 	cursor   []int32
 
 	// One batch. share holds (1-α)·p[u]/deg(u) for the current p; the
-	// pass that computes next fills nshare for it.
+	// pass that computes next fills nshare for it. acc holds the
+	// certificate's per-feature masses, local-feature-major; column k
+	// is due for a certificate check once its delta drops below
+	// wait[k], and sure[k] marks it certified this iteration.
 	stride        int
 	p, next       []float64
 	share, nshare []float64
-	delta         []float64
+	delta, acc    []float64
+	wait          []float64
+	sure          []bool
 	col           []int // col[k]: the batch position walking in column k
 	live, starts  []int
 	nodes         []int
@@ -125,8 +128,8 @@ func grow[T any](s []T, n int) []T {
 // walk runs RWR on g from every node in sources and calls emit with each
 // source's index in sources and its feature masses, which are scratch
 // valid only during the call. Sources are emitted in the order they
-// converge.
-func (w *walker) walk(g *graph.Graph, sources []int, emit func(i int, masses []float64)) {
+// freeze. It returns the power iterations run, summed over sources.
+func (w *walker) walk(g *graph.Graph, sources []int, emit func(i int, masses []float64)) (iterations int64) {
 	w.load(g)
 	w.masses = grow(w.masses, w.fs.Len())
 	w.live = w.live[:0]
@@ -144,8 +147,12 @@ func (w *walker) walk(g *graph.Graph, sources []int, emit func(i int, masses []f
 		for j, i := range batch {
 			w.starts[j] = sources[i]
 		}
-		w.iterate(w.starts, func(j, k int) { emit(batch[j], w.featureMasses(k)) })
+		w.iterate(w.starts, func(j, k, iters int) {
+			iterations += int64(iters)
+			emit(batch[j], w.featureMasses(k))
+		})
 	}
+	return iterations
 }
 
 // load builds g's pull structure and its slot→feature table.
@@ -158,6 +165,13 @@ func (w *walker) load(g *graph.Graph) {
 	w.slotFeat = grow(w.slotFeat, len(c.Nbr))
 	w.cursor = grow(w.cursor, n)
 	copy(w.cursor, c.RowStart[:n])
+	if len(w.local) != w.fs.Len() {
+		w.local = make([]int32, w.fs.Len())
+		for f := range w.local {
+			w.local[f] = -1
+		}
+	}
+	w.feats = w.feats[:0]
 	for u := 0; u < n; u++ {
 		lo, hi := c.RowStart[u], c.RowStart[u+1]
 		w.deg[u] = float64(hi - lo)
@@ -172,35 +186,64 @@ func (w *walker) load(g *graph.Graph) {
 			// A traversal u->v updates the edge-type feature when the
 			// endpoint pair is in the set, otherwise the atom feature of
 			// the node stepped onto (v).
-			lv, f := c.NodeLabels[v], int32(-1)
+			lv, f := c.NodeLabels[v], -1
 			if fi, ok := w.fs.EdgeFeature(lu, lv, c.EdgeLabels[i]); ok {
-				f = int32(fi)
+				f = fi
 			} else if fi, ok := w.fs.AtomFeature(lv); ok {
-				f = int32(fi)
+				f = fi
 			}
-			w.slotFeat[i] = f
+			w.slotFeat[i] = -1
+			if f >= 0 {
+				if w.local[f] < 0 {
+					w.local[f] = int32(len(w.feats))
+					w.feats = append(w.feats, int32(f))
+				}
+				w.slotFeat[i] = w.local[f]
+			}
 		}
+	}
+	for _, f := range w.feats {
+		w.local[f] = -1
 	}
 }
 
+// certSlack is the certificate's allowance, in bins, for float rounding.
+// The float iterates drift from exact arithmetic, and the certificate
+// normalizes by 1-α rather than by the summed outflow; both move a
+// mass by far less than this.
+const certSlack = 1e-9
+
 // iterate computes the RWR stationary distribution from every node of
 // starts (none isolated) by power iteration, p' = α·e_start + (1-α)·Pᵀp
-// with uniform neighbour choice, and calls frozen(j, k) once per source
-// when column k of w.p holds the distribution from starts[j].
+// with uniform neighbour choice, and calls frozen(j, k, iters) once per
+// source when column k of w.p holds the distribution from starts[j]
+// after iters iterations, discretizing exactly as the distribution the
+// tolerance stop would reach.
 //
 // Each source keeps the arithmetic of a one-source push sweep
 // (for u ascending, next[v] += (1-α)·p[u]/deg(u) for each neighbour v):
 // next[v] starts at [v==start]·α and pulls the same shares from v's
 // neighbours in ascending u, which on a simple graph is the push order.
 // The same pass over v sums the L1 delta per source in ascending node
-// order and computes v's share for the next iteration. A source is
-// frozen at the iteration its own delta drops below the tolerance.
-func (w *walker) iterate(starts []int, frozen func(j, k int)) {
+// order and computes v's share for the next iteration.
+//
+// A source freezes at the first iteration where either its delta drops
+// below the tolerance, which is where its push iteration stopped, or a
+// certificate shows its discretized vector can no longer change. The
+// iteration is an L1 contraction by β = 1-α, so after a step of delta δ
+// the distribution is within c·δ of its limit p*, c = β/(1-β), and every
+// feature mass moves by at most that much. The vector the tolerance stop
+// emits is itself within c·max(Tolerance, 2β^(MaxIterations-1)) of p*.
+// So once every Bins·mass lies farther than Bins·c·(δ + that) plus a
+// float slack from its nearest x.5, both round alike (DESIGN.md §13).
+func (w *walker) iterate(starts []int, frozen func(j, k, iters int)) {
 	n, s := len(w.deg), len(starts)
 	w.stride = s
 	w.p, w.next = grow(w.p, n*s), grow(w.next, n*s)
 	w.share, w.nshare = grow(w.share, n*s), grow(w.nshare, n*s)
 	w.delta, w.col = grow(w.delta, s), grow(w.col, s)
+	w.sure, w.acc = grow(w.sure, s), grow(w.acc, len(w.feats)*s)
+	w.wait = grow(w.wait, s)
 	clear(w.p)
 	for k, v := range starts {
 		w.p[v*s+k] = 1
@@ -217,6 +260,14 @@ func (w *walker) iterate(starts []int, frozen func(j, k int)) {
 		for k, x := range pu {
 			su[k] = beta * x / d
 		}
+	}
+	// A column's certificate margin is bins·c·(δ + reach) + slack; it can
+	// pass only once that is below half a bin, i.e. δ < certDelta.
+	bins, c := float64(w.cfg.Bins), beta/alpha
+	reach := max(w.cfg.Tolerance, 2*math.Pow(beta, float64(w.cfg.MaxIterations-1)))
+	certDelta := (0.5-certSlack)/(bins*c) - reach
+	for k := range w.wait {
+		w.wait[k] = certDelta
 	}
 	active := s
 	for iter := 0; iter < w.cfg.MaxIterations && active > 0; iter++ {
@@ -247,14 +298,22 @@ func (w *walker) iterate(starts []int, frozen func(j, k int)) {
 		}
 		w.p, w.next = next, p
 		w.share, w.nshare = nshare, share
-		// Freeze converged columns, refilling each gap from the last
-		// active column; descending k means that column was already
-		// checked this round.
+		sure := w.sure[:active]
+		clear(sure)
+		for k, d := range delta {
+			if d < w.wait[k] {
+				w.certify(delta, bins*c, bins*c*reach+certSlack)
+				break
+			}
+		}
+		// Freeze converged and certified columns, refilling each gap
+		// from the last active column; descending k means that column
+		// was already checked this round.
 		for k := active - 1; k >= 0; k-- {
-			if delta[k] >= w.cfg.Tolerance {
+			if delta[k] >= w.cfg.Tolerance && !sure[k] {
 				continue
 			}
-			frozen(w.col[k], k)
+			frozen(w.col[k], k, iter+1)
 			active--
 			if k != active {
 				for u := 0; u < n; u++ {
@@ -262,11 +321,57 @@ func (w *walker) iterate(starts []int, frozen func(j, k int)) {
 					w.share[u*s+k] = w.share[u*s+active]
 				}
 				w.col[k] = w.col[active]
+				w.wait[k] = w.wait[active]
 			}
 		}
 	}
 	for k := 0; k < active; k++ {
-		frozen(w.col[k], k)
+		frozen(w.col[k], k, w.cfg.MaxIterations)
+	}
+}
+
+// certify sets w.sure[k] for each active column k (len(delta) of them)
+// whose every bins·mass, read from w.share, lies farther than
+// scale·delta[k] + offset from its nearest x.5. It sums the masses of
+// all active columns in one node-major pass: share[u] is already node
+// u's outflow per slot, so a feature's unnormalized mass is the sum of
+// share over the slots that traverse it, and the outflows total 1-α.
+func (w *walker) certify(delta []float64, scale, offset float64) {
+	s, active := w.stride, len(delta)
+	acc := w.acc[:len(w.feats)*active]
+	clear(acc)
+	for u, d := range w.deg {
+		if d == 0 {
+			continue
+		}
+		su := w.share[u*s : u*s+active]
+		for _, f := range w.slotFeat[w.rowStart[u]:w.rowStart[u+1]] {
+			if f < 0 {
+				continue
+			}
+			af := acc[int(f)*active : int(f)*active+active]
+			af = af[:len(su)]
+			for k, x := range su {
+				af[k] += x
+			}
+		}
+	}
+	sure, wait := w.sure[:active], w.wait[:active]
+	for k := range wait {
+		wait[k] = 0.5
+	}
+	norm := float64(w.cfg.Bins) / (1 - w.cfg.Alpha)
+	for l := range w.feats {
+		af := acc[l*active : l*active+active]
+		af = af[:len(wait)]
+		for k, x := range af {
+			y := norm * x
+			wait[k] = min(wait[k], math.Abs(y-math.Floor(y)-0.5))
+		}
+	}
+	for k, d := range delta {
+		sure[k] = scale*d+offset < wait[k]
+		wait[k] = (wait[k] - offset) / scale
 	}
 }
 
@@ -287,7 +392,7 @@ func (w *walker) featureMasses(k int) []float64 {
 		out := pu * beta / d
 		for _, f := range w.slotFeat[w.rowStart[u]:w.rowStart[u+1]] {
 			if f >= 0 {
-				masses[f] += out
+				masses[w.feats[f]] += out
 			}
 			total += out
 		}
@@ -349,15 +454,16 @@ func GraphVectors(g *graph.Graph, fs *feature.Set, cfg Config) []feature.Vector 
 }
 
 // graphVectors walks from every node of g and calls put with each node
-// and its vector. The vectors of one graph share one allocation.
-func (w *walker) graphVectors(g *graph.Graph, put func(v int, vec feature.Vector)) {
+// and its vector. The vectors of one graph share one allocation. It
+// returns the power iterations run, summed over nodes.
+func (w *walker) graphVectors(g *graph.Graph, put func(v int, vec feature.Vector)) int64 {
 	n, dim := g.NumNodes(), w.fs.Len()
 	slab := make([]uint8, n*dim)
 	w.nodes = grow(w.nodes, n)
 	for v := range w.nodes {
 		w.nodes[v] = v
 	}
-	w.walk(g, w.nodes, func(v int, masses []float64) {
+	return w.walk(g, w.nodes, func(v int, masses []float64) {
 		vec := feature.Vector(slab[v*dim : (v+1)*dim : (v+1)*dim])
 		discretizeInto(vec, masses, w.cfg.Bins)
 		put(v, vec)
@@ -367,8 +473,10 @@ func (w *walker) graphVectors(g *graph.Graph, put func(v int, vec feature.Vector
 // DatabaseVectors converts an entire database into feature space: RWR on
 // every node of every graph (Algorithm 2, lines 3-4). Work is spread
 // across cfg.Workers goroutines (default GOMAXPROCS), one graph at a
-// time; output order is deterministic (by graph, then node).
-func DatabaseVectors(db []*graph.Graph, fs *feature.Set, cfg Config) []NodeVector {
+// time; output order is deterministic (by graph, then node). It also
+// returns the power iterations run, one per source per iteration, which
+// core counts as obs.MRWRIterations.
+func DatabaseVectors(db []*graph.Graph, fs *feature.Set, cfg Config) ([]NodeVector, int64) {
 	cfg.fill()
 	offsets := make([]int, len(db)+1)
 	for i, g := range db {
@@ -378,18 +486,19 @@ func DatabaseVectors(db []*graph.Graph, fs *feature.Set, cfg Config) []NodeVecto
 	// A nil controller never stops, so every graph is vectorized. Each
 	// graph borrows a walker from the pool, which keeps one per P warm.
 	var ctl *runctl.Controller
+	var iterations atomic.Int64
 	ctl.FanOut(len(db), cfg.Workers, func() func(int) bool {
 		return func(gi int) bool {
 			g, base := db[gi], offsets[gi]
 			wk := getWalker(fs, cfg)
-			wk.graphVectors(g, func(v int, vec feature.Vector) {
+			iterations.Add(wk.graphVectors(g, func(v int, vec feature.Vector) {
 				out[base+v] = NodeVector{GraphID: gi, NodeID: v, Label: g.NodeLabel(v), Vec: vec}
-			})
+			}))
 			walkers.Put(wk)
 			return true
 		}
 	})
-	return out
+	return out, iterations.Load()
 }
 
 // WindowCounts is the ablation alternative to RWR discussed in §II-C: it

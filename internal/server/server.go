@@ -719,7 +719,7 @@ func (s *Server) lazyVectors() ([]rwr.NodeVector, error) {
 	}
 	s.vecOnce.Do(func() {
 		fs := core.BuildFeatureSet(db, s.vecCfg)
-		s.vectors = rwr.DatabaseVectors(db, fs, rwr.Config{Alpha: s.vecCfg.Alpha, Bins: s.vecCfg.Bins})
+		s.vectors, _ = rwr.DatabaseVectors(db, fs, rwr.Config{Alpha: s.vecCfg.Alpha, Bins: s.vecCfg.Bins})
 	})
 	return s.vectors, nil
 }

@@ -97,8 +97,9 @@ func oracleLogBinomialTail(n, k int, p float64) float64 {
 func TestLogPValueBitsMatchOracle(t *testing.T) {
 	db := chem.GenerateN(chem.CancerSpecs()[1], 120).Graphs
 	fs := feature.ChemistrySet(db, chem.Alphabet(), 5)
+	nvs, _ := rwr.DatabaseVectors(db, fs, rwr.Defaults())
 	var vectors []feature.Vector
-	for _, nv := range rwr.DatabaseVectors(db, fs, rwr.Defaults()) {
+	for _, nv := range nvs {
 		vectors = append(vectors, nv.Vec)
 	}
 	m := New(vectors)
