@@ -14,10 +14,15 @@ vet:
 	go vet ./...
 	cd perfbench && go vet ./...
 
-# Project-invariant analyzer suite (internal/analysis): determinism of
-# canonical codes/fingerprints/cache keys, runctl checkpoint coverage,
-# panic-isolated goroutine spawns, context discipline, %w wrapping.
+# Formatting first: every tracked Go file must be gofmt-clean, except
+# the analyzers' testdata inputs, which keep the layouts they test.
+# Then the project-invariant analyzer suite (internal/analysis):
+# determinism of canonical codes/fingerprints/cache keys, runctl
+# checkpoint coverage, panic-isolated goroutine spawns, context
+# discipline, %w wrapping.
 lint:
+	@unformatted="$$(git ls-files -- '*.go' ':!:*/testdata/*' | xargs gofmt -l)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	go run ./cmd/graphsiglint ./...
 
 # Native fuzz harnesses on a short fixed budget: graph text codec

@@ -25,6 +25,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"runtime"
@@ -227,8 +228,7 @@ func sumLabel(snap obs.Snapshot, name, label string) int64 {
 
 // checkRegression exits non-zero when the fresh run's median run time,
 // allocations, FSG minimality checks or RWR iterations exceed
-// maxRegression × the
-// committed baseline's, or it was run under a different key (workload
+// maxRegression × the committed baseline's, or it was run under a different key (workload
 // shape, parallelism or verification). Per-run figures are compared so
 // -runs need not match the baseline's.
 func checkRegression(path string, fresh benchJSON, maxRegression float64) {
@@ -251,39 +251,35 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 || base.RWRIterations <= 0 {
 		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun, fsgMinChecks or rwrIterations; re-record it with make bench-json", path)
 	}
-	basePer, freshPer := base.MedianRunSec, fresh.MedianRunSec
-	ratio := freshPer / basePer
-	log.Printf("%.3fs/run vs baseline %.3fs/run (%.2fx, limit %.2fx)", freshPer, basePer, ratio, maxRegression)
-	if ratio > maxRegression {
-		log.Fatalf("performance regression: %.2fx exceeds the %.2fx limit", ratio, maxRegression)
+	// Each gate compares a per-run figure with the baseline's at the same
+	// multiple: wall time, allocation churn, FSG's Phase-2 work (a rise
+	// in minimality checks means candidates are being reached from more
+	// than their canonical parent) and RWR's (a rise in power iterations
+	// means sources stopped certifying their vectors early and ran on
+	// towards the tolerance).
+	freshChecks, baseChecks := float64(fresh.FSGMinChecks)/float64(fresh.Runs), float64(base.FSGMinChecks)/float64(base.Runs)
+	freshIters, baseIters := float64(fresh.RWRIterations)/float64(fresh.Runs), float64(base.RWRIterations)/float64(base.Runs)
+	gates := []struct {
+		name        string // the regression a failure names
+		fresh, base float64
+		line        string // the log line up to its ratio
+	}{
+		{"performance", fresh.MedianRunSec, base.MedianRunSec,
+			fmt.Sprintf("%.3fs/run vs baseline %.3fs/run (", fresh.MedianRunSec, base.MedianRunSec)},
+		{"allocation", fresh.AllocsPerRun, base.AllocsPerRun,
+			fmt.Sprintf("%.0f allocs/run vs baseline %.0f allocs/run (", fresh.AllocsPerRun, base.AllocsPerRun)},
+		{"FSG minimality-check", freshChecks, baseChecks,
+			fmt.Sprintf("%.0f FSG minimality checks/run vs baseline %.0f (", freshChecks, baseChecks)},
+		{"RWR iteration", freshIters, baseIters,
+			fmt.Sprintf("%.0f RWR iterations/run vs baseline %.0f (%.1f per source; ",
+				freshIters, baseIters, float64(fresh.RWRIterations)/float64(fresh.Stages["rwr"].Units))},
 	}
-	// Allocation churn is gated at the same multiple.
-	aRatio := fresh.AllocsPerRun / base.AllocsPerRun
-	log.Printf("%.0f allocs/run vs baseline %.0f allocs/run (%.2fx, limit %.2fx)",
-		fresh.AllocsPerRun, base.AllocsPerRun, aRatio, maxRegression)
-	if aRatio > maxRegression {
-		log.Fatalf("allocation regression: %.2fx exceeds the %.2fx limit", aRatio, maxRegression)
-	}
-	// FSG's Phase-2 work is gated the same way: a rise in minimality
-	// checks means candidates are being reached from more than their
-	// canonical parent.
-	baseChecks := float64(base.FSGMinChecks) / float64(base.Runs)
-	freshChecks := float64(fresh.FSGMinChecks) / float64(fresh.Runs)
-	cRatio := freshChecks / baseChecks
-	log.Printf("%.0f FSG minimality checks/run vs baseline %.0f (%.2fx, limit %.2fx)",
-		freshChecks, baseChecks, cRatio, maxRegression)
-	if cRatio > maxRegression {
-		log.Fatalf("FSG minimality-check regression: %.2fx exceeds the %.2fx limit", cRatio, maxRegression)
-	}
-	// So is RWR's: a rise in power iterations means sources stopped
-	// certifying their vectors early and ran on towards the tolerance.
-	baseIters := float64(base.RWRIterations) / float64(base.Runs)
-	freshIters := float64(fresh.RWRIterations) / float64(fresh.Runs)
-	iRatio := freshIters / baseIters
-	log.Printf("%.0f RWR iterations/run vs baseline %.0f (%.1f per source; %.2fx, limit %.2fx)",
-		freshIters, baseIters, float64(fresh.RWRIterations)/float64(fresh.Stages["rwr"].Units), iRatio, maxRegression)
-	if iRatio > maxRegression {
-		log.Fatalf("RWR iteration regression: %.2fx exceeds the %.2fx limit", iRatio, maxRegression)
+	for _, g := range gates {
+		ratio := g.fresh / g.base
+		log.Printf("%s%.2fx, limit %.2fx)", g.line, ratio, maxRegression)
+		if ratio > maxRegression {
+			log.Fatalf("%s regression: %.2fx exceeds the %.2fx limit", g.name, ratio, maxRegression)
+		}
 	}
 	// Closed-pattern pruning must stay engaged: a baseline that recorded
 	// prunes against a fresh run with none means the miners silently fell

@@ -1,5 +1,8 @@
-// Command fsm runs the baseline frequent-subgraph miners (gSpan or the
-// FSG-style apriori miner) over a graph database file:
+// Command fsm runs either baseline frequent-subgraph miner (gSpan or
+// the FSG-style apriori miner) over a graph database file. -closed
+// mines closed patterns only; -maximal then runs the maximality sweep
+// Phase 3 uses (isomorph.Maximal) over either miner's patterns, under
+// the same -timeout:
 //
 //	fsm -in data/AIDS.db -miner gspan -freq 5
 //	fsm -in data/AIDS.db -miner fsg -freq 10 -maximal
@@ -13,9 +16,11 @@ import (
 	"os"
 	"time"
 
+	"graphsig/internal/dfscode"
 	"graphsig/internal/fsg"
 	"graphsig/internal/graph"
 	"graphsig/internal/gspan"
+	"graphsig/internal/isomorph"
 	"graphsig/internal/runctl"
 )
 
@@ -57,57 +62,42 @@ func main() {
 		ctl = runctl.New(runctl.Options{Deadline: time.Now().Add(*timeout)})
 	}
 
-	type row struct {
-		g       *graph.Graph
-		support int
-	}
-	var rows []row
+	var patterns []dfscode.Pattern
 	truncated := false
+	stage, site := runctl.StageGSpan, "gspan"
 	t0 := time.Now()
 	switch *miner {
 	case "gspan":
 		res := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: *closed})
-		truncated = res.Truncated
-		patterns := res.Patterns
-		if *maximal {
-			var err error
-			patterns, err = gspan.Maximal(patterns, ctl.Checkpoint(runctl.StageGSpan))
-			truncated = truncated || err != nil
-		}
-		for _, p := range patterns {
-			rows = append(rows, row{p.Graph, p.Support})
-		}
+		patterns, truncated = res.Patterns, res.Truncated
 	case "fsg":
-		opt := fsg.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: *closed}
-		var res fsg.Result
-		if *maximal {
-			res = fsg.MaximalMine(db, opt)
-		} else {
-			res = fsg.Mine(db, opt)
-		}
-		truncated = res.Truncated
-		for _, p := range res.Patterns {
-			rows = append(rows, row{p.Graph, p.Support})
-		}
+		res := fsg.Mine(db, fsg.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: *closed})
+		patterns, truncated = res.Patterns, res.Truncated
+		stage, site = runctl.StageFSG, "fsg"
 	default:
 		log.Fatalf("unknown miner %q (want gspan or fsg)", *miner)
 	}
-	log.Printf("%d patterns in %s", len(rows), time.Since(t0).Round(time.Millisecond))
+	if *maximal {
+		var err error
+		patterns, err = isomorph.Maximal(patterns, ctl.Checkpoint(stage), site)
+		truncated = truncated || err != nil
+	}
+	log.Printf("%d patterns in %s", len(patterns), time.Since(t0).Round(time.Millisecond))
 	if truncated {
 		log.Printf("warning: mining truncated by timeout")
 	}
 
-	for i, r := range rows {
+	for i, p := range patterns {
 		if *top > 0 && i >= *top {
-			log.Printf("... %d more (raise -top)", len(rows)-i)
+			log.Printf("... %d more (raise -top)", len(patterns)-i)
 			break
 		}
 		fmt.Printf("#%d support=%d (%.2f%%) nodes=%d edges=%d\n",
-			i+1, r.support, 100*float64(r.support)/float64(len(db)), r.g.NumNodes(), r.g.NumEdges())
-		for v := 0; v < r.g.NumNodes(); v++ {
-			fmt.Printf("    v%d %s\n", v, alpha.Name(r.g.NodeLabel(v)))
+			i+1, p.Support, 100*float64(p.Support)/float64(len(db)), p.Graph.NumNodes(), p.Graph.NumEdges())
+		for v := 0; v < p.Graph.NumNodes(); v++ {
+			fmt.Printf("    v%d %s\n", v, alpha.Name(p.Graph.NodeLabel(v)))
 		}
-		for _, e := range r.g.Edges() {
+		for _, e := range p.Graph.Edges() {
 			fmt.Printf("    e %d %d %d\n", e.From, e.To, int(e.Label))
 		}
 	}

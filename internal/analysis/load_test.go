@@ -53,8 +53,8 @@ func TestLoadEmptyPatternMatch(t *testing.T) {
 
 func TestLoadValidModule(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"go.mod":  loadTestGoMod,
-		"lib.go":  "package lib\n\nimport \"fmt\"\n\n// Hello greets.\nfunc Hello() string { return fmt.Sprintf(\"hi\") }\n",
+		"go.mod": loadTestGoMod,
+		"lib.go": "package lib\n\nimport \"fmt\"\n\n// Hello greets.\nfunc Hello() string { return fmt.Sprintf(\"hi\") }\n",
 	})
 	pkgs, err := Load(dir, "./...")
 	if err != nil {

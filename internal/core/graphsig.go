@@ -19,11 +19,13 @@ import (
 	"time"
 
 	"graphsig/internal/chem"
+	"graphsig/internal/dfscode"
 	"graphsig/internal/feature"
 	"graphsig/internal/fsg"
 	"graphsig/internal/fvmine"
 	"graphsig/internal/graph"
 	"graphsig/internal/gspan"
+	"graphsig/internal/isomorph"
 	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
 	"graphsig/internal/rwr"
@@ -473,12 +475,6 @@ func subsample(nodes []rwr.NodeVector, k int) []rwr.NodeVector {
 	return out
 }
 
-// groupPattern is the common shape of the two miners' outputs.
-type groupPattern struct {
-	Graph   *graph.Graph
-	Support int
-}
-
 // groupOutcome is one group's Phase-3 result, produced by a pool worker
 // and folded into Result serially so counters and the best-pattern
 // merge stay in group order regardless of completion order.
@@ -499,7 +495,7 @@ type groupOutcome struct {
 	// the first such group; it is never a GroupError and is never
 	// checkpointed.
 	err      error
-	patterns []groupPattern
+	patterns []dfscode.Pattern
 }
 
 // DefaultCheckpointEvery is the resumable-snapshot granularity when
@@ -657,7 +653,7 @@ func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wc *windo
 // mineMaximalIsolated runs one group's maximal FSM behind a panic
 // barrier: a crash in the miner becomes a structured per-group error on
 // the controller instead of killing the process.
-func mineMaximalIsolated(windows []*graph.Graph, minSup int, cfg Config, ctl *runctl.Controller, label graph.Label) (out []groupPattern, panicked bool) {
+func mineMaximalIsolated(windows []*graph.Graph, minSup int, cfg Config, ctl *runctl.Controller, label graph.Label) (out []dfscode.Pattern, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			ctl.Recovered(runctl.StageGroupMine, fmt.Sprintf("FSM worker for label %d group (%d windows)", label, len(windows)), r)
@@ -667,7 +663,7 @@ func mineMaximalIsolated(windows []*graph.Graph, minSup int, cfg Config, ctl *ru
 	return mineMaximal(windows, minSup, cfg, ctl), false
 }
 
-func mineMaximal(windows []*graph.Graph, minSup int, cfg Config, ctl *runctl.Controller) []groupPattern {
+func mineMaximal(windows []*graph.Graph, minSup int, cfg Config, ctl *runctl.Controller) []dfscode.Pattern {
 	// Only maximal patterns survive this stage, and a non-closed pattern
 	// is never maximal (its closure witness is an equal-support — hence
 	// frequent — strict super-pattern), so both miners run in closed-only
@@ -683,30 +679,25 @@ func mineMaximal(windows []*graph.Graph, minSup int, cfg Config, ctl *runctl.Con
 	// The maximality sweep observes the controller too: after a trip it
 	// returns only the prefix already decided maximal instead of
 	// finishing an O(n²) containment pass over the partial list.
-	var out []groupPattern
+	var patterns []dfscode.Pattern
+	stage, site := runctl.StageFSG, "fsg"
 	switch cfg.Miner {
 	case MinerGSpan:
-		r := gspan.Mine(windows, gspan.Options{
+		patterns = gspan.Mine(windows, gspan.Options{
 			MinSupport: minSup,
 			MaxEdges:   cfg.MaxPatternEdges,
 			Ctl:        ctl,
 			ClosedOnly: true,
-		})
-		maximal, _ := gspan.Maximal(r.Patterns, ctl.Checkpoint(runctl.StageGSpan))
-		for _, p := range maximal {
-			out = append(out, groupPattern{Graph: p.Graph, Support: p.Support})
-		}
+		}).Patterns
+		stage, site = runctl.StageGSpan, "gspan"
 	default:
-		r := fsg.Mine(windows, fsg.Options{
+		patterns = fsg.Mine(windows, fsg.Options{
 			MinSupport: minSup,
 			MaxEdges:   cfg.MaxPatternEdges,
 			Ctl:        ctl,
 			ClosedOnly: true,
-		})
-		maximal, _ := fsg.Maximal(r.Patterns, ctl.Checkpoint(runctl.StageFSG))
-		for _, p := range maximal {
-			out = append(out, groupPattern{Graph: p.Graph, Support: p.Support})
-		}
+		}).Patterns
 	}
-	return out
+	maximal, _ := isomorph.Maximal(patterns, ctl.Checkpoint(stage), site)
+	return maximal
 }

@@ -19,6 +19,7 @@ import (
 	"math"
 	"strings"
 
+	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
 )
@@ -243,7 +244,11 @@ func persistOutcomes(outcomes []groupOutcome) ([]PersistedOutcome, error) {
 }
 
 // restoreOutcomes converts wire-form outcomes back to the merge's
-// internal shape, reparsing pattern graphs.
+// internal shape, reparsing pattern graphs. The wire form carries no
+// DFS code, so each pattern's minimum code is recomputed here, and its
+// graph rebuilt from the code, as the miners build it. A pattern that
+// is not a connected graph with an edge, which no miner emits, fails
+// the restore.
 func restoreOutcomes(persisted []PersistedOutcome) ([]groupOutcome, error) {
 	out := make([]groupOutcome, len(persisted))
 	for i, po := range persisted {
@@ -253,7 +258,11 @@ func restoreOutcomes(persisted []PersistedOutcome) ([]groupOutcome, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: restore group %d pattern: %w", i, err)
 			}
-			o.patterns = append(o.patterns, groupPattern{Graph: g, Support: p.Support})
+			if g.NumEdges() == 0 || !g.IsConnected() {
+				return nil, fmt.Errorf("core: restore group %d pattern: not a connected graph with an edge", i)
+			}
+			code := dfscode.MinimumCode(g)
+			o.patterns = append(o.patterns, dfscode.Pattern{Code: code, Graph: code.Graph(), Support: p.Support})
 		}
 		out[i] = o
 	}

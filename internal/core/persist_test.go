@@ -129,6 +129,17 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 				}
 			}
 		}},
+		{"disconnected pattern", func(r *ResumeState) {
+			r.Outcomes = append([]PersistedOutcome{}, r.Outcomes...)
+			for i := range r.Outcomes {
+				if len(r.Outcomes[i].Patterns) > 0 {
+					ps := append([]PersistedPattern{}, r.Outcomes[i].Patterns...)
+					ps[0].Graph = "t # 0\nv 0 1\nv 1 1\nv 2 1\ne 0 1 0\n"
+					r.Outcomes[i].Patterns = ps
+					return
+				}
+			}
+		}},
 	}
 	for _, tc := range tamper {
 		bad := *rs

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"graphsig/internal/dfscode"
 	"graphsig/internal/feature"
 	"graphsig/internal/graph"
 	"graphsig/internal/runctl"
@@ -189,20 +188,16 @@ func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []V
 			continue
 		}
 		for _, p := range o.patterns {
-			if p.Graph.NumEdges() == 0 {
-				continue
-			}
-			// Group miners number pattern vertices in discovery order,
-			// which varies between processes; rematerializing from the
-			// minimum DFS code makes the reported graph canonical, so the
-			// answer set is byte-stable across runs and across a
+			// Both miners build each pattern from its minimum DFS code,
+			// and a restored snapshot recomputes it, so the code is the
+			// canonical key and the graph, numbered in DFS order with its
+			// edges in code order, is byte-stable across runs and across a
 			// crash/resume boundary (cmd/serve's crash test relies on it).
-			code := dfscode.MinimumCode(p.Graph)
-			key := code.String()
+			key := p.Code.String()
 			cur, ok := best[key]
 			if !ok || grp.Sig.LogPValue < cur.VectorLogPValue {
 				best[key] = &Subgraph{
-					Graph:           code.Graph(),
+					Graph:           p.Graph,
 					Canonical:       key,
 					SourceLabel:     grp.Label,
 					VectorPValue:    grp.Sig.PValue,

@@ -34,6 +34,16 @@ func (e EdgeCode) Forward() bool { return e.I < e.J }
 // Code is a DFS code: an ordered list of edge entries.
 type Code []EdgeCode
 
+// Pattern is a mined frequent subgraph, as both miners emit it. Code is
+// its minimum DFS code, which doubles as its identity, and Graph is
+// Code.Graph(): node i is DFS index i and the edges are in code order.
+type Pattern struct {
+	Code     Code
+	Graph    *graph.Graph
+	Support  int   // number of supporting database graphs
+	GraphIDs []int // ascending supporting database indices
+}
+
 // CompareEdges orders two code entries by gSpan's DFS lexicographic order
 // (structure first, then labels). It returns -1, 0 or +1.
 func CompareEdges(a, b EdgeCode) int {

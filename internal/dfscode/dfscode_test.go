@@ -1,4 +1,4 @@
-package dfscode
+package dfscode_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
 	"graphsig/internal/isomorph"
 )
@@ -22,10 +23,10 @@ func build(labels []graph.Label, edges [][3]int) *graph.Graph {
 }
 
 func TestCompareEdgesStructuralOrder(t *testing.T) {
-	fwd := func(i, j int) EdgeCode { return EdgeCode{I: i, J: j, LI: 0, LE: 0, LJ: 0} }
+	fwd := func(i, j int) dfscode.EdgeCode { return dfscode.EdgeCode{I: i, J: j, LI: 0, LE: 0, LJ: 0} }
 	tests := []struct {
 		name string
-		a, b EdgeCode
+		a, b dfscode.EdgeCode
 		want int
 	}{
 		{"forward earlier discovery first", fwd(0, 1), fwd(1, 2), -1},
@@ -36,25 +37,25 @@ func TestCompareEdgesStructuralOrder(t *testing.T) {
 		{"backward same source by target", fwd(2, 0), fwd(2, 1), -1},
 	}
 	for _, tc := range tests {
-		if got := CompareEdges(tc.a, tc.b); got != tc.want {
+		if got := dfscode.CompareEdges(tc.a, tc.b); got != tc.want {
 			t.Errorf("%s: Compare = %d; want %d", tc.name, got, tc.want)
 		}
-		if got := CompareEdges(tc.b, tc.a); got != -tc.want {
+		if got := dfscode.CompareEdges(tc.b, tc.a); got != -tc.want {
 			t.Errorf("%s (reversed): Compare = %d; want %d", tc.name, got, -tc.want)
 		}
 	}
 }
 
 func TestCompareEdgesLabels(t *testing.T) {
-	a := EdgeCode{I: 0, J: 1, LI: 1, LE: 0, LJ: 2}
-	b := EdgeCode{I: 0, J: 1, LI: 1, LE: 0, LJ: 3}
-	if CompareEdges(a, b) != -1 || CompareEdges(b, a) != 1 || CompareEdges(a, a) != 0 {
+	a := dfscode.EdgeCode{I: 0, J: 1, LI: 1, LE: 0, LJ: 2}
+	b := dfscode.EdgeCode{I: 0, J: 1, LI: 1, LE: 0, LJ: 3}
+	if dfscode.CompareEdges(a, b) != -1 || dfscode.CompareEdges(b, a) != 1 || dfscode.CompareEdges(a, a) != 0 {
 		t.Error("label tie-break wrong")
 	}
 }
 
 func TestCodeGraphRoundTrip(t *testing.T) {
-	c := Code{
+	c := dfscode.Code{
 		{I: 0, J: 1, LI: 5, LE: 0, LJ: 6},
 		{I: 1, J: 2, LI: 6, LE: 1, LJ: 7},
 		{I: 2, J: 0, LI: 7, LE: 2, LJ: 5}, // backward, closes triangle
@@ -70,7 +71,7 @@ func TestCodeGraphRoundTrip(t *testing.T) {
 
 func TestRightmostPath(t *testing.T) {
 	// 0-1-2 path then backward 2-0 then forward from 1 to 3.
-	c := Code{
+	c := dfscode.Code{
 		{I: 0, J: 1},
 		{I: 1, J: 2},
 		{I: 2, J: 0},
@@ -92,10 +93,10 @@ func TestMinimumCodeTriangleInvariant(t *testing.T) {
 	// All vertex orderings of the same labeled triangle must give the
 	// same minimum code.
 	base := build([]graph.Label{1, 2, 3}, [][3]int{{0, 1, 0}, {1, 2, 0}, {0, 2, 0}})
-	want := MinimumCode(base).String()
+	want := dfscode.MinimumCode(base).String()
 	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	for _, p := range perms {
-		got := MinimumCode(base.Relabel(p)).String()
+		got := dfscode.MinimumCode(base.Relabel(p)).String()
 		if got != want {
 			t.Errorf("perm %v: code %s; want %s", p, got, want)
 		}
@@ -105,14 +106,14 @@ func TestMinimumCodeTriangleInvariant(t *testing.T) {
 func TestMinimumCodeDistinguishesStructures(t *testing.T) {
 	path4 := build([]graph.Label{1, 1, 1, 1}, [][3]int{{0, 1, 0}, {1, 2, 0}, {2, 3, 0}})
 	star4 := build([]graph.Label{1, 1, 1, 1}, [][3]int{{0, 1, 0}, {0, 2, 0}, {0, 3, 0}})
-	if Canonical(path4) == Canonical(star4) {
+	if dfscode.Canonical(path4) == dfscode.Canonical(star4) {
 		t.Error("path4 and star4 share a canonical code")
 	}
 }
 
 func TestMinimumCodeFirstEdgeIsSmallest(t *testing.T) {
 	g := build([]graph.Label{3, 1, 2}, [][3]int{{0, 1, 1}, {1, 2, 0}})
-	c := MinimumCode(g)
+	c := dfscode.MinimumCode(g)
 	if c[0].LI != 1 {
 		t.Errorf("first code entry starts at label %d; want 1 (smallest)", c[0].LI)
 	}
@@ -120,18 +121,18 @@ func TestMinimumCodeFirstEdgeIsSmallest(t *testing.T) {
 
 func TestIsMinimal(t *testing.T) {
 	g := build([]graph.Label{1, 2, 3}, [][3]int{{0, 1, 0}, {1, 2, 0}, {0, 2, 0}})
-	min := MinimumCode(g)
-	if !IsMinimal(min) {
+	min := dfscode.MinimumCode(g)
+	if !dfscode.IsMinimal(min) {
 		t.Fatal("minimum code reported non-minimal")
 	}
 	// A valid but non-minimal code of the same triangle: start from the
 	// largest label.
-	nonMin := Code{
+	nonMin := dfscode.Code{
 		{I: 0, J: 1, LI: 3, LE: 0, LJ: 1},
 		{I: 1, J: 2, LI: 1, LE: 0, LJ: 2},
 		{I: 2, J: 0, LI: 2, LE: 0, LJ: 3},
 	}
-	if IsMinimal(nonMin) {
+	if dfscode.IsMinimal(nonMin) {
 		t.Error("non-minimal code reported minimal")
 	}
 }
@@ -140,10 +141,10 @@ func TestCanonicalSingleVertex(t *testing.T) {
 	a := build([]graph.Label{4}, nil)
 	b := build([]graph.Label{4}, nil)
 	c := build([]graph.Label{5}, nil)
-	if Canonical(a) != Canonical(b) {
+	if dfscode.Canonical(a) != dfscode.Canonical(b) {
 		t.Error("equal single vertices differ")
 	}
-	if Canonical(a) == Canonical(c) {
+	if dfscode.Canonical(a) == dfscode.Canonical(c) {
 		t.Error("different single vertices collide")
 	}
 }
@@ -171,7 +172,7 @@ func TestPropertyCanonicalInvariantUnderRelabel(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		g := randConnected(rr, 2+rr.Intn(7), rr.Intn(4), 2, 2)
 		h := g.Relabel(rr.Perm(g.NumNodes()))
-		return Canonical(g) == Canonical(h)
+		return dfscode.Canonical(g) == dfscode.Canonical(h)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: r}); err != nil {
 		t.Error(err)
@@ -185,7 +186,7 @@ func TestPropertyCanonicalSeparatesNonIsomorphic(t *testing.T) {
 		a := randConnected(rr, 2+rr.Intn(6), rr.Intn(4), 2, 2)
 		b := randConnected(rr, 2+rr.Intn(6), rr.Intn(4), 2, 2)
 		// Canonical equality must coincide with isomorphism.
-		return (Canonical(a) == Canonical(b)) == isomorphic(a, b)
+		return (dfscode.Canonical(a) == dfscode.Canonical(b)) == isomorphic(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: r}); err != nil {
 		t.Error(err)
@@ -197,7 +198,7 @@ func TestPropertyMinCodeGraphIsomorphicToOriginal(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		g := randConnected(rr, 2+rr.Intn(7), rr.Intn(4), 3, 2)
-		back := MinimumCode(g).Graph()
+		back := dfscode.MinimumCode(g).Graph()
 		return isomorphic(g, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: r}); err != nil {
@@ -210,7 +211,7 @@ func TestPropertyMinimumCodeIsMinimal(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		g := randConnected(rr, 2+rr.Intn(6), rr.Intn(4), 2, 2)
-		return IsMinimal(MinimumCode(g))
+		return dfscode.IsMinimal(dfscode.MinimumCode(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: r}); err != nil {
 		t.Error(err)
@@ -224,18 +225,18 @@ func TestMinimumCodePanicsOnDisconnected(t *testing.T) {
 		}
 	}()
 	g := build([]graph.Label{1, 2}, nil)
-	MinimumCode(g)
+	dfscode.MinimumCode(g)
 }
 
 func TestCodeString(t *testing.T) {
-	c := Code{{I: 0, J: 1, LI: 5, LE: 2, LJ: 7}}
+	c := dfscode.Code{{I: 0, J: 1, LI: 5, LE: 2, LJ: 7}}
 	if got := c.String(); got != "(0,1,5,2,7)" {
 		t.Errorf("String = %q", got)
 	}
 }
 
 func TestCodeGraphPanicsOnMalformed(t *testing.T) {
-	cases := []Code{
+	cases := []dfscode.Code{
 		{{I: 1, J: 2, LI: 0, LE: 0, LJ: 0}},                                    // first entry not (0,1)
 		{{I: 0, J: 1, LI: 0, LE: 0, LJ: 0}, {I: 0, J: 3, LI: 0, LE: 0, LJ: 0}}, // skips vertex 2
 	}
@@ -254,14 +255,14 @@ func TestCodeGraphPanicsOnMalformed(t *testing.T) {
 func TestMinimumCodeSingleEdgeOrientation(t *testing.T) {
 	// Edge with asymmetric labels: min code starts from the smaller.
 	g := build([]graph.Label{9, 2}, [][3]int{{0, 1, 4}})
-	c := MinimumCode(g)
+	c := dfscode.MinimumCode(g)
 	if len(c) != 1 || c[0].LI != 2 || c[0].LJ != 9 || c[0].LE != 4 {
 		t.Errorf("code = %v", c)
 	}
 }
 
 func TestRightmostPathEmptyCode(t *testing.T) {
-	if got := (Code{}).RightmostPath(); got != nil {
+	if got := (dfscode.Code{}).RightmostPath(); got != nil {
 		t.Errorf("empty code path = %v", got)
 	}
 }
@@ -279,8 +280,8 @@ func isomorphic(a, b *graph.Graph) bool {
 func TestCompareRenderedMatchesStrings(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	field := func() int { return []int{0, 1, 2, 9, 10, 11, 19, 99, 100, 101}[r.Intn(10)] }
-	entry := func() EdgeCode {
-		return EdgeCode{I: field(), J: field(), LI: graph.Label(field()), LE: graph.Label(field()), LJ: graph.Label(field())}
+	entry := func() dfscode.EdgeCode {
+		return dfscode.EdgeCode{I: field(), J: field(), LI: graph.Label(field()), LE: graph.Label(field()), LJ: graph.Label(field())}
 	}
 	for i := 0; i < 20000; i++ {
 		a, b := entry(), entry()
@@ -288,9 +289,9 @@ func TestCompareRenderedMatchesStrings(t *testing.T) {
 			b = a
 			b.LJ = graph.Label(field())
 		}
-		want := strings.Compare(Code{a}.String(), Code{b}.String())
-		if got := CompareRendered(a, b); got != want {
-			t.Fatalf("CompareRendered(%s, %s) = %d, strings.Compare %d", Code{a}, Code{b}, got, want)
+		want := strings.Compare(dfscode.Code{a}.String(), dfscode.Code{b}.String())
+		if got := dfscode.CompareRendered(a, b); got != want {
+			t.Fatalf("CompareRendered(%s, %s) = %d, strings.Compare %d", dfscode.Code{a}, dfscode.Code{b}, got, want)
 		}
 	}
 }

@@ -1,9 +1,10 @@
-package dfscode
+package dfscode_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
 )
 
@@ -33,13 +34,13 @@ func FuzzCanonicalInvariance(f *testing.F) {
 				g.MustAddEdge(u, v, 0)
 			}
 		}
-		canon := Canonical(g)
+		canon := dfscode.Canonical(g)
 		perm := r.Perm(g.NumNodes())
-		if got := Canonical(g.Relabel(perm)); got != canon {
+		if got := dfscode.Canonical(g.Relabel(perm)); got != canon {
 			t.Fatalf("canonical changed under relabel: %q vs %q", canon, got)
 		}
 		if g.NumEdges() > 0 {
-			back := MinimumCode(g).Graph()
+			back := dfscode.MinimumCode(g).Graph()
 			if !isomorphic(g, back) {
 				t.Fatal("min-code graph not isomorphic to original")
 			}
@@ -75,7 +76,7 @@ func FuzzMinCodeEdgeOrder(f *testing.F) {
 				g.MustAddEdge(u, v, 0)
 			}
 		}
-		canon := Canonical(g)
+		canon := dfscode.Canonical(g)
 
 		// Rebuild the identical graph with the edge list shuffled.
 		edges := g.Edges()
@@ -87,7 +88,7 @@ func FuzzMinCodeEdgeOrder(f *testing.F) {
 		for _, i := range perm {
 			h.MustAddEdge(edges[i].From, edges[i].To, edges[i].Label)
 		}
-		if got := Canonical(h); got != canon {
+		if got := dfscode.Canonical(h); got != canon {
 			t.Fatalf("canonical code depends on edge insertion order: %q vs %q", got, canon)
 		}
 	})

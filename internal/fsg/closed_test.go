@@ -12,7 +12,7 @@ import (
 	"graphsig/internal/isomorph"
 )
 
-func fsgSig(p Pattern) string {
+func fsgSig(p dfscode.Pattern) string {
 	return fmt.Sprintf("%s|%d|%v", dfscode.Canonical(p.Graph), p.Support, p.GraphIDs)
 }
 
@@ -21,8 +21,8 @@ func fsgSig(p Pattern) string {
 // list has identical support and contains it (VF2). The production
 // closure check never runs VF2, so this is a genuinely independent
 // oracle.
-func oracleClosed(patterns []Pattern) []Pattern {
-	var out []Pattern
+func oracleClosed(patterns []dfscode.Pattern) []dfscode.Pattern {
+	var out []dfscode.Pattern
 	for _, p := range patterns {
 		closed := true
 		for _, q := range patterns {
@@ -64,8 +64,8 @@ func TestClosedOnlyMatchesOracleFSG(t *testing.T) {
 		}
 		// The pipeline's load-bearing property: maximality over the
 		// closed output is byte-identical to maximality over everything.
-		mc, errC := Maximal(closed.Patterns, nil)
-		mf, errF := Maximal(full.Patterns, nil)
+		mc, errC := isomorph.Maximal(closed.Patterns, nil, "fsg")
+		mf, errF := isomorph.Maximal(full.Patterns, nil, "fsg")
 		if errC != nil || errF != nil {
 			t.Fatalf("seed %d: uncontrolled sweep failed: %v, %v", seed, errC, errF)
 		}

@@ -137,7 +137,7 @@ func TestPropertyFSGMatchesGSpan(t *testing.T) {
 func TestMaximalMine(t *testing.T) {
 	path := build([]graph.Label{1, 2, 3}, [][3]int{{0, 1, 0}, {1, 2, 0}})
 	db := []*graph.Graph{path, path.Clone(), path.Clone()}
-	res := MaximalMine(db, Options{MinSupport: 3})
+	res := maximalOf(Mine(db, Options{MinSupport: 3}))
 	if len(res.Patterns) != 1 {
 		t.Fatalf("got %d maximal patterns; want 1", len(res.Patterns))
 	}
@@ -153,7 +153,7 @@ func TestMaximalMineHighThresholdFiltersNoise(t *testing.T) {
 	g1 := build([]graph.Label{1, 2, 3}, tri)
 	g2 := build([]graph.Label{1, 2, 3, 9}, append(append([][3]int{}, tri...), [3]int{2, 3, 1}))
 	g3 := build([]graph.Label{1, 2, 3, 8}, append(append([][3]int{}, tri...), [3]int{0, 3, 1}))
-	res := MaximalMine([]*graph.Graph{g1, g2, g3}, Options{MinSupport: 3})
+	res := maximalOf(Mine([]*graph.Graph{g1, g2, g3}, Options{MinSupport: 3}))
 	if len(res.Patterns) != 1 {
 		for _, p := range res.Patterns {
 			t.Logf("%s sup=%d", p.Graph, p.Support)

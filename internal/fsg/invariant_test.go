@@ -16,7 +16,7 @@ import (
 // realizedKeys lists the one-edge growths of p realized in at least
 // minSup graphs of db, found by VF2 embedding enumeration rather than
 // the miner's embedding lists, in a fixed order.
-func realizedKeys(db []*graph.Graph, p Pattern, minSup int) []isomorph.ExtKey {
+func realizedKeys(db []*graph.Graph, p dfscode.Pattern, minSup int) []isomorph.ExtKey {
 	last := map[isomorph.ExtKey]int{}
 	count := map[isomorph.ExtKey]int{}
 	hasEdge := func(pv, pu int) bool { return p.Graph.HasEdge(pv, pu) }

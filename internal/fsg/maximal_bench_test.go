@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphsig/internal/graph"
+	"graphsig/internal/isomorph"
 	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
 )
@@ -51,7 +52,7 @@ func BenchmarkMaximalFilter(b *testing.B) {
 			b.ReportMetric(float64(len(res.Patterns)), "patterns")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Maximal(res.Patterns, ctl.Checkpoint(runctl.StageFSG)); err != nil {
+				if _, err := isomorph.Maximal(res.Patterns, ctl.Checkpoint(runctl.StageFSG), "fsg"); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -108,10 +108,17 @@ func oracleFilter(freq []oraclePattern, sameSupport bool) []oraclePattern {
 	return out
 }
 
-// checkAgainstOracle compares fsg.Mine (full and ClosedOnly) and
-// MaximalMine with the brute-force answers: same canonical patterns,
-// supports and TID lists, and level counts equal to the oracle's
-// per-size counts.
+// maximalOf sweeps a mine's patterns down to the maximal ones with
+// isomorph.Maximal, without a controller, which cannot stop the sweep.
+func maximalOf(res Result) Result {
+	res.Patterns, _ = isomorph.Maximal(res.Patterns, nil, "fsg")
+	return res
+}
+
+// checkAgainstOracle compares fsg.Mine (full and ClosedOnly) and the
+// maximality sweep over either with the brute-force answers: same
+// canonical patterns, supports and TID lists, and level counts equal to
+// the oracle's per-size counts.
 func checkAgainstOracle(t *testing.T, db []*graph.Graph, minSup int) {
 	t.Helper()
 	freq := bruteFrequent(db, minSup, oracleMaxEdges)
@@ -137,14 +144,16 @@ func checkAgainstOracle(t *testing.T, db []*graph.Graph, minSup int) {
 
 	closedOpt := opt
 	closedOpt.ClosedOnly = true
-	comparePatterns(t, "ClosedOnly", Mine(db, closedOpt), oracleFilter(freq, true))
+	closed := Mine(db, closedOpt)
+	comparePatterns(t, "ClosedOnly", closed, oracleFilter(freq, true))
 	maximal := oracleFilter(freq, false)
-	comparePatterns(t, "MaximalMine", MaximalMine(db, opt), maximal)
-	comparePatterns(t, "MaximalMine(ClosedOnly)", MaximalMine(db, closedOpt), maximal)
+	comparePatterns(t, "Maximal", maximalOf(full), maximal)
+	comparePatterns(t, "Maximal(ClosedOnly)", maximalOf(closed), maximal)
 }
 
 // comparePatterns checks that the mine emitted its patterns level by
-// level and that, ordered by (edges, code), they equal the oracle's.
+// level, each carrying its minimum code and the graph built from it,
+// and that, ordered by (edges, code), they equal the oracle's.
 func comparePatterns(t *testing.T, what string, res Result, want []oraclePattern) {
 	t.Helper()
 	if res.Truncated {
@@ -157,6 +166,12 @@ func comparePatterns(t *testing.T, what string, res Result, want []oraclePattern
 		}
 		if p.Support != len(p.GraphIDs) {
 			t.Fatalf("%s: pattern %d support %d, %d graph ids", what, i, p.Support, len(p.GraphIDs))
+		}
+		if want := dfscode.MinimumCode(p.Graph); !slices.Equal(p.Code, want) {
+			t.Fatalf("%s: pattern %d carries code %s, minimum code %s", what, i, p.Code, want)
+		}
+		if g := p.Code.Graph(); !slices.Equal(p.Graph.Labels(), g.Labels()) || !slices.Equal(p.Graph.Edges(), g.Edges()) {
+			t.Fatalf("%s: pattern %d graph %v, its code builds %v", what, i, p.Graph, g)
 		}
 		got[i] = oraclePattern{canon: dfscode.Canonical(p.Graph), g: p.Graph, gids: p.GraphIDs}
 	}

@@ -120,14 +120,14 @@ func BuildFrequent(db []*graph.Graph, opt FrequentOptions) *Index {
 // support is at most ratio times the support of every admitted
 // sub-pattern — otherwise its posting list filters barely better than
 // the fragments it contains, and it wastes dictionary space.
-func discriminative(patterns []gspan.Pattern, ratio float64) []gspan.Pattern {
+func discriminative(patterns []dfscode.Pattern, ratio float64) []dfscode.Pattern {
 	sort.Slice(patterns, func(i, j int) bool {
 		if patterns[i].Graph.NumEdges() != patterns[j].Graph.NumEdges() {
 			return patterns[i].Graph.NumEdges() < patterns[j].Graph.NumEdges()
 		}
 		return patterns[i].Support > patterns[j].Support
 	})
-	var kept []gspan.Pattern
+	var kept []dfscode.Pattern
 	for _, p := range patterns {
 		admit := true
 		for _, q := range kept {

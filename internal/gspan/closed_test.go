@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
 	"graphsig/internal/isomorph"
 )
@@ -14,14 +15,14 @@ import (
 // filtering is exponentially worse than CloseGraph's native pruning, but
 // the output set is identical, which makes it the reference the
 // ClosedOnly tests check the miner against.
-func Closed(patterns []Pattern) []Pattern {
+func Closed(patterns []dfscode.Pattern) []dfscode.Pattern {
 	// Group by support first: a closed-ness witness must have equal
 	// support, so only same-support patterns need isomorphism checks.
 	bySupport := map[int][]int{}
 	for i, p := range patterns {
 		bySupport[p.Support] = append(bySupport[p.Support], i)
 	}
-	var out []Pattern
+	var out []dfscode.Pattern
 	for _, p := range patterns {
 		closed := true
 		for _, j := range bySupport[p.Support] {

@@ -3,6 +3,7 @@ package gspan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphsig/internal/dfscode"
@@ -13,12 +14,23 @@ import (
 
 // patternSig renders a pattern byte-comparably: canonical graph key,
 // support, and TID list.
-func patternSig(p Pattern) string {
+func patternSig(p dfscode.Pattern) string {
 	return fmt.Sprintf("%s|%d|%v", dfscode.Canonical(p.Graph), p.Support, p.GraphIDs)
 }
 
-func diffPatternLists(t *testing.T, label string, got, want []Pattern) {
+// diffPatternLists checks that two lists of mined patterns match byte
+// for byte, and that every pattern in either carries its minimum code
+// and the graph built from it.
+func diffPatternLists(t *testing.T, label string, got, want []dfscode.Pattern) {
 	t.Helper()
+	for _, p := range append(slices.Clip(got), want...) {
+		if min := dfscode.MinimumCode(p.Graph); !slices.Equal(p.Code, min) {
+			t.Fatalf("%s: pattern carries code %s, minimum code %s", label, p.Code, min)
+		}
+		if g := p.Code.Graph(); !slices.Equal(p.Graph.Labels(), g.Labels()) || !slices.Equal(p.Graph.Edges(), g.Edges()) {
+			t.Fatalf("%s: pattern graph %v, its code builds %v", label, p.Graph, g)
+		}
+	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d patterns, want %d", label, len(got), len(want))
 	}

@@ -38,10 +38,10 @@ type Options struct {
 	// ClosedOnly emits only closed patterns: frequent patterns with no
 	// one-edge extension preserving their full support set (CloseGraph,
 	// Yan & Han KDD 2003). The emitted list equals Closed() applied to
-	// the full mine's output, in the same order, so Maximal() over it is
-	// byte-identical to Maximal() over the full list — closure filtering
-	// can only drop patterns that already had an equal-support (hence
-	// frequent) strict super-pattern. With MaxEdges == 0 the miner also
+	// the full mine's output, in the same order, so isomorph.Maximal over
+	// it is byte-identical to the sweep over the full list — closure
+	// filtering can only drop patterns that already had an equal-support
+	// (hence frequent) strict super-pattern. With MaxEdges == 0 the miner also
 	// prunes whole DFS subtrees on equivalent occurrences (see grow).
 	ClosedOnly bool
 }
@@ -56,21 +56,9 @@ func FromPercent(pct float64, n int) int {
 	return s
 }
 
-// Pattern is a mined frequent subgraph.
-type Pattern struct {
-	// Graph is the pattern structure (node 0 is the DFS root).
-	Graph *graph.Graph
-	// Code is the pattern's minimum DFS code.
-	Code dfscode.Code
-	// Support is the number of database graphs containing the pattern.
-	Support int
-	// GraphIDs lists the supporting database indices in ascending order.
-	GraphIDs []int
-}
-
 // Result is the outcome of a mining run.
 type Result struct {
-	Patterns []Pattern
+	Patterns []dfscode.Pattern
 	// Truncated reports that the deadline, a budget, or cancellation cut
 	// the run short.
 	Truncated bool
@@ -169,7 +157,7 @@ type miner struct {
 	db       []*graph.Graph
 	opt      Options
 	cp       *runctl.Checkpoint
-	patterns []Pattern
+	patterns []dfscode.Pattern
 	stats    Stats
 	stop     bool
 	stopWhy  runctl.Reason
@@ -266,7 +254,7 @@ func (m *miner) record(code dfscode.Code, gids map[int]bool) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	m.patterns = append(m.patterns, Pattern{Graph: code.Graph(), Code: append(dfscode.Code(nil), code...), Support: len(ids), GraphIDs: ids})
+	m.patterns = append(m.patterns, dfscode.Pattern{Code: append(dfscode.Code(nil), code...), Graph: code.Graph(), Support: len(ids), GraphIDs: ids})
 }
 
 // checkpoint consults the shared controller; it flips the stop flag and
@@ -475,23 +463,4 @@ func onPath(path []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// Maximal filters patterns down to the maximal ones: those not strictly
-// contained (as a subgraph) in any other pattern of the list. This is
-// the MaximalFSM primitive of Algorithm 2, line 13, with
-// isomorph.Maximal's truncation rule: once cp trips it returns the
-// prefix already decided maximal plus the stop cause.
-func Maximal(patterns []Pattern, cp *runctl.Checkpoint) ([]Pattern, error) {
-	graphs := make([]*graph.Graph, len(patterns))
-	tids := make([][]int, len(patterns))
-	for i, p := range patterns {
-		graphs[i], tids[i] = p.Graph, p.GraphIDs
-	}
-	keep, err := isomorph.Maximal(graphs, tids, cp, "gspan")
-	var out []Pattern
-	for _, i := range keep {
-		out = append(out, patterns[i])
-	}
-	return out, err
 }

@@ -8,13 +8,14 @@ import (
 
 	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
+	"graphsig/internal/isomorph"
 	"graphsig/internal/runctl"
 )
 
 // maximal runs the maximality sweep without a controller, which cannot
 // stop it early.
-func maximal(patterns []Pattern) []Pattern {
-	out, _ := Maximal(patterns, nil)
+func maximal(patterns []dfscode.Pattern) []dfscode.Pattern {
+	out, _ := isomorph.Maximal(patterns, nil, "gspan")
 	return out
 }
 
@@ -140,7 +141,7 @@ func TestSupportIsAntiMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	db := randDB(r, 12, 6, 2, 2, 2)
 	res := Mine(db, Options{MinSupport: 2})
-	bySize := map[string]Pattern{}
+	bySize := map[string]dfscode.Pattern{}
 	for _, p := range res.Patterns {
 		bySize[dfscode.Canonical(p.Graph)] = p
 	}

@@ -1,15 +1,15 @@
 package isomorph
 
 import (
-	"graphsig/internal/graph"
+	"graphsig/internal/dfscode"
 	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
 )
 
 // Maximal is the containment sweep of MaximalFSM (Algorithm 2, line
-// 13): it returns, ascending, the indices of the patterns not strictly
-// contained in another pattern of the list. tids[i] is pattern i's
-// ascending TID list, or nil to skip the TID screen for its pairs.
+// 13): it returns, in list order, the patterns not strictly contained
+// in another pattern of the list. A pattern with an empty GraphIDs
+// skips the TID screen for its pairs.
 //
 // Patterns must be connected with at least one edge. A pattern is then
 // tested only against patterns with more edges, which is exact: a
@@ -17,31 +17,31 @@ import (
 // covers every host node and edge, so it is the host itself.
 //
 // Each containment test draws VF2 search nodes from cp. Once the run is
-// stopped the sweep returns the indices already decided maximal plus
+// stopped the sweep returns the patterns already decided maximal plus
 // the stop cause; the undecided tail is dropped, so every returned
 // pattern is maximal within the full list. site labels the
 // MMaximalPairs counter with the calling miner.
-func Maximal(graphs []*graph.Graph, tids [][]int, cp *runctl.Checkpoint, site string) ([]int, error) {
+func Maximal(patterns []dfscode.Pattern, cp *runctl.Checkpoint, site string) ([]dfscode.Pattern, error) {
 	// Containment of p in q forces q's TID list to be a subset of p's,
 	// an integer-compare screen over the sorted lists; summaries then
 	// reject on label histograms and degree sequences before VF2.
-	sums := make([]*Summary, len(graphs))
-	for i, g := range graphs {
-		sums[i] = Summarize(g)
+	sums := make([]*Summary, len(patterns))
+	for i, p := range patterns {
+		sums[i] = Summarize(p.Graph)
 	}
 	reg := cp.Metrics()
 	pairs := reg.Counter(obs.MMaximalPairs, "site", site)
 	rejects := reg.Counter(obs.MPrefilterRejects, "site", "maximal")
 	passes := reg.Counter(obs.MPrefilterPasses, "site", "maximal")
-	var keep []int
-	for i, p := range graphs {
+	var keep []dfscode.Pattern
+	for i, p := range patterns {
 		maximal := true
-		for j, q := range graphs {
-			if i == j || q.NumEdges() <= p.NumEdges() {
+		for j, q := range patterns {
+			if i == j || q.Graph.NumEdges() <= p.Graph.NumEdges() {
 				continue
 			}
 			pairs.Inc()
-			if len(tids[i]) > 0 && len(tids[j]) > 0 && !SortedSubset(tids[j], tids[i]) {
+			if len(p.GraphIDs) > 0 && len(q.GraphIDs) > 0 && !SortedSubset(q.GraphIDs, p.GraphIDs) {
 				rejects.Inc()
 				continue
 			}
@@ -50,7 +50,7 @@ func Maximal(graphs []*graph.Graph, tids [][]int, cp *runctl.Checkpoint, site st
 				continue
 			}
 			passes.Inc()
-			hit, err := SubgraphIsomorphicCtl(p, q, cp)
+			hit, err := SubgraphIsomorphicCtl(p.Graph, q.Graph, cp)
 			if err != nil {
 				return keep, err
 			}
@@ -60,7 +60,7 @@ func Maximal(graphs []*graph.Graph, tids [][]int, cp *runctl.Checkpoint, site st
 			}
 		}
 		if maximal {
-			keep = append(keep, i)
+			keep = append(keep, p)
 		}
 	}
 	return keep, nil

@@ -5,16 +5,16 @@ import (
 	"slices"
 	"testing"
 
+	"graphsig/internal/dfscode"
 	"graphsig/internal/fsg"
 	"graphsig/internal/graph"
-	"graphsig/internal/gspan"
 	"graphsig/internal/isomorph"
 	"graphsig/internal/runctl"
 )
 
 // sweepInput mines every frequent pattern (not just the closed ones, so
 // the sweep has real containments to find) of a small random database.
-func sweepInput(t *testing.T) ([]fsg.Pattern, []gspan.Pattern) {
+func sweepInput(t *testing.T) []dfscode.Pattern {
 	r := rand.New(rand.NewSource(5))
 	db := make([]*graph.Graph, 6)
 	for i := range db {
@@ -35,33 +35,36 @@ func sweepInput(t *testing.T) ([]fsg.Pattern, []gspan.Pattern) {
 	if res.Truncated || len(res.Patterns) < 20 {
 		t.Fatalf("sweep input: %d patterns, truncated=%v", len(res.Patterns), res.Truncated)
 	}
-	gs := make([]gspan.Pattern, len(res.Patterns))
-	for i, p := range res.Patterns {
-		gs[i] = gspan.Pattern{Graph: p.Graph, Support: p.Support, GraphIDs: p.GraphIDs}
+	return res.Patterns
+}
+
+// graphsOf lists the patterns' graphs, which identify them: the sweep
+// passes the patterns it keeps through unchanged.
+func graphsOf(patterns []dfscode.Pattern) []*graph.Graph {
+	out := make([]*graph.Graph, len(patterns))
+	for i, p := range patterns {
+		out[i] = p.Graph
 	}
-	return res.Patterns, gs
+	return out
 }
 
 // TestMaximalTruncatesToDecidedPrefix trips the controller at every
 // checkpoint of the sweep in turn. Each tripped sweep must return the
 // stop cause and only patterns maximal within the full list, and the
-// fsg and gspan adapters must keep the same patterns.
+// sweep must keep the same patterns under either miner's checkpoint
+// stage and site label.
 func TestMaximalTruncatesToDecidedPrefix(t *testing.T) {
-	fp, gp := sweepInput(t)
-	graphs := make([]*graph.Graph, len(fp))
-	tids := make([][]int, len(fp))
-	for i, p := range fp {
-		graphs[i], tids[i] = p.Graph, p.GraphIDs
-	}
+	patterns := sweepInput(t)
 
 	var checks int64
 	count := runctl.New(runctl.Options{CheckInterval: 1, Hook: func(n int64) bool { checks = n; return false }})
-	full, err := isomorph.Maximal(graphs, tids, count.Checkpoint(runctl.StageFSG), "fsg")
+	kept, err := isomorph.Maximal(patterns, count.Checkpoint(runctl.StageFSG), "fsg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) < 2 || len(full) == len(graphs) {
-		t.Fatalf("sweep keeps %d of %d patterns; want a non-trivial filter", len(full), len(graphs))
+	full := graphsOf(kept)
+	if len(full) < 2 || len(full) == len(patterns) {
+		t.Fatalf("sweep keeps %d of %d patterns; want a non-trivial filter", len(full), len(patterns))
 	}
 
 	partial := 0
@@ -70,31 +73,29 @@ func TestMaximalTruncatesToDecidedPrefix(t *testing.T) {
 			return runctl.New(runctl.Options{CheckInterval: 1, Hook: func(n int64) bool { return n >= trip }})
 		}
 		ctl := ctlFor()
-		keep, err := isomorph.Maximal(graphs, tids, ctl.Checkpoint(runctl.StageFSG), "fsg")
+		kept, err := isomorph.Maximal(patterns, ctl.Checkpoint(runctl.StageFSG), "fsg")
 		if err == nil || err != ctl.Err() || runctl.ReasonOf(err) != runctl.ReasonCancel {
 			t.Fatalf("trip %d: err %v, want the controller's stop cause %v", trip, err, ctl.Err())
 		}
-		for _, i := range keep {
-			if !slices.Contains(full, i) {
+		keep := graphsOf(kept)
+		for i, g := range keep {
+			if !slices.Contains(full, g) {
 				t.Fatalf("trip %d: kept pattern %d is not maximal in the full list", trip, i)
 			}
 		}
 		if !slices.Equal(keep, full[:len(keep)]) {
-			t.Fatalf("trip %d: kept %v, not a prefix of %v", trip, keep, full)
+			t.Fatalf("trip %d: kept %d patterns, not a prefix of the %d maximal ones", trip, len(keep), len(full))
 		}
 		if len(keep) > 0 && len(keep) < len(full) {
 			partial++
 		}
 
-		fk, ferr := fsg.Maximal(fp, ctlFor().Checkpoint(runctl.StageFSG))
-		gk, gerr := gspan.Maximal(gp, ctlFor().Checkpoint(runctl.StageGSpan))
-		if ferr == nil || gerr == nil || len(fk) != len(keep) || len(gk) != len(keep) {
-			t.Fatalf("trip %d: fsg kept %d (%v), gspan %d (%v), sweep %d", trip, len(fk), ferr, len(gk), gerr, len(keep))
+		gk, gerr := isomorph.Maximal(patterns, ctlFor().Checkpoint(runctl.StageGSpan), "gspan")
+		if gerr == nil || len(gk) != len(keep) {
+			t.Fatalf("trip %d: gspan stage kept %d (%v), fsg stage %d", trip, len(gk), gerr, len(keep))
 		}
-		for k, i := range keep {
-			if fk[k].Graph != graphs[i] || gk[k].Graph != graphs[i] {
-				t.Fatalf("trip %d: adapters disagree with the sweep at %d", trip, k)
-			}
+		if !slices.Equal(graphsOf(gk), keep) {
+			t.Fatalf("trip %d: the gspan stage's sweep disagrees with the fsg stage's", trip)
 		}
 	}
 	if partial == 0 {

@@ -172,7 +172,7 @@ func kthBestScore(scoredByKey map[string]Pattern, k int) float64 {
 // those already scored in earlier rounds (support >= minedAbove) and
 // pruning patterns whose frequency envelope cannot clear the k-th best
 // score captured at round start.
-func scoreCandidates(cands []gspan.Pattern, pos, neg []*graph.Graph, opt Options,
+func scoreCandidates(cands []dfscode.Pattern, pos, neg []*graph.Graph, opt Options,
 	minedAbove int, scoredByKey map[string]Pattern, kth float64, cp, cpVF2 *runctl.Checkpoint) {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Support > cands[j].Support })
 	for _, cand := range cands {
@@ -201,8 +201,7 @@ func scoreCandidates(cands []gspan.Pattern, pos, neg []*graph.Graph, opt Options
 			q = float64(negSup) / float64(len(neg))
 		}
 		score := GTest(p, q)
-		key := dfscode.Canonical(cand.Graph)
-		scoredByKey[key] = Pattern{Graph: cand.Graph, PosFreq: p, NegFreq: q, Score: score}
+		scoredByKey[cand.Code.String()] = Pattern{Graph: cand.Graph, PosFreq: p, NegFreq: q, Score: score}
 	}
 }
 
