@@ -93,8 +93,10 @@ bench-json:
 # Same workload as bench-json, gated: fails when a fresh median run is
 # more than 2x slower — or a run allocates more than 2x as much, or makes
 # more than 2x the FSG minimality checks or RWR power iterations — than
-# in the committed baseline, or runs under a different key (dataset,
-# graphs, radius, parallelism, verify) than the baseline's. CI runs this
+# in the committed baseline, when its pattern count or window-cache hits
+# or misses per run differ from the baseline's, or when it runs under a
+# different key (dataset, graphs, radius, parallelism, verify) than the
+# baseline's. CI runs this
 # blocking; refresh the baseline with `make bench-json` after
 # intentional performance changes.
 bench-smoke:

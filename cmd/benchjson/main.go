@@ -228,9 +228,11 @@ func sumLabel(snap obs.Snapshot, name, label string) int64 {
 
 // checkRegression exits non-zero when the fresh run's median run time,
 // allocations, FSG minimality checks or RWR iterations exceed
-// maxRegression × the committed baseline's, or it was run under a different key (workload
-// shape, parallelism or verification). Per-run figures are compared so
-// -runs need not match the baseline's.
+// maxRegression × the committed baseline's, when its pattern count or
+// window-cache hits or misses differ from the baseline's, or when it was
+// run under a different key (workload shape, parallelism or
+// verification). Per-run figures are compared so -runs need not match
+// the baseline's.
 func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -248,8 +250,18 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	}
 	// Every gated figure must be in the baseline: one that lacks a field
 	// would otherwise pass its check by default.
-	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 || base.RWRIterations <= 0 {
-		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun, fsgMinChecks or rwrIterations; re-record it with make bench-json", path)
+	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 || base.RWRIterations <= 0 ||
+		base.Patterns <= 0 || base.WindowHits <= 0 || base.WindowMisses <= 0 {
+		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun, fsgMinChecks, rwrIterations, patterns, windowCacheHits or windowCacheMisses; re-record it with make bench-json", path)
+	}
+	// At a fixed key the answer is deterministic: another pattern count,
+	// or another number of window reads per run, means the mine computes
+	// something else, whatever it costs.
+	log.Printf("%d patterns, %d window-cache hits and %d misses in %d runs vs baseline %d, %d and %d in %d",
+		fresh.Patterns, fresh.WindowHits, fresh.WindowMisses, fresh.Runs, base.Patterns, base.WindowHits, base.WindowMisses, base.Runs)
+	if fresh.Patterns != base.Patterns || fresh.WindowHits*int64(base.Runs) != base.WindowHits*int64(fresh.Runs) ||
+		fresh.WindowMisses*int64(base.Runs) != base.WindowMisses*int64(fresh.Runs) {
+		log.Fatal("answer changed: the pattern count or the window-cache hits or misses per run differ from the baseline's")
 	}
 	// Each gate compares a per-run figure with the baseline's at the same
 	// multiple: wall time, allocation churn, FSG's Phase-2 work (a rise

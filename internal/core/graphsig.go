@@ -456,8 +456,7 @@ func supportThreshold(cfg Config, setSize int) int {
 
 // groupNodes returns the regions of grp that Phase 3 cuts windows
 // around: all supporting nodes, or a MaxGroupSize subsample of them.
-// The window sweep and the group workers both select through it, so the
-// sweep cuts exactly the windows the groups will look up.
+// The window table plans each group's windows through it once.
 func groupNodes(grp VectorGroup, cfg Config) []rwr.NodeVector {
 	if cfg.MaxGroupSize > 0 && len(grp.Nodes) > cfg.MaxGroupSize {
 		return subsample(grp.Nodes, cfg.MaxGroupSize)
@@ -559,34 +558,24 @@ func (c *checkpointer) commit(gi int) {
 }
 
 // mineGroups fans Phase 3 out over cfg.Parallelism FanOut workers
-// sharing one window cache. Before any group is launched, the cache is
-// filled in one sweep over the database in position order (see
-// windowCache.sweep), so a store-backed source decodes each segment
-// once instead of once per group that touches it. It returns one outcome
-// per launched group (launch stops, in group order, once the controller
-// trips or a window read fails) plus the launch count;
-// outcomes[launched:] are untouched zero values. A resumed prefix is
-// copied in verbatim and never re-mined — its groups count as launched,
-// and their windows are not cut — and each newly finished group is
-// committed to the checkpointer (nil = no snapshots) unless its window
-// read failed.
+// reading one window table, filled by a database-ordered sweep before
+// any group launches. It returns one outcome per launched group (launch
+// stops, in group order, once the controller trips or a group's window
+// read fails) plus the launch count; outcomes[launched:] are zero. A
+// resumed prefix is copied in verbatim and never re-mined — its groups
+// count as launched, and their windows are not cut — and each newly
+// finished group is committed to the checkpointer (nil = no snapshots)
+// unless its window read failed.
 func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg Config, ctl *runctl.Controller, resumed []groupOutcome, ckpt *checkpointer) ([]groupOutcome, int) {
-	wc := newWindowCache(fetch, cfg.CutoffRadius, ctl.Metrics())
 	outcomes := make([]groupOutcome, len(groups))
 	start := copy(outcomes, resumed)
 	ckpt.attach(outcomes)
-	workers := cfg.Parallelism
-	if !wc.sweep(sweepPlan(groups[start:], cfg), cfg.Parallelism, ctl) {
-		// A read failed, so unless the run stops first the mine fails.
-		// Mining the groups one at a time makes its error exactly the
-		// first failing group's, and no group after that one reads
-		// anything.
-		workers = 1
-	}
-	launched := ctl.FanOut(len(groups)-start, workers, func() func(int) bool {
+	wt := newWindowTable(fetch, groups[start:], cfg)
+	wt.sweep(cfg.Parallelism, ctl)
+	launched := ctl.FanOut(wt.launchable(ctl), cfg.Parallelism, func() func(int) bool {
 		return func(i int) bool {
 			gi := start + i
-			outcomes[gi] = mineOneGroup(groups[gi], cfg, ctl, wc)
+			outcomes[gi] = mineOneGroup(groups[gi], cfg, ctl, wt, i)
 			if outcomes[gi].err != nil {
 				return false
 			}
@@ -594,35 +583,31 @@ func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg
 			return true
 		}
 	})
+	wt.book(launched, ctl.Metrics())
 	return outcomes, start + launched
 }
 
-// mineOneGroup cuts one group's region windows and runs maximal FSM on
-// them, keeping its group-mine span balanced: the span is ended or
-// failed here, even on panic, so the started == completed + degraded
+// mineOneGroup runs maximal FSM on group wi's windows in the table,
+// keeping its group-mine span balanced: the span is ended or failed
+// here, even on panic, so the started == completed + degraded
 // invariant survives fan-out.
-func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wc *windowCache) (out groupOutcome) {
+func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wt *windowTable, wi int) (out groupOutcome) {
 	var fsmSpan runctl.StageSpan
 	defer func() {
 		if r := recover(); r != nil {
 			// mineMaximalIsolated catches miner panics; this barrier
-			// catches the rest (cutting, subsampling) so one bad group
-			// cannot bring the pool down. Fail is idempotent, and a no-op
-			// on a span never started.
+			// catches the rest (a panic stored in a window slot) so one
+			// bad group cannot bring the pool down. Fail is idempotent,
+			// and a no-op on a span never started.
 			ctl.Recovered(runctl.StageGroup, fmt.Sprintf("group worker for label %d (%d regions)", grp.Label, len(grp.Nodes)), r)
 			fsmSpan.Fail(runctl.ReasonPanic, 0)
 			out.panicked = true
 		}
 	}()
-	nodes := groupNodes(grp, cfg)
-	windows := make([]*graph.Graph, len(nodes))
-	for i, nv := range nodes {
-		w, err := wc.window(nv.GraphID, nv.NodeID)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		windows[i] = w
+	windows, err := wt.windows(wi)
+	if err != nil {
+		out.err = err
+		return out
 	}
 	out.windows = len(windows)
 	minSup := int(math.Ceil(cfg.FSMFreqPct / 100 * float64(len(windows))))

@@ -1,188 +1,165 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
 )
 
-// windowKey identifies one cut region. The radius is part of the key
-// even though a single mine cuts at one radius only, so a cache can
-// never serve a window cut at the wrong radius if it outlives a config.
-type windowKey struct {
-	graphID, nodeID, radius int
+// windowSlot is one distinct (graph, node) region of a mine. Once its
+// graph is cut it holds the window, the error reading the graph, or a
+// panic recovered while fetching or cutting the graph.
+type windowSlot struct {
+	key   [2]int // graph, node
+	run   int    // the graph's index in runs
+	g     *graph.Graph
+	err   error
+	fault any
 }
 
-// windowEntry is one cache slot. The Once guarantees the window is set
-// exactly once — by the sweep or by the first lookup that finds it
-// empty — and lookups that race on an empty slot block until the
-// winner's cut is ready.
-type windowEntry struct {
-	once sync.Once
-	g    *graph.Graph
-	err  error
-	// looked is set by the first lookup of the key, under the cache's
-	// mutex; it, not whether the sweep already cut the window, decides
-	// between a hit and a miss.
-	looked bool
-}
-
-// windowCache shares CutGraph results across vector groups. Regions
-// supporting many significant vectors appear in many groups; without
-// the cache each appearance pays a BFS cut of the same ball. Cached
-// windows are shared read-only between groups — the miners never
-// mutate their input graphs.
-//
-// mineGroups fills the cache in one sweep (sweep) before any group
-// looks a window up, so each source graph is fetched once and a store
-// reader walks its segments in file order; window's lazy cut remains
-// for the entries the sweep left empty (it was stopped, or a cut
-// panicked). The hit and miss counters count lookups either way: the
-// first lookup of a key is a miss, every later one a hit.
-type windowCache struct {
+// windowTable holds the region windows of one mine's Phase 3. A region
+// in many groups is cut once, and the groups share its window read-only
+// (the miners never mutate their input graphs). sweep fills the table
+// before any group starts; groups then read it without a lock.
+type windowTable struct {
 	// fetch resolves a database position to its graph — a slice index
 	// for an in-memory mine, a lazy segment load for a store-backed one.
 	fetch  func(int) (*graph.Graph, error)
 	radius int
-
-	mu sync.Mutex
-	m  map[windowKey]*windowEntry
-
-	hits   *obs.Counter
-	misses *obs.Counter
+	slots  []windowSlot
+	// runs[r]:runs[r+1] are the slots of the r-th graph in database
+	// order; cut[r] is set once that graph has been read.
+	runs []int
+	cut  []bool
+	// groups lists each group's slots in groupNodes order.
+	groups [][]int
 }
 
-func newWindowCache(fetch func(int) (*graph.Graph, error), radius int, reg *obs.Registry) *windowCache {
-	return &windowCache{
-		fetch:  fetch,
-		radius: radius,
-		m:      make(map[windowKey]*windowEntry),
-		hits:   reg.Counter(obs.MWindowCacheHits),
-		misses: reg.Counter(obs.MWindowCacheMisses),
+// newWindowTable plans the windows of groups: one slot per distinct
+// region that groupNodes selects, and each group's list of slots.
+func newWindowTable(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg Config) *windowTable {
+	type ref struct {
+		key  [2]int
+		slot *int
 	}
-}
-
-// entryLocked returns k's slot, creating an empty one. Caller holds mu.
-func (c *windowCache) entryLocked(k windowKey) *windowEntry {
-	e, ok := c.m[k]
-	if !ok {
-		e = &windowEntry{}
-		c.m[k] = e
-	}
-	return e
-}
-
-// window returns the radius-bounded cut around (graphID, nodeID),
-// cutting on first use, or the error reading graphID. Safe for
-// concurrent use; the returned graph is shared and must be treated as
-// read-only.
-func (c *windowCache) window(graphID, nodeID int) (*graph.Graph, error) {
-	k := windowKey{graphID: graphID, nodeID: nodeID, radius: c.radius}
-	c.mu.Lock()
-	e := c.entryLocked(k)
-	repeat := e.looked
-	e.looked = true
-	c.mu.Unlock()
-	if repeat {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
-	}
-	e.once.Do(func() {
-		var g *graph.Graph
-		if g, e.err = c.fetch(graphID); e.err == nil {
-			e.g = g.CutGraph(nodeID, c.radius)
+	var refs []ref
+	t := &windowTable{fetch: fetch, radius: cfg.CutoffRadius, groups: make([][]int, len(groups))}
+	for gi, grp := range groups {
+		nodes := groupNodes(grp, cfg)
+		t.groups[gi] = make([]int, len(nodes))
+		for i, nv := range nodes {
+			refs = append(refs, ref{[2]int{nv.GraphID, nv.NodeID}, &t.groups[gi][i]})
 		}
+	}
+	slices.SortFunc(refs, func(a, b ref) int {
+		return cmp.Or(cmp.Compare(a.key[0], b.key[0]), cmp.Compare(a.key[1], b.key[1]))
 	})
-	return e.g, e.err
-}
-
-// sweepGraph is one source graph's share of the window sweep: the
-// distinct nodes whose windows the groups will look up.
-type sweepGraph struct {
-	graphID int
-	nodes   []int
-}
-
-// sweepPlan lists the distinct windows groups will look up — the same
-// groupNodes selection mineOneGroup makes — bucketed by graph in
-// ascending database position.
-func sweepPlan(groups []VectorGroup, cfg Config) []sweepGraph {
-	var keys [][2]int
-	for _, grp := range groups {
-		for _, nv := range groupNodes(grp, cfg) {
-			keys = append(keys, [2]int{nv.GraphID, nv.NodeID})
-		}
-	}
-	slices.SortFunc(keys, func(a, b [2]int) int {
-		if a[0] != b[0] {
-			return a[0] - b[0]
-		}
-		return a[1] - b[1]
-	})
-	keys = slices.Compact(keys)
-	var plan []sweepGraph
-	for _, k := range keys {
-		if n := len(plan); n == 0 || plan[n-1].graphID != k[0] {
-			plan = append(plan, sweepGraph{graphID: k[0]})
-		}
-		last := &plan[len(plan)-1]
-		last.nodes = append(last.nodes, k[1])
-	}
-	return plan
-}
-
-// sweep cuts every window in plan before any group looks one up.
-// Workers claim whole graphs in plan (database) order, fetch each once,
-// cut all of its windows and drop it; group lookups then hit. Over a
-// store reader, fetching in group order loads a segment for every
-// window whose segment the LRU has evicted; in database order each
-// segment loads once. The sweep stops claiming graphs once the
-// controller has stopped or a read has failed; what it leaves empty the
-// group workers cut lazily, exactly as they would without a sweep. It
-// reports false when a read failed.
-func (c *windowCache) sweep(plan []sweepGraph, workers int, ctl *runctl.Controller) bool {
-	var readFailed atomic.Bool
-	ctl.FanOut(len(plan), workers, func() func(int) bool {
-		return func(i int) bool {
-			if c.cutGraph(plan[i]) {
-				return true
+	for _, r := range refs {
+		if n := len(t.slots); n == 0 || t.slots[n-1].key != r.key {
+			if n == 0 || t.slots[n-1].key[0] != r.key[0] {
+				t.runs = append(t.runs, n)
 			}
-			readFailed.Store(true)
-			return false
+			t.slots = append(t.slots, windowSlot{key: r.key, run: len(t.runs) - 1})
 		}
-	})
-	return !readFailed.Load()
+		*r.slot = len(t.slots) - 1
+	}
+	t.runs = append(t.runs, len(t.slots))
+	t.cut = make([]bool, len(t.runs)-1)
+	return t
 }
 
-// cutGraph fetches one graph and fills the entries of its plan nodes,
-// reporting false when the read failed. A read error fills every one of
-// those entries, so the group that looks one up fails with it just as
-// if it had read the graph itself. A panic while fetching or cutting
-// fills nothing: the entries stay empty, a group worker that needs one
-// cuts it lazily, and that worker's recovery reports the panic.
-func (c *windowCache) cutGraph(sg sweepGraph) (ok bool) {
+// sweep cuts every window, graph by graph in database order. Over a
+// store reader each segment then loads once, where group order reloads
+// every segment the LRU has evicted. It stops claiming graphs once a
+// read fails or the controller stops; a stop cause is never cleared, so
+// no group then launches to read a slot left uncut.
+func (t *windowTable) sweep(workers int, ctl *runctl.Controller) {
+	ctl.FanOut(len(t.cut), workers, func() func(int) bool { return t.cutRun })
+}
+
+// cutRun fetches the r-th graph once and cuts all of its windows,
+// reporting false when the read failed. A read error, or a panic while
+// fetching or cutting, is stored in every slot of the graph; the group
+// that reads one fails with the error or re-raises the panic inside its
+// own barrier, just as if it had cut the window itself.
+func (t *windowTable) cutRun(r int) (ok bool) {
+	t.cut[r] = true
+	run := t.slots[t.runs[r]:t.runs[r+1]]
 	defer func() {
-		if recover() != nil {
+		if p := recover(); p != nil {
+			for i := range run {
+				run[i].fault = p
+			}
 			ok = true
 		}
 	}()
-	g, err := c.fetch(sg.graphID)
-	cuts := make([]*graph.Graph, len(sg.nodes))
-	if err == nil {
-		for i, v := range sg.nodes {
-			cuts[i] = g.CutGraph(v, c.radius)
+	g, err := t.fetch(run[0].key[0])
+	for i := range run {
+		if run[i].err = err; err == nil {
+			run[i].g = g.CutGraph(run[i].key[1], t.radius)
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, v := range sg.nodes {
-		e := c.entryLocked(windowKey{graphID: sg.graphID, nodeID: v, radius: c.radius})
-		e.once.Do(func() { e.g, e.err = cuts[i], err })
-	}
 	return err == nil
+}
+
+// launchable returns how many groups, in group order, may launch after
+// the sweep: all of them, or those up to and including the first that
+// reads a failed slot, so a failed read fails the mine with exactly
+// that group's error. The groups before it may need graphs the sweep,
+// stopped by the failure, never reached; those are read here, one at a
+// time in group order — the only reads outside the sweep, made only
+// after a read has failed — unless the controller has stopped.
+func (t *windowTable) launchable(ctl *runctl.Controller) int {
+	for gi, slots := range t.groups {
+		for _, s := range slots {
+			if r := t.slots[s].run; !t.cut[r] {
+				if ctl.Stopped() {
+					return 0
+				}
+				t.cutRun(r)
+			}
+			if t.slots[s].err != nil {
+				return gi + 1
+			}
+		}
+	}
+	return len(t.groups)
+}
+
+// windows returns group gi's windows in groupNodes order, or the error
+// of its first failed slot. A slot holding a panic re-raises it.
+func (t *windowTable) windows(gi int) ([]*graph.Graph, error) {
+	out := make([]*graph.Graph, len(t.groups[gi]))
+	for i, s := range t.groups[gi] {
+		slot := &t.slots[s]
+		if slot.fault != nil {
+			panic(slot.fault)
+		}
+		if slot.err != nil {
+			return nil, slot.err
+		}
+		out[i] = slot.g
+	}
+	return out, nil
+}
+
+// book counts the window reads of the first launched groups: the first
+// read of a slot is a miss, every later one a hit.
+func (t *windowTable) book(launched int, reg *obs.Registry) {
+	seen := make([]bool, len(t.slots))
+	var reads, misses int64
+	for _, slots := range t.groups[:launched] {
+		for _, s := range slots {
+			reads++
+			if !seen[s] {
+				seen[s] = true
+				misses++
+			}
+		}
+	}
+	reg.Counter(obs.MWindowCacheMisses).Add(misses)
+	reg.Counter(obs.MWindowCacheHits).Add(reads - misses)
 }

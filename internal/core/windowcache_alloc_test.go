@@ -1,33 +1,32 @@
 package core
 
-// Allocation contract of the window cache's hit path: once a region is
-// cut, re-requesting it is a map probe plus two no-op counter bumps —
-// no heap traffic. Groups share regions heavily, so a hit path that
-// allocated would charge every group after the first for nothing.
+// Allocation contract of a group's window read: once the sweep has
+// filled the window table, a group's windows cost one allocation — the
+// slice that holds them — and nothing per window. Groups share regions
+// heavily, so a read that allocated per window would charge every group
+// after the first for nothing.
 
 import (
 	"testing"
 
-	"graphsig/internal/chem"
-	"graphsig/internal/obs"
+	"graphsig/internal/runctl"
 )
 
-func TestWindowCacheHitPathZeroAllocs(t *testing.T) {
-	db := plantedDB(8, 2, chem.SbCore())
-	cache := newWindowCache(Slice(db).Graph, 3, obs.NewRegistry())
-	// Populate: every key below is a miss exactly once.
-	for gid := range db {
-		for node := 0; node < db[gid].NumNodes(); node += 3 {
-			cache.window(gid, node)
-		}
+func TestWindowTableReadOneAlloc(t *testing.T) {
+	db, groups, cfg := sweepFixture(t)
+	wt := newWindowTable(Slice(db).Graph, groups, cfg)
+	ctl := runctl.New(runctl.Options{})
+	wt.sweep(2, ctl)
+	if n := wt.launchable(ctl); n != len(groups) {
+		t.Fatalf("%d of %d groups launchable over an in-memory database", n, len(groups))
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for gid := range db {
-			for node := 0; node < db[gid].NumNodes(); node += 3 {
-				cache.window(gid, node)
+	for gi := range groups {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := wt.windows(gi); err != nil {
+				t.Fatal(err)
 			}
+		}); allocs != 1 {
+			t.Errorf("group %d window read: %v allocs per run; want 1 (its window slice)", gi, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("window cache hit path: %v allocs per run; want 0", allocs)
 	}
 }

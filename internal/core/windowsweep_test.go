@@ -111,10 +111,21 @@ func touching(groups []VectorGroup, cfg Config, gid int) int {
 	return -1
 }
 
+// outcomeSummary renders what a group outcome contributes to the answer.
+func outcomeSummary(o groupOutcome) string {
+	codes := make([]string, len(o.patterns))
+	for i, p := range o.patterns {
+		codes[i] = p.Code.String()
+	}
+	return fmt.Sprintf("windows=%d mined=%v pruned=%v panicked=%v %v", o.windows, o.mined, o.pruned, o.panicked, codes)
+}
+
 // TestSweepReadErrorFailsFirstTouchingGroup: when the sweep fails to
 // read a graph, the mine fails with the error of the first group in
 // group order that has a window there, no later group is launched, and
 // the failed graph is read once — the group finds the error cached.
+// The groups before the failing one are mined as in a clean run, even
+// where they need graphs the stopped sweep never reached.
 func TestSweepReadErrorFailsFirstTouchingGroup(t *testing.T) {
 	db, groups, cfg := sweepFixture(t)
 	// A graph the first group does not touch, so the groups before the
@@ -129,43 +140,49 @@ func TestSweepReadErrorFailsFirstTouchingGroup(t *testing.T) {
 	if bad < 0 {
 		t.Fatal("every graph is touched by group 0; the test is vacuous")
 	}
+	clean, _ := mineGroups(Slice(db).Graph, groups, cfg, runctl.New(runctl.Options{}), nil, nil)
 	errBad := errors.New("injected read failure")
-	var badReads atomic.Int64
-	fetch := func(i int) (*graph.Graph, error) {
-		if i == bad {
-			badReads.Add(1)
-			return nil, errBad
+	for _, par := range []int{1, 4} {
+		var badReads atomic.Int64
+		fetch := func(i int) (*graph.Graph, error) {
+			if i == bad {
+				badReads.Add(1)
+				return nil, errBad
+			}
+			return db[i], nil
 		}
-		return db[i], nil
-	}
-	cfg.Parallelism = 4
-	ctl := runctl.New(runctl.Options{})
-	outcomes, launched := mineGroups(fetch, groups, cfg, ctl, nil, nil)
-	if launched != first+1 {
-		t.Errorf("launched %d groups; want %d (through the first group touching graph %d)", launched, first+1, bad)
-	}
-	for gi := 0; gi < first; gi++ {
-		if outcomes[gi].err != nil {
-			t.Errorf("group %d failed: %v", gi, outcomes[gi].err)
+		cfg.Parallelism = par
+		ctl := runctl.New(runctl.Options{})
+		outcomes, launched := mineGroups(fetch, groups, cfg, ctl, nil, nil)
+		if launched != first+1 {
+			t.Errorf("parallelism %d: launched %d groups; want %d (through the first group touching graph %d)", par, launched, first+1, bad)
 		}
-	}
-	if !errors.Is(outcomes[first].err, errBad) {
-		t.Errorf("group %d error = %v; want the injected failure", first, outcomes[first].err)
-	}
-	if n := badReads.Load(); n != 1 {
-		t.Errorf("failing graph read %d times; want 1", n)
-	}
-	_, _, err := minePatterns(fetch, "", groups, cfg, runctl.New(runctl.Options{}))
-	if !errors.Is(err, errBad) || !strings.Contains(err.Error(), fmt.Sprintf("vector group %d:", first)) {
-		t.Errorf("minePatterns error = %v; want group %d's injected failure", err, first)
+		for gi := 0; gi < first; gi++ {
+			if outcomes[gi].err != nil {
+				t.Errorf("parallelism %d: group %d failed: %v", par, gi, outcomes[gi].err)
+			}
+			if got, want := outcomeSummary(outcomes[gi]), outcomeSummary(clean[gi]); got != want {
+				t.Errorf("parallelism %d: group %d mined %s; a clean run mines %s", par, gi, got, want)
+			}
+		}
+		if !errors.Is(outcomes[first].err, errBad) {
+			t.Errorf("parallelism %d: group %d error = %v; want the injected failure", par, first, outcomes[first].err)
+		}
+		if n := badReads.Load(); n != 1 {
+			t.Errorf("parallelism %d: failing graph read %d times; want 1", par, n)
+		}
+		_, _, err := minePatterns(fetch, "", groups, cfg, runctl.New(runctl.Options{}))
+		if !errors.Is(err, errBad) || !strings.Contains(err.Error(), fmt.Sprintf("vector group %d:", first)) {
+			t.Errorf("parallelism %d: minePatterns error = %v; want group %d's injected failure", par, err, first)
+		}
 	}
 }
 
 // TestSweepCutPanicLeftToGroupWorker: a panic while the sweep cuts a
-// graph's windows is not the sweep's to report. It leaves that graph's
-// windows uncut; the group worker that needs one cuts it, panics, and
-// its own recovery books the panic on the group stage. Every other
-// group is mined as usual.
+// graph's windows is not the sweep's to report. It is stored in that
+// graph's slots of the window table; the group worker that reads one
+// re-raises it, and its own recovery books the panic on the group
+// stage. Every other group is mined as usual.
 func TestSweepCutPanicLeftToGroupWorker(t *testing.T) {
 	db, groups, cfg := sweepFixture(t)
 	bad := groups[0].Nodes[0].GraphID
@@ -193,6 +210,40 @@ func TestSweepCutPanicLeftToGroupWorker(t *testing.T) {
 	for _, st := range cfg.Ctl.Report().Stages {
 		if st.Reason == runctl.ReasonPanic && !strings.Contains(st.Detail, "worker") {
 			t.Errorf("panic booked outside a group worker: %q", st.Detail)
+		}
+	}
+}
+
+// TestStopDuringSweepLaunchesNoGroup: a stop while the sweep is cutting
+// leaves slots uncut, and no group may read them. The stop cause is
+// never cleared, so the group fan-out after the sweep launches nothing:
+// the run is truncated with reason cancel and books no window read.
+func TestStopDuringSweepLaunchesNoGroup(t *testing.T) {
+	db, groups, cfg := sweepFixture(t)
+	graphs := len(newWindowTable(Slice(db).Graph, groups, cfg).cut)
+	for _, par := range []int{1, 4} {
+		for _, k := range []int64{1, 2, 5, int64(graphs)} {
+			reg := obs.NewRegistry()
+			ctl := runctl.New(runctl.Options{Metrics: reg})
+			var reads atomic.Int64
+			fetch := func(i int) (*graph.Graph, error) {
+				if reads.Add(1) == k {
+					ctl.Cancel("stop during the window sweep")
+				}
+				return db[i], nil
+			}
+			pcfg := cfg
+			pcfg.Parallelism = par
+			if _, launched := mineGroups(fetch, groups, pcfg, ctl, nil, nil); launched != 0 {
+				t.Errorf("parallelism %d, stop at read %d: %d groups launched; want 0", par, k, launched)
+			}
+			if d := ctl.Report(); !d.Truncated || d.Reason != runctl.ReasonCancel {
+				t.Errorf("parallelism %d, stop at read %d: degradation = %+v; want a cancel", par, k, d)
+			}
+			hits, misses := reg.Counter(obs.MWindowCacheHits).Value(), reg.Counter(obs.MWindowCacheMisses).Value()
+			if hits != 0 || misses != 0 {
+				t.Errorf("parallelism %d, stop at read %d: %d hits, %d misses booked; want none", par, k, hits, misses)
+			}
 		}
 	}
 }

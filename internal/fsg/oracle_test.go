@@ -170,6 +170,9 @@ func comparePatterns(t *testing.T, what string, res Result, want []oraclePattern
 		if want := dfscode.MinimumCode(p.Graph); !slices.Equal(p.Code, want) {
 			t.Fatalf("%s: pattern %d carries code %s, minimum code %s", what, i, p.Code, want)
 		}
+		if cap(p.Code) != len(p.Code) {
+			t.Fatalf("%s: pattern %d code has cap %d past its length %d; an append would overwrite a neighbour", what, i, cap(p.Code), len(p.Code))
+		}
 		if g := p.Code.Graph(); !slices.Equal(p.Graph.Labels(), g.Labels()) || !slices.Equal(p.Graph.Edges(), g.Edges()) {
 			t.Fatalf("%s: pattern %d graph %v, its code builds %v", what, i, p.Graph, g)
 		}

@@ -125,7 +125,14 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 func TestJournalReplayDropsForeignDatabase(t *testing.T) {
 	dir := t.TempDir()
 	jr, _ := openJournal(t, dir, journal.Options{})
-	m1 := newTestManager(t, Options{Journal: jr})
+	// The job cannot finish before the journal closes, so its record
+	// replays as incomplete; it is released when the test ends.
+	journalClosed := make(chan struct{})
+	m1 := newTestManager(t, Options{Journal: jr, Exec: func(core.Config) (core.Result, error) {
+		<-journalClosed
+		return core.Result{}, nil
+	}})
+	t.Cleanup(func() { close(journalClosed) })
 	if _, _, err := m1.Submit(cfgN(4), SubmitOptions{Detached: true}); err != nil {
 		t.Fatal(err)
 	}
