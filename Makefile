@@ -36,8 +36,10 @@ lint:
 # list scan of small sets), and FSG (full, closed-only and maximal)
 # against a brute-force enumeration of connected edge subsets with VF2
 # support counts, FSG's per-parent trace minimality check against
-# dfscode.IsMinimal, and RWR's early freeze against the push iteration
-# on graphs that put feature masses on bin boundaries. `go test -fuzz`
+# dfscode.IsMinimal, RWR's early freeze against the push iteration
+# on graphs that put feature masses on bin boundaries, and resume
+# snapshot chains (full snapshots, deltas, retries from a shorter
+# prefix, gaps, foreign parts) against one full snapshot. `go test -fuzz`
 # accepts one target per invocation, hence one line each, and a name
 # that prefixes another is anchored.
 fuzz:
@@ -55,6 +57,7 @@ fuzz:
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzFSGOracle            -fuzztime=1000x
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzTraceMinimal         -fuzztime=1000x
 	go test ./internal/rwr      -run='^$$' -fuzz=FuzzRWRCertificate       -fuzztime=2000x
+	go test ./internal/core     -run='^$$' -fuzz=FuzzResumeChain          -fuzztime=2000x
 
 test:
 	go test -shuffle=on ./...

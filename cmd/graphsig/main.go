@@ -23,6 +23,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -70,8 +71,8 @@ func main() {
 	maxVF2 := flag.Int64("max-vf2", 0, "budget on VF2 isomorphism search nodes (0 = unbounded)")
 	useGSpan := flag.Bool("gspan", false, "use gSpan instead of FSG for the group mining step")
 	stats := flag.Bool("stats", false, "print the per-stage metrics table to stderr at exit")
-	ckptFile := flag.String("checkpoint", "", "write resumable mining snapshots to this file (atomically replaced at each group-merge commit)")
-	resumeFile := flag.String("resume", "", "resume group mining from a snapshot written by -checkpoint (ignored unless it matches this database and configuration)")
+	ckptFile := flag.String("checkpoint", "", "write the resumable mining snapshot chain to this file, one part per line (atomically replaced at each group-merge commit)")
+	resumeFile := flag.String("resume", "", "resume group mining from a snapshot chain written by -checkpoint (ignored unless it matches this database and configuration)")
 	flag.Parse()
 
 	if (*in == "") == (*storeDir == "") {
@@ -140,32 +141,38 @@ func main() {
 	}
 	cfg.Metrics = reg
 
+	// A snapshot chain is one part per line. A resumed mine emits parts
+	// that extend the chain it resumed from, so that chain seeds the one
+	// written to -checkpoint.
+	var chain [][]byte
 	if *resumeFile != "" {
 		buf, err := os.ReadFile(*resumeFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rs, err := core.DecodeResumeState(buf)
+		parts := bytes.Split(bytes.TrimSpace(buf), []byte("\n"))
+		rs, err := core.ResumeChain(parts)
 		if err != nil {
 			// A stale or corrupt snapshot is not fatal: the mine simply
 			// starts over, exactly as core does for a key mismatch.
 			log.Printf("warning: ignoring resume snapshot: %v", err)
 		} else {
-			cfg.Resume = rs
+			cfg.Resume, chain = rs, parts
 			log.Printf("resuming group mining from %s (%d groups done)", *resumeFile, rs.Done)
 		}
 	}
 	if *ckptFile != "" {
-		// With a sink installed the pipeline emits snapshots at every
-		// group-merge commit; each lands atomically via rename so a kill
-		// mid-write can never corrupt the previous good snapshot.
+		// With a sink installed the pipeline emits a snapshot part at
+		// every group-merge commit; the chain lands atomically via rename
+		// so a kill mid-write can never corrupt the previous good chain.
 		cfg.Ctl = runctl.New(runctl.Options{
 			Deadline: cfg.Deadline,
 			Budgets:  cfg.Budgets,
 			Metrics:  reg,
 			CheckpointSink: func(payload []byte) {
+				chain = append(chain, payload)
 				tmp := *ckptFile + ".tmp"
-				if err := os.WriteFile(tmp, payload, 0o644); err != nil {
+				if err := os.WriteFile(tmp, append(bytes.Join(chain, []byte("\n")), '\n'), 0o644); err != nil {
 					log.Printf("warning: checkpoint write: %v", err)
 					return
 				}

@@ -86,13 +86,14 @@ type Config struct {
 	// Parallelism bounds worker fan-out in the parallel stages — RWR,
 	// per-label FVMine, Phase-3 group mining, and support verification
 	// (0 or negative = GOMAXPROCS). Results are identical at any
-	// setting; only wall-clock changes. A jobs server running several
-	// mines at once sets this to its per-job share so job-level times
-	// mine-level parallelism does not oversubscribe the host. Excluded
-	// from CacheKey: it is a runtime control, not part of the answer.
+	// setting; only wall-clock changes. The jobs server leaves it unset,
+	// so mines running at once share the host through the Go scheduler
+	// and a lone mine uses all of it. Excluded from CacheKey: it is a
+	// runtime control, not part of the answer.
 	Parallelism int
-	// Resume, when non-nil, is a Phase-3 snapshot emitted by a previous
-	// run of the same (database, config): Mine skips re-mining the
+	// Resume, when non-nil, is a full Phase-3 snapshot — ResumeChain
+	// of the parts a previous run of the same (database, config)
+	// emitted through its checkpoint sink: Mine skips re-mining the
 	// committed group prefix and replays its recorded outcomes, so the
 	// final Result is byte-identical to an uninterrupted run. A snapshot
 	// that does not match this run's identity (MineKey or group-list
@@ -102,7 +103,7 @@ type Config struct {
 	Resume *ResumeState
 	// CheckpointEvery sets the snapshot granularity when the controller
 	// carries a checkpoint sink (runctl.Options.CheckpointSink): one
-	// resumable snapshot per CheckpointEvery groups committed in order
+	// snapshot part per CheckpointEvery groups committed in order
 	// (0 = DefaultCheckpointEvery). Without a sink no snapshots are
 	// built and Phase 3 pays nothing. Excluded from CacheKey.
 	CheckpointEvery int
@@ -504,7 +505,7 @@ type groupOutcome struct {
 const DefaultCheckpointEvery = 8
 
 // checkpointer tracks the in-order commit frontier of Phase-3 group
-// outcomes and emits a resumable snapshot each time the frontier
+// outcomes and emits a resumable snapshot part each time the frontier
 // advances by `every` groups. Workers finish out of order; the frontier
 // only covers the contiguous committed prefix, which is exactly what a
 // resumed run can safely replay. All state is guarded by mu, so a
@@ -536,11 +537,11 @@ func (c *checkpointer) attach(outcomes []groupOutcome) {
 	}
 }
 
-// commit marks group gi complete and emits a snapshot when the
+// commit marks group gi complete and emits a snapshot part when the
 // contiguous frontier has advanced far enough. The emit callback runs
-// under the lock: serialization plus one journal fsync every `every`
-// groups, a deliberate trade of a short worker stall for a bounded
-// re-mining window after a crash.
+// under the lock: serialization of the groups committed since the last
+// part plus one journal fsync every `every` groups, a deliberate trade
+// of a short worker stall for a bounded re-mining window after a crash.
 func (c *checkpointer) commit(gi int) {
 	if c == nil {
 		return

@@ -158,12 +158,15 @@ type PersistedOutcome struct {
 	Patterns []PersistedPattern `json:"patterns,omitempty"`
 }
 
-// ResumeState is a resumable snapshot of Phase-3 progress: the outcomes
-// of the first Done vector groups, committed in group order. A mine
-// handed a valid ResumeState skips re-mining that prefix and produces a
-// final Result byte-identical to an uninterrupted run — the merge
-// replays recorded outcomes in the same serial group order, and the
-// graph text codec round-trips patterns exactly.
+// ResumeState is one part of a resumable snapshot chain: the outcomes
+// of vector groups [From, Done), committed in group order. A mine emits
+// one part per checkpoint, carrying only the groups committed since the
+// previous one; ResumeChain applies a chain of parts into one full
+// snapshot (From 0), the form Config.Resume takes. A mine handed a
+// valid full snapshot skips re-mining that prefix and produces a final
+// Result byte-identical to an uninterrupted run — the merge replays
+// recorded outcomes in the same serial group order, and the graph text
+// codec round-trips patterns exactly.
 type ResumeState struct {
 	// V is the snapshot schema version.
 	V int `json:"v"`
@@ -175,13 +178,17 @@ type ResumeState struct {
 	// run recomputes the same list; the hash proves it before the
 	// prefix is trusted.
 	GroupsHash string `json:"groupsHash"`
-	// Done is the committed group-prefix length.
+	// From is the first group the part carries. A full snapshot has
+	// From 0, which the wire form omits, so it encodes exactly as the
+	// snapshots written before parts existed.
+	From int `json:"from,omitempty"`
+	// Done is the committed group-prefix length after this part.
 	Done int `json:"done"`
-	// Outcomes are the committed outcomes, Outcomes[i] for group i.
+	// Outcomes are the part's outcomes, Outcomes[i] for group From+i.
 	Outcomes []PersistedOutcome `json:"outcomes"`
 }
 
-// EncodeResumeState serializes a snapshot for the journal.
+// EncodeResumeState serializes a snapshot part for the journal.
 func EncodeResumeState(rs *ResumeState) ([]byte, error) {
 	buf, err := json.Marshal(rs)
 	if err != nil {
@@ -190,7 +197,7 @@ func EncodeResumeState(rs *ResumeState) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeResumeState parses a journaled snapshot.
+// DecodeResumeState parses one journaled snapshot part.
 func DecodeResumeState(data []byte) (*ResumeState, error) {
 	var rs ResumeState
 	if err := json.Unmarshal(data, &rs); err != nil {
@@ -199,10 +206,56 @@ func DecodeResumeState(data []byte) (*ResumeState, error) {
 	if rs.V != persistVersion {
 		return nil, fmt.Errorf("core: resume state version %d, want %d", rs.V, persistVersion)
 	}
-	if rs.Done != len(rs.Outcomes) {
-		return nil, fmt.Errorf("core: resume state claims %d committed groups but carries %d outcomes", rs.Done, len(rs.Outcomes))
+	if rs.From < 0 || rs.Done-rs.From != len(rs.Outcomes) {
+		return nil, fmt.Errorf("core: resume state covers groups [%d, %d) but carries %d outcomes", rs.From, rs.Done, len(rs.Outcomes))
 	}
 	return &rs, nil
+}
+
+// ResumeChain decodes a chain of snapshot parts, oldest first, and
+// applies them in order into one full snapshot. A part with From 0
+// replaces everything before it, so a lone full snapshot is a chain of
+// one. Any other part must start at or before the prefix applied so
+// far, and must carry the same Key and GroupsHash; it replaces the
+// groups from its From on, which are the same outcomes when a retry
+// re-mined them from a shorter prefix. A gap or a foreign part fails
+// the chain, and the caller mines from scratch.
+func ResumeChain(parts [][]byte) (*ResumeState, error) {
+	var full *ResumeState
+	for i, buf := range parts {
+		part, err := DecodeResumeState(buf)
+		if err != nil {
+			return nil, fmt.Errorf("core: resume chain part %d: %w", i, err)
+		}
+		if full, err = applyPart(full, part); err != nil {
+			return nil, fmt.Errorf("core: resume chain part %d: %w", i, err)
+		}
+	}
+	if full == nil {
+		return nil, fmt.Errorf("core: empty resume chain")
+	}
+	return full, nil
+}
+
+// applyPart returns full extended by part. full is nil before the
+// first part, and part's outcomes may be appended to in place.
+func applyPart(full, part *ResumeState) (*ResumeState, error) {
+	if part.From == 0 {
+		return part, nil
+	}
+	done := 0
+	if full != nil {
+		done = full.Done
+	}
+	if part.From > done {
+		return nil, fmt.Errorf("part starts at group %d, past the %d groups before it", part.From, done)
+	}
+	if part.Key != full.Key || part.GroupsHash != full.GroupsHash {
+		return nil, fmt.Errorf("part from group %d belongs to another mine", part.From)
+	}
+	full.Outcomes = append(full.Outcomes[:part.From], part.Outcomes...)
+	full.Done = part.Done
+	return full, nil
 }
 
 // encodeGraphText renders g in integer-label transaction text.
@@ -296,10 +349,10 @@ func groupsHash(groups []VectorGroup) string {
 
 // validResumePrefix vets cfg.Resume against the run's identity and
 // restores the committed prefix. Any mismatch — wrong database/config
-// key, diverged group list, impossible prefix length, undecodable
-// pattern — rejects the snapshot (counted on MResumeRejected) and the
-// mine starts from scratch: resuming wrong is strictly worse than
-// resuming slow.
+// key, diverged group list, a part that is not a full snapshot,
+// impossible prefix length, undecodable pattern — rejects the snapshot
+// (counted on MResumeRejected) and the mine starts from scratch:
+// resuming wrong is strictly worse than resuming slow.
 func validResumePrefix(rs *ResumeState, key, gh string, nGroups int, reg *obs.Registry) []groupOutcome {
 	if rs == nil {
 		return nil
@@ -308,7 +361,7 @@ func validResumePrefix(rs *ResumeState, key, gh string, nGroups int, reg *obs.Re
 		reg.Counter(obs.MResumeRejected).Inc()
 		return nil
 	}
-	if rs.Key != key || rs.GroupsHash != gh || rs.Done < 0 || rs.Done > nGroups {
+	if rs.Key != key || rs.GroupsHash != gh || rs.From != 0 || rs.Done < 0 || rs.Done > nGroups {
 		return reject()
 	}
 	restored, err := restoreOutcomes(rs.Outcomes)

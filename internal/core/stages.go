@@ -136,24 +136,26 @@ func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []V
 			if every <= 0 {
 				every = DefaultCheckpointEvery
 			}
-			// persisted is the wire form of the prefix already snapshotted.
 			// The checkpointer runs emit under its lock, in frontier order,
-			// so each snapshot encodes only the outcomes committed since
-			// the last one instead of re-rendering the whole prefix.
-			var persisted []PersistedOutcome
+			// so each part carries only the outcomes committed since the
+			// last part emitted: a resumed run's first part starts at its
+			// resumed prefix, which the caller's chain already holds. A
+			// part that fails to encode is skipped without moving emitted,
+			// so the next part covers its groups and the chain has no gap.
+			emitted := len(resumed)
 			ckpt = newCheckpointer(len(groups), len(resumed), every, func(done int, outcomes []groupOutcome) {
-				fresh, err := persistOutcomes(outcomes[len(persisted):done])
+				fresh, err := persistOutcomes(outcomes[emitted:done])
 				if err != nil {
 					return // unserializable snapshot: skip, never block mining
 				}
-				persisted = append(persisted, fresh...)
 				buf, err := EncodeResumeState(&ResumeState{
 					V: persistVersion, Key: key, GroupsHash: gh,
-					Done: done, Outcomes: persisted,
+					From: emitted, Done: done, Outcomes: fresh,
 				})
 				if err != nil {
 					return
 				}
+				emitted = done
 				ctl.EmitCheckpoint(buf)
 			})
 		}

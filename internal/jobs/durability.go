@@ -243,7 +243,7 @@ func (m *Manager) sweepStalls(now time.Time, lastChecks map[string]int64, lastAd
 // replay rebuilds the job store from the journal's startup fold:
 // terminal records become finished store entries (completed results warm
 // the dedup cache), interrupted records re-enter the queue as detached
-// jobs resuming from their last checkpoint. Records that no longer
+// jobs resuming from their checkpoint chain. Records that no longer
 // decode — config schema drift, a different database — are marked
 // failed in the journal so they stop replaying. Called from NewManager
 // before the manager is published; workers are already consuming.
@@ -332,18 +332,18 @@ func (m *Manager) replayInterrupted(rec *journal.JobRecord) {
 		return
 	}
 	j := &Job{
-		id:         rec.ID,
-		key:        rec.Key,
-		cfg:        cfg,
-		label:      rec.Label,
-		timeout:    time.Duration(rec.TimeoutMs) * time.Millisecond,
-		done:       make(chan struct{}),
-		state:      StateQueued,
-		detached:   true,
-		journaled:  true,
-		created:    time.UnixMilli(rec.SubmittedMs),
-		attempt:    rec.Attempt,
-		checkpoint: rec.Checkpoint,
+		id:          rec.ID,
+		key:         rec.Key,
+		cfg:         cfg,
+		label:       rec.Label,
+		timeout:     time.Duration(rec.TimeoutMs) * time.Millisecond,
+		done:        make(chan struct{}),
+		state:       StateQueued,
+		detached:    true,
+		journaled:   true,
+		created:     time.UnixMilli(rec.SubmittedMs),
+		attempt:     rec.Attempt,
+		checkpoints: rec.Checkpoints,
 	}
 	j.inQueue = true // set before the send; a worker may own j after it
 	m.mu.Lock()

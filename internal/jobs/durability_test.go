@@ -265,6 +265,124 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// chainPart encodes a synthetic snapshot part covering groups
+// [from, from+len(windows)), one outcome per window count.
+func chainPart(t *testing.T, key string, from int, windows ...int) []byte {
+	t.Helper()
+	rs := &core.ResumeState{V: 1, Key: key, GroupsHash: "h", From: from, Done: from + len(windows)}
+	for _, w := range windows {
+		rs.Outcomes = append(rs.Outcomes, core.PersistedOutcome{Windows: w})
+	}
+	buf, err := core.EncodeResumeState(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+func TestRetryResumesFromCheckpointChain(t *testing.T) {
+	// A retry in the same process resumes from every part the failed
+	// attempt emitted, applied in order; a chain with a gap is rejected
+	// as a foreign snapshot is, and the retry mines from scratch.
+	for _, tc := range []struct {
+		name     string
+		parts    [][]byte
+		wantDone int
+	}{
+		{"chain", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "k", 1, 5, 7)}, 3},
+		{"gap", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "k", 2, 5)}, -1},
+		{"foreign part", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "other", 1, 5)}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jr, _ := openJournal(t, t.TempDir(), journal.Options{})
+			reg := obs.NewRegistry()
+			var attempts atomic.Int64
+			resumed := make(chan *core.ResumeState, 1)
+			m := newTestManager(t, Options{
+				Journal: jr, MaxRetries: 1, RetryBackoff: time.Millisecond, Metrics: reg,
+				Exec: func(cfg core.Config) (core.Result, error) {
+					if attempts.Add(1) == 1 {
+						for _, p := range tc.parts {
+							cfg.Ctl.EmitCheckpoint(p)
+						}
+						panic("transient")
+					}
+					resumed <- cfg.Resume
+					return core.Result{}, nil
+				},
+			})
+			j, _, err := m.Submit(cfgN(4), SubmitOptions{Detached: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, j, StateDone)
+			rs := <-resumed
+			rejected := reg.Counter(obs.MResumeRejected).Value()
+			if tc.wantDone < 0 {
+				if rs != nil || rejected != 1 {
+					t.Fatalf("retry resumed from %+v with %d rejections; want no resume, 1 rejection", rs, rejected)
+				}
+				return
+			}
+			if rs == nil || rs.Done != tc.wantDone || rs.Outcomes[2].Windows != 7 || rejected != 0 {
+				t.Fatalf("retry resumed from %+v with %d rejections; want the applied chain of %d groups", rs, rejected, tc.wantDone)
+			}
+		})
+	}
+}
+
+func TestJournalReplayResumesFromChain(t *testing.T) {
+	// A restarted process resumes an interrupted job from every part of
+	// its journaled chain, not only the last one.
+	dir := t.TempDir()
+	jr, _ := openJournal(t, dir, journal.Options{})
+	block := make(chan struct{})
+	emitted := make(chan struct{}, 1)
+	m1 := NewManager(Options{
+		DB: tinyDB(), Logf: t.Logf, Journal: jr,
+		Exec: func(cfg core.Config) (core.Result, error) {
+			cfg.Ctl.EmitCheckpoint(chainPart(t, "k", 0, 3))
+			cfg.Ctl.EmitCheckpoint(chainPart(t, "k", 1, 5))
+			emitted <- struct{}{}
+			<-block
+			return core.Result{}, nil
+		},
+	})
+	defer func() {
+		close(block)
+		m1.Shutdown(context.Background())
+	}()
+	j, _, err := m1.Submit(cfgN(4), SubmitOptions{Detached: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-emitted
+	if err := jr.Close(); err != nil { // crash: journal simply stops
+		t.Fatal(err)
+	}
+
+	jr2, recs := openJournal(t, dir, journal.Options{})
+	if len(recs) != 1 || len(recs[0].Checkpoints) != 2 {
+		t.Fatalf("replay records = %+v, want one job with a chain of two parts", recs)
+	}
+	resumed := make(chan *core.ResumeState, 1)
+	m2 := newTestManager(t, Options{
+		Journal: jr2, Replay: recs,
+		Exec: func(cfg core.Config) (core.Result, error) {
+			resumed <- cfg.Resume
+			return core.Result{}, nil
+		},
+	})
+	j2, ok := m2.Get(j.ID())
+	if !ok {
+		t.Fatalf("interrupted job %s not requeued", j.ID())
+	}
+	waitState(t, j2, StateDone)
+	if rs := <-resumed; rs == nil || rs.Done != 2 || rs.Outcomes[1].Windows != 5 {
+		t.Fatalf("restarted job resumed from %+v, want the applied chain of 2 groups", rs)
+	}
+}
+
 func TestAdmissionShedsDoomedSubmissions(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)

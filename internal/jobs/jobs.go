@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,10 +95,10 @@ type Options struct {
 	Generation int64
 	// Workers is the pool size (0 = DefaultWorkers). Each worker runs
 	// one mine at a time; mines are internally parallel, so a handful
-	// of workers saturates the machine. The manager divides GOMAXPROCS
-	// by the pool size into each mine's Config.Parallelism, so job-level
-	// and mine-level fan-out multiply to roughly the host width instead
-	// of oversubscribing it.
+	// of workers saturates the machine. A mine whose Config leaves
+	// Parallelism unset runs at core's default, GOMAXPROCS: mines
+	// running at once share the host through the Go scheduler, and a
+	// lone mine uses all of it.
 	Workers int
 	// QueueDepth bounds jobs waiting for a worker (0 = DefaultQueueDepth).
 	QueueDepth int
@@ -125,8 +124,8 @@ type Options struct {
 	Journal *journal.Journal
 	// Replay is the journal's startup fold (journal.Open's second
 	// return): terminal jobs are surfaced with their persisted results,
-	// interrupted jobs re-enter the queue resuming from their last
-	// checkpoint.
+	// interrupted jobs re-enter the queue resuming from their
+	// checkpoint chain.
 	Replay []journal.JobRecord
 	// MaxRetries bounds automatic re-runs of failed jobs (0 = retries
 	// disabled). Canceled runs are never retried.
@@ -261,10 +260,10 @@ type Job struct {
 	err             error
 	// attempt is the 0-based execution attempt (bumped per retry).
 	attempt int
-	// checkpoint is the latest resumable mining snapshot, from the
-	// journal replay or this process's own checkpoint sink; the next
-	// (re)run resumes from it.
-	checkpoint []byte
+	// checkpoints is the job's resumable snapshot chain, in emit order,
+	// from the journal replay and this process's own checkpoint sink;
+	// the next (re)run resumes from it (core.ResumeChain).
+	checkpoints [][]byte
 	// inQueue: the job is physically referenced by the queue channel.
 	// The janitor never evicts such a job — a worker will still
 	// dequeue it — even when cancellation already made it terminal.
@@ -719,19 +718,19 @@ func (m *Manager) run(j *Job) {
 		return
 	}
 	attempt := j.attempt
-	checkpoint := j.checkpoint
+	checkpoints := j.checkpoints
 	var deadline time.Time
 	if j.timeout > 0 {
 		deadline = time.Now().Add(j.timeout)
 	}
-	// With a journal, every resumable snapshot the mine emits is both
-	// remembered on the job (so a retry in this process resumes) and
-	// appended to the WAL (so a restarted process resumes).
+	// With a journal, every snapshot part the mine emits is both
+	// appended to the job's chain (so a retry in this process resumes)
+	// and appended to the WAL (so a restarted process resumes).
 	var sink func([]byte)
 	if m.opts.Journal != nil && j.journaled {
 		sink = func(payload []byte) {
 			j.mu.Lock()
-			j.checkpoint = payload
+			j.checkpoints = append(j.checkpoints, payload)
 			j.mu.Unlock()
 			m.journalFor(j, journal.Event{Type: journal.EvCheckpoint, State: payload})
 		}
@@ -744,26 +743,25 @@ func (m *Manager) run(j *Job) {
 	j.err = nil
 	j.mu.Unlock()
 
-	// Every executor mines under the job's controller. Split the host
-	// between concurrently running mines: with W workers each mine gets
-	// GOMAXPROCS/W of its own; Parallelism is a runtime control outside
-	// the dedup key, so an explicit caller setting still wins. The
-	// fingerprint computed once at startup spares checkpoint identity a
-	// re-hash of the corpus per run.
+	// Every executor mines under the job's controller, at the job's own
+	// Parallelism; unset, core fans out to GOMAXPROCS, and mines running
+	// at once share the host through the Go scheduler. The fingerprint
+	// computed once at startup spares checkpoint identity a re-hash of
+	// the corpus per run.
 	cfg := j.cfg
 	cfg.Ctl = ctl
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = max(1, runtime.GOMAXPROCS(0)/m.opts.Workers)
-	}
 	cfg.DBFingerprint = m.dbFP
 	if m.opts.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = m.opts.CheckpointEvery
 	}
-	if len(checkpoint) > 0 {
-		if rs, err := core.DecodeResumeState(checkpoint); err == nil {
+	if len(checkpoints) > 0 {
+		if rs, err := core.ResumeChain(checkpoints); err == nil {
 			cfg.Resume = rs
 		} else {
-			m.logf("jobs: %s checkpoint undecodable, mining from scratch: %v", j.id, err)
+			// A gap, a foreign part or an undecodable one: the chain is
+			// rejected as core rejects a foreign snapshot.
+			m.met.reg.Counter(obs.MResumeRejected).Inc()
+			m.logf("jobs: %s checkpoint chain rejected, mining from scratch: %v", j.id, err)
 		}
 	}
 	if j.submitted != nil {
@@ -802,7 +800,7 @@ func (m *Manager) run(j *Job) {
 	if err != nil && !canceled && !m.draining.Load() && attempt < m.opts.MaxRetries {
 		// Failure with retry budget left: back to queued; the
 		// backoff timer re-enqueues, and the next attempt resumes from
-		// the last checkpoint instead of from zero.
+		// the checkpoint chain instead of from zero.
 		j.state = StateQueued
 		j.attempt = attempt + 1
 		j.retryPending = true

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -651,5 +652,36 @@ func TestProgressSnapshot(t *testing.T) {
 	<-j.Done()
 	if p := j.Snapshot().Progress; p.FVMineStates == 0 {
 		t.Errorf("final progress zero: %+v", p)
+	}
+}
+
+// TestUnsetParallelismUsesWholeHost: a job that leaves Parallelism unset
+// reaches the executor with it unset (core then fans out to GOMAXPROCS),
+// never split by the pool size; an explicit value passes through.
+func TestUnsetParallelismUsesWholeHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	got := make(chan int, 1)
+	m := newTestManager(t, Options{
+		Workers: 2,
+		Exec: func(cfg core.Config) (core.Result, error) {
+			got <- cfg.Parallelism
+			return core.Result{}, nil
+		},
+	})
+	for _, want := range []int{0, 3} {
+		cfg := cfgN(4 + want)
+		cfg.Parallelism = want
+		j, _, err := m.Submit(cfg, SubmitOptions{Detached: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, StateDone)
+		p := <-got
+		switch {
+		case want == 0 && p != 0 && p != runtime.GOMAXPROCS(0):
+			t.Errorf("unset Parallelism reached the executor as %d; want 0 or GOMAXPROCS %d, not GOMAXPROCS/Workers", p, runtime.GOMAXPROCS(0))
+		case want != 0 && p != want:
+			t.Errorf("Parallelism %d reached the executor as %d", want, p)
+		}
 	}
 }

@@ -5,9 +5,10 @@
 // failed, cancelled); on startup, Open replays the log — repairing a
 // torn or corrupt tail by truncating back to the last intact record —
 // folds the events into per-job records, and compacts the file so only
-// each job's live minimum (submission, latest checkpoint, terminal
-// outcome) survives. Payloads are opaque JSON blobs owned by the
-// caller; the journal knows framing and lifecycle, not mining.
+// each job's live minimum (submission, checkpoint chain of an
+// unfinished job, terminal outcome) survives. Payloads are opaque JSON
+// blobs owned by the caller; the journal knows framing and lifecycle,
+// not mining.
 //
 // Frame format, little-endian, one record per event:
 //
@@ -66,7 +67,8 @@ type Event struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	// Attempt is the 0-based execution attempt (started/retrying).
 	Attempt int `json:"attempt,omitempty"`
-	// State is a resumable mining snapshot (checkpoint events).
+	// State is one part of a resumable mining snapshot chain
+	// (checkpoint events).
 	State json.RawMessage `json:"state,omitempty"`
 	// Result is the persisted final result (completed events).
 	Result json.RawMessage `json:"result,omitempty"`
@@ -80,9 +82,9 @@ func terminal(typ string) bool {
 }
 
 // JobRecord is the folded state of one job after replay: its submission
-// identity plus the latest checkpoint and outcome. Terminal is "" for a
+// identity plus its checkpoint chain and outcome. Terminal is "" for a
 // job the crash interrupted — the manager re-enqueues it, resuming from
-// Checkpoint — or one of completed/failed/cancelled.
+// Checkpoints — or one of completed/failed/cancelled.
 type JobRecord struct {
 	ID          string
 	Key         string
@@ -91,7 +93,10 @@ type JobRecord struct {
 	TimeoutMs   int64
 	SubmittedMs int64
 	Attempt     int
-	Checkpoint  []byte
+	// Checkpoints are the job's checkpoint payloads in append order:
+	// the parts of one snapshot chain, which the caller applies in
+	// order. A terminal job keeps none.
+	Checkpoints [][]byte
 	Terminal    string
 	FinishedMs  int64
 	Result      []byte
@@ -286,7 +291,7 @@ func fold(events []Event, retention time.Duration) []JobRecord {
 				rec.Attempt = ev.Attempt
 			}
 		case EvCheckpoint:
-			rec.Checkpoint = append([]byte(nil), ev.State...)
+			rec.Checkpoints = append(rec.Checkpoints, ev.State)
 		case EvCompleted:
 			rec.Terminal, rec.FinishedMs = EvCompleted, ev.AtMs
 			rec.Result = append([]byte(nil), ev.Result...)
@@ -294,6 +299,9 @@ func fold(events []Event, retention time.Duration) []JobRecord {
 			rec.Terminal, rec.FinishedMs, rec.Error = EvFailed, ev.AtMs, ev.Error
 		case EvCancelled:
 			rec.Terminal, rec.FinishedMs, rec.Error = EvCancelled, ev.AtMs, ev.Error
+		}
+		if rec.Terminal != "" {
+			rec.Checkpoints = nil // nothing resumes a finished job
 		}
 	}
 	cutoff := int64(0)
@@ -312,7 +320,7 @@ func fold(events []Event, retention time.Duration) []JobRecord {
 }
 
 // compact rewrites the journal to the live minimum — per job: its
-// submission, latest attempt, latest checkpoint, and terminal outcome —
+// submission, latest attempt, checkpoint chain, and terminal outcome —
 // via a temp file renamed into place, so a crash mid-compaction leaves
 // either the old file or the new one, never a hybrid.
 func compact(path string, records []JobRecord) error {
@@ -363,8 +371,8 @@ func writeRecord(w func(Event) error, rec JobRecord) error {
 			return err
 		}
 	}
-	if len(rec.Checkpoint) > 0 {
-		if err := w(Event{Type: EvCheckpoint, Job: rec.ID, State: rec.Checkpoint}); err != nil {
+	for _, part := range rec.Checkpoints {
+		if err := w(Event{Type: EvCheckpoint, Job: rec.ID, State: part}); err != nil {
 			return err
 		}
 	}

@@ -61,12 +61,61 @@ func TestReplayFoldsLifecycle(t *testing.T) {
 	if a.ID != "a" || b.ID != "b" {
 		t.Fatalf("replay order %q, %q: want submission order a, b", a.ID, b.ID)
 	}
-	if a.Terminal != "" || string(a.Checkpoint) != `{"done":7}` || a.Key != "k-a" ||
+	if a.Terminal != "" || len(a.Checkpoints) != 2 || string(a.Checkpoints[0]) != `{"done":3}` ||
+		string(a.Checkpoints[1]) != `{"done":7}` || a.Key != "k-a" ||
 		a.Label != "mine a" || a.TimeoutMs != 5000 || string(a.Config) != `{"v":1}` {
 		t.Fatalf("incomplete job folded wrong: %+v", a)
 	}
 	if b.Terminal != EvCompleted || string(b.Result) != `{"ok":true}` || b.FinishedMs != 20 {
 		t.Fatalf("completed job folded wrong: %+v", b)
+	}
+}
+
+// TestTerminalJobKeepsNoCheckpoint: once a job is completed, failed or
+// cancelled nothing resumes it, so replay drops its checkpoint chain and
+// compaction writes none of it back, while an unfinished job keeps its
+// whole chain, in order, across compactions.
+func TestTerminalJobKeepsNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, Options{})
+	for _, id := range []string{"done", "failed", "cancelled", "live"} {
+		appendT(t, j,
+			Event{Type: EvSubmitted, Job: id, AtMs: 1},
+			Event{Type: EvCheckpoint, Job: id, State: json.RawMessage(`{"done":1}`)},
+			Event{Type: EvCheckpoint, Job: id, State: json.RawMessage(`{"from":1,"done":2}`)},
+		)
+	}
+	appendT(t, j,
+		Event{Type: EvCompleted, Job: "done", AtMs: 2, Result: json.RawMessage(`{}`)},
+		Event{Type: EvFailed, Job: "failed", AtMs: 2, Error: "boom"},
+		Event{Type: EvCancelled, Job: "cancelled", AtMs: 2},
+	)
+	closeT(t, j)
+
+	for cycle := 0; cycle < 2; cycle++ {
+		j, recs := openT(t, dir, Options{})
+		closeT(t, j)
+		if len(recs) != 4 {
+			t.Fatalf("cycle %d: replayed %d records, want 4", cycle, len(recs))
+		}
+		for _, rec := range recs[:3] {
+			if rec.Terminal == "" || rec.Checkpoints != nil {
+				t.Fatalf("cycle %d: terminal job %s kept %d checkpoint parts", cycle, rec.ID, len(rec.Checkpoints))
+			}
+		}
+		live := recs[3]
+		if live.Terminal != "" || len(live.Checkpoints) != 2 || string(live.Checkpoints[1]) != `{"from":1,"done":2}` {
+			t.Fatalf("cycle %d: unfinished job's chain folded wrong: %+v", cycle, live)
+		}
+		events, err := recoverEvents(filepath.Join(dir, FileName), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if ev.Type == EvCheckpoint && ev.Job != "live" {
+				t.Fatalf("cycle %d: compaction wrote a checkpoint of terminal job %s", cycle, ev.Job)
+			}
+		}
 	}
 }
 

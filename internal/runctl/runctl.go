@@ -133,12 +133,13 @@ type Options struct {
 	// exactly-once degradation counter, and the isolated-panic counter.
 	// Nil disables metering with no per-step cost.
 	Metrics *obs.Registry
-	// CheckpointSink, when non-nil, receives the resumable snapshots the
-	// pipeline emits at its durable progress boundaries (core.Mine's
-	// group-merge commits). The owner persists them — the jobs layer
-	// appends each to its write-ahead journal — so a killed process can
-	// restart from the last snapshot instead of from zero. The payload
-	// is opaque to runctl; core owns its encoding. Pipelines only build
+	// CheckpointSink, when non-nil, receives the resumable snapshot
+	// parts the pipeline emits at its durable progress boundaries
+	// (core.Mine's group-merge commits), each carrying only the progress
+	// since the previous one. The owner keeps them in order — the jobs
+	// layer appends each to its write-ahead journal — so a killed process
+	// can restart from the chain instead of from zero. The payload is
+	// opaque to runctl; core owns its encoding. Pipelines only build
 	// snapshots when a sink is installed, so unattended runs pay nothing.
 	CheckpointSink func(payload []byte)
 }

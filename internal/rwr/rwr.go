@@ -93,6 +93,12 @@ type walker struct {
 	local    []int32
 	cursor   []int32
 
+	// u's distinct slot features, nodeFeat[featStart[u]:featStart[u+1]],
+	// and how many of u's slots update each, in featMult.
+	featStart []int32
+	nodeFeat  []int32
+	featMult  []float64
+
 	// One batch. share holds (1-α)·p[u]/deg(u) for the current p; the
 	// pass that computes next fills nshare for it. acc holds the
 	// certificate's per-feature masses, local-feature-major; column k
@@ -165,6 +171,8 @@ func (w *walker) load(g *graph.Graph) {
 	w.slotFeat = grow(w.slotFeat, len(c.Nbr))
 	w.cursor = grow(w.cursor, n)
 	copy(w.cursor, c.RowStart[:n])
+	w.featStart = grow(w.featStart, n+1)
+	w.nodeFeat, w.featMult = w.nodeFeat[:0], w.featMult[:0]
 	if len(w.local) != w.fs.Len() {
 		w.local = make([]int32, w.fs.Len())
 		for f := range w.local {
@@ -175,6 +183,7 @@ func (w *walker) load(g *graph.Graph) {
 	for u := 0; u < n; u++ {
 		lo, hi := c.RowStart[u], c.RowStart[u+1]
 		w.deg[u] = float64(hi - lo)
+		w.featStart[u] = int32(len(w.nodeFeat))
 		lu := c.NodeLabels[u]
 		for i := lo; i < hi; i++ {
 			// The graph is undirected, so v's in-list is as long as its
@@ -199,12 +208,28 @@ func (w *walker) load(g *graph.Graph) {
 					w.feats = append(w.feats, int32(f))
 				}
 				w.slotFeat[i] = w.local[f]
+				w.countFeat(u, w.local[f])
 			}
 		}
 	}
+	w.featStart[n] = int32(len(w.nodeFeat))
 	for _, f := range w.feats {
 		w.local[f] = -1
 	}
+}
+
+// countFeat counts one more slot of node u, the row being loaded, that
+// updates local feature lf. Rows are a node's degree long, so a scan
+// of the row's features so far is cheap.
+func (w *walker) countFeat(u int, lf int32) {
+	for j := int(w.featStart[u]); j < len(w.nodeFeat); j++ {
+		if w.nodeFeat[j] == lf {
+			w.featMult[j]++
+			return
+		}
+	}
+	w.nodeFeat = append(w.nodeFeat, lf)
+	w.featMult = append(w.featMult, 1)
 }
 
 // certSlack is the certificate's allowance, in bins, for float rounding.
@@ -334,8 +359,9 @@ func (w *walker) iterate(starts []int, frozen func(j, k, iters int)) {
 // whose every bins·mass, read from w.share, lies farther than
 // scale·delta[k] + offset from its nearest x.5. It sums the masses of
 // all active columns in one node-major pass: share[u] is already node
-// u's outflow per slot, so a feature's unnormalized mass is the sum of
-// share over the slots that traverse it, and the outflows total 1-α.
+// u's outflow per slot, so a feature's unnormalized mass is the sum over
+// nodes of share times the node's slots that traverse it, and the
+// outflows total 1-α.
 func (w *walker) certify(delta []float64, scale, offset float64) {
 	s, active := w.stride, len(delta)
 	acc := w.acc[:len(w.feats)*active]
@@ -345,14 +371,13 @@ func (w *walker) certify(delta []float64, scale, offset float64) {
 			continue
 		}
 		su := w.share[u*s : u*s+active]
-		for _, f := range w.slotFeat[w.rowStart[u]:w.rowStart[u+1]] {
-			if f < 0 {
-				continue
-			}
+		lo, hi := w.featStart[u], w.featStart[u+1]
+		for j, f := range w.nodeFeat[lo:hi] {
+			m := w.featMult[int(lo)+j]
 			af := acc[int(f)*active : int(f)*active+active]
 			af = af[:len(su)]
 			for k, x := range su {
-				af[k] += x
+				af[k] += m * x
 			}
 		}
 	}
