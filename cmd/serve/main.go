@@ -55,7 +55,7 @@ func main() {
 	n := flag.Int("n", 1000, "molecules to generate with -dataset")
 	storeDir := flag.String("store-dir", "", "serve out of this persistent segment store (see `graphsig store build`) instead of loading into memory")
 	shards := flag.Int("shards", 1, "scatter-gather mining shards for -store-dir")
-	cachedSegments := flag.Int("cached-segments", 0, "decoded-segment LRU size for -store-dir (0 = default)")
+	cachedSegments := flag.Int("cached-segments", 0, "raw-segment LRU size for -store-dir (0 = default)")
 	maxConc := flag.Int("max-concurrent", server.DefaultMaxConcurrent, "max in-flight requests before 503 (0 = unbounded)")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body cap in bytes (0 = unbounded)")
 	mineCap := flag.Duration("mine-cap", server.DefaultMineTimeoutCap, "hard cap on a single /mine run")

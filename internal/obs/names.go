@@ -129,13 +129,18 @@ const (
 	MDBGraphs = "graphsig_db_graphs"
 
 	// Persistent segment store (internal/store).
-	// MStoreSegmentLoads counts segments decoded from disk;
-	// MStoreSegmentCacheHits/Misses track the Reader's decoded-segment
-	// LRU, so hits+misses is total segment lookups and loads ≤ misses
-	// (concurrent decoders of the same segment keep one copy).
+	// MStoreSegmentLoads counts successful segment loads, each one
+	// file read from disk;
+	// MStoreSegmentCacheHits/Misses track the Reader's raw-segment LRU,
+	// so hits+misses is total segment lookups and loads ≤ misses
+	// (concurrent loaders of the same segment share one load).
 	MStoreSegmentLoads       = "graphsig_store_segment_loads_total"
 	MStoreSegmentCacheHits   = "graphsig_store_segment_cache_hits_total"
 	MStoreSegmentCacheMisses = "graphsig_store_segment_cache_misses_total"
+	// MStoreGraphDecodes counts single-graph frame decodes: one per
+	// graph read, plus one per frame when a segment is checked in full.
+	// A reader whose store fits its LRU decodes only in full checks.
+	MStoreGraphDecodes = "graphsig_store_graph_decodes_total"
 	// MStoreGeneration is the manifest generation the reader serves;
 	// it moves only when an append is picked up.
 	MStoreGeneration = "graphsig_store_generation"

@@ -151,8 +151,9 @@ type StoreOptions struct {
 	// Strategy maps graph positions to shards (the zero value is
 	// shard.Contiguous, as in shard.Options).
 	Strategy shard.Strategy
-	// CachedSegments bounds the reader's decoded-segment LRU
-	// (0 = store.DefaultCachedSegments).
+	// CachedSegments bounds the reader's raw-segment LRU
+	// (0 = store.DefaultCachedSegments); each read decodes one graph,
+	// unless every segment fits and the reader keeps them decoded.
 	CachedSegments int
 }
 

@@ -17,9 +17,11 @@
 // shard passes, and the cut region windows in Phase 3 — with a
 // store.Reader underneath, a corpus larger than RAM mines in bounded
 // memory. Phase 3 reads its windows in one sweep in database order, so
-// each segment is decoded once; the windows stay cached until Phase 3
-// ends, and no segment graph is kept beyond the reader's LRU. A
-// Coordinator keeps nothing between mines.
+// each graph is decoded once for it; the windows stay cached until
+// Phase 3 ends. The reader's LRU keeps raw segment bytes and decodes
+// one graph per read, so, unless the whole store fits in that LRU, no
+// decoded graph outlives the pass that read it. A Coordinator keeps
+// nothing between mines.
 package shard
 
 import (

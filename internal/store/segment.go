@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"graphsig/internal/graph"
+	"graphsig/internal/obs"
 )
 
 // Segment file layout. A segment is an immutable run of graphs:
@@ -189,60 +190,87 @@ func writeSegment(path string, graphs []*graph.Graph) (fp string, err error) {
 	return fpr.Sum(), nil
 }
 
-// readSegment loads and verifies one segment file: the magic, every
-// frame's CRC, the graph count, and the segment content fingerprint
-// recorded in the manifest. Any mismatch — including a torn tail — is
-// an error; segments are immutable, so damage is never repaired in
-// place.
-func readSegment(path string, wantCount int, wantFP string) ([]*graph.Graph, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: read segment: %w", err)
-	}
-	return decodeSegment(data, wantCount, wantFP, path)
+// rawSegment is a segment file's bytes and the offset of each frame in
+// them. It is what the Reader caches: a frame is CRC-checked and
+// decoded only when its graph is asked for, and no decoded graph is
+// kept unless the whole store fits in the Reader's LRU.
+type rawSegment struct {
+	name   string
+	data   []byte
+	frames []int          // offset of each frame header in data
+	graphs []*graph.Graph // every frame's checked graph, when kept
 }
 
-// decodeSegment is readSegment minus the file I/O (shared with the
-// fuzz harness). wantCount < 0 skips the count check; wantFP == ""
-// skips the fingerprint check.
-func decodeSegment(data []byte, wantCount int, wantFP, name string) ([]*graph.Graph, error) {
+// indexSegment checks data's magic and walks its frame headers. A torn
+// header or payload, or an oversized length, refuses the segment here;
+// the frame CRCs are checked by graph.
+func indexSegment(data []byte, name string) (*rawSegment, error) {
 	if len(data) < len(segmentMagic) || string(data[:len(segmentMagic)]) != segmentMagic {
 		return nil, fmt.Errorf("store: %s: bad segment magic", name)
 	}
-	data = data[len(segmentMagic):]
-	var graphs []*graph.Graph
-	var labels []graph.Label
-	fpr := graph.NewFingerprinter()
-	for len(data) > 0 {
-		if len(data) < 8 {
-			return nil, fmt.Errorf("store: %s: torn frame header (%d bytes) — segment rejected: %w", name, len(data), io.ErrUnexpectedEOF)
+	seg := &rawSegment{name: name, data: data}
+	for off := len(segmentMagic); off < len(data); {
+		rest := data[off:]
+		if len(rest) < 8 {
+			return nil, fmt.Errorf("store: %s: torn frame header (%d bytes) — segment rejected: %w", name, len(rest), io.ErrUnexpectedEOF)
 		}
-		length := binary.LittleEndian.Uint32(data[0:4])
-		sum := binary.LittleEndian.Uint32(data[4:8])
+		length := binary.LittleEndian.Uint32(rest[0:4])
 		if length > maxFramePayload {
 			return nil, fmt.Errorf("store: %s: frame length %d exceeds limit", name, length)
 		}
-		if uint64(len(data)-8) < uint64(length) {
-			return nil, fmt.Errorf("store: %s: torn frame payload (want %d, have %d) — segment rejected: %w", name, length, len(data)-8, io.ErrUnexpectedEOF)
+		if uint64(len(rest)-8) < uint64(length) {
+			return nil, fmt.Errorf("store: %s: torn frame payload (want %d, have %d) — segment rejected: %w", name, length, len(rest)-8, io.ErrUnexpectedEOF)
 		}
-		payload := data[8 : 8+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("store: %s: frame %d CRC mismatch — segment rejected", name, len(graphs))
-		}
-		g, scratch, err := decodeGraph(payload, labels)
+		seg.frames = append(seg.frames, off)
+		off += 8 + int(length)
+	}
+	return seg, nil
+}
+
+// graph returns frame k's graph: the kept one if the segment keeps its
+// graphs, else it CRC-checks and decodes the frame into a frozen graph,
+// counting the decode on decodes (nil counts nothing). labels is
+// node-label scratch, returned for reuse.
+func (s *rawSegment) graph(k int, labels []graph.Label, decodes *obs.Counter) (*graph.Graph, []graph.Label, error) {
+	if s.graphs != nil {
+		return s.graphs[k], labels, nil
+	}
+	frame := s.data[s.frames[k]:]
+	length := binary.LittleEndian.Uint32(frame[0:4])
+	payload := frame[8 : 8+length]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
+		return nil, labels, fmt.Errorf("store: %s: frame %d CRC mismatch — segment rejected", s.name, k)
+	}
+	decodes.Inc()
+	g, labels, err := decodeGraph(payload, labels)
+	if err != nil {
+		return nil, labels, fmt.Errorf("store: %s: frame %d: %w", s.name, k, err)
+	}
+	return g, labels, nil
+}
+
+// verify decodes every frame in order and checks the graph count and
+// the segment content fingerprint recorded in the manifest, returning
+// the graphs. wantCount < 0 skips the count check; wantFP == "" skips
+// the fingerprint check.
+func (s *rawSegment) verify(wantCount int, wantFP string, decodes *obs.Counter) ([]*graph.Graph, error) {
+	if wantCount >= 0 && len(s.frames) != wantCount {
+		return nil, fmt.Errorf("store: %s: manifest says %d graphs, segment holds %d", s.name, wantCount, len(s.frames))
+	}
+	graphs := make([]*graph.Graph, len(s.frames))
+	var labels []graph.Label
+	fpr := graph.NewFingerprinter()
+	for k := range s.frames {
+		g, scratch, err := s.graph(k, labels, decodes)
 		labels = scratch
 		if err != nil {
-			return nil, fmt.Errorf("store: %s: frame %d: %w", name, len(graphs), err)
+			return nil, err
 		}
-		graphs = append(graphs, g)
+		graphs[k] = g
 		fpr.Add(g)
-		data = data[8+length:]
-	}
-	if wantCount >= 0 && len(graphs) != wantCount {
-		return nil, fmt.Errorf("store: %s: manifest says %d graphs, segment holds %d", name, wantCount, len(graphs))
 	}
 	if wantFP != "" && fpr.Sum() != wantFP {
-		return nil, fmt.Errorf("store: %s: segment fingerprint mismatch", name)
+		return nil, fmt.Errorf("store: %s: segment fingerprint mismatch", s.name)
 	}
 	return graphs, nil
 }

@@ -1,13 +1,14 @@
 // Package store is the persistent on-disk database format: immutable
 // binary graph segments plus a manifest that names them. It exists so
 // a corpus larger than RAM is servable — the Reader loads segments
-// lazily and keeps only a small LRU of decoded ones — and so the
-// serving stack has a durable database identity: the manifest carries
-// the whole-database fingerprint (the jobs cache key scope), a
-// per-segment graph range and content fingerprint (load-time
-// verification), and a monotonic generation number that incremental
-// append bumps, which is what lets cache layers above distinguish "same
-// directory, new data" from "same database".
+// lazily, keeps only a small LRU of their raw bytes, and decodes one
+// graph per read — and so the serving stack has a durable database
+// identity: the manifest carries the whole-database fingerprint (the
+// jobs cache key scope), a per-segment graph range and content
+// fingerprint (load-time verification), and a monotonic generation
+// number that incremental append bumps, which is what lets cache
+// layers above distinguish "same directory, new data" from "same
+// database".
 //
 // Durability discipline matches internal/journal: segment bytes are
 // written, fsynced, and only then named by a manifest that is itself
@@ -18,6 +19,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -40,8 +42,8 @@ const (
 	// in the thousands of files.
 	DefaultSegmentGraphs = 256
 
-	// DefaultCachedSegments is the Reader's decoded-segment LRU size
-	// when Options doesn't say.
+	// DefaultCachedSegments is the Reader's raw-segment LRU size when
+	// Options doesn't say.
 	DefaultCachedSegments = 4
 )
 
@@ -286,42 +288,61 @@ func decodeManifest(data []byte) (*Manifest, error) {
 
 // Options tunes Open.
 type Options struct {
-	// CachedSegments caps how many decoded segments the Reader keeps in
-	// memory (DefaultCachedSegments when zero or negative).
+	// CachedSegments caps how many segments' raw bytes the Reader
+	// keeps in memory (DefaultCachedSegments when zero or negative). A
+	// store with no more segments than that is kept decoded.
 	CachedSegments int
-	// Metrics, when non-nil, receives segment load / cache counters.
+	// Metrics, when non-nil, receives the segment load, cache and graph
+	// decode counters.
 	Metrics *obs.Registry
 }
 
-// Reader serves graphs from a store directory, decoding segments on
-// demand and keeping at most CachedSegments of them in memory — the
-// lazy path that makes a larger-than-RAM corpus servable. Safe for
-// concurrent use.
+// Reader serves graphs from a store directory. It reads segment files
+// on demand and keeps the raw bytes of at most CachedSegments of them
+// in memory — the lazy path that makes a larger-than-RAM corpus
+// servable — and each read decodes one frame: its CRC is checked, and
+// the graph is decoded and frozen. Safe for concurrent use.
+//
+// The first load of a segment checks all of it: magic, every frame
+// CRC, the graph count and the manifest's content fingerprint. The
+// reader then records a SHA-256 digest of the file bytes, and a reload
+// after eviction whose bytes match that digest skips the whole-segment
+// decode; any other reload is checked in full again.
+//
+// A store whose segments all fit in the LRU is never evicted, so its
+// reader keeps the graphs each segment's full check decoded, and reads
+// decode nothing: raw bytes only bound residency when segments come and
+// go, and decoding every read of a resident store costs a warm mine
+// time and garbage for nothing.
 type Reader struct {
 	dir      string
 	manifest *Manifest
 	cap      int
+	// keepDecoded is set when every segment fits in the LRU.
+	keepDecoded bool
 
-	loads  *obs.Counter
-	hits   *obs.Counter
-	misses *obs.Counter
+	loads   *obs.Counter
+	hits    *obs.Counter
+	misses  *obs.Counter
+	decodes *obs.Counter
 
-	mu      sync.Mutex
-	cache   map[int][]*graph.Graph // segment index → decoded graphs
-	lru     []int                  // segment indices, least recent first
-	loading map[int]*segmentLoad   // segment index → decode in flight
+	mu       sync.Mutex
+	cache    map[int]*rawSegment       // segment index → raw bytes and frame offsets
+	lru      []int                     // segment indices, least recent first
+	loading  map[int]*segmentLoad      // segment index → load in flight
+	verified map[int][sha256.Size]byte // segment index → digest of the fully checked bytes
 }
 
-// segmentLoad is one in-flight segment decode. Callers that miss on a
-// segment already being decoded wait on done and share its result.
+// segmentLoad is one in-flight segment load. Callers that miss on a
+// segment already being loaded wait on done and share its result.
 type segmentLoad struct {
-	done   chan struct{}
-	graphs []*graph.Graph
-	err    error
+	done chan struct{}
+	seg  *rawSegment
+	err  error
 }
 
 // Open reads and validates the manifest in dir and returns a lazy
-// Reader. No segment is decoded until a graph from it is requested.
+// Reader. No segment is read until a graph from it is requested.
 func Open(dir string, opts Options) (*Reader, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -332,16 +353,19 @@ func Open(dir string, opts Options) (*Reader, error) {
 		capacity = DefaultCachedSegments
 	}
 	r := &Reader{
-		dir:      dir,
-		manifest: m,
-		cap:      capacity,
-		cache:    map[int][]*graph.Graph{},
-		loading:  map[int]*segmentLoad{},
+		dir:         dir,
+		manifest:    m,
+		cap:         capacity,
+		keepDecoded: len(m.Segments) <= capacity,
+		cache:       map[int]*rawSegment{},
+		loading:     map[int]*segmentLoad{},
+		verified:    map[int][sha256.Size]byte{},
 	}
 	if reg := opts.Metrics; reg != nil {
 		r.loads = reg.Counter(obs.MStoreSegmentLoads)
 		r.hits = reg.Counter(obs.MStoreSegmentCacheHits)
 		r.misses = reg.Counter(obs.MStoreSegmentCacheMisses)
+		r.decodes = reg.Counter(obs.MStoreGraphDecodes)
 		reg.Gauge(obs.MStoreGeneration).Set(m.Generation)
 		reg.Gauge(obs.MStoreSegments).Set(int64(len(m.Segments)))
 	}
@@ -361,8 +385,10 @@ func (r *Reader) Fingerprint() string { return r.manifest.Fingerprint }
 // must treat it as read-only.
 func (r *Reader) Manifest() *Manifest { return r.manifest }
 
-// Graph returns database position i, loading (and verifying) its
-// segment if it is not cached.
+// Graph returns database position i, decoding its frame from the
+// segment's raw bytes (or returning the kept graph, when the whole
+// store fits in the LRU), which are loaded (and verified) first if they
+// are not cached.
 func (r *Reader) Graph(i int) (*graph.Graph, error) {
 	if i < 0 || i >= r.manifest.Graphs {
 		return nil, fmt.Errorf("store: graph %d out of range [0,%d)", i, r.manifest.Graphs)
@@ -372,65 +398,79 @@ func (r *Reader) Graph(i int) (*graph.Graph, error) {
 	si := sort.Search(len(segs), func(k int) bool {
 		return segs[k].Start+segs[k].Count > i
 	})
-	graphs, err := r.segment(si)
+	seg, err := r.segment(si)
 	if err != nil {
 		return nil, err
 	}
-	return graphs[i-segs[si].Start], nil
+	var labels [64]graph.Label // node-label scratch; a larger graph grows it on the heap
+	g, _, err := seg.graph(i-segs[si].Start, labels[:0], r.decodes)
+	return g, err
 }
 
 // Graphs materializes the whole database in order — the eager path, for
 // callers that need every graph resident anyway (index builds, small
-// corpora). It streams segment by segment through the cache, so peak
-// extra memory beyond the result is one segment.
+// corpora). It streams segment by segment through the cache, decoding
+// one frame at a time, so peak extra memory beyond the result is one
+// segment's raw bytes.
 func (r *Reader) Graphs() ([]*graph.Graph, error) {
 	out := make([]*graph.Graph, 0, r.manifest.Graphs)
+	var labels []graph.Label
 	for si := range r.manifest.Segments {
-		graphs, err := r.segment(si)
+		seg, err := r.segment(si)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, graphs...)
+		for k := range seg.frames {
+			var g *graph.Graph
+			if g, labels, err = seg.graph(k, labels, r.decodes); err != nil {
+				return nil, err
+			}
+			out = append(out, g)
+		}
 	}
 	return out, nil
 }
 
-// segment returns segment si's decoded graphs, consulting the LRU. A
-// miss on a segment another goroutine is already decoding waits for
-// that decode instead of starting its own, so concurrent misses on one
-// segment cost one load. A failed load is handed to every waiter and
-// not cached; the next call retries it.
-func (r *Reader) segment(si int) ([]*graph.Graph, error) {
+// segment returns segment si's raw bytes and frame offsets, consulting
+// the LRU. A miss on a segment another goroutine is already loading
+// waits for that load instead of starting its own, so concurrent misses
+// on one segment cost one load. A failed load is handed to every waiter
+// and not cached; the next call retries it.
+func (r *Reader) segment(si int) (*rawSegment, error) {
 	r.mu.Lock()
-	if graphs, ok := r.cache[si]; ok {
+	if seg, ok := r.cache[si]; ok {
 		r.touch(si)
 		r.mu.Unlock()
 		r.hits.Inc()
-		return graphs, nil
+		return seg, nil
 	}
 	r.misses.Inc()
 	if l, ok := r.loading[si]; ok {
 		r.mu.Unlock()
 		<-l.done
-		return l.graphs, l.err
+		return l.seg, l.err
 	}
 	l := &segmentLoad{done: make(chan struct{})}
 	r.loading[si] = l
 	r.mu.Unlock()
 	r.load(si, l)
-	return l.graphs, l.err
+	return l.seg, l.err
 }
 
-// load decodes segment si into l, caches it on success, and releases
-// l's waiters — on every path, so a panicking decode cannot strand them.
+// load reads segment si into l, caches it on success, and releases l's
+// waiters — on every path, so a panicking load cannot strand them. The
+// bytes are checked in full unless they match the digest of bytes this
+// reader checked before.
 func (r *Reader) load(si int, l *segmentLoad) {
 	info := r.manifest.Segments[si]
 	l.err = fmt.Errorf("store: %s: segment load did not complete", info.File)
+	var digest [sha256.Size]byte
 	defer func() {
 		r.mu.Lock()
 		delete(r.loading, si)
 		if l.err == nil {
-			r.cache[si] = l.graphs
+			r.verified[si] = digest
+			r.cache[si] = l.seg
 			r.lru = append(r.lru, si)
 			for len(r.cache) > r.cap {
 				evict := r.lru[0]
@@ -441,10 +481,30 @@ func (r *Reader) load(si int, l *segmentLoad) {
 		r.mu.Unlock()
 		close(l.done)
 	}()
-	l.graphs, l.err = readSegment(filepath.Join(r.dir, info.File), info.Count, info.Fingerprint)
-	if l.err == nil {
-		r.loads.Inc()
+	path := filepath.Join(r.dir, info.File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		l.err = fmt.Errorf("store: read segment: %w", err)
+		return
 	}
+	digest = sha256.Sum256(data)
+	r.mu.Lock()
+	want, checked := r.verified[si]
+	r.mu.Unlock()
+	seg, err := indexSegment(data, path)
+	if err == nil && (!checked || digest != want) {
+		var graphs []*graph.Graph
+		graphs, err = seg.verify(info.Count, info.Fingerprint, r.decodes)
+		if r.keepDecoded {
+			seg.graphs = graphs
+		}
+	}
+	if err != nil {
+		l.err = err
+		return
+	}
+	l.seg, l.err = seg, nil
+	r.loads.Inc()
 }
 
 // touch moves si to the most-recent end of the LRU. Caller holds mu.

@@ -4,8 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,6 +40,65 @@ func sameGraph(t *testing.T, got, want *graph.Graph) {
 	if graph.Fingerprint([]*graph.Graph{got}) != graph.Fingerprint([]*graph.Graph{want}) {
 		t.Fatalf("graph %d decoded differently", want.ID)
 	}
+}
+
+// readSegment loads and verifies one segment file with the reference
+// decoder: the magic, every frame's CRC, the graph count, and the
+// segment content fingerprint recorded in the manifest.
+func readSegment(path string, wantCount int, wantFP string) ([]*graph.Graph, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: read segment: %w", err)
+	}
+	return decodeSegment(data, wantCount, wantFP, path)
+}
+
+// decodeSegment is the reference whole-segment decoder, kept apart from
+// the reader's frame index and one-frame decodes so the two can be
+// checked against each other: one sequential pass with its own header
+// walk, CRC check, count check and fingerprint check. It shares only
+// decodeGraph with the reader. wantCount < 0 skips the count check;
+// wantFP == "" skips the fingerprint check.
+func decodeSegment(data []byte, wantCount int, wantFP, name string) ([]*graph.Graph, error) {
+	if len(data) < len(segmentMagic) || string(data[:len(segmentMagic)]) != segmentMagic {
+		return nil, fmt.Errorf("store: %s: bad segment magic", name)
+	}
+	data = data[len(segmentMagic):]
+	var graphs []*graph.Graph
+	var labels []graph.Label
+	fpr := graph.NewFingerprinter()
+	for len(data) > 0 {
+		if len(data) < 8 {
+			return nil, fmt.Errorf("store: %s: torn frame header (%d bytes) — segment rejected: %w", name, len(data), io.ErrUnexpectedEOF)
+		}
+		length := binary.LittleEndian.Uint32(data[0:4])
+		sum := binary.LittleEndian.Uint32(data[4:8])
+		if length > maxFramePayload {
+			return nil, fmt.Errorf("store: %s: frame length %d exceeds limit", name, length)
+		}
+		if uint64(len(data)-8) < uint64(length) {
+			return nil, fmt.Errorf("store: %s: torn frame payload (want %d, have %d) — segment rejected: %w", name, length, len(data)-8, io.ErrUnexpectedEOF)
+		}
+		payload := data[8 : 8+length]
+		if crc32.ChecksumIEEE(payload) != sum {
+			return nil, fmt.Errorf("store: %s: frame %d CRC mismatch — segment rejected", name, len(graphs))
+		}
+		g, scratch, err := decodeGraph(payload, labels)
+		labels = scratch
+		if err != nil {
+			return nil, fmt.Errorf("store: %s: frame %d: %w", name, len(graphs), err)
+		}
+		graphs = append(graphs, g)
+		fpr.Add(g)
+		data = data[8+length:]
+	}
+	if wantCount >= 0 && len(graphs) != wantCount {
+		return nil, fmt.Errorf("store: %s: manifest says %d graphs, segment holds %d", name, wantCount, len(graphs))
+	}
+	if wantFP != "" && fpr.Sum() != wantFP {
+		return nil, fmt.Errorf("store: %s: segment fingerprint mismatch", name)
+	}
+	return graphs, nil
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -171,6 +234,23 @@ func TestSegmentGolden(t *testing.T) {
 	}
 }
 
+// segmentDamage maps each kind of damage to a mutation of a pristine
+// segment file's bytes (the argument is a copy the mutation may edit).
+func segmentDamage() map[string]func([]byte) []byte {
+	return map[string]func([]byte) []byte{
+		"torn tail":       func(b []byte) []byte { return b[:len(b)-3] },
+		"torn mid-header": func(b []byte) []byte { return b[:len(segmentMagic)+5] },
+		"flipped payload": func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b },
+		"flipped crc":     func(b []byte) []byte { b[len(segmentMagic)+4] ^= 0xff; return b },
+		"bad magic":       func(b []byte) []byte { b[0] = 'X'; return b },
+		"oversized length": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(segmentMagic):], maxFramePayload+1)
+			return b
+		},
+		"truncated empty": func(b []byte) []byte { return b[:3] },
+	}
+}
+
 // TestSegmentRejectsDamage: unlike the journal, a damaged segment is
 // refused outright — torn tails included — because segments are
 // written whole and fsynced before the manifest names them.
@@ -186,19 +266,7 @@ func TestSegmentRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	damage := map[string]func([]byte) []byte{
-		"torn tail":       func(b []byte) []byte { return b[:len(b)-3] },
-		"torn mid-header": func(b []byte) []byte { return b[:len(segmentMagic)+5] },
-		"flipped payload": func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b },
-		"flipped crc":     func(b []byte) []byte { b[len(segmentMagic)+4] ^= 0xff; return b },
-		"bad magic":       func(b []byte) []byte { b[0] = 'X'; return b },
-		"oversized length": func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[len(segmentMagic):], maxFramePayload+1)
-			return b
-		},
-		"truncated empty": func(b []byte) []byte { return b[:3] },
-	}
-	for name, mutate := range damage {
+	for name, mutate := range segmentDamage() {
 		corrupt := mutate(append([]byte(nil), pristine...))
 		if err := os.WriteFile(seg, corrupt, 0o644); err != nil {
 			t.Fatal(err)
@@ -212,15 +280,117 @@ func TestSegmentRejectsDamage(t *testing.T) {
 		}
 	}
 
-	// Wrong count and wrong fingerprint in the manifest are also refused.
+	// Wrong count and wrong fingerprint in the manifest are also
+	// refused, by the reference decoder and by the reader's full check.
 	if err := os.WriteFile(seg, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readSegment(seg, 7, ""); err == nil || !strings.Contains(err.Error(), "manifest says") {
-		t.Errorf("count mismatch not refused: %v", err)
+	readerCheck := func(wantCount int, wantFP string) error {
+		s, err := indexSegment(pristine, seg)
+		if err != nil {
+			return err
+		}
+		_, err = s.verify(wantCount, wantFP, nil)
+		return err
 	}
-	if _, err := readSegment(seg, 8, "deadbeef"); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
-		t.Errorf("fingerprint mismatch not refused: %v", err)
+	for _, c := range []struct {
+		count int
+		fp    string
+		want  string
+	}{{7, "", "manifest says"}, {8, "deadbeef", "fingerprint mismatch"}} {
+		if _, err := readSegment(seg, c.count, c.fp); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("reference decoder: %q not refused: %v", c.want, err)
+		}
+		if err := readerCheck(c.count, c.fp); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("reader: %q not refused: %v", c.want, err)
+		}
+	}
+}
+
+// TestReloadRejectsDamage: a reader keeps only the raw bytes of the
+// segments in its LRU and, after a segment's first full check, a digest
+// of the bytes it checked. A reload after eviction must refuse every
+// kind of damage exactly as a first load does — including a file
+// replaced by another well-formed segment whose frame CRCs all pass,
+// which only the manifest fingerprint can tell apart — and must serve
+// none of its graphs. A reload of the bytes it checked before decodes
+// only the frame read.
+func TestReloadRejectsDamage(t *testing.T) {
+	db := testDB(t, 16)
+	dir := t.TempDir()
+	if _, err := Build(dir, db, BuildOptions{SegmentGraphs: 8}); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "segment-000000.seg")
+	pristine, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Another eight graphs, framed with correct CRCs, in place of the
+	// first segment's.
+	impostorPath := filepath.Join(t.TempDir(), "impostor.seg")
+	if _, err := writeSegment(impostorPath, testDB(t, 24)[16:]); err != nil {
+		t.Fatal(err)
+	}
+	impostor, err := os.ReadFile(impostorPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := segmentDamage()
+	cases["well-formed impostor"] = func([]byte) []byte { return impostor }
+
+	// loadedThenEvicted opens a reader over the pristine store, reads
+	// graph 0 (a full check of segment 0) and graph 8 (segment 1 evicts
+	// segment 0 from the one-slot LRU).
+	loadedThenEvicted := func(name string) (*Reader, *obs.Registry) {
+		t.Helper()
+		if err := os.WriteFile(seg, pristine, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		r, err := Open(dir, Options{CachedSegments: 1, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 8} {
+			got, err := r.Graph(i)
+			if err != nil {
+				t.Fatalf("%s: pristine Graph(%d): %v", name, i, err)
+			}
+			sameGraph(t, got, db[i])
+		}
+		return r, reg
+	}
+	for name, mutate := range cases {
+		r, _ := loadedThenEvicted(name)
+		if err := os.WriteFile(seg, mutate(append([]byte(nil), pristine...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if g, err := r.Graph(i); err == nil {
+				t.Errorf("%s: reload served graph %d (ID %d)", name, i, g.ID)
+			} else if name == "well-formed impostor" && !strings.Contains(err.Error(), "fingerprint mismatch") {
+				t.Errorf("%s: reload refused with %v; want the fingerprint mismatch", name, err)
+			}
+		}
+		if _, err := r.Graphs(); err == nil {
+			t.Errorf("%s: Graphs served a damaged segment", name)
+		}
+	}
+
+	r, reg := loadedThenEvicted("pristine reload")
+	decodes := reg.Counter(obs.MStoreGraphDecodes)
+	before := decodes.Value()
+	got, err := r.Graph(3)
+	if err != nil {
+		t.Fatalf("pristine reload: %v", err)
+	}
+	sameGraph(t, got, db[3])
+	if n := decodes.Value() - before; n != 1 {
+		t.Errorf("reloading checked bytes to read one graph made %d decodes, want 1", n)
+	}
+	if n := reg.Counter(obs.MStoreSegmentLoads).Value(); n != 3 {
+		t.Errorf("%d segment loads, want 3 (segment 0 twice, segment 1 once)", n)
 	}
 }
 
@@ -298,12 +468,43 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		graphs, err := decodeSegment(data, -1, "", "fuzz")
 		if err == nil {
-			// Whatever decoded must re-encode to a loadable segment.
 			for _, g := range graphs {
 				if g == nil {
 					t.Fatal("decoded nil graph without error")
 				}
 			}
+		}
+		// The reader's path: index the frames, then decode them one at a
+		// time, last first and each without scratch, as random reads do.
+		// It must accept exactly what the reference decoder accepts and
+		// return the same graphs.
+		var frames []*graph.Graph
+		seg, frameErr := indexSegment(data, "fuzz")
+		if frameErr == nil {
+			frames = make([]*graph.Graph, len(seg.frames))
+			for k := len(frames) - 1; k >= 0 && frameErr == nil; k-- {
+				frames[k], _, frameErr = seg.graph(k, nil, nil)
+			}
+		}
+		if (err == nil) != (frameErr == nil) {
+			t.Fatalf("whole-segment decode error %v, per-frame decode error %v", err, frameErr)
+		}
+		if err != nil {
+			return
+		}
+		if len(frames) != len(graphs) {
+			t.Fatalf("per-frame decode found %d graphs, whole-segment %d", len(frames), len(graphs))
+		}
+		for k, want := range graphs {
+			got := frames[k]
+			if got.ID != want.ID || !slices.Equal(got.Labels(), want.Labels()) || !slices.Equal(got.Edges(), want.Edges()) {
+				t.Fatalf("frame %d: per-frame decode %v differs from whole-segment %v", k, got, want)
+			}
+		}
+		// The reader's full check accepts the count and fingerprint the
+		// reference decoder found.
+		if _, err := seg.verify(len(graphs), graph.Fingerprint(graphs), nil); err != nil {
+			t.Fatalf("reader's full check refused what the reference decoder accepted: %v", err)
 		}
 	})
 }
