@@ -35,9 +35,12 @@ lint:
 # (threshold and top-k) against a brute-force enumeration of closed
 # vectors, on groups of up to 12
 # vectors (one bitset word) and of 65 to 400 (several words, with the
-# list scan of small sets), and FSG (full, closed-only and maximal)
-# against a brute-force enumeration of connected edge subsets with VF2
-# support counts, FSG's per-parent trace minimality check against
+# list scan of small sets), FSG (full, closed-only, and the in-miner
+# maximal list) against a brute-force enumeration of connected edge
+# subsets with VF2 support counts (FuzzFSGOracle), gSpan's closed-only
+# patterns and in-miner maximal list against brute-force VF2 closure
+# and maximality filters over its full mine (FuzzClosedEquivalence),
+# FSG's per-parent trace minimality check against
 # dfscode.IsMinimal, RWR's early freeze against the push iteration
 # on graphs that put feature masses on bin boundaries, and resume
 # snapshot chains (full snapshots, deltas, retries from a shorter

@@ -69,23 +69,19 @@ type benchJSON struct {
 	MedianRunSec float64   `json:"medianRunSeconds"`
 	MinRunSec    float64   `json:"minRunSeconds"`
 
-	// Closed-pattern mining counters: patterns suppressed at emission,
-	// DFS subtrees cut by equivalent-occurrence detection, containment
-	// pairs the maximality sweeps examined, and how many reached VF2.
-	// Together they make the closed-mine's effect on the O(n²) sweep
-	// visible in CI, not just in wall time. FSGMinChecks counts FSG
-	// Phase-2 minimality checks, one per frequent extension key that is
-	// a rightmost-path extension of its parent's code. RWRIterations
-	// counts RWR power iterations, one per source per iteration.
-	ClosedPrunes    int64                `json:"closedPrunes"`
-	EquivOccHits    int64                `json:"equivOccurrenceHits"`
-	MaximalPairs    int64                `json:"maximalSweepPairs"`
-	MaximalVF2Calls int64                `json:"maximalVF2Calls"`
-	FSGMinChecks    int64                `json:"fsgMinChecks"`
-	RWRIterations   int64                `json:"rwrIterations"`
-	Stages          map[string]stageJSON `json:"stages"`
-	StageOrder      []string             `json:"stageOrder"`
-	GeneratedUnix   int64                `json:"generatedUnix"`
+	// Closed-pattern mining counters: patterns suppressed at emission
+	// and DFS subtrees cut by equivalent-occurrence detection.
+	// FSGMinChecks counts FSG Phase-2 minimality checks, one per frequent
+	// extension key that is a rightmost-path extension of its parent's
+	// code. RWRIterations counts RWR power iterations, one per source per
+	// iteration.
+	ClosedPrunes  int64                `json:"closedPrunes"`
+	EquivOccHits  int64                `json:"equivOccurrenceHits"`
+	FSGMinChecks  int64                `json:"fsgMinChecks"`
+	RWRIterations int64                `json:"rwrIterations"`
+	Stages        map[string]stageJSON `json:"stages"`
+	StageOrder    []string             `json:"stageOrder"`
+	GeneratedUnix int64                `json:"generatedUnix"`
 }
 
 func main() {
@@ -160,9 +156,6 @@ func main() {
 		PrefilterMiss: sumSites(snap, obs.MPrefilterPasses),
 		ClosedPrunes:  sumLabel(snap, obs.MClosedPrunes, "miner"),
 		EquivOccHits:  sumLabel(snap, obs.MEquivOccurrences, "miner"),
-		MaximalPairs:  sumSites(snap, obs.MMaximalPairs),
-		MaximalVF2Calls: snap.CounterValue(obs.MPrefilterPasses,
-			"site", "maximal"),
 		FSGMinChecks:  snap.CounterValue(obs.MFSGMinChecks, "miner", "fsg"),
 		RWRIterations: snap.CounterValue(obs.MRWRIterations),
 		Stages:        map[string]stageJSON{},
@@ -212,7 +205,7 @@ func median(sorted []float64) float64 {
 }
 
 // sumSites totals a labelled counter across its "site" label values
-// (maximal-filter and verify prefilters report separately).
+// (the verify and gindex prefilters report separately).
 func sumSites(snap obs.Snapshot, name string) int64 {
 	return sumLabel(snap, name, "site")
 }

@@ -1,8 +1,9 @@
 // Command fsm runs either baseline frequent-subgraph miner (gSpan or
 // the FSG-style apriori miner) over a graph database file. -closed
-// mines closed patterns only; -maximal then runs the maximality sweep
-// Phase 3 uses (isomorph.Maximal) over either miner's patterns, under
-// the same -timeout:
+// mines closed patterns only; -maximal mines closed-only and prints the
+// maximal patterns the miner decides from its own extension keys, as
+// Phase 3 does. A -timeout that cuts the mine short prints only the
+// patterns already decided:
 //
 //	fsm -in data/AIDS.db -miner gspan -freq 5
 //	fsm -in data/AIDS.db -miner fsg -freq 10 -maximal
@@ -20,7 +21,6 @@ import (
 	"graphsig/internal/fsg"
 	"graphsig/internal/graph"
 	"graphsig/internal/gspan"
-	"graphsig/internal/isomorph"
 	"graphsig/internal/runctl"
 )
 
@@ -55,8 +55,7 @@ func main() {
 	minSup := gspan.FromPercent(*freq, len(db))
 	log.Printf("loaded %d graphs; frequency %.2f%% = support %d", len(db), *freq, minSup)
 
-	// One controller bounds the whole command, the maximality sweep
-	// included; nil leaves it unbounded.
+	// One controller bounds the mine; nil leaves it unbounded.
 	var ctl *runctl.Controller
 	if *timeout > 0 {
 		ctl = runctl.New(runctl.Options{Deadline: time.Now().Add(*timeout)})
@@ -64,23 +63,23 @@ func main() {
 
 	var patterns []dfscode.Pattern
 	truncated := false
-	stage, site := runctl.StageGSpan, "gspan"
+	closedOnly := *closed || *maximal
 	t0 := time.Now()
 	switch *miner {
 	case "gspan":
-		res := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: *closed})
+		res := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: closedOnly})
 		patterns, truncated = res.Patterns, res.Truncated
+		if *maximal {
+			patterns = res.Maximal
+		}
 	case "fsg":
-		res := fsg.Mine(db, fsg.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: *closed})
+		res := fsg.Mine(db, fsg.Options{MinSupport: minSup, MaxEdges: *maxEdges, Ctl: ctl, ClosedOnly: closedOnly})
 		patterns, truncated = res.Patterns, res.Truncated
-		stage, site = runctl.StageFSG, "fsg"
+		if *maximal {
+			patterns = res.Maximal
+		}
 	default:
 		log.Fatalf("unknown miner %q (want gspan or fsg)", *miner)
-	}
-	if *maximal {
-		var err error
-		patterns, err = isomorph.Maximal(patterns, ctl.Checkpoint(stage), site)
-		truncated = truncated || err != nil
 	}
 	log.Printf("%d patterns in %s", len(patterns), time.Since(t0).Round(time.Millisecond))
 	if truncated {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -75,7 +74,7 @@ func TestCacheKeyIgnoresRuntimeControls(t *testing.T) {
 	cfg := Defaults()
 	cfg.Deadline = time.Now().Add(time.Hour)
 	cfg.Budgets = runctl.Budgets{FVMineStates: 10, MinerSteps: 20, VF2Nodes: 30}
-	cfg.Ctl = runctl.New(runctl.Options{Context: context.Background()})
+	cfg.Ctl = runctl.New(runctl.Options{})
 	if cfg.CacheKey() != base {
 		t.Error("runtime controls leaked into the cache key")
 	}

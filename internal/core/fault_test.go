@@ -8,7 +8,6 @@ package core
 // removes amortization so the trip point is deterministic.
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -281,15 +280,14 @@ func TestVerifyWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestMineContextCancelPartialResult runs the full pipeline against an
-// already-canceled context and requires an immediate, valid, empty-ish
-// result with a cancel verdict.
+// TestMineContextCancelPartialResult runs the full pipeline under an
+// already-canceled controller and requires an immediate, valid,
+// empty-ish result with a cancel verdict.
 func TestMineContextCancelPartialResult(t *testing.T) {
 	db := plantedDB(40, 8, chem.SbCore())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	cfg := testConfig()
-	cfg.Ctl = runctl.New(runctl.Options{Context: ctx})
+	cfg.Ctl = runctl.New(runctl.Options{})
+	cfg.Ctl.Cancel("canceled before the mine")
 	limit := 250 * time.Millisecond
 	if raceEnabled {
 		limit *= 10

@@ -25,7 +25,6 @@ import (
 	"graphsig/internal/fvmine"
 	"graphsig/internal/graph"
 	"graphsig/internal/gspan"
-	"graphsig/internal/isomorph"
 	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
 	"graphsig/internal/rwr"
@@ -654,36 +653,26 @@ func mineMaximal(windows []*graph.Graph, minSup int, cfg Config, ctl *runctl.Con
 	// is never maximal (its closure witness is an equal-support — hence
 	// frequent — strict super-pattern), so both miners run in closed-only
 	// mode: non-closed patterns are suppressed at emission and whole DFS
-	// subtrees prune on equivalent occurrences, leaving the O(n²)
-	// containment sweep a near-trivial filter over an already-closed
-	// list. The final maximal set is byte-identical to mining everything
-	// first. Pruned subtrees charge nothing: the miner-step budget is
-	// drawn once per explored state, and pruning deterministically
-	// removes states, so budget trips stay reproducible at a fixed
-	// configuration.
-	//
-	// The maximality sweep observes the controller too: after a trip it
-	// returns only the prefix already decided maximal instead of
-	// finishing an O(n²) containment pass over the partial list.
-	var patterns []dfscode.Pattern
-	stage, site := runctl.StageFSG, "fsg"
-	switch cfg.Miner {
-	case MinerGSpan:
-		patterns = gspan.Mine(windows, gspan.Options{
+	// subtrees prune on equivalent occurrences. Each miner decides
+	// maximality from the one-edge extension keys it already counts for
+	// the closure test, and returns its maximal patterns as
+	// Result.Maximal. Pruned subtrees charge nothing: the miner-step
+	// budget is drawn once per explored state, and pruning
+	// deterministically removes states, so budget trips stay
+	// reproducible at a fixed configuration. A truncated mine lists only
+	// the patterns whose keys were all counted.
+	if cfg.Miner == MinerGSpan {
+		return gspan.Mine(windows, gspan.Options{
 			MinSupport: minSup,
 			MaxEdges:   cfg.MaxPatternEdges,
 			Ctl:        ctl,
 			ClosedOnly: true,
-		}).Patterns
-		stage, site = runctl.StageGSpan, "gspan"
-	default:
-		patterns = fsg.Mine(windows, fsg.Options{
-			MinSupport: minSup,
-			MaxEdges:   cfg.MaxPatternEdges,
-			Ctl:        ctl,
-			ClosedOnly: true,
-		}).Patterns
+		}).Maximal
 	}
-	maximal, _ := isomorph.Maximal(patterns, ctl.Checkpoint(stage), site)
-	return maximal
+	return fsg.Mine(windows, fsg.Options{
+		MinSupport: minSup,
+		MaxEdges:   cfg.MaxPatternEdges,
+		Ctl:        ctl,
+		ClosedOnly: true,
+	}).Maximal
 }

@@ -57,16 +57,24 @@ type Options struct {
 	// Every frequent pattern still participates in candidate generation
 	// (downward closure needs the full level), only emission is
 	// filtered, so the emitted list equals the closed subset of the full
-	// mine's output in the same order and isomorph.Maximal over it is
-	// byte-identical to the sweep over the full list. Truncated levels
-	// are emitted unfiltered: a suppressed pattern's witness might be
-	// missing from the partial next level.
+	// mine's output in the same order. The same key lists fill
+	// Result.Maximal. Truncated levels are emitted unfiltered: a
+	// suppressed pattern's witness might be missing from the partial
+	// next level.
 	ClosedOnly bool
 }
 
 // Result is the outcome of a mining run.
 type Result struct {
-	Patterns  []dfscode.Pattern
+	Patterns []dfscode.Pattern
+	// Maximal, filled in closed-only mode, lists in emission order the
+	// emitted patterns that are maximal frequent subgraphs (Alg 2 line
+	// 13): those no realized one-edge extension key carries to
+	// MinSupport graphs, plus every pattern at the MaxEdges cap. Its
+	// entries share their Patterns entries' codes, graphs and TID lists.
+	// A truncated mine lists only the levels whose keys were all
+	// counted, so every listed pattern is maximal in the full mine.
+	Maximal   []dfscode.Pattern
 	Truncated bool
 	// StopReason classifies why a truncated run stopped ("" = complete).
 	StopReason runctl.Reason
@@ -105,41 +113,52 @@ func (gr *grower) mine(db []*graph.Graph, opt Options) Result {
 	for d := 0; len(gr.levels[d]) > 0; d++ {
 		res.Levels = append(res.Levels, len(gr.levels[d]))
 		// Patterns at the MaxEdges cap are emitted unconditionally even
-		// in closed-only mode: their closure witnesses lie beyond the
-		// cap, outside the output the filter is defined against.
+		// in closed-only mode, and are maximal: their closure witnesses
+		// lie beyond the cap, outside the output the filter is defined
+		// against.
 		if opt.MaxEdges > 0 && d+1 >= opt.MaxEdges {
-			res.Patterns = gr.emit(res.Patterns, d, nil)
+			atCap := keep
+			if opt.ClosedOnly {
+				atCap = maximal
+			}
+			gr.emit(&res, d, nil, atCap)
 			break
 		}
 		if err := cp.Force(); err != nil {
-			res.Patterns = gr.emit(res.Patterns, d, nil)
+			gr.emit(&res, d, nil, keep)
 			res.Truncated = true
 			res.StopReason = runctl.ReasonOf(err)
 			break
 		}
-		nonClosed, candidates, err := gr.nextLevel(d)
+		verdicts, candidates, err := gr.nextLevel(d)
 		res.CandidatesGenerated += candidates
 		if err != nil {
 			// The current level carries exact TID lists; keep it all —
-			// closure flags may rest on a partial next level, so no
-			// filtering on the truncation path.
-			res.Patterns = gr.emit(res.Patterns, d, nil)
+			// closure and maximality flags may rest on keys not yet
+			// counted, so no filtering on the truncation path.
+			gr.emit(&res, d, nil, keep)
 			res.Truncated = true
 			res.StopReason = runctl.ReasonOf(err)
 			break
 		}
-		if !opt.ClosedOnly {
-			nonClosed = nil
-		}
-		for _, nc := range nonClosed {
-			if nc {
+		for _, v := range verdicts {
+			if v == drop {
 				closedPrunes.Inc()
 			}
 		}
-		res.Patterns = gr.emit(res.Patterns, d, nonClosed)
+		gr.emit(&res, d, verdicts, keep)
 	}
 	return res
 }
+
+// verdict is what emit does with one level pattern.
+type verdict uint8
+
+const (
+	keep    verdict = iota // emit it
+	drop                   // a non-closed pattern of a closed-only mine
+	maximal                // emit it and list it in Result.Maximal
+)
 
 // row is one level pattern: the pattern its parent row describes grown
 // by one code entry. Level 1 rows have parent -1 and a single entry.
@@ -298,11 +317,11 @@ type grower struct {
 	inv []int32 // host node -> pattern node, all zero between uses
 	// A parent's realized keys in first-seen order; the TID lists keep
 	// their capacity from parent to parent.
-	keyIdx    map[isomorph.ExtKey]int
-	keys      []keyStat
-	gens      []generator
-	nonClosed []bool
-	hasEdge   func(pv, pu int) bool // pattern adjacency of the parent, for Phase 1
+	keyIdx   map[isomorph.ExtKey]int
+	keys     []keyStat
+	gens     []generator
+	verdicts []verdict
+	hasEdge  func(pv, pu int) bool // pattern adjacency of the parent, for Phase 1
 
 	// The parent, as setParent lays it out: its code, node count, node
 	// labels (with a slot at n for a pendant's label), the 1-based index
@@ -391,29 +410,38 @@ func (gr *grower) spell(dst dfscode.Code, d, i int) dfscode.Code {
 	return dst
 }
 
-// emit appends level d's patterns to dst, skipping those flagged in
-// skip (nil keeps all), each with its spelled minimum code and the
-// graph built from it: nodes in DFS-index order, edges in code order.
-// The level's codes share one slab; each pattern's code is capped at
-// its own length, so an append to it can never overwrite a neighbour.
-func (gr *grower) emit(dst []dfscode.Pattern, d int, skip []bool) []dfscode.Pattern {
+// emit appends level d's patterns to res.Patterns, each with its
+// spelled minimum code and the graph built from it: nodes in DFS-index
+// order, edges in code order. verdicts[i] decides row i (nil gives every
+// row def): a dropped row is skipped, and a maximal one is listed in
+// res.Maximal too. The level's codes share one slab; each pattern's
+// code is capped at its own length, so an append to it can never
+// overwrite a neighbour.
+func (gr *grower) emit(res *Result, d int, verdicts []verdict, def verdict) {
 	kept := len(gr.levels[d])
-	for _, s := range skip {
-		if s {
+	for _, v := range verdicts {
+		if v == drop {
 			kept--
 		}
 	}
 	slab := make(dfscode.Code, 0, kept*(d+1))
 	for i, r := range gr.levels[d] {
-		if skip != nil && skip[i] {
+		v := def
+		if verdicts != nil {
+			v = verdicts[i]
+		}
+		if v == drop {
 			continue
 		}
 		lo := len(slab)
 		slab = gr.spell(slab, d, i)
 		code := slab[lo:len(slab):len(slab)]
-		dst = append(dst, dfscode.Pattern{Code: code, Graph: code.Graph(), Support: len(r.tids), GraphIDs: slices.Clone(r.tids)})
+		p := dfscode.Pattern{Code: code, Graph: code.Graph(), Support: len(r.tids), GraphIDs: slices.Clone(r.tids)}
+		res.Patterns = append(res.Patterns, p)
+		if v == maximal {
+			res.Maximal = append(res.Maximal, p)
+		}
 	}
-	return dst
 }
 
 // keyStat is one extension key realized on a parent.
@@ -431,9 +459,10 @@ type generator struct {
 }
 
 // nextLevel grows level d into level d+1, returning the parents'
-// non-closed flags, the number of candidates generated, and the
-// controller's stop cause when the level was cut short. Level d+1 comes
-// out in the order of its patterns' rendered minimum codes.
+// verdicts (all keep unless ClosedOnly), the number of candidates
+// generated, and the controller's stop cause when the level was cut
+// short. Level d+1 comes out in the order of its patterns' rendered
+// minimum codes.
 //
 // Candidate TID lists are exact supports, not upper bounds: an
 // embedding of parent+key in graph g restricts to an embedding of the
@@ -470,11 +499,9 @@ type generator struct {
 // ascending, and every downstream consumer (TID lists, closure flags,
 // canonical sort) is order-invariant below that grouping.
 //
-// The per-parent key lists double as the closure test: a parent is
-// non-closed exactly when some key is realized in all of its
-// supporting graphs (an equal-support one-edge super-pattern). Every
-// realized key counts there, rightmost or not.
-func (gr *grower) nextLevel(d int) ([]bool, int, error) {
+// The per-parent key lists double as the closure and maximality tests
+// (see judge). Every realized key counts there, rightmost or not.
+func (gr *grower) nextLevel(d int) ([]verdict, int, error) {
 	db, opt, cp, cpEmb := gr.db, gr.opt, gr.cp, gr.cpEmb
 	level := gr.levels[d]
 	// Level d-1 has been emitted and grown; its lists' arena takes
@@ -488,9 +515,9 @@ func (gr *grower) nextLevel(d int) ([]bool, int, error) {
 		}
 	}
 	next := gr.newLevel()
-	nonClosed := slices.Grow(gr.nonClosed[:0], len(level))[:len(level)]
-	clear(nonClosed)
-	gr.nonClosed = nonClosed
+	verdicts := slices.Grow(gr.verdicts[:0], len(level))[:len(level)]
+	clear(verdicts)
+	gr.verdicts = verdicts
 	var stop error
 	var checks int64
 	for pidx := range level {
@@ -537,14 +564,8 @@ func (gr *grower) nextLevel(d int) ([]bool, int, error) {
 		if stop != nil {
 			break
 		}
-		// Closure check, free on the side of candidate generation: a key
-		// realized in every supporting graph witnesses an equal-support
-		// one-edge super-pattern.
-		for _, ks := range gr.keys {
-			if len(ks.tids) == len(p.tids) {
-				nonClosed[pidx] = true
-				break
-			}
+		if opt.ClosedOnly {
+			verdicts[pidx] = gr.judge(len(p.tids))
 		}
 		// Phase 2: each frequent key that is a rightmost-path extension
 		// of the parent's code gets one minimality check against the
@@ -623,7 +644,7 @@ func (gr *grower) nextLevel(d int) ([]bool, int, error) {
 		// A trip mid-level leaves the next level holding whichever keys
 		// phase 2 reached first. The caller keeps the current level
 		// (exactly counted), drops this one and reports truncation.
-		return nonClosed, len(next), stop
+		return verdicts, len(next), stop
 	}
 	// Rows arrive grouped by parent, so sorting by (parent's rank, last
 	// entry) sorts by rendered code: same-length renderings of distinct
@@ -640,7 +661,30 @@ func (gr *grower) nextLevel(d int) ([]bool, int, error) {
 		}
 		return dfscode.CompareRendered(a.last, b.last)
 	})
-	return nonClosed, len(next), nil
+	return verdicts, len(next), nil
+}
+
+// judge decides a closed-only mine's verdict on the current parent, of
+// the given support, from its realized keys, free on the side of
+// candidate generation. A key realized in every supporting graph
+// witnesses an equal-support one-edge super-pattern, so the parent is
+// not closed. A key realized in MinSupport graphs witnesses a frequent
+// one, so the parent is not maximal. With neither, it is maximal: a
+// frequent strict super-pattern Q of the parent would contain a
+// connected one-edge extension of it inside Q, frequent as Q is and
+// realized on the parent's embeddings, hence one of its keys. This is
+// the closure flag with MinSupport in place of the parent's support.
+func (gr *grower) judge(support int) verdict {
+	v := maximal
+	for _, ks := range gr.keys {
+		switch {
+		case len(ks.tids) == support:
+			return drop
+		case len(ks.tids) >= gr.opt.MinSupport:
+			v = keep
+		}
+	}
+	return v
 }
 
 // renderedRanks returns level d's rank of each row in the order of the

@@ -10,6 +10,7 @@ import (
 	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
 	"graphsig/internal/isomorph"
+	"graphsig/internal/runctl"
 )
 
 // oracleMaxEdges bounds both the brute-force enumeration and the miner
@@ -108,15 +109,27 @@ func oracleFilter(freq []oraclePattern, sameSupport bool) []oraclePattern {
 	return out
 }
 
-// maximalOf sweeps a mine's patterns down to the maximal ones with
-// isomorph.Maximal, without a controller, which cannot stop the sweep.
-func maximalOf(res Result) Result {
-	res.Patterns, _ = isomorph.Maximal(res.Patterns, nil, "fsg")
+// maximalOf returns a closed-only mine with its Maximal list in place
+// of its patterns, after checking that the list is a subsequence of the
+// patterns sharing their entries: the same graph and code slab, not a
+// second spelling.
+func maximalOf(t *testing.T, res Result) Result {
+	t.Helper()
+	j := 0
+	for i, m := range res.Maximal {
+		for j < len(res.Patterns) && res.Patterns[j].Graph != m.Graph {
+			j++
+		}
+		if j == len(res.Patterns) || &res.Patterns[j].Code[0] != &m.Code[0] {
+			t.Fatalf("maximal pattern %d does not share a pattern entry in emission order", i)
+		}
+	}
+	res.Patterns = res.Maximal
 	return res
 }
 
 // checkAgainstOracle compares fsg.Mine (full and ClosedOnly) and the
-// maximality sweep over either with the brute-force answers: same
+// closed-only mine's Maximal list with the brute-force answers: same
 // canonical patterns, supports and TID lists, and level counts equal to
 // the oracle's per-size counts.
 func checkAgainstOracle(t *testing.T, db []*graph.Graph, minSup int) {
@@ -126,6 +139,9 @@ func checkAgainstOracle(t *testing.T, db []*graph.Graph, minSup int) {
 
 	full := Mine(db, opt)
 	comparePatterns(t, "Mine", full, freq)
+	if full.Maximal != nil {
+		t.Fatalf("a full mine lists %d maximal patterns; only closed-only mines fill Maximal", len(full.Maximal))
+	}
 	var wantLevels []int
 	for _, p := range freq {
 		for len(wantLevels) < p.g.NumEdges() {
@@ -146,9 +162,7 @@ func checkAgainstOracle(t *testing.T, db []*graph.Graph, minSup int) {
 	closedOpt.ClosedOnly = true
 	closed := Mine(db, closedOpt)
 	comparePatterns(t, "ClosedOnly", closed, oracleFilter(freq, true))
-	maximal := oracleFilter(freq, false)
-	comparePatterns(t, "Maximal", maximalOf(full), maximal)
-	comparePatterns(t, "Maximal(ClosedOnly)", maximalOf(closed), maximal)
+	comparePatterns(t, "Maximal", maximalOf(t, closed), oracleFilter(freq, false))
 }
 
 // comparePatterns checks that the mine emitted its patterns level by
@@ -218,4 +232,58 @@ func FuzzFSGOracle(f *testing.F) {
 		db := randDB(r, 2+int(data[0])%5, 3+len(data)%5, 1+int(data[1])%3, 1+int(data[1]/3)%2)
 		checkAgainstOracle(t, db, 1+int(data[0]/5)%3)
 	})
+}
+
+// isSubsequenceByCode reports whether part's codes occur in whole's, in
+// the same order.
+func isSubsequenceByCode(part, whole []dfscode.Pattern) bool {
+	j := 0
+	for _, p := range part {
+		for j < len(whole) && !slices.Equal(whole[j].Code, p.Code) {
+			j++
+		}
+		if j == len(whole) {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// TestMaximalTruncatesToDecidedPrefix trips a closed-only mine of an
+// oracle database at every checkpoint in turn. Each tripped mine must
+// report the controller's stop cause, and its Maximal list must be an
+// order-preserving subsequence, by code, of the untruncated mine's: a
+// truncated mine lists only the levels whose keys were all counted.
+func TestMaximalTruncatesToDecidedPrefix(t *testing.T) {
+	db := randDB(rand.New(rand.NewSource(5)), 8, 7, 3, 1)
+	opt := Options{MinSupport: 2, ClosedOnly: true}
+	var checks int64
+	opt.Ctl = runctl.New(runctl.Options{CheckInterval: 1, Hook: func(n int64) bool { checks = n; return false }})
+	full := Mine(db, opt)
+	if full.Truncated {
+		t.Fatalf("untruncated mine stopped: %s", full.StopReason)
+	}
+	if len(full.Maximal) < 2 || len(full.Maximal) == len(full.Patterns) {
+		t.Fatalf("%d of %d closed patterns are maximal; want a non-trivial filter", len(full.Maximal), len(full.Patterns))
+	}
+
+	partial := 0
+	for trip := int64(1); trip <= checks; trip++ {
+		ctl := runctl.New(runctl.Options{CheckInterval: 1, Hook: func(n int64) bool { return n >= trip }})
+		opt.Ctl = ctl
+		res := Mine(db, opt)
+		if !res.Truncated || ctl.Err() == nil || res.StopReason != runctl.ReasonCancel {
+			t.Fatalf("trip %d: truncated %v, reason %q, controller cause %v; want the hook's cancel", trip, res.Truncated, res.StopReason, ctl.Err())
+		}
+		if !isSubsequenceByCode(res.Maximal, full.Maximal) {
+			t.Fatalf("trip %d: %d maximal patterns, not a subsequence of the %d untruncated ones", trip, len(res.Maximal), len(full.Maximal))
+		}
+		if len(res.Maximal) > 0 && len(res.Maximal) < len(full.Maximal) {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no trip point cut the Maximal list between its first and last pattern")
+	}
 }

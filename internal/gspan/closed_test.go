@@ -42,6 +42,27 @@ func Closed(patterns []dfscode.Pattern) []dfscode.Pattern {
 	return out
 }
 
+// Maximal filters patterns down to the maximal ones: patterns with no
+// strictly larger pattern in the list containing them, whatever its
+// support. Over a full mine's output that is the maximal frequent set,
+// the reference Result.Maximal is checked against.
+func Maximal(patterns []dfscode.Pattern) []dfscode.Pattern {
+	var out []dfscode.Pattern
+	for _, p := range patterns {
+		maximal := true
+		for _, q := range patterns {
+			if q.Graph.NumEdges() > p.Graph.NumEdges() && isomorph.SubgraphIsomorphic(p.Graph, q.Graph) {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 func TestClosedFiltersSubsumedPatterns(t *testing.T) {
 	// Path a-b-c in every graph: the edges a-b and b-c have the same
 	// support as the full path, so only the path is closed.

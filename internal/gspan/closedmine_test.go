@@ -44,10 +44,12 @@ func diffPatternLists(t *testing.T, label string, got, want []dfscode.Pattern) {
 // TestClosedOnlyMatchesOracle checks the ClosedOnly contract
 // differentially: the closed mine's output must be byte-identical —
 // graphs, supports, TID lists, order — to the oracle sweep Closed()
-// over the unfiltered mine, across random databases. MaxEdges-capped
-// runs are included: at-cap patterns have no in-universe witness (a
-// witness needs more edges than the cap), so the contract holds there
-// too even though the miner emits the boundary unconditionally.
+// over the unfiltered mine, and its Maximal list to the oracle sweep
+// Maximal() over it, across random databases. MaxEdges-capped runs are
+// included: at-cap patterns have no in-universe witness (a witness
+// needs more edges than the cap), so the contract holds there too even
+// though the miner emits the boundary unconditionally and lists it as
+// maximal.
 func TestClosedOnlyMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -62,6 +64,7 @@ func TestClosedOnlyMatchesOracle(t *testing.T) {
 			}
 			label := fmt.Sprintf("seed %d maxEdges %d", seed, maxEdges)
 			diffPatternLists(t, label, closed.Patterns, Closed(full.Patterns))
+			diffPatternLists(t, label+" maximal", maximalOf(t, closed), Maximal(full.Patterns))
 			if closed.Stats.StatesExplored > full.Stats.StatesExplored {
 				t.Fatalf("%s: closed mine explored %d states, full mine only %d",
 					label, closed.Stats.StatesExplored, full.Stats.StatesExplored)
@@ -71,9 +74,10 @@ func TestClosedOnlyMatchesOracle(t *testing.T) {
 }
 
 // TestClosedOnlyPreservesMaximal is the property the pipeline rests on:
-// the closed output contains every maximal pattern, the maximality
-// sweep over it is byte-identical to the sweep over the full output,
-// and the oracle closure sweep over the closed output is a no-op.
+// the closed output contains every maximal pattern, the closed mine's
+// Maximal list is byte-identical to the maximality oracle over the full
+// output, and the oracle closure sweep over the closed output is a
+// no-op.
 func TestClosedOnlyPreservesMaximal(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -82,14 +86,14 @@ func TestClosedOnlyPreservesMaximal(t *testing.T) {
 		closed := Mine(db, Options{MinSupport: 2, ClosedOnly: true})
 
 		label := fmt.Sprintf("seed %d", seed)
-		diffPatternLists(t, label+" maximal", maximal(closed.Patterns), maximal(full.Patterns))
+		diffPatternLists(t, label+" maximal", maximalOf(t, closed), Maximal(full.Patterns))
 		diffPatternLists(t, label+" closure no-op", Closed(closed.Patterns), closed.Patterns)
 
 		inClosed := map[string]bool{}
 		for _, p := range closed.Patterns {
 			inClosed[patternSig(p)] = true
 		}
-		for _, p := range maximal(full.Patterns) {
+		for _, p := range Maximal(full.Patterns) {
 			if !inClosed[patternSig(p)] {
 				t.Fatalf("%s: maximal pattern %s missing from closed output", label, patternSig(p))
 			}
@@ -170,7 +174,8 @@ func dbFromBytes(data []byte) []*graph.Graph {
 
 // FuzzClosedEquivalence fuzzes the differential contract: on arbitrary
 // small databases, ClosedOnly mining must equal the oracle closure
-// sweep over the unfiltered mine, byte for byte.
+// sweep over the unfiltered mine, and its Maximal list the oracle
+// maximality sweep, byte for byte.
 func FuzzClosedEquivalence(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 0, 2, 4, 5, 1, 9, 3, 0, 1, 2, 7, 7})
 	f.Add([]byte{0, 4, 0, 0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -185,5 +190,60 @@ func FuzzClosedEquivalence(f *testing.F) {
 		full := Mine(db, Options{MinSupport: minSup, MaxEdges: 4})
 		closed := Mine(db, Options{MinSupport: minSup, MaxEdges: 4, ClosedOnly: true})
 		diffPatternLists(t, "fuzz", closed.Patterns, Closed(full.Patterns))
+		diffPatternLists(t, "fuzz maximal", maximalOf(t, closed), Maximal(full.Patterns))
 	})
+}
+
+// isSubsequenceByCode reports whether part's codes occur in whole's, in
+// the same order.
+func isSubsequenceByCode(part, whole []dfscode.Pattern) bool {
+	j := 0
+	for _, p := range part {
+		for j < len(whole) && !slices.Equal(whole[j].Code, p.Code) {
+			j++
+		}
+		if j == len(whole) {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// TestMaximalTruncatesToDecidedPrefix trips a closed-only mine of a
+// random database at every checkpoint in turn. Each tripped mine must
+// report the controller's stop cause, and its Maximal list must be an
+// order-preserving subsequence, by code, of the untruncated mine's: a
+// state is emitted only once its projection walk has finished.
+func TestMaximalTruncatesToDecidedPrefix(t *testing.T) {
+	db := randDB(rand.New(rand.NewSource(5)), 10, 8, 3, 2, 2)
+	opt := Options{MinSupport: 2, ClosedOnly: true}
+	var checks int64
+	opt.Ctl = runctl.New(runctl.Options{CheckInterval: 1, Hook: func(n int64) bool { checks = n; return false }})
+	full := Mine(db, opt)
+	if full.Truncated {
+		t.Fatalf("untruncated mine stopped: %s", full.StopReason)
+	}
+	if len(full.Maximal) < 2 || len(full.Maximal) == len(full.Patterns) {
+		t.Fatalf("%d of %d closed patterns are maximal; want a non-trivial filter", len(full.Maximal), len(full.Patterns))
+	}
+
+	partial := 0
+	for trip := int64(1); trip <= checks; trip++ {
+		ctl := runctl.New(runctl.Options{CheckInterval: 1, Hook: func(n int64) bool { return n >= trip }})
+		opt.Ctl = ctl
+		res := Mine(db, opt)
+		if !res.Truncated || ctl.Err() == nil || res.StopReason != runctl.ReasonCancel {
+			t.Fatalf("trip %d: truncated %v, reason %q, controller cause %v; want the hook's cancel", trip, res.Truncated, res.StopReason, ctl.Err())
+		}
+		if !isSubsequenceByCode(res.Maximal, full.Maximal) {
+			t.Fatalf("trip %d: %d maximal patterns, not a subsequence of the %d untruncated ones", trip, len(res.Maximal), len(full.Maximal))
+		}
+		if len(res.Maximal) > 0 && len(res.Maximal) < len(full.Maximal) {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no trip point cut the Maximal list between its first and last pattern")
+	}
 }

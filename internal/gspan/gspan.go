@@ -2,8 +2,9 @@
 // ICDM 2002): DFS-code pattern growth with rightmost-path extension,
 // projected embedding lists for support counting, and minimum-code
 // duplicate pruning. It serves two roles in this repository: the
-// exponential baseline of Figs 2, 9 and 11, and (with the maximal filter)
-// the frequent-subgraph step GraphSig runs on each candidate set.
+// exponential baseline of Figs 2, 9 and 11, and (closed-only, returning
+// Result.Maximal) the maximal frequent-subgraph step GraphSig runs on
+// each candidate set.
 //
 // Projections use the classical linked PDFS representation: each
 // projection stores only the host edge realizing the newest code entry
@@ -38,11 +39,9 @@ type Options struct {
 	// ClosedOnly emits only closed patterns: frequent patterns with no
 	// one-edge extension preserving their full support set (CloseGraph,
 	// Yan & Han KDD 2003). The emitted list equals Closed() applied to
-	// the full mine's output, in the same order, so isomorph.Maximal over
-	// it is byte-identical to the sweep over the full list — closure
-	// filtering can only drop patterns that already had an equal-support
-	// (hence frequent) strict super-pattern. With MaxEdges == 0 the miner also
-	// prunes whole DFS subtrees on equivalent occurrences (see grow).
+	// the full mine's output, in the same order, and the same key counts
+	// fill Result.Maximal. With MaxEdges == 0 the miner also prunes whole
+	// DFS subtrees on equivalent occurrences (see grow).
 	ClosedOnly bool
 }
 
@@ -59,6 +58,15 @@ func FromPercent(pct float64, n int) int {
 // Result is the outcome of a mining run.
 type Result struct {
 	Patterns []dfscode.Pattern
+	// Maximal, filled in closed-only mode, lists in emission order the
+	// emitted patterns that are maximal frequent subgraphs (Alg 2 line
+	// 13): those no one-edge extension key carries to MinSupport graphs
+	// (see closureDecide), plus every pattern at the MaxEdges cap. Its
+	// entries share their Patterns entries' codes, graphs and TID lists.
+	// A pattern is emitted only once its projection walk has finished,
+	// so on a truncated mine too every listed pattern is maximal in the
+	// full mine.
+	Maximal []dfscode.Pattern
 	// Truncated reports that the deadline, a budget, or cancellation cut
 	// the run short.
 	Truncated bool
@@ -158,6 +166,7 @@ type miner struct {
 	opt      Options
 	cp       *runctl.Checkpoint
 	patterns []dfscode.Pattern
+	maximal  []dfscode.Pattern
 	stats    Stats
 	stop     bool
 	stopWhy  runctl.Reason
@@ -244,17 +253,22 @@ func Mine(db []*graph.Graph, opt Options) Result {
 		m.grow(dfscode.Code{s.code}, projs)
 	}
 
-	return Result{Patterns: m.patterns, Truncated: m.stop, StopReason: m.stopWhy, Stats: m.stats}
+	return Result{Patterns: m.patterns, Maximal: m.maximal, Truncated: m.stop, StopReason: m.stopWhy, Stats: m.stats}
 }
 
-// record emits the pattern for code with its supporting graph set.
-func (m *miner) record(code dfscode.Code, gids map[int]bool) {
+// record emits the pattern for code with its supporting graph set, and
+// lists it as maximal too when maximal is set.
+func (m *miner) record(code dfscode.Code, gids map[int]bool, maximal bool) {
 	ids := make([]int, 0, len(gids))
 	for id := range gids {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	m.patterns = append(m.patterns, dfscode.Pattern{Code: append(dfscode.Code(nil), code...), Graph: code.Graph(), Support: len(ids), GraphIDs: ids})
+	p := dfscode.Pattern{Code: append(dfscode.Code(nil), code...), Graph: code.Graph(), Support: len(ids), GraphIDs: ids}
+	m.patterns = append(m.patterns, p)
+	if maximal {
+		m.maximal = append(m.maximal, p)
+	}
 }
 
 // checkpoint consults the shared controller; it flips the stop flag and
@@ -301,12 +315,12 @@ func (m *miner) grow(code dfscode.Code, projs []*projection) {
 	support := len(gids)
 	atCap := m.opt.MaxEdges > 0 && len(code) >= m.opt.MaxEdges
 	// Patterns at the cap are emitted unconditionally even in closed-only
-	// mode: their closure witnesses may lie beyond the cap, and the
-	// contract is that closure filtering drops only patterns whose
-	// witness is itself in the (capped) output.
+	// mode, and are maximal there: their closure witnesses may lie beyond
+	// the cap, and the contract is that closure filtering drops only
+	// patterns whose witness is itself in the (capped) output.
 	doClosure := m.opt.ClosedOnly && !atCap
 	if !doClosure {
-		m.record(code, gids)
+		m.record(code, gids, m.opt.ClosedOnly)
 		if atCap {
 			return
 		}
@@ -363,9 +377,9 @@ func (m *miner) grow(code dfscode.Code, projs []*projection) {
 	}
 
 	if doClosure {
-		closed, prune := m.closureDecide(support, len(projs), rmv)
+		closed, maximal, prune := m.closureDecide(support, len(projs), rmv)
 		if closed {
-			m.record(code, gids)
+			m.record(code, gids, maximal)
 		} else {
 			m.closedPrunes.Inc()
 		}
@@ -436,24 +450,33 @@ func (m *miner) accountOccurrences(gc graph.CSRView, code dfscode.Code, st *embe
 // iff no key is realized in all supporting graphs (an equal-support
 // one-edge super-pattern exists exactly then, and any larger
 // equal-support super-pattern implies a one-edge one by monotonicity
-// along an edge-addition chain). prune reports an equivalent
-// occurrence justifying subtree termination: an internal key realized
-// by every projection whose endpoints both avoid the rightmost vertex,
-// sound only without a MaxEdges cap. Both predicates are existential,
-// so the random map order cannot change the outcome.
-func (m *miner) closureDecide(support, numProjs, rmv int) (closed, prune bool) {
-	closed = true
+// along an edge-addition chain). It is maximal iff no key is realized
+// in MinSupport graphs, by the same argument with MinSupport in place
+// of its support: a frequent strict super-pattern Q contains a
+// connected one-edge extension of the pattern, frequent as Q is and
+// realized on the pattern's embeddings, hence one of its keys. prune
+// reports an equivalent occurrence justifying subtree termination: an
+// internal key realized by every projection whose endpoints both avoid
+// the rightmost vertex, sound only without a MaxEdges cap. All three
+// predicates are existential or their negations, so the random map
+// order cannot change the outcome.
+func (m *miner) closureDecide(support, numProjs, rmv int) (closed, maximal, prune bool) {
+	closed, maximal = true, true
 	for k, a := range m.extAcc {
+		if a.gidCount < m.opt.MinSupport {
+			continue
+		}
+		maximal = false
 		if a.gidCount != support {
 			continue
 		}
 		closed = false
 		if m.opt.MaxEdges == 0 && k.Internal() &&
 			int(k.From) != rmv && int(k.To) != rmv && a.projCount == numProjs {
-			return false, true
+			return false, false, true
 		}
 	}
-	return closed, false
+	return closed, maximal, false
 }
 
 func onPath(path []int, v int) bool {

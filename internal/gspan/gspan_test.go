@@ -8,15 +8,24 @@ import (
 
 	"graphsig/internal/dfscode"
 	"graphsig/internal/graph"
-	"graphsig/internal/isomorph"
 	"graphsig/internal/runctl"
 )
 
-// maximal runs the maximality sweep without a controller, which cannot
-// stop it early.
-func maximal(patterns []dfscode.Pattern) []dfscode.Pattern {
-	out, _ := isomorph.Maximal(patterns, nil, "gspan")
-	return out
+// maximalOf returns a closed-only mine's Maximal list after checking
+// that it is a subsequence of the mine's patterns sharing their
+// entries: the same graph and code, not a second spelling.
+func maximalOf(t *testing.T, res Result) []dfscode.Pattern {
+	t.Helper()
+	j := 0
+	for i, m := range res.Maximal {
+		for j < len(res.Patterns) && res.Patterns[j].Graph != m.Graph {
+			j++
+		}
+		if j == len(res.Patterns) || &res.Patterns[j].Code[0] != &m.Code[0] {
+			t.Fatalf("maximal pattern %d does not share a pattern entry in emission order", i)
+		}
+	}
+	return res.Maximal
 }
 
 func build(labels []graph.Label, edges [][3]int) *graph.Graph {
@@ -281,8 +290,7 @@ func TestMaximal(t *testing.T) {
 		build([]graph.Label{1, 2, 3}, [][3]int{{0, 1, 0}, {1, 2, 0}}),
 		build([]graph.Label{1, 2, 3}, [][3]int{{0, 1, 0}, {1, 2, 0}}),
 	}
-	res := Mine(db, Options{MinSupport: 2})
-	max := maximal(res.Patterns)
+	max := maximalOf(t, Mine(db, Options{MinSupport: 2, ClosedOnly: true}))
 	if len(max) != 1 {
 		for _, p := range max {
 			t.Logf("maximal: %s", p.Graph)
@@ -301,8 +309,7 @@ func TestMaximalKeepsIncomparable(t *testing.T) {
 		build([]graph.Label{1, 2, 3, 4}, [][3]int{{0, 1, 0}, {2, 3, 0}}),
 		build([]graph.Label{1, 2, 3, 4}, [][3]int{{0, 1, 0}, {2, 3, 0}}),
 	}
-	res := Mine(db, Options{MinSupport: 2})
-	max := maximal(res.Patterns)
+	max := maximalOf(t, Mine(db, Options{MinSupport: 2, ClosedOnly: true}))
 	if len(max) != 2 {
 		t.Fatalf("got %d maximal; want 2", len(max))
 	}

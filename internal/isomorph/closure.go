@@ -2,11 +2,11 @@ package isomorph
 
 import "graphsig/internal/graph"
 
-// This file holds the closure-check fast paths shared by the closed-
+// This file holds the closure-check fast path shared by the closed-
 // pattern miners (internal/gspan, internal/fsg): enumeration of the
 // one-edge extensions an embedding realizes, walked directly over the
-// host's CSR rows, and the sorted TID-subset screen the maximality
-// sweeps use to reject containment pairs before VF2.
+// host's CSR rows. The miners' closure and maximality tests both read
+// the keys it reports.
 
 // ExtKey identifies a one-edge growth of an embedded pattern,
 // independent of the host edge realizing it: either an internal edge
@@ -70,26 +70,4 @@ func ForEachExtension(gc graph.CSRView, nodes []int, inv []int32, hasPatternEdge
 	for _, hv := range nodes {
 		inv[hv] = 0
 	}
-}
-
-// SortedSubset reports whether every element of sub occurs in super;
-// both must be sorted ascending. The maximality sweeps use it as a
-// necessary-condition screen: pattern p contained in pattern q forces
-// support(q) ⊆ support(p), so q's TID list not being a subset of p's
-// refutes containment without touching VF2.
-func SortedSubset(sub, super []int) bool {
-	if len(sub) > len(super) {
-		return false
-	}
-	j := 0
-	for _, v := range sub {
-		for j < len(super) && super[j] < v {
-			j++
-		}
-		if j >= len(super) || super[j] != v {
-			return false
-		}
-		j++
-	}
-	return true
 }

@@ -7,29 +7,6 @@ import (
 	"graphsig/internal/graph"
 )
 
-func TestSortedSubset(t *testing.T) {
-	cases := []struct {
-		name       string
-		sub, super []int
-		want       bool
-	}{
-		{"empty sub of empty", nil, nil, true},
-		{"empty sub of any", nil, []int{1, 2}, true},
-		{"nonempty sub of empty", []int{1}, nil, false},
-		{"equal", []int{1, 3, 5}, []int{1, 3, 5}, true},
-		{"strict subset", []int{3, 5}, []int{1, 3, 5, 9}, true},
-		{"missing head", []int{0, 3}, []int{1, 3, 5}, false},
-		{"missing tail", []int{3, 9}, []int{1, 3, 5}, false},
-		{"missing middle", []int{1, 4, 5}, []int{1, 3, 5}, false},
-		{"longer than super", []int{1, 2, 3}, []int{1, 2}, false},
-	}
-	for _, tc := range cases {
-		if got := SortedSubset(tc.sub, tc.super); got != tc.want {
-			t.Errorf("%s: SortedSubset(%v, %v) = %v, want %v", tc.name, tc.sub, tc.super, tc.want, got)
-		}
-	}
-}
-
 // TestForEachExtension embeds a 2-edge path pattern into a labeled host
 // and checks the exact extension-key set: internal edges emitted once
 // with From < To, pendant edges carrying the fresh node's label, and

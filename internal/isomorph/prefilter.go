@@ -115,7 +115,7 @@ func NewPrefilter(db []*graph.Graph) *Prefilter {
 }
 
 // Meter attaches obs counters for prefilter outcomes under the given
-// site label (e.g. "verify", "maximal", "gindex"). Nil-safe on both
+// site label (e.g. "verify", "gindex"). Nil-safe on both
 // receiver and registry; returns the receiver for chaining.
 func (pf *Prefilter) Meter(reg *obs.Registry, site string) *Prefilter {
 	if pf == nil || reg == nil {

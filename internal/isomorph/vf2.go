@@ -1,7 +1,8 @@
 // Package isomorph implements labeled (sub)graph isomorphism testing in
 // the style of the VF2 algorithm. It is the correctness workhorse behind
-// support counting in the miners, pattern containment in the classifiers,
-// and maximality filtering in GraphSig's last phase.
+// support counting in LEAP, pattern containment in the classifiers and
+// the graph index, and graph-space support verification in GraphSig's
+// last phase.
 //
 // All matching is label-aware: a pattern node may only map to a target
 // node with an identical label, and a pattern edge to a target edge with

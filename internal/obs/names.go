@@ -36,10 +36,12 @@ const (
 	MWindowCacheMisses = "graphsig_window_cache_misses_total"
 
 	// VF2 fast-reject pre-filter (internal/isomorph; label: site —
-	// "verify" for graph-space support counting, "maximal" for the
-	// miners' containment passes, "gindex" for feature-index builds).
-	// A reject is a candidate dismissed on label/degree summaries alone,
-	// without entering VF2 search; a pass fell through to VF2.
+	// "verify" for graph-space support counting, "gindex" for
+	// feature-index builds). A reject is a candidate dismissed on
+	// label/degree summaries alone, without entering VF2 search; a pass
+	// fell through to VF2. The site="maximal" series has no producer
+	// since the miners decide maximality from their own extension keys;
+	// perfbench still reads it, so it reads 0.
 	MPrefilterRejects = "graphsig_vf2_prefilter_rejects_total"
 	MPrefilterPasses  = "graphsig_vf2_prefilter_passes_total"
 
@@ -47,19 +49,17 @@ const (
 	// — "gspan" or "fsg").
 	// MClosedPrunes counts frequent patterns suppressed at emission
 	// because a one-edge extension preserves their full support set
-	// (the CloseGraph non-closed condition): each is one pattern the
-	// maximality sweep never has to look at.
+	// (the CloseGraph non-closed condition).
 	MClosedPrunes = "graphsig_closed_prunes_total"
 	// MEquivOccurrences counts equivalent-occurrence early terminations:
 	// DFS subtrees abandoned wholesale because every embedding of the
 	// subtree root extends by the same support-preserving internal edge,
 	// so no descendant can be closed.
 	MEquivOccurrences = "graphsig_equiv_occurrence_hits_total"
-	// MMaximalPairs counts candidate containment pairs examined by the
-	// miners' maximality sweeps after the cheap size screen — the O(n²)
-	// cost driver the closed-pattern mine is there to shrink. Each pair
-	// then either fast-rejects (TID subset or summary, MPrefilterRejects
-	// site="maximal") or reaches VF2 (MPrefilterPasses).
+	// MMaximalPairs has no producer: it counted the pairs of the
+	// pairwise maximality sweep, and the miners now decide maximality
+	// from their own extension keys. It is kept, always 0, only because
+	// perfbench reads it.
 	MMaximalPairs = "graphsig_maximal_sweep_pairs_total"
 	// MFSGMinChecks counts FSG Phase-2 minimality checks (label: miner):
 	// one per frequent extension key that is a rightmost-path extension

@@ -1,7 +1,8 @@
 // Package runctl is the shared run controller of the mining pipeline:
-// one object carrying cancellation (a context), a wall-clock deadline,
-// per-stage work budgets, and a degradation report that records which
-// stage was cut short, why, and how much work it completed.
+// one object carrying cancellation (Controller.Cancel), a wall-clock
+// deadline, per-stage work budgets, and a degradation report that
+// records which stage was cut short, why, and how much work it
+// completed.
 //
 // Subgraph mining is exponential in the worst case — the paper's own
 // baselines "did not finish in >10 hours" — so every stage must be
@@ -10,14 +11,14 @@
 // fvmine and leap take one as Options.Ctl (nil = unbounded) and observe
 // one checkpoint primitive:
 //
-//	ctl := runctl.New(runctl.Options{Context: ctx, Deadline: d})
+//	ctl := runctl.New(runctl.Options{Deadline: d})
 //	cp := ctl.Checkpoint(runctl.StageFVMine)
 //	for ... {
 //	    if err := cp.Step(); err != nil { return partial(err) }
 //	}
 //
 // Step is amortized: it bumps a goroutine-local counter and consults the
-// shared state (context, deadline, budget, test hook) only every
+// shared state (stop cause, deadline, budget, test hook) only every
 // CheckInterval steps, so the hot loops pay one increment per step. A
 // Checkpoint is goroutine-local; the Controller behind it is shared and
 // safe for concurrent use. All Controller and Checkpoint methods are
@@ -29,7 +30,6 @@
 package runctl
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"strings"
@@ -48,8 +48,8 @@ const (
 	ReasonDeadline Reason = "deadline"
 	// ReasonBudget: a stage exhausted its work budget.
 	ReasonBudget Reason = "budget"
-	// ReasonCancel: the context was canceled (client disconnect, signal,
-	// or the fault-injection hook).
+	// ReasonCancel: the run was canceled (Controller.Cancel on a client
+	// disconnect, signal or job cancel, or the fault-injection hook).
 	ReasonCancel Reason = "cancel"
 	// ReasonPanic: a worker goroutine panicked; the panic was isolated
 	// into a stage report instead of crashing the process.
@@ -100,9 +100,8 @@ type Budgets struct {
 	// FVMineStates caps FVMine recursion states.
 	FVMineStates int64
 	// MinerSteps caps frequent-subgraph mining work: gSpan search states
-	// plus FSG candidates (and LEAP scoring steps), including the
-	// isomorphism checks the miners run internally for support counting
-	// and maximality filtering.
+	// plus FSG candidates and embeddings (and LEAP scoring steps,
+	// including the isomorphism checks LEAP runs for support counting).
 	MinerSteps int64
 	// VF2Nodes caps isomorphism search-tree nodes spent on graph-space
 	// support verification and query-time search. Mining-internal
@@ -115,9 +114,6 @@ type Budgets struct {
 // Options configures a Controller. The zero value is a controller with
 // no constraints (useful as a pure degradation collector).
 type Options struct {
-	// Context cancels the run when done (nil = context.Background()).
-	//graphsiglint:ignore ctxfirst Options is the construction boundary; New consumes the field immediately
-	Context context.Context
 	// Deadline aborts the run when passed (zero = none).
 	Deadline time.Time
 	// Budgets bounds per-stage work (zero fields = unbounded).
@@ -237,8 +233,6 @@ func (d Degradation) String() string {
 // New and derive one Checkpoint per goroutine per stage. A nil
 // *Controller is valid and never stops anything.
 type Controller struct {
-	//graphsiglint:ignore ctxfirst the Controller IS the run's cancellation carrier; checkpoints poll this ctx
-	ctx      context.Context
 	deadline time.Time
 	budgets  Budgets
 	interval int64
@@ -259,16 +253,11 @@ type Controller struct {
 
 // New returns a Controller for opt.
 func New(opt Options) *Controller {
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	interval := int64(opt.CheckInterval)
 	if interval <= 0 {
 		interval = DefaultCheckInterval
 	}
 	return &Controller{
-		ctx:      ctx,
 		deadline: opt.Deadline,
 		budgets:  opt.Budgets,
 		interval: interval,
@@ -341,10 +330,10 @@ func (c *Controller) fail(stage Stage, reason Reason, detail string) *StopError 
 
 // Cancel administratively stops the run: the next consultation of
 // every live checkpoint returns a cancel StopError, and the pipeline
-// unwinds into its partial result. Unlike context cancellation this
-// needs no context plumbed at construction time, so owners that decide
-// to cancel after the fact (job orchestration, admin endpoints) can.
-// The first stop cause wins; Cancel after another stop is a no-op.
+// unwinds into its partial result. Owners that decide to cancel after
+// the fact (job orchestration, admin endpoints, a request's context
+// watched by its handler) call it. The first stop cause wins; Cancel
+// after another stop is a no-op.
 func (c *Controller) Cancel(detail string) {
 	if c == nil {
 		return
@@ -471,7 +460,7 @@ func (c *Controller) budgetFor(stage Stage) (*atomic.Int64, int64) {
 }
 
 // Checkpoint derives a stepper for one goroutine working one stage.
-// Checkpoints from the same controller share the deadline, context,
+// Checkpoints from the same controller share the stop cause, deadline
 // and stage budgets, but each keeps its own local step counter — do
 // not share one Checkpoint across goroutines.
 func (c *Controller) Checkpoint(stage Stage) *Checkpoint {
@@ -532,7 +521,7 @@ func (cp *Checkpoint) Metrics() *obs.Registry {
 }
 
 // sync flushes pending steps into the shared stage counter and checks
-// hook, context, deadline, and budget, in that order.
+// hook, deadline, and budget, in that order.
 func (cp *Checkpoint) sync() error {
 	c := cp.ctl
 	if e := c.cause.Load(); e != nil {
@@ -541,15 +530,6 @@ func (cp *Checkpoint) sync() error {
 	n := c.checks.Add(1)
 	if c.hook != nil && c.hook(n) {
 		return c.fail(cp.stage, ReasonCancel, fmt.Sprintf("fault hook tripped at checkpoint %d", n))
-	}
-	select {
-	case <-c.ctx.Done():
-		reason := ReasonCancel
-		if c.ctx.Err() == context.DeadlineExceeded {
-			reason = ReasonDeadline
-		}
-		return c.fail(cp.stage, reason, c.ctx.Err().Error())
-	default:
 	}
 	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
 		return c.fail(cp.stage, ReasonDeadline, "")

@@ -1,7 +1,6 @@
 package runctl
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -43,14 +42,13 @@ func TestDeadlineAmortization(t *testing.T) {
 	}
 }
 
-func TestContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	c := New(Options{Context: ctx})
+func TestCancelIsSticky(t *testing.T) {
+	c := New(Options{})
 	cp := c.Checkpoint(StageVF2)
 	if err := cp.Force(); err != nil {
 		t.Fatalf("premature stop: %v", err)
 	}
-	cancel()
+	c.Cancel("stop")
 	err := cp.Force()
 	se, ok := AsStop(err)
 	if !ok || se.Reason != ReasonCancel {
@@ -63,10 +61,8 @@ func TestContextCancel(t *testing.T) {
 	}
 }
 
-func TestContextDeadlineMapsToDeadlineReason(t *testing.T) {
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	c := New(Options{Context: ctx})
+func TestPastDeadlineMapsToDeadlineReason(t *testing.T) {
+	c := New(Options{Deadline: time.Now().Add(-time.Second)})
 	err := c.Checkpoint(StageLEAP).Force()
 	se, ok := AsStop(err)
 	if !ok || se.Reason != ReasonDeadline {
@@ -211,8 +207,7 @@ func TestReportComplete(t *testing.T) {
 // TestConcurrentCheckpoints exercises the shared state under the race
 // detector: many goroutines, one controller, one budget pool.
 func TestConcurrentCheckpoints(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	c := New(Options{Context: ctx, Budgets: Budgets{MinerSteps: 50000}, CheckInterval: 8})
+	c := New(Options{Budgets: Budgets{MinerSteps: 50000}, CheckInterval: 8})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -227,7 +222,7 @@ func TestConcurrentCheckpoints(t *testing.T) {
 		}(w)
 	}
 	time.Sleep(time.Millisecond)
-	cancel()
+	c.Cancel("concurrent")
 	c.Recovered(StageGSpan, "concurrent", "fake panic")
 	wg.Wait()
 	d := c.Report()
