@@ -27,7 +27,8 @@ lint:
 
 # Native fuzz harnesses on a short fixed budget: graph text codec
 # round-trip, the CSR-vs-reference representation differentials (build/
-# codec round-trip and VF2 verdict/count/order agreement), DFS-code
+# codec round-trip and VF2 verdict/count/order agreement), the miners'
+# extension-key index against a map (resets and stamp wraps), DFS-code
 # minimality under node relabeling and edge-order mutation, the SMILES
 # parser, the store's two untrusted-input decoders (segment binary
 # format, with the reader's frame index and one-frame decodes checked
@@ -51,6 +52,7 @@ fuzz:
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzReadDB               -fuzztime=2000x
 	go test ./internal/graph    -run='^$$' -fuzz=FuzzCSRRoundTrip         -fuzztime=500x
 	go test ./internal/isomorph -run='^$$' -fuzz=FuzzVF2Differential      -fuzztime=2000x
+	go test ./internal/isomorph -run='^$$' -fuzz=FuzzKeyIndex             -fuzztime=2000x
 	go test ./internal/dfscode  -run='^$$' -fuzz=FuzzCanonicalInvariance  -fuzztime=500x
 	go test ./internal/dfscode  -run='^$$' -fuzz=FuzzMinCodeEdgeOrder     -fuzztime=500x
 	go test ./internal/gspan    -run='^$$' -fuzz=FuzzClosedEquivalence    -fuzztime=500x

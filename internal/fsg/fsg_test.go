@@ -43,6 +43,106 @@ func TestFrequentEdgesLevel(t *testing.T) {
 	}
 }
 
+// mapFrequentEdges is level 1 the way the miner used to build it, kept
+// as the oracle for frequentEdges: a map from label triple to its TID
+// list and embedding count, sorted triples, then a second pass over the
+// edges filling the embedding lists.
+func mapFrequentEdges(db []*graph.Graph, minSup int) []row {
+	type edgeStat struct {
+		tids []int
+		embs int
+		row  int
+	}
+	byKey := map[[3]graph.Label]*edgeStat{}
+	for gid, g := range db {
+		for _, e := range g.Edges() {
+			lu, lv := g.NodeLabel(e.From), g.NodeLabel(e.To)
+			key := [3]graph.Label{min(lu, lv), e.Label, max(lu, lv)}
+			st, ok := byKey[key]
+			if !ok {
+				st = &edgeStat{row: -1}
+				byKey[key] = st
+			}
+			st.embs++
+			if lu == lv {
+				st.embs++
+			}
+			if n := len(st.tids); n == 0 || st.tids[n-1] != gid {
+				st.tids = append(st.tids, gid)
+			}
+		}
+	}
+	var keys [][3]graph.Label
+	for k, st := range byKey {
+		if len(st.tids) >= minSup {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b [3]graph.Label) int { return slices.Compare(a[:], b[:]) })
+	var arena intArena
+	level := make([]row, len(keys))
+	for i, k := range keys {
+		st := byKey[k]
+		st.row = i
+		last := dfscode.EdgeCode{I: 0, J: 1, LI: k[0], LE: k[1], LJ: k[2]}
+		level[i] = newRow(&arena, -1, last, st.tids, 2, st.embs)
+	}
+	for gid, g := range db {
+		for _, e := range g.Edges() {
+			lu, lv := g.NodeLabel(e.From), g.NodeLabel(e.To)
+			a, b := min(lu, lv), max(lu, lv)
+			st := byKey[[3]graph.Label{a, e.Label, b}]
+			if st.row < 0 {
+				continue
+			}
+			el := &level[st.row].embs
+			if lu == a && lv == b {
+				el.gids = append(el.gids, gid)
+				el.flat = append(el.flat, e.From, e.To)
+			}
+			if lv == a && lu == b {
+				el.gids = append(el.gids, gid)
+				el.flat = append(el.flat, e.To, e.From)
+			}
+		}
+	}
+	return level
+}
+
+// TestFrequentEdgesMatchMapVersion checks the sorted-record level 1
+// against mapFrequentEdges on random databases, narrow and wide label
+// alphabets, at several supports, on one reused grower: the same rows
+// in (a, e, b) order with the same TID lists and the same embedding
+// lists in the same order.
+func TestFrequentEdgesMatchMapVersion(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	gr := growerPool.New().(*grower)
+	for trial := 0; trial < 200; trial++ {
+		var db []*graph.Graph
+		if trial%4 == 3 {
+			db = wideDB(r, 1+r.Intn(8))
+		} else {
+			db = randDB(r, 1+r.Intn(8), 2+r.Intn(9), 1+r.Intn(3), 1+r.Intn(3))
+		}
+		minSup := 1 + r.Intn(len(db))
+		want := mapFrequentEdges(db, minSup)
+		gr.db, gr.opt = db, Options{MinSupport: minSup}
+		gr.frequentEdges()
+		got := gr.levels[0]
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d level-1 rows, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.parent != w.parent || g.last != w.last || !slices.Equal(g.tids, w.tids) ||
+				g.embs.stride != w.embs.stride || !slices.Equal(g.embs.gids, w.embs.gids) || !slices.Equal(g.embs.flat, w.embs.flat) {
+				t.Fatalf("trial %d row %d: got %+v, want %+v", trial, i, g, w)
+			}
+		}
+		gr.release()
+	}
+}
+
 func TestMineGrowsLevels(t *testing.T) {
 	path := build([]graph.Label{1, 2, 3}, [][3]int{{0, 1, 0}, {1, 2, 0}})
 	db := []*graph.Graph{path, path.Clone(), path.Clone()}
@@ -223,19 +323,71 @@ func TestPooledGrowerKeepsNothing(t *testing.T) {
 	if gr.db != nil || gr.opt != (Options{}) || gr.cp != nil || gr.cpEmb != nil || gr.minChecks != nil {
 		t.Fatalf("released grower holds its inputs: db %v, opt %+v, checkpoints %v %v, counter %v", gr.db, gr.opt, gr.cp, gr.cpEmb, gr.minChecks)
 	}
-	if len(gr.levels) != 0 || len(gr.keyIdx) != 0 || len(gr.keys) != 0 || len(gr.gens) != 0 {
-		t.Fatalf("released grower holds %d levels, %d indexed keys, %d keys, %d generators", len(gr.levels), len(gr.keyIdx), len(gr.keys), len(gr.gens))
+	if len(gr.levels) != 0 || gr.keyIdx.Len() != 0 || len(gr.keys) != 0 || len(gr.gens) != 0 {
+		t.Fatalf("released grower holds %d levels, %d indexed keys, %d keys, %d generators", len(gr.levels), gr.keyIdx.Len(), len(gr.keys), len(gr.gens))
 	}
-	for d, lv := range gr.levels[:cap(gr.levels)] {
-		for i, r := range lv[:cap(lv)] {
-			if r.tids != nil || r.embs.gids != nil || r.embs.flat != nil {
-				t.Fatalf("released grower's level %d row %d still holds lists", d+1, i)
-			}
-		}
-	}
+	requireZeroRows(t, gr, "after the second mine")
 	for i, p := range first.Patterns {
 		if got := fsgSig(p); got != want[i] {
 			t.Fatalf("pattern %d of the first mine changed after the second: %s, was %s", i, got, want[i])
+		}
+	}
+}
+
+// requireZeroRows fails unless every row of every level the grower has
+// ever held, up to each level's capacity, is the zero row.
+func requireZeroRows(t *testing.T, gr *grower, when string) {
+	t.Helper()
+	for d, lv := range gr.levels[:cap(gr.levels)] {
+		for i, r := range lv[:cap(lv)] {
+			if r.parent != 0 || r.last != (dfscode.EdgeCode{}) || r.tids != nil || r.embs.stride != 0 || r.embs.gids != nil || r.embs.flat != nil {
+				t.Fatalf("%s: level %d row %d of %d is not zero: %+v", when, d+1, i, cap(lv), r)
+			}
+		}
+	}
+}
+
+// TestPooledGrowerLargeThenSmall runs a large mine and then a small one
+// on one grower. Release clears each level only up to its length, so
+// this checks that a mine leaves no row past that length: after each
+// release every row up to each level's capacity is zero. The small
+// mine must also answer exactly as on a fresh grower.
+func TestPooledGrowerLargeThenSmall(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	large, small := randDB(r, 12, 10, 2, 2), randDB(r, 4, 5, 2, 2)
+	for _, closed := range []bool{false, true} {
+		opt := Options{MinSupport: 2, ClosedOnly: closed, Ctl: runctl.New(runctl.Options{})}
+		gr := growerPool.New().(*grower)
+		big := gr.mine(large, opt)
+		gr.release()
+		requireZeroRows(t, gr, "after the large mine")
+		got := gr.mine(small, opt)
+		gr.release()
+		requireZeroRows(t, gr, "after the small mine")
+
+		fresh := growerPool.New().(*grower)
+		want := fresh.mine(small, opt)
+		fresh.release()
+		if len(big.Levels) <= len(want.Levels) || len(big.Patterns) <= len(want.Patterns) {
+			t.Fatalf("closed %v: large mine (%d levels, %d patterns) is not larger than the small one (%d, %d)",
+				closed, len(big.Levels), len(big.Patterns), len(want.Levels), len(want.Patterns))
+		}
+		if !slices.Equal(got.Levels, want.Levels) || got.CandidatesGenerated != want.CandidatesGenerated {
+			t.Fatalf("closed %v: reused grower levels %v, %d candidates; fresh %v, %d",
+				closed, got.Levels, got.CandidatesGenerated, want.Levels, want.CandidatesGenerated)
+		}
+		for _, l := range []struct {
+			what      string
+			got, want []dfscode.Pattern
+		}{{"patterns", got.Patterns, want.Patterns}, {"maximal", got.Maximal, want.Maximal}} {
+			if len(l.got) != len(l.want) {
+				t.Fatalf("closed %v: reused grower has %d %s, fresh %d", closed, len(l.got), l.what, len(l.want))
+			}
+			for i := range l.want {
+				if g, w := fsgSig(l.got[i]), fsgSig(l.want[i]); g != w {
+					t.Fatalf("closed %v: %s %d on the reused grower %s, fresh %s", closed, l.what, i, g, w)
+				}
+			}
 		}
 	}
 }

@@ -179,6 +179,13 @@ func dbFromBytes(data []byte) []*graph.Graph {
 func FuzzClosedEquivalence(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 0, 2, 4, 5, 1, 9, 3, 0, 1, 2, 7, 7})
 	f.Add([]byte{0, 4, 0, 0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	// Three 5-node paths at MinSupport 2, the third with a foreign label
+	// in the middle: the first two share a frequent 4-edge path, so the
+	// closed-only mine reaches the MaxEdges cap from this first input.
+	path := []byte{3, 0, 0, 0, 0, 0, 3, 10, 0, 16, 0, 27, 0, 33, 0}
+	broken := slices.Clone(path)
+	broken[3] = 1
+	f.Add(slices.Concat([]byte{1}, path, path, broken))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := dbFromBytes(data)
 		if db == nil {

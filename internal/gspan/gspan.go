@@ -157,6 +157,7 @@ func (st *embeddingState) hostIndex(host int) int {
 // ordinal dedups multiple realizations of the same key inside one
 // embedding (e.g. two same-labeled pendant neighbors).
 type occAcc struct {
+	k                   isomorph.ExtKey
 	lastGid, gidCount   int
 	lastProj, projCount int
 }
@@ -172,9 +173,11 @@ type miner struct {
 	stopWhy  runctl.Reason
 
 	// Closed-only mode scratch, reused across grow() calls: per-key
-	// occurrence accounting and the host-node -> pattern-index inverse
-	// map for CSR-row extension walks.
-	extAcc       map[isomorph.ExtKey]occAcc
+	// occurrence accounting, extAcc[i] for the key keyIdx numbers i, and
+	// the host-node -> pattern-index inverse map for CSR-row extension
+	// walks.
+	keyIdx       isomorph.KeyIndex
+	extAcc       []occAcc
 	inv          []int32
 	closedPrunes *obs.Counter
 	equivHits    *obs.Counter
@@ -330,11 +333,8 @@ func (m *miner) grow(code dfscode.Code, projs []*projection) {
 	rmv := rmPath[len(rmPath)-1]
 
 	if doClosure {
-		if m.extAcc == nil {
-			m.extAcc = make(map[isomorph.ExtKey]occAcc)
-		} else {
-			clear(m.extAcc)
-		}
+		m.keyIdx.Reset()
+		m.extAcc = m.extAcc[:0]
 	}
 
 	// Collect extensions: code entry -> projections realizing it.
@@ -429,11 +429,12 @@ func (m *miner) accountOccurrences(gc graph.CSRView, code dfscode.Code, st *embe
 	}
 	inv := m.inv[:len(gc.NodeLabels)]
 	isomorph.ForEachExtension(gc, st.nodes, inv, code.HasEdge, func(k isomorph.ExtKey, _ int32) {
-		a, ok := m.extAcc[k]
-		if !ok {
-			m.extAcc[k] = occAcc{lastGid: gid, gidCount: 1, lastProj: pi, projCount: 1}
+		i, added := m.keyIdx.Index(k)
+		if added {
+			m.extAcc = append(m.extAcc, occAcc{k: k, lastGid: gid, gidCount: 1, lastProj: pi, projCount: 1})
 			return
 		}
+		a := &m.extAcc[i]
 		if a.lastGid != gid {
 			a.lastGid = gid
 			a.gidCount++
@@ -442,7 +443,6 @@ func (m *miner) accountOccurrences(gc graph.CSRView, code dfscode.Code, st *embe
 			a.lastProj = pi
 			a.projCount++
 		}
-		m.extAcc[k] = a
 	})
 }
 
@@ -457,12 +457,12 @@ func (m *miner) accountOccurrences(gc graph.CSRView, code dfscode.Code, st *embe
 // realized on the pattern's embeddings, hence one of its keys. prune
 // reports an equivalent occurrence justifying subtree termination: an
 // internal key realized by every projection whose endpoints both avoid
-// the rightmost vertex, sound only without a MaxEdges cap. All three
-// predicates are existential or their negations, so the random map
-// order cannot change the outcome.
+// the rightmost vertex, sound only without a MaxEdges cap. The keys are
+// walked in first-seen order; all three predicates are existential or
+// their negations, so no order could change the outcome.
 func (m *miner) closureDecide(support, numProjs, rmv int) (closed, maximal, prune bool) {
 	closed, maximal = true, true
-	for k, a := range m.extAcc {
+	for _, a := range m.extAcc {
 		if a.gidCount < m.opt.MinSupport {
 			continue
 		}
@@ -471,7 +471,7 @@ func (m *miner) closureDecide(support, numProjs, rmv int) (closed, maximal, prun
 			continue
 		}
 		closed = false
-		if m.opt.MaxEdges == 0 && k.Internal() &&
+		if k := a.k; m.opt.MaxEdges == 0 && k.Internal() &&
 			int(k.From) != rmv && int(k.To) != rmv && a.projCount == numProjs {
 			return false, false, true
 		}
