@@ -36,7 +36,10 @@ lint:
 # (threshold and top-k) against a brute-force enumeration of closed
 # vectors, on groups of up to 12
 # vectors (one bitset word) and of 65 to 400 (several words, with the
-# list scan of small sets), FSG (full, closed-only, and the in-miner
+# list scan of small sets), the significance bounds that decide a
+# p-value comparison without the binomial tail against the tail itself
+# on grids around the mean and the Chernoff boundary
+# (FuzzSignificanceBounds), FSG (full, closed-only, and the in-miner
 # maximal list) against a brute-force enumeration of connected edge
 # subsets with VF2 support counts (FuzzFSGOracle), gSpan's closed-only
 # patterns and in-miner maximal list against brute-force VF2 closure
@@ -61,6 +64,7 @@ fuzz:
 	go test ./internal/store    -run='^$$' -fuzz=FuzzManifestJSON         -fuzztime=500x
 	go test ./internal/fvmine   -run='^$$' -fuzz='^FuzzFVMineOracle$$'    -fuzztime=2000x
 	go test ./internal/fvmine   -run='^$$' -fuzz=FuzzFVMineOracleWide     -fuzztime=1000x
+	go test ./internal/sigmodel -run='^$$' -fuzz=FuzzSignificanceBounds   -fuzztime=2000x
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzFSGOracle            -fuzztime=1000x
 	go test ./internal/fsg      -run='^$$' -fuzz=FuzzTraceMinimal         -fuzztime=1000x
 	go test ./internal/rwr      -run='^$$' -fuzz=FuzzRWRCertificate       -fuzztime=2000x
@@ -105,11 +109,11 @@ bench-json:
 
 # Same workload as bench-json, gated: fails when a fresh median run is
 # more than 2x slower — or a run allocates more than 2x as much, or makes
-# more than 2x the FSG minimality checks or RWR power iterations — than
-# in the committed baseline, when its pattern count or window-cache hits
-# or misses per run differ from the baseline's, or when it runs under a
-# different key (dataset, graphs, radius, parallelism, verify) than the
-# baseline's. CI runs this
+# more than 2x the FSG minimality checks, RWR power iterations or FVMine
+# binomial-tail evaluations — than in the committed baseline, when its
+# pattern count or window-cache hits or misses per run differ from the
+# baseline's, or when it runs under a different key (dataset, graphs,
+# radius, parallelism, verify) than the baseline's. CI runs this
 # blocking; refresh the baseline with `make bench-json` after
 # intentional performance changes.
 bench-smoke:

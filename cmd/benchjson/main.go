@@ -74,11 +74,12 @@ type benchJSON struct {
 	// FSGMinChecks counts FSG Phase-2 minimality checks, one per frequent
 	// extension key that is a rightmost-path extension of its parent's
 	// code. RWRIterations counts RWR power iterations, one per source per
-	// iteration.
+	// iteration. FVMineTails counts the binomial tails FVMine evaluated.
 	ClosedPrunes  int64                `json:"closedPrunes"`
 	EquivOccHits  int64                `json:"equivOccurrenceHits"`
 	FSGMinChecks  int64                `json:"fsgMinChecks"`
 	RWRIterations int64                `json:"rwrIterations"`
+	FVMineTails   int64                `json:"fvmineTails"`
 	Stages        map[string]stageJSON `json:"stages"`
 	StageOrder    []string             `json:"stageOrder"`
 	GeneratedUnix int64                `json:"generatedUnix"`
@@ -95,7 +96,7 @@ func main() {
 	verify := flag.Bool("verify", false, "include graph-space support verification")
 	out := flag.String("out", "BENCH_graphsig.json", "output file (- for stdout)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to compare against (empty = no comparison)")
-	maxRegression := flag.Float64("max-regression", 2.0, "fail when the median run time, allocations, FSG minimality checks or RWR iterations exceed this multiple of the baseline")
+	maxRegression := flag.Float64("max-regression", 2.0, "fail when the median run time, allocations, FSG minimality checks, RWR iterations or FVMine tails exceed this multiple of the baseline")
 	flag.Parse()
 	if *runs < 1 {
 		log.Fatal("-runs must be at least 1")
@@ -158,6 +159,7 @@ func main() {
 		EquivOccHits:  sumLabel(snap, obs.MEquivOccurrences, "miner"),
 		FSGMinChecks:  snap.CounterValue(obs.MFSGMinChecks, "miner", "fsg"),
 		RWRIterations: snap.CounterValue(obs.MRWRIterations),
+		FVMineTails:   snap.CounterValue(obs.MFVMineTails),
 		Stages:        map[string]stageJSON{},
 		StageOrder:    snap.LabelValues(obs.MStageStarted, "stage"),
 		GeneratedUnix: t0.Unix(),
@@ -220,12 +222,12 @@ func sumLabel(snap obs.Snapshot, name, label string) int64 {
 }
 
 // checkRegression exits non-zero when the fresh run's median run time,
-// allocations, FSG minimality checks or RWR iterations exceed
-// maxRegression × the committed baseline's, when its pattern count or
-// window-cache hits or misses differ from the baseline's, or when it was
-// run under a different key (workload shape, parallelism or
-// verification). Per-run figures are compared so -runs need not match
-// the baseline's.
+// allocations, FSG minimality checks, RWR iterations or FVMine binomial
+// tails exceed maxRegression × the committed baseline's, when its
+// pattern count or window-cache hits or misses differ from the
+// baseline's, or when it was run under a different key (workload shape,
+// parallelism or verification). Per-run figures are compared so -runs
+// need not match the baseline's.
 func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -244,8 +246,8 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	// Every gated figure must be in the baseline: one that lacks a field
 	// would otherwise pass its check by default.
 	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 || base.RWRIterations <= 0 ||
-		base.Patterns <= 0 || base.WindowHits <= 0 || base.WindowMisses <= 0 {
-		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun, fsgMinChecks, rwrIterations, patterns, windowCacheHits or windowCacheMisses; re-record it with make bench-json", path)
+		base.FVMineTails <= 0 || base.Patterns <= 0 || base.WindowHits <= 0 || base.WindowMisses <= 0 {
+		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun, fsgMinChecks, rwrIterations, fvmineTails, patterns, windowCacheHits or windowCacheMisses; re-record it with make bench-json", path)
 	}
 	// At a fixed key the answer is deterministic: another pattern count,
 	// or another number of window reads per run, means the mine computes
@@ -259,11 +261,13 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	// Each gate compares a per-run figure with the baseline's at the same
 	// multiple: wall time, allocation churn, FSG's Phase-2 work (a rise
 	// in minimality checks means candidates are being reached from more
-	// than their canonical parent) and RWR's (a rise in power iterations
+	// than their canonical parent), RWR's (a rise in power iterations
 	// means sources stopped certifying their vectors early and ran on
-	// towards the tolerance).
+	// towards the tolerance) and FVMine's (a rise in binomial tails means
+	// the significance bounds stopped deciding comparisons).
 	freshChecks, baseChecks := float64(fresh.FSGMinChecks)/float64(fresh.Runs), float64(base.FSGMinChecks)/float64(base.Runs)
 	freshIters, baseIters := float64(fresh.RWRIterations)/float64(fresh.Runs), float64(base.RWRIterations)/float64(base.Runs)
+	freshTails, baseTails := float64(fresh.FVMineTails)/float64(fresh.Runs), float64(base.FVMineTails)/float64(base.Runs)
 	gates := []struct {
 		name        string // the regression a failure names
 		fresh, base float64
@@ -278,6 +282,8 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 		{"RWR iteration", freshIters, baseIters,
 			fmt.Sprintf("%.0f RWR iterations/run vs baseline %.0f (%.1f per source; ",
 				freshIters, baseIters, float64(fresh.RWRIterations)/float64(fresh.Stages["rwr"].Units))},
+		{"FVMine tail", freshTails, baseTails,
+			fmt.Sprintf("%.0f FVMine binomial tails/run vs baseline %.0f (", freshTails, baseTails)},
 	}
 	for _, g := range gates {
 		ratio := g.fresh / g.base

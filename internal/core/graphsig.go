@@ -351,13 +351,23 @@ func significantVectorGroups(vectors []rwr.NodeVector, cfg Config, ctl *runctl.C
 	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
 
 	// Label groups are independent: mine them in parallel, then assemble
-	// in sorted label order so the output stays deterministic. A panic
-	// in one label's mine degrades only that label's group (recorded on
-	// the controller); the rest of the mine proceeds.
+	// in sorted label order so the output stays deterministic. A worker
+	// with no label group left helps the threshold searches still
+	// running by taking their subtrees (fvmine.Team); the answer is the
+	// serial one. A panic in one label's mine, or in a subtree of it,
+	// degrades only that label's group (recorded on the controller); the
+	// rest of the mine proceeds.
+	var team *fvmine.Team
+	helpers := 0
+	if cfg.TopKPerLabel <= 0 {
+		team, helpers = fvmine.NewTeam(len(labels)), cfg.Parallelism
+	}
+	tails := ctl.Metrics().Counter(obs.MFVMineTails)
 	perLabel := make([][]VectorGroup, len(labels))
 	var statesMined, labelsTrunc atomic.Int64
 	mineLabel := func(li int) {
 		label := labels[li]
+		defer team.Done()
 		defer func() {
 			if r := recover(); r != nil {
 				ctl.Recovered(runctl.StageFVMine, fmt.Sprintf("label %d group worker", label), r)
@@ -373,7 +383,7 @@ func significantVectorGroups(vectors []rwr.NodeVector, cfg Config, ctl *runctl.C
 		if cfg.TopKPerLabel > 0 {
 			sig = fvmine.MineTopK(vecs, cfg.TopKPerLabel, minSup, globalModel, ctl)
 		} else {
-			mres := fvmine.Mine(vecs, fvmine.Options{
+			mres := team.Mine(vecs, fvmine.Options{
 				MinSupport:    minSup,
 				MaxPvalue:     cfg.MaxPvalue,
 				Model:         globalModel,
@@ -381,6 +391,7 @@ func significantVectorGroups(vectors []rwr.NodeVector, cfg Config, ctl *runctl.C
 				Ctl:           ctl,
 			})
 			statesMined.Add(int64(mres.StatesExplored))
+			tails.Add(int64(mres.Tails))
 			if mres.Truncated {
 				labelsTrunc.Add(1)
 			}
@@ -400,9 +411,21 @@ func significantVectorGroups(vectors []rwr.NodeVector, cfg Config, ctl *runctl.C
 		}
 		perLabel[li] = out
 	}
-	started := ctl.FanOut(len(labels), cfg.Parallelism, func() func(int) bool {
-		return func(li int) bool { mineLabel(li); return true }
+	// The items past the labels are help loops. FanOut claims items in
+	// ascending order, so a help loop starts only once every label has
+	// been claimed, and it returns once each of them has called
+	// team.Done.
+	started := ctl.FanOut(len(labels)+helpers, cfg.Parallelism, func() func(int) bool {
+		return func(i int) bool {
+			if i < len(labels) {
+				mineLabel(i)
+			} else {
+				team.Help()
+			}
+			return true
+		}
 	})
+	started = min(started, len(labels))
 	var groups []VectorGroup
 	for li := range perLabel {
 		groups = append(groups, perLabel[li]...)

@@ -9,7 +9,9 @@
 // support (anti-monotone), duplicate states (a raised floor left of the
 // branch position means another branch owns the state), and the
 // ceiling-based p-value lower bound (the most significant any descendant
-// could be).
+// could be). Significance is decided by bounds where they settle it
+// (sigmodel.Model.Settle), and the searches of one worker pool hand
+// subtrees to idle workers (Team); neither changes the answer.
 package fvmine
 
 import (
@@ -67,45 +69,98 @@ type Result struct {
 	StopReason runctl.Reason
 	// StatesExplored counts recursion states, exposing pruning behavior.
 	StatesExplored int
-}
+	// Tails counts the binomial tails the search evaluated: the p-values
+	// of reported states and the comparisons with MaxPvalue that no
+	// bound of sigmodel.Model.Settle decided.
+	Tails int
 
-type miner struct {
-	opt     Options
-	logMaxP float64
-	out     []Significant
+	// gifts counts the subtrees given to idle helpers (Team.Mine).
+	gifts int
 }
 
 // Mine runs FVMine over vectors. All vectors must share one length.
 func Mine(vectors []feature.Vector, opt Options) Result {
-	if opt.MinSupport < 1 {
-		opt.MinSupport = 1
-	}
-	if len(vectors) == 0 || len(vectors) < opt.MinSupport {
-		return Result{}
-	}
-	model := opt.Model
-	if model == nil {
-		model = sigmodel.New(vectors)
-	}
-	m := &miner{opt: opt, logMaxP: math.Log(opt.MaxPvalue)}
-	s := newSearcher(vectors, model, opt.MinSupport, opt.Ctl.Checkpoint(runctl.StageFVMine))
-	// Un-amortized check up front so an already-expired deadline or
-	// canceled context truncates before any work.
-	if err := s.cp.Force(); err != nil {
-		return Result{Truncated: true, StopReason: runctl.ReasonOf(err)}
-	}
-	// Ceiling prune: if even the most significant descendant misses the
-	// threshold, the whole branch is fruitless.
-	s.run(m.visit, func(ceilLogP float64) bool { return ceilLogP > m.logMaxP })
-	return Result{Vectors: m.out, Truncated: s.stopped, StopReason: s.stopWhy, StatesExplored: s.states}
+	return (*Team)(nil).Mine(vectors, opt)
 }
 
-// visit is Algorithm 1 lines 1-2: report x when significant.
-func (m *miner) visit(f *frame, logP float64) {
-	if logP > m.logMaxP || (m.opt.SkipZeroFloor && f.floor.IsZero()) {
+// miner is one threshold search: a label group's own search, or a
+// subtree of it that an idle helper took (Team).
+type miner struct {
+	s        *searcher
+	logMaxP  float64
+	skipZero bool
+	out      []Significant
+	// holes are the subtrees given away, in search order; each one's
+	// output joins before out[at].
+	holes []hole
+	tails int
+}
+
+type hole struct {
+	at int
+	t  *subtree
+}
+
+func newMiner(s *searcher, opt Options) *miner {
+	m := &miner{s: s, logMaxP: math.Log(opt.MaxPvalue), skipZero: opt.SkipZeroFloor}
+	s.visit, s.fruitless, s.placed = m.visit, m.fruitless, m.place
+	return m
+}
+
+// visit is Algorithm 1 lines 1-2: report x when significant. The
+// p-value is evaluated only for a state a bound did not already show
+// insignificant.
+func (m *miner) visit(f *frame) {
+	if m.skipZero && f.floor.IsZero() {
+		return
+	}
+	if above, decided := m.s.model.Settle(f.floor, f.size, m.logMaxP); decided && above {
+		return
+	}
+	m.tails++
+	logP := m.s.model.LogPValue(f.floor, f.size)
+	if logP > m.logMaxP {
 		return
 	}
 	m.out = append(m.out, newSignificant(f, logP))
+}
+
+// fruitless is the ceiling prune: if even the most significant
+// descendant, p-value(ceiling(S), |S|), misses the threshold, the whole
+// branch is.
+func (m *miner) fruitless(ceil feature.Vector, size int) bool {
+	if above, decided := m.s.model.Settle(ceil, size, m.logMaxP); decided {
+		return above
+	}
+	m.tails++
+	return m.s.model.LogPValue(ceil, size) > m.logMaxP
+}
+
+// place marks where a subtree given away joins this search's output.
+func (m *miner) place(t *subtree) {
+	m.holes = append(m.holes, hole{at: len(m.out), t: t})
+}
+
+// join appends the search's output to res in search order, with every
+// subtree it gave away joined in at its hole, and sums their states,
+// tails and truncation into res.
+func (m *miner) join(res *Result) {
+	res.StatesExplored += m.s.states
+	res.Tails += m.tails
+	if m.s.stopped {
+		res.Truncated = true
+		if res.StopReason == "" {
+			res.StopReason = m.s.stopWhy
+		}
+	}
+	prev := 0
+	for _, h := range m.holes {
+		res.Vectors = append(res.Vectors, m.out[prev:h.at]...)
+		prev = h.at
+		res.gifts++
+		h.t.m.join(res)
+	}
+	res.Vectors = append(res.Vectors, m.out[prev:]...)
 }
 
 // newSignificant copies out the state in f, expanding its supporting
@@ -130,6 +185,30 @@ func newSignificant(f *frame, logP float64) Significant {
 // ceiling into subset and disjointness tests that stop at the first
 // word deciding them.
 type searcher struct {
+	*kernel
+	cp *runctl.Checkpoint
+	// frames[d] holds the state at depth d. A depth's branches reuse
+	// frames[d+1] one after another; nothing outlives its branch unless
+	// visit copies it or it is given away.
+	frames []*frame
+
+	// visit sees every state; fruitless reports whether a branch whose
+	// supporting set has this ceiling and size can be skipped.
+	visit     func(f *frame)
+	fruitless func(ceil feature.Vector, size int) bool
+	// split, when non-nil, lets idle helpers of its team take this
+	// search's subtrees; placed marks where one given away joins the
+	// output.
+	split  *split
+	placed func(t *subtree)
+
+	states  int
+	stopped bool
+	stopWhy runctl.Reason
+}
+
+// kernel is a group's read-only search data, shared by its searchers.
+type kernel struct {
 	n     int // vectors in the group
 	words int // 64-bit words per supporting set
 	// cols[j][idx] = vectors[idx][j]: the column-major copy the bounds of
@@ -140,18 +219,6 @@ type searcher struct {
 	ge     [][][]uint64
 	model  *sigmodel.Model
 	minSup int
-	cp     *runctl.Checkpoint
-	// frames[d] holds the state at depth d. A depth's branches reuse
-	// frames[d+1] one after another; nothing outlives its branch unless
-	// visit copies it.
-	frames []*frame
-
-	visit     func(f *frame, logP float64)
-	fruitless func(ceilLogP float64) bool
-
-	states  int
-	stopped bool
-	stopWhy runctl.Reason
 }
 
 // frame is one search state's scratch: its supporting set and its size,
@@ -166,6 +233,30 @@ type frame struct {
 	idx         []int
 	floor, ceil feature.Vector
 	vary        []int
+
+	// While the search is below this state, pos is the index in vary of
+	// the branch it is in. Branches from pos+1 up to ahead were already
+	// refined to give one away (searcher.donate): gifts lists those
+	// given, ascending, and the rest were pruned.
+	pos, ahead int
+	gifts      []gift
+}
+
+// gift is a branch of a frame given away: its index in vary and the
+// subtree that searches it.
+type gift struct {
+	pos int
+	t   *subtree
+}
+
+func newFrame(dim, words int) *frame {
+	return &frame{
+		set:   make([]uint64, words),
+		idx:   make([]int, 0, words),
+		floor: make(feature.Vector, dim),
+		ceil:  make(feature.Vector, dim),
+		vary:  make([]int, 0, dim),
+	}
 }
 
 // indices returns the supporting set as ascending vector indices.
@@ -194,7 +285,7 @@ func newSearcher(vectors []feature.Vector, model *sigmodel.Model, minSup int, cp
 			}
 		}
 	}
-	s := &searcher{n: n, words: words, cols: make([][]uint8, dim), ge: make([][][]uint64, dim), model: model, minSup: minSup, cp: cp}
+	s := &searcher{kernel: &kernel{n: n, words: words, cols: make([][]uint8, dim), ge: make([][][]uint64, dim), model: model, minSup: minSup}, cp: cp}
 	root := s.frame(0)
 	total := 0
 	for j := range s.cols {
@@ -236,24 +327,15 @@ func newSearcher(vectors []feature.Vector, model *sigmodel.Model, minSup int, cp
 // frame returns the scratch of depth d, allocating it on first use.
 func (s *searcher) frame(d int) *frame {
 	for len(s.frames) <= d {
-		dim := len(s.cols)
-		s.frames = append(s.frames, &frame{
-			set:   make([]uint64, s.words),
-			idx:   make([]int, 0, s.words),
-			floor: make(feature.Vector, dim),
-			ceil:  make(feature.Vector, dim),
-			vary:  make([]int, 0, dim),
-		})
+		s.frames = append(s.frames, newFrame(len(s.cols), s.words))
 	}
 	return s.frames[d]
 }
 
-// run searches from the floor of the whole database. visit sees every
-// state's frame and log p-value; the frame is scratch, valid only
-// during the call. fruitless reports whether a branch whose ceiling has
-// the given log p-value can be skipped.
-func (s *searcher) run(visit func(f *frame, logP float64), fruitless func(ceilLogP float64) bool) {
-	s.visit, s.fruitless = visit, fruitless
+// run searches from the floor of the whole database with the searcher's
+// visit and fruitless; the frame visit sees is scratch, valid only
+// during the call.
+func (s *searcher) run() {
 	root := s.frame(0)
 	for w := range root.set {
 		root.set[w] = ^uint64(0)
@@ -373,50 +455,66 @@ func (s *searcher) bounds(child, parent *frame, i int) bool {
 }
 
 // search is FVMine(x, S, b) on the state in frames[d]: x is its closed
-// vector, S its supporting set, b the first feature position to branch on.
+// vector, S its supporting set, b the first feature position to branch
+// on. While a helper of the search's team waits, a branch that survives
+// the prunes is given to it (donate) instead of searched here.
 func (s *searcher) search(d, b int) {
 	if s.stopped {
 		return
 	}
 	s.states++
 	if err := s.cp.Step(); err != nil {
-		s.stopped = true
-		if se, ok := runctl.AsStop(err); ok {
-			s.stopWhy = se.Reason
-		}
+		s.stop(err)
 		return
 	}
 	f := s.frame(d)
-	x := f.floor
-	s.visit(f, s.model.LogPValue(x, f.size))
+	s.visit(f)
+	f.ahead, f.gifts = 0, f.gifts[:0]
+	next := 0 // the next of f.gifts to place
 	// Lines 3-12: branch on each feature position from b. Where x_i is
 	// the ceiling no y exceeds it, so only varying features can branch.
 	child := s.frame(d + 1)
-	for _, i := range f.vary {
-		if i < b {
-			continue
-		}
-		// S' = {y in S : y_i > x_i}.
-		child.size = and(child.set, f.set, s.ge[i][x[i]+1])
-		child.idx = child.idx[:0]
-		if child.size < s.minSup {
-			continue
-		}
-		// Duplicate state: the refined floor raised a feature left of i,
-		// so the state is owned by an earlier branch.
-		if !s.bounds(child, f, i) {
-			continue
-		}
-		// Ceiling prune: the most significant any descendant can get is
-		// p-value(ceiling(S'), |S'|).
-		if s.fruitless(s.model.LogPValue(child.ceil, child.size)) {
-			continue
-		}
-		s.search(d+1, i)
-		if s.stopped {
-			return
+	for f.pos = 0; f.pos < len(f.vary); f.pos++ {
+		i := f.vary[f.pos]
+		switch {
+		case i < b:
+		case next < len(f.gifts) && f.gifts[next].pos == f.pos:
+			s.placed(f.gifts[next].t)
+			next++
+		case f.pos < f.ahead || !s.branch(child, f, i):
+		case s.split != nil && s.split.team.want.Load() > 0 && s.donate(d, child, i):
+			child = s.frames[d+1]
+		default:
+			s.search(d+1, i)
+			if s.stopped {
+				// The branches given away still join, after this one.
+				for _, g := range f.gifts[next:] {
+					s.placed(g.t)
+				}
+				return
+			}
 		}
 	}
+}
+
+// stop records why the search was cut short.
+func (s *searcher) stop(err error) {
+	s.stopped = true
+	if se, ok := runctl.AsStop(err); ok {
+		s.stopWhy = se.Reason
+	}
+}
+
+// branch refines the state in f on position i into child, S' = {y in S :
+// y_i > x_i}, and reports whether child survives the prunes.
+func (s *searcher) branch(child, f *frame, i int) bool {
+	child.size = and(child.set, f.set, s.ge[i][f.floor[i]+1])
+	child.idx = child.idx[:0]
+	// Support; then the duplicate state: the refined floor raised a
+	// feature left of i, so the state is owned by an earlier branch; then
+	// the ceiling prune: the most significant any descendant can get is
+	// p-value(ceiling(S'), |S'|).
+	return child.size >= s.minSup && s.bounds(child, f, i) && !s.fruitless(child.ceil, child.size)
 }
 
 // SortBySignificance orders significant vectors most significant first

@@ -103,6 +103,30 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestKernelMatchesReferenceAcrossThresholds runs Mine and the
+// reference kernel, which evaluates every p-value it compares, on every
+// MOLT-4 x60 label group at thresholds on both sides of the ½ guard of
+// the left-of-mean bound (0.49, 0.5, 0.9) and one that leaves most
+// ceilings to the Chernoff bound (1e-6). Both must return the same
+// vectors, supporting sets and p-value bits after the same states.
+func TestKernelMatchesReferenceAcrossThresholds(t *testing.T) {
+	groups, model := molt4Groups(60)
+	for _, maxP := range []float64{1e-6, 0.49, 0.5, 0.9} {
+		for gi, vecs := range groups {
+			opt := coreOptions(len(vecs), model)
+			opt.MaxPvalue = maxP
+			got, want := Mine(vecs, opt), refMine(vecs, opt)
+			if got.StatesExplored != want.StatesExplored {
+				t.Errorf("maxP %g, group %d (%d vectors): Mine explored %d states; reference %d",
+					maxP, gi, len(vecs), got.StatesExplored, want.StatesExplored)
+			}
+			if err := sameSignificant(got.Vectors, want.Vectors); err != nil {
+				t.Errorf("maxP %g, group %d (%d vectors): %v", maxP, gi, len(vecs), err)
+			}
+		}
+	}
+}
+
 var benchStates int
 
 // BenchmarkMineLargestGroup times Mine on the largest label group of

@@ -36,10 +36,12 @@ func mineTopK(vectors []feature.Vector, k int, minSupport int, model *sigmodel.M
 	if model == nil {
 		model = sigmodel.New(vectors)
 	}
-	m := &topKMiner{k: k}
+	m := &topKMiner{k: k, model: model}
 	s := newSearcher(vectors, model, minSupport, ctl.Checkpoint(runctl.StageFVMine))
 	// Tightening prune: the most significant any descendant can be.
-	s.run(m.visit, func(ceilLogP float64) bool { return ceilLogP >= m.bound() })
+	s.visit = m.visit
+	s.fruitless = func(ceil feature.Vector, size int) bool { return model.LogPValue(ceil, size) >= m.bound() }
+	s.run()
 
 	out := make([]Significant, len(m.best))
 	for i := len(m.best) - 1; i >= 0; i-- {
@@ -49,7 +51,8 @@ func mineTopK(vectors []feature.Vector, k int, minSupport int, model *sigmodel.M
 }
 
 type topKMiner struct {
-	k int
+	k     int
+	model *sigmodel.Model
 	// best is a max-heap on log p-value: the root is the *worst* of the
 	// current top k, ready for eviction.
 	best significantHeap
@@ -64,8 +67,11 @@ func (m *topKMiner) bound() float64 {
 	return m.best[0].LogPValue
 }
 
-func (m *topKMiner) visit(f *frame, logP float64) {
-	if !f.floor.IsZero() && logP < m.bound() {
+func (m *topKMiner) visit(f *frame) {
+	if f.floor.IsZero() {
+		return
+	}
+	if logP := m.model.LogPValue(f.floor, f.size); logP < m.bound() {
 		heap.Push(&m.best, newSignificant(f, logP))
 		if len(m.best) > m.k {
 			heap.Pop(&m.best)

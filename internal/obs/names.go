@@ -70,6 +70,11 @@ const (
 	// iteration: a source stops once its discretized vector is certain
 	// or its L1 change drops below the tolerance.
 	MRWRIterations = "graphsig_rwr_iterations_total"
+	// MFVMineTails counts the binomial tails FVMine evaluated: the
+	// p-values of reported states and the significance comparisons no
+	// bound decided. core adds each label group's count once, when the
+	// group's search returns.
+	MFVMineTails = "graphsig_fvmine_tails_total"
 
 	// Jobs subsystem (internal/jobs).
 	MJobsWorkers     = "graphsig_jobs_workers"

@@ -111,3 +111,58 @@ func (m *Model) LogPValue(x feature.Vector, support int) float64 {
 	}
 	return mathx.LogBinomialTail(m.trials, support, p)
 }
+
+// Settle decides LogPValue(x, support) > logMaxP from bounds alone,
+// without evaluating the binomial tail. It returns decided false when
+// no bound settles the comparison; the caller then evaluates LogPValue.
+// A decided answer always equals the direct comparison: every bound
+// keeps a slack wider than the rounding of LogBinomialTail.
+func (m *Model) Settle(x feature.Vector, support int, logMaxP float64) (above, decided bool) {
+	if support <= 0 {
+		return 0 > logMaxP, true
+	}
+	return settleTail(m.trials, support, m.Prob(x), logMaxP)
+}
+
+// halfSlack is how far below log ½ logMaxP must lie before a tail left
+// of the mean is taken to exceed it without evaluation. The tail there
+// is at least ½; the slack absorbs the continued fraction's rounding.
+const halfSlack = 1e-6
+
+// settleTail decides LogBinomialTail(n, k, p) > logMaxP, if a bound
+// settles it, following that function's case split:
+//
+//   - k <= n·p: the tail is at least ½ (a binomial's median is at least
+//     ⌊n·p⌋), so it exceeds any maxP below ½.
+//   - k > n·p, Chernoff: the tail is at most exp(-n·D(k/n ‖ p)), so a
+//     bound below logMaxP, by a slack scaled to the magnitudes the tail
+//     is summed from, shows the tail below it too.
+//   - k > n·p, first term: LogBinomialTail adds terms to log pmf(k) and
+//     never subtracts, so a log pmf(k) above logMaxP shows the tail
+//     above it exactly.
+func settleTail(n, k int, p, logMaxP float64) (above, decided bool) {
+	switch {
+	case k <= 0, p >= 1 && k <= n:
+		return 0 > logMaxP, true
+	case k > n, p <= 0:
+		return math.Inf(-1) > logMaxP, true
+	}
+	if float64(k) <= float64(n)*p {
+		return true, logMaxP < -math.Ln2-halfSlack
+	}
+	nf, kf := float64(n), float64(k)
+	lp, lq := math.Log(p), math.Log1p(-p)
+	// n·D(k/n ‖ p) = k·log(k/(n·p)) + (n-k)·log((n-k)/(n·(1-p))).
+	div := kf * (math.Log(kf/nf) - lp)
+	if k < n {
+		div += (nf - kf) * (math.Log((nf-kf)/nf) - lq)
+	}
+	scale := nf * (1 + math.Log(nf) - lp - lq)
+	if -div < logMaxP-(1e-6+1e-12*scale) {
+		return false, true
+	}
+	if mathx.LogBinomialPMF(n, k, p) > logMaxP {
+		return true, true
+	}
+	return false, false
+}
