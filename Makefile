@@ -47,8 +47,9 @@ lint:
 # FSG's per-parent trace minimality check against
 # dfscode.IsMinimal, RWR's early freeze against the push iteration
 # on graphs that put feature masses on bin boundaries, and resume
-# snapshot chains (full snapshots, deltas, retries from a shorter
-# prefix, gaps, foreign parts) against one full snapshot. `go test -fuzz`
+# snapshot chains (parts listing groups out of order, indices repeated
+# within and across parts, parent-format range parts, foreign parts)
+# against one snapshot of the union of their groups. `go test -fuzz`
 # accepts one target per invocation, hence one line each, and a name
 # that prefixes another is anchored.
 fuzz:
@@ -79,10 +80,14 @@ race:
 # Durability integration test: builds a real serve binary, kills it
 # with SIGKILL mid-mine, restarts over the same journal directory, and
 # asserts the resumed job finishes byte-identical to an uninterrupted
-# mine. Under -race because the interesting bugs here are races between
-# the checkpointer, the journal, and the worker pool.
+# mine. Then the core resume and checkpoint tests: a part is emitted by
+# whichever group worker finishes a batch, every part carries new
+# groups, and a mine resumed from any chain answers byte-identically.
+# Under -race because the interesting bugs here are races between the
+# checkpointer, the journal, and the worker pool.
 crash-test:
 	go test -race -count=1 -run 'TestCrashRestart' -v ./cmd/serve
+	go test -race -count=1 -run 'Resume|Snapshot|Checkpoint' -v ./internal/core
 
 # Shard-invariance acceptance gate: the scatter-gather mine must answer
 # byte-identically — every p-value and verified support — to an

@@ -71,7 +71,7 @@ func main() {
 	maxVF2 := flag.Int64("max-vf2", 0, "budget on VF2 isomorphism search nodes (0 = unbounded)")
 	useGSpan := flag.Bool("gspan", false, "use gSpan instead of FSG for the group mining step")
 	stats := flag.Bool("stats", false, "print the per-stage metrics table to stderr at exit")
-	ckptFile := flag.String("checkpoint", "", "write the resumable mining snapshot chain to this file, one part per line (atomically replaced at each group-merge commit)")
+	ckptFile := flag.String("checkpoint", "", "write the resumable mining snapshot chain to this file, one part per line (atomically replaced at each new part)")
 	resumeFile := flag.String("resume", "", "resume group mining from a snapshot chain written by -checkpoint (ignored unless it matches this database and configuration)")
 	flag.Parse()
 
@@ -158,12 +158,13 @@ func main() {
 			log.Printf("warning: ignoring resume snapshot: %v", err)
 		} else {
 			cfg.Resume, chain = rs, parts
-			log.Printf("resuming group mining from %s (%d groups done)", *resumeFile, rs.Done)
+			log.Printf("resuming group mining from %s (%d groups finished)", *resumeFile, len(rs.Groups))
 		}
 	}
 	if *ckptFile != "" {
-		// With a sink installed the pipeline emits a snapshot part at
-		// every group-merge commit; the chain lands atomically via rename
+		// With a sink installed the pipeline emits a snapshot part each
+		// time CheckpointEvery groups have finished since the last one; the
+		// chain lands atomically via rename
 		// so a kill mid-write can never corrupt the previous good chain.
 		cfg.Ctl = runctl.New(runctl.Options{
 			Deadline: cfg.Deadline,

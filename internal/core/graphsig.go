@@ -90,21 +90,22 @@ type Config struct {
 	// and a lone mine uses all of it. Excluded from CacheKey: it is a
 	// runtime control, not part of the answer.
 	Parallelism int
-	// Resume, when non-nil, is a full Phase-3 snapshot — ResumeChain
-	// of the parts a previous run of the same (database, config)
-	// emitted through its checkpoint sink: Mine skips re-mining the
-	// committed group prefix and replays its recorded outcomes, so the
-	// final Result is byte-identical to an uninterrupted run. A snapshot
-	// that does not match this run's identity (MineKey or group-list
-	// hash) is rejected — counted on obs.MResumeRejected — and the mine
-	// starts from scratch. Excluded from CacheKey: resuming is a
-	// runtime control, not part of the answer.
+	// Resume, when non-nil, is a Phase-3 snapshot — ResumeChain of the
+	// parts a previous run of the same (database, config) emitted
+	// through its checkpoint sink: Mine mines only the groups the
+	// snapshot lacks and replays the recorded outcomes of the others,
+	// so the final Result is byte-identical to an uninterrupted run. A
+	// snapshot that does not match this run's identity (MineKey or
+	// group-list hash) is rejected — counted on obs.MResumeRejected —
+	// and the mine starts from scratch. Excluded from CacheKey:
+	// resuming is a runtime control, not part of the answer.
 	Resume *ResumeState
 	// CheckpointEvery sets the snapshot granularity when the controller
 	// carries a checkpoint sink (runctl.Options.CheckpointSink): one
-	// snapshot part per CheckpointEvery groups committed in order
-	// (0 = DefaultCheckpointEvery). Without a sink no snapshots are
-	// built and Phase 3 pays nothing. Excluded from CacheKey.
+	// snapshot part each time CheckpointEvery groups have finished since
+	// the last part, in any order (0 = DefaultCheckpointEvery). Without
+	// a sink no snapshots are built and Phase 3 pays nothing. Excluded
+	// from CacheKey.
 	CheckpointEvery int
 	// Deadline aborts the mine when exceeded (zero = none); the result
 	// is flagged Truncated with a Degradation report. Ignored when Ctl
@@ -290,6 +291,7 @@ const rwrChunk = 32
 // completion on the controller.
 func computeVectors(db []*graph.Graph, fs *feature.Set, cfg Config, ctl *runctl.Controller) []rwr.NodeVector {
 	cp := ctl.Checkpoint(runctl.StageRWR)
+	defer cp.Flush()
 	if cfg.Vectorizer == VectorizerWindowCounts {
 		var out []rwr.NodeVector
 		for gid, g := range db {
@@ -501,6 +503,9 @@ func subsample(nodes []rwr.NodeVector, k int) []rwr.NodeVector {
 // and folded into Result serially so counters and the best-pattern
 // merge stay in group order regardless of completion order.
 type groupOutcome struct {
+	// done: the group was mined in this run or restored from a
+	// snapshot. Only done groups are merged and checkpointed.
+	done bool
 	// windows is the region-window count after subsampling.
 	windows int
 	// mined: the group passed the size check and entered maximal FSM
@@ -513,101 +518,94 @@ type groupOutcome struct {
 	// panicked: the group's worker or miner panicked; recorded on the
 	// controller, surfaces as a GroupError.
 	panicked bool
-	// err: reading a window's graph failed. The mine returns the error of
-	// the first such group; it is never a GroupError and is never
-	// checkpointed.
-	err      error
 	patterns []dfscode.Pattern
 }
 
 // DefaultCheckpointEvery is the resumable-snapshot granularity when
-// Config.CheckpointEvery is zero: one snapshot per 8 committed groups.
-// Groups are the unit of lost work on a crash, so this bounds re-mining
-// after restart to at most 8 groups plus whatever was in flight.
+// Config.CheckpointEvery is zero: one snapshot part per 8 finished
+// groups. Groups are the unit of lost work on a crash, so this bounds
+// re-mining after restart to at most 7 finished groups plus whatever
+// was in flight.
 const DefaultCheckpointEvery = 8
 
-// checkpointer tracks the in-order commit frontier of Phase-3 group
-// outcomes and emits a resumable snapshot part each time the frontier
-// advances by `every` groups. Workers finish out of order; the frontier
-// only covers the contiguous committed prefix, which is exactly what a
-// resumed run can safely replay. All state is guarded by mu, so a
-// worker's outcome write (made before its commit call) happens-before
-// any snapshot read of that slot.
+// checkpointer collects the groups finished since the last snapshot
+// part, in finish order, and emits a part of their outcomes once
+// `every` of them have finished. A worker writes its group's outcome
+// before it commits, and the worker that completes a batch takes it
+// under mu, so the writes happen-before emit reads them.
 type checkpointer struct {
 	mu       sync.Mutex
-	done     []bool
-	frontier int
-	lastEmit int
 	every    int
-	emit     func(done int, outcomes []groupOutcome)
-	outcomes []groupOutcome
+	finished []int
+	// emitting keeps emits one at a time. It is taken after mu is
+	// released, so the other workers commit while a part is written.
+	emitting sync.Mutex
+	emit     func(groups []int)
 }
 
-func newCheckpointer(n, start, every int, emit func(int, []groupOutcome)) *checkpointer {
-	c := &checkpointer{done: make([]bool, n), frontier: start, lastEmit: start, every: every, emit: emit}
-	for i := 0; i < start; i++ {
-		c.done[i] = true
-	}
-	return c
-}
-
-// attach hands the checkpointer the live outcome slice before workers
-// start; snapshots read only outcomes[:frontier].
-func (c *checkpointer) attach(outcomes []groupOutcome) {
-	if c != nil {
-		c.outcomes = outcomes
-	}
-}
-
-// commit marks group gi complete and emits a snapshot part when the
-// contiguous frontier has advanced far enough. The emit callback runs
-// under the lock: serialization of the groups committed since the last
-// part plus one journal fsync every `every` groups, a deliberate trade
-// of a short worker stall for a bounded re-mining window after a crash.
+// commit records that group gi has finished. The worker that completes
+// a batch emits it: serialization of `every` outcomes plus one journal
+// fsync, a short stall of that worker alone for a bounded re-mining
+// window after a crash. Parts may reach the sink in any order; each
+// holds its own groups.
 func (c *checkpointer) commit(gi int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.done[gi] = true
-	for c.frontier < len(c.done) && c.done[c.frontier] {
-		c.frontier++
+	c.finished = append(c.finished, gi)
+	batch := c.finished
+	if len(batch) == c.every {
+		c.finished = nil
 	}
-	if c.frontier-c.lastEmit >= c.every {
-		c.lastEmit = c.frontier
-		c.emit(c.frontier, c.outcomes[:c.frontier])
+	c.mu.Unlock()
+	if len(batch) == c.every {
+		c.emitting.Lock()
+		defer c.emitting.Unlock()
+		c.emit(batch)
 	}
 }
 
-// mineGroups fans Phase 3 out over cfg.Parallelism FanOut workers
-// reading one window table, filled by a database-ordered sweep before
-// any group launches. It returns one outcome per launched group (launch
-// stops, in group order, once the controller trips or a group's window
-// read fails) plus the launch count; outcomes[launched:] are zero. A
-// resumed prefix is copied in verbatim and never re-mined — its groups
-// count as launched, and their windows are not cut — and each newly
-// finished group is committed to the checkpointer (nil = no snapshots)
-// unless its window read failed.
-func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg Config, ctl *runctl.Controller, resumed []groupOutcome, ckpt *checkpointer) ([]groupOutcome, int) {
-	outcomes := make([]groupOutcome, len(groups))
-	start := copy(outcomes, resumed)
-	ckpt.attach(outcomes)
-	wt := newWindowTable(fetch, groups[start:], cfg)
-	wt.sweep(cfg.Parallelism, ctl)
-	launched := ctl.FanOut(wt.launchable(ctl), cfg.Parallelism, func() func(int) bool {
+// mineGroups fans the groups that are not yet done out over
+// cfg.Parallelism FanOut workers, in group order, reading one window
+// table that a database-ordered sweep fills before any group launches.
+// outcomes holds one entry per group, the restored ones done; each
+// group mined here is marked done and, unless the controller has
+// stopped, committed to the checkpointer (nil = no snapshots). Launch stops once the controller trips. A
+// failed read fails the sweep, and then no group launches. It returns
+// the windows the groups mined here cut.
+func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg Config, ctl *runctl.Controller, outcomes []groupOutcome, ckpt *checkpointer) (int, error) {
+	var todo []int
+	var pending []VectorGroup
+	for gi, o := range outcomes {
+		if !o.done {
+			todo = append(todo, gi)
+			pending = append(pending, groups[gi])
+		}
+	}
+	wt := newWindowTable(fetch, pending, cfg)
+	if err := wt.sweep(cfg.Parallelism, ctl); err != nil {
+		return 0, err
+	}
+	launched := ctl.FanOut(len(todo), cfg.Parallelism, func() func(int) bool {
 		return func(i int) bool {
-			gi := start + i
+			gi := todo[i]
 			outcomes[gi] = mineOneGroup(groups[gi], cfg, ctl, wt, i)
-			if outcomes[gi].err != nil {
-				return false
+			// A group that finishes once the controller has stopped may
+			// hold a cut-short mine: this truncated run merges it, but no
+			// part persists it, so a resume mines it again.
+			if !ctl.Stopped() {
+				ckpt.commit(gi)
 			}
-			ckpt.commit(gi)
 			return true
 		}
 	})
 	wt.book(launched, ctl.Metrics())
-	return outcomes, start + launched
+	windows := 0
+	for _, gi := range todo[:launched] {
+		windows += outcomes[gi].windows
+	}
+	return windows, nil
 }
 
 // mineOneGroup runs maximal FSM on group wi's windows in the table,
@@ -615,6 +613,7 @@ func mineGroups(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg
 // here, even on panic, so the started == completed + degraded
 // invariant survives fan-out.
 func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wt *windowTable, wi int) (out groupOutcome) {
+	out.done = true
 	var fsmSpan runctl.StageSpan
 	defer func() {
 		if r := recover(); r != nil {
@@ -627,11 +626,7 @@ func mineOneGroup(grp VectorGroup, cfg Config, ctl *runctl.Controller, wt *windo
 			out.panicked = true
 		}
 	}()
-	windows, err := wt.windows(wi)
-	if err != nil {
-		out.err = err
-		return out
-	}
+	windows := wt.windows(wi)
 	out.windows = len(windows)
 	minSup := int(math.Ceil(cfg.FSMFreqPct / 100 * float64(len(windows))))
 	if minSup < 2 {

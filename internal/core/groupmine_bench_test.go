@@ -37,9 +37,9 @@ func BenchmarkGroupMine(b *testing.B) {
 			run.Parallelism = p
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, launched := mineGroups(Slice(db).Graph, groups, run, runctl.New(runctl.Options{}), nil, nil)
-				if launched != len(groups) {
-					b.Fatalf("launched %d of %d groups", launched, len(groups))
+				outcomes, err := mineAll(Slice(db).Graph, groups, run, runctl.New(runctl.Options{}))
+				if launched := doneCount(outcomes); err != nil || launched != len(groups) {
+					b.Fatalf("mined %d of %d groups (%v)", launched, len(groups), err)
 				}
 			}
 		})

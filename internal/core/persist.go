@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"graphsig/internal/dfscode"
@@ -159,14 +160,14 @@ type PersistedOutcome struct {
 }
 
 // ResumeState is one part of a resumable snapshot chain: the outcomes
-// of vector groups [From, Done), committed in group order. A mine emits
-// one part per checkpoint, carrying only the groups committed since the
-// previous one; ResumeChain applies a chain of parts into one full
-// snapshot (From 0), the form Config.Resume takes. A mine handed a
-// valid full snapshot skips re-mining that prefix and produces a final
+// of the vector groups it lists. A mine emits one part per checkpoint,
+// carrying the groups finished since the previous one in the order they
+// finished; ResumeChain unions a chain of parts into one snapshot
+// ordered by group index, the form Config.Resume takes. A mine handed a
+// valid snapshot mines only the groups it lacks and produces a final
 // Result byte-identical to an uninterrupted run — the merge replays
-// recorded outcomes in the same serial group order, and the graph text
-// codec round-trips patterns exactly.
+// recorded outcomes in group order, and the graph text codec
+// round-trips patterns exactly.
 type ResumeState struct {
 	// V is the snapshot schema version.
 	V int `json:"v"`
@@ -176,15 +177,18 @@ type ResumeState struct {
 	// GroupsHash fingerprints the Phase-2 vector-group list the
 	// snapshot indexes into. Phases 1–2 are deterministic, so a resumed
 	// run recomputes the same list; the hash proves it before the
-	// prefix is trusted.
+	// outcomes are trusted.
 	GroupsHash string `json:"groupsHash"`
-	// From is the first group the part carries. A full snapshot has
-	// From 0, which the wire form omits, so it encodes exactly as the
-	// snapshots written before parts existed.
+	// Groups lists the group indices the part carries: Outcomes[i] is
+	// group Groups[i]'s.
+	Groups []int `json:"groups"`
+	// From and Done are the parent format, which carried the groups
+	// [From, Done) and no Groups. DecodeResumeState turns them into
+	// Groups, so the snapshots and parts written before parts listed
+	// their groups still resume.
 	From int `json:"from,omitempty"`
-	// Done is the committed group-prefix length after this part.
-	Done int `json:"done"`
-	// Outcomes are the part's outcomes, Outcomes[i] for group From+i.
+	Done int `json:"done,omitempty"`
+	// Outcomes are the part's outcomes, one per entry of Groups.
 	Outcomes []PersistedOutcome `json:"outcomes"`
 }
 
@@ -197,7 +201,8 @@ func EncodeResumeState(rs *ResumeState) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeResumeState parses one journaled snapshot part.
+// DecodeResumeState parses one journaled snapshot part. A part in the
+// parent format decodes as the range [From, Done).
 func DecodeResumeState(data []byte) (*ResumeState, error) {
 	var rs ResumeState
 	if err := json.Unmarshal(data, &rs); err != nil {
@@ -206,55 +211,57 @@ func DecodeResumeState(data []byte) (*ResumeState, error) {
 	if rs.V != persistVersion {
 		return nil, fmt.Errorf("core: resume state version %d, want %d", rs.V, persistVersion)
 	}
-	if rs.From < 0 || rs.Done-rs.From != len(rs.Outcomes) {
-		return nil, fmt.Errorf("core: resume state covers groups [%d, %d) but carries %d outcomes", rs.From, rs.Done, len(rs.Outcomes))
+	if rs.Groups == nil {
+		if rs.From < 0 || rs.Done-rs.From != len(rs.Outcomes) {
+			return nil, fmt.Errorf("core: resume state covers groups [%d, %d) but carries %d outcomes", rs.From, rs.Done, len(rs.Outcomes))
+		}
+		rs.Groups = make([]int, 0, len(rs.Outcomes))
+		for gi := rs.From; gi < rs.Done; gi++ {
+			rs.Groups = append(rs.Groups, gi)
+		}
+	}
+	rs.From, rs.Done = 0, 0
+	if len(rs.Groups) != len(rs.Outcomes) {
+		return nil, fmt.Errorf("core: resume state lists %d groups but carries %d outcomes", len(rs.Groups), len(rs.Outcomes))
 	}
 	return &rs, nil
 }
 
-// ResumeChain decodes a chain of snapshot parts, oldest first, and
-// applies them in order into one full snapshot. A part with From 0
-// replaces everything before it, so a lone full snapshot is a chain of
-// one. Any other part must start at or before the prefix applied so
-// far, and must carry the same Key and GroupsHash; it replaces the
-// groups from its From on, which are the same outcomes when a retry
-// re-mined them from a shorter prefix. A gap or a foreign part fails
-// the chain, and the caller mines from scratch.
+// ResumeChain decodes a chain of snapshot parts and unions them into
+// one snapshot ordered by group index; a lone full snapshot is a chain
+// of one. Every part must carry the first part's Key and GroupsHash. A
+// group carried twice — a retry re-mined it — keeps one outcome: both
+// copies are the same. A foreign or undecodable part fails the chain,
+// and the caller mines from scratch.
 func ResumeChain(parts [][]byte) (*ResumeState, error) {
-	var full *ResumeState
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("core: empty resume chain")
+	}
+	var first *ResumeState
+	byGroup := map[int]PersistedOutcome{}
 	for i, buf := range parts {
 		part, err := DecodeResumeState(buf)
 		if err != nil {
 			return nil, fmt.Errorf("core: resume chain part %d: %w", i, err)
 		}
-		if full, err = applyPart(full, part); err != nil {
-			return nil, fmt.Errorf("core: resume chain part %d: %w", i, err)
+		if first == nil {
+			first = part
+		} else if part.Key != first.Key || part.GroupsHash != first.GroupsHash {
+			return nil, fmt.Errorf("core: resume chain part %d belongs to another mine", i)
+		}
+		for k, gi := range part.Groups {
+			byGroup[gi] = part.Outcomes[k]
 		}
 	}
-	if full == nil {
-		return nil, fmt.Errorf("core: empty resume chain")
+	full := &ResumeState{V: persistVersion, Key: first.Key, GroupsHash: first.GroupsHash, Groups: make([]int, 0, len(byGroup))}
+	for gi := range byGroup {
+		full.Groups = append(full.Groups, gi)
 	}
-	return full, nil
-}
-
-// applyPart returns full extended by part. full is nil before the
-// first part, and part's outcomes may be appended to in place.
-func applyPart(full, part *ResumeState) (*ResumeState, error) {
-	if part.From == 0 {
-		return part, nil
+	slices.Sort(full.Groups)
+	full.Outcomes = make([]PersistedOutcome, len(full.Groups))
+	for i, gi := range full.Groups {
+		full.Outcomes[i] = byGroup[gi]
 	}
-	done := 0
-	if full != nil {
-		done = full.Done
-	}
-	if part.From > done {
-		return nil, fmt.Errorf("part starts at group %d, past the %d groups before it", part.From, done)
-	}
-	if part.Key != full.Key || part.GroupsHash != full.GroupsHash {
-		return nil, fmt.Errorf("part from group %d belongs to another mine", part.From)
-	}
-	full.Outcomes = append(full.Outcomes[:part.From], part.Outcomes...)
-	full.Done = part.Done
 	return full, nil
 }
 
@@ -279,15 +286,16 @@ func decodeGraphText(s string) (*graph.Graph, error) {
 	return gs[0], nil
 }
 
-// persistOutcomes converts a run of committed outcomes to wire form.
-func persistOutcomes(outcomes []groupOutcome) ([]PersistedOutcome, error) {
-	out := make([]PersistedOutcome, len(outcomes))
-	for i, o := range outcomes {
+// persistOutcomes converts the outcomes of groups gis to wire form.
+func persistOutcomes(outcomes []groupOutcome, gis []int) ([]PersistedOutcome, error) {
+	out := make([]PersistedOutcome, len(gis))
+	for i, gi := range gis {
+		o := outcomes[gi]
 		po := PersistedOutcome{Windows: o.windows, Mined: o.mined, Pruned: o.pruned, Panicked: o.panicked}
 		for _, p := range o.patterns {
 			text, err := encodeGraphText(p.Graph)
 			if err != nil {
-				return nil, fmt.Errorf("core: persist group %d pattern: %w", i, err)
+				return nil, fmt.Errorf("core: persist group %d pattern: %w", gi, err)
 			}
 			po.Patterns = append(po.Patterns, PersistedPattern{Graph: text, Support: p.Support})
 		}
@@ -305,14 +313,14 @@ func persistOutcomes(outcomes []groupOutcome) ([]PersistedOutcome, error) {
 func restoreOutcomes(persisted []PersistedOutcome) ([]groupOutcome, error) {
 	out := make([]groupOutcome, len(persisted))
 	for i, po := range persisted {
-		o := groupOutcome{windows: po.Windows, mined: po.Mined, pruned: po.Pruned, panicked: po.Panicked}
+		o := groupOutcome{done: true, windows: po.Windows, mined: po.Mined, pruned: po.Pruned, panicked: po.Panicked}
 		for _, p := range po.Patterns {
 			g, err := decodeGraphText(p.Graph)
 			if err != nil {
-				return nil, fmt.Errorf("core: restore group %d pattern: %w", i, err)
+				return nil, fmt.Errorf("core: restore outcome %d pattern: %w", i, err)
 			}
 			if g.NumEdges() == 0 || !g.IsConnected() {
-				return nil, fmt.Errorf("core: restore group %d pattern: not a connected graph with an edge", i)
+				return nil, fmt.Errorf("core: restore outcome %d pattern: not a connected graph with an edge", i)
 			}
 			code := dfscode.MinimumCode(g)
 			o.patterns = append(o.patterns, dfscode.Pattern{Code: code, Graph: code.Graph(), Support: p.Support})
@@ -347,28 +355,25 @@ func groupsHash(groups []VectorGroup) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// validResumePrefix vets cfg.Resume against the run's identity and
-// restores the committed prefix. Any mismatch — wrong database/config
-// key, diverged group list, a part that is not a full snapshot,
-// impossible prefix length, undecodable pattern — rejects the snapshot
+// restoreSnapshot vets rs against the run's identity and restores its
+// outcomes into outcomes, one entry per group, marked done. Any
+// mismatch — wrong database/config key, diverged group list, a group
+// index out of range, undecodable pattern — rejects the snapshot
 // (counted on MResumeRejected) and the mine starts from scratch:
 // resuming wrong is strictly worse than resuming slow.
-func validResumePrefix(rs *ResumeState, key, gh string, nGroups int, reg *obs.Registry) []groupOutcome {
+func restoreSnapshot(outcomes []groupOutcome, rs *ResumeState, key, gh string, reg *obs.Registry) {
 	if rs == nil {
-		return nil
-	}
-	reject := func() []groupOutcome {
-		reg.Counter(obs.MResumeRejected).Inc()
-		return nil
-	}
-	if rs.Key != key || rs.GroupsHash != gh || rs.From != 0 || rs.Done < 0 || rs.Done > nGroups {
-		return reject()
+		return
 	}
 	restored, err := restoreOutcomes(rs.Outcomes)
-	if err != nil {
-		return reject()
+	if err != nil || rs.Key != key || rs.GroupsHash != gh || len(rs.Groups) != len(restored) ||
+		slices.ContainsFunc(rs.Groups, func(gi int) bool { return gi < 0 || gi >= len(outcomes) }) {
+		reg.Counter(obs.MResumeRejected).Inc()
+		return
 	}
-	return restored
+	for i, gi := range rs.Groups {
+		outcomes[gi] = restored[i]
+	}
 }
 
 // PersistedSubgraph is one result pattern in wire form.

@@ -8,7 +8,9 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,8 +75,8 @@ func TestResumeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s snapshot: %v", name, err)
 		}
-		if rs.Done == 0 {
-			t.Fatalf("%s snapshot committed no groups", name)
+		if len(rs.Groups) == 0 {
+			t.Fatalf("%s snapshot holds no groups", name)
 		}
 		rcfg := cfg
 		rcfg.Ctl = nil
@@ -91,8 +93,8 @@ func TestResumeByteIdentical(t *testing.T) {
 
 func TestResumeAcrossParallelism(t *testing.T) {
 	// A snapshot taken at one parallelism level must resume correctly
-	// at another: the commit frontier is in group order regardless of
-	// worker scheduling.
+	// at another: a snapshot names its groups by index, and the merge
+	// folds them in group order regardless of worker scheduling.
 	db := plantedDB(50, 15, chem.SbCore())
 	cfg := testConfig()
 	cfg.Parallelism = 1
@@ -130,12 +132,12 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	}{
 		{"wrong key", func(r *ResumeState) { r.Key = "not-this-mine" }},
 		{"wrong groups hash", func(r *ResumeState) { r.GroupsHash = "diverged" }},
-		{"impossible prefix", func(r *ResumeState) {
-			r.Done += 1000
-			r.Outcomes = append([]PersistedOutcome{}, r.Outcomes...)
-			for len(r.Outcomes) < r.Done {
-				r.Outcomes = append(r.Outcomes, PersistedOutcome{})
-			}
+		{"impossible group", func(r *ResumeState) {
+			r.Groups = append(append([]int{}, r.Groups...), base.VectorsMined+1000)
+			r.Outcomes = append(append([]PersistedOutcome{}, r.Outcomes...), PersistedOutcome{})
+		}},
+		{"groups and outcomes differ in length", func(r *ResumeState) {
+			r.Outcomes = append(append([]PersistedOutcome{}, r.Outcomes...), PersistedOutcome{})
 		}},
 		{"undecodable pattern", func(r *ResumeState) {
 			r.Outcomes = append([]PersistedOutcome{}, r.Outcomes...)
@@ -275,21 +277,18 @@ func TestResultPersistRoundTrip(t *testing.T) {
 	assertSameMine(t, "result with profileNs", res, legacy)
 }
 
-// TestSnapshotsExtendOnePrefix: each part carries only the outcomes
-// committed since the previous one — it starts where the chain before
-// it ends — and the chain applied through every part must encode
-// byte-identically to a full re-render of the final outcomes cut at
-// that part's frontier: from scratch, and after a resume, whose first
-// part starts at the resumed prefix and extends the chain resumed
-// from. The fresh mine runs at parallelism 1, which commits one group
-// at a time and so emits a part per group: with several workers the
-// part count hinges on which group finishes last. The resume runs at
-// parallelism 4; parallelism is not part of MineKey, so the chain
-// still matches.
-func TestSnapshotsExtendOnePrefix(t *testing.T) {
+// TestSnapshotPartsCarryNewGroups: each part carries only groups that
+// no earlier part of the same run carried, and the chain applied
+// through every part must encode byte-identically to a full re-render
+// of the union of the groups its parts carry: from scratch, and after a
+// resume, whose parts carry none of the groups of the chain it resumed
+// from. The fresh mine runs at parallelism 4, so parts follow the
+// order groups finish in; the resume at parallelism 1 — parallelism is
+// not part of MineKey, so the chain still matches.
+func TestSnapshotPartsCarryNewGroups(t *testing.T) {
 	db := plantedDB(60, 18, chem.SbCore())
 	cfg := testConfig()
-	cfg.Parallelism = 1
+	cfg.Parallelism = 4
 	cfg.CheckpointEvery = 1
 	_, parts := checkpointedParts(t, db, cfg, nil)
 	if len(parts) < 3 {
@@ -301,7 +300,7 @@ func TestSnapshotsExtendOnePrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	rcfg := cfg
-	rcfg.Parallelism = 4
+	rcfg.Parallelism = 1
 	rcfg.Resume = rs
 	_, resumed := checkpointedParts(t, db, rcfg, nil)
 	if len(resumed) == 0 {
@@ -316,16 +315,28 @@ func TestSnapshotsExtendOnePrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := 0
+		outcome := map[int]PersistedOutcome{}
+		for i, gi := range last.Groups {
+			outcome[gi] = last.Outcomes[i]
+		}
+		if len(last.Groups) != len(outcome) {
+			t.Fatalf("%s chain applies to a snapshot that lists a group twice", name)
+		}
+		carried := map[int]bool{}
 		for i, buf := range chain {
 			part, err := DecodeResumeState(buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if part.From != done || part.Done <= done {
-				t.Fatalf("%s part %d covers [%d, %d); the chain before it ends at %d", name, i, part.From, part.Done, done)
+			if len(part.Groups) == 0 {
+				t.Fatalf("%s part %d carries no group", name, i)
 			}
-			done = part.Done
+			for _, gi := range part.Groups {
+				if carried[gi] {
+					t.Fatalf("%s part %d carries group %d, which an earlier part carried", name, i, gi)
+				}
+				carried[gi] = true
+			}
 			applied, err := ResumeChain(chain[:i+1])
 			if err != nil {
 				t.Fatal(err)
@@ -334,17 +345,115 @@ func TestSnapshotsExtendOnePrefix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := EncodeResumeState(&ResumeState{
-				V: persistVersion, Key: last.Key, GroupsHash: last.GroupsHash,
-				Done: done, Outcomes: last.Outcomes[:done],
-			})
+			union := &ResumeState{V: persistVersion, Key: last.Key, GroupsHash: last.GroupsHash, Groups: []int{}}
+			for gi := range carried {
+				union.Groups = append(union.Groups, gi)
+			}
+			slices.Sort(union.Groups)
+			for _, gi := range union.Groups {
+				union.Outcomes = append(union.Outcomes, outcome[gi])
+			}
+			want, err := EncodeResumeState(union)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(got) != string(want) {
-				t.Fatalf("%s chain through part %d (done %d) differs from a full re-render of its prefix", name, i, done)
+				t.Fatalf("%s chain through part %d (%d groups) differs from a full re-render of their union", name, i, len(carried))
 			}
 		}
+	}
+}
+
+// TestCheckpointPartsEveryNGroups: a part is emitted each time
+// CheckpointEvery groups have finished since the last one, whatever
+// the order they finish in. So the part count does not depend on
+// parallelism, every part carries exactly CheckpointEvery groups, and
+// at any moment fewer than CheckpointEvery finished groups are not yet
+// in a part. A mine resumed from the chain cut after any part answers
+// byte-identically to an uninterrupted one.
+func TestCheckpointPartsEveryNGroups(t *testing.T) {
+	const every = 8
+	db := plantedDB(120, 30, chem.SbCore())
+	cfg := testConfig()
+	cfg.CheckpointEvery = every
+	var base Result
+	wantParts := -1
+	for _, par := range []int{1, 2, 4} {
+		pcfg := cfg
+		pcfg.Parallelism = par
+		res, parts := checkpointedParts(t, db, pcfg, nil)
+		if wantParts < 0 {
+			base, wantParts = res, res.VectorsMined/every
+			if wantParts < 3 {
+				t.Fatalf("%d groups make %d parts; want several", res.VectorsMined, wantParts)
+			}
+		}
+		assertSameMine(t, fmt.Sprintf("parallelism %d", par), base, res)
+		t.Logf("parallelism %d: %d groups, %d parts", par, res.VectorsMined, len(parts))
+		if len(parts) != wantParts {
+			t.Errorf("parallelism %d: %d parts; want %d (%d groups, every %d)", par, len(parts), wantParts, res.VectorsMined, every)
+		}
+		for i, buf := range parts {
+			part, err := DecodeResumeState(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(part.Groups) != every {
+				t.Errorf("parallelism %d: part %d carries %d groups; want %d", par, i, len(part.Groups), every)
+			}
+			chain, err := ResumeChain(parts[:i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(chain.Groups) != every*(i+1) {
+				t.Errorf("parallelism %d: chain through part %d holds %d groups; want %d", par, i, len(chain.Groups), every*(i+1))
+			}
+			// Resuming after every part at parallelism 4, and after the
+			// first, middle and last at 1 and 2, keeps the test short
+			// under the race detector.
+			if par != 4 && i != 0 && i != len(parts)/2 && i != len(parts)-1 {
+				continue
+			}
+			rcfg := cfg
+			rcfg.Parallelism = par
+			rcfg.Resume = chain
+			assertSameMine(t, fmt.Sprintf("parallelism %d, resumed after part %d", par, i), base, Mine(db, rcfg))
+		}
+	}
+}
+
+// TestTruncatedMineCheckpointsOnlyWholeGroups: a mine cut short by a
+// miner-step budget inside Phase 3 persists only groups mined before
+// the trip, so a mine resumed from its chain without the budget
+// answers byte-identically to an uninterrupted one. A group whose FSG
+// mine the trip cut short is merged into the truncated answer but
+// never checkpointed.
+func TestTruncatedMineCheckpointsOnlyWholeGroups(t *testing.T) {
+	db := plantedDB(60, 18, chem.SbCore())
+	cfg := testConfig()
+	cfg.Parallelism = 1
+	cfg.CheckpointEvery = 1
+	base := Mine(db, cfg)
+	for _, budget := range []int64{30000, 100000} {
+		var parts [][]byte
+		bcfg := cfg
+		bcfg.Ctl = runctl.New(runctl.Options{
+			Budgets:        runctl.Budgets{MinerSteps: budget},
+			CheckpointSink: func(p []byte) { parts = append(parts, append([]byte(nil), p...)) },
+		})
+		if res := Mine(db, bcfg); !res.Truncated || res.Degradation.Stage != runctl.StageFSG {
+			t.Fatalf("budget %d: degradation %+v; want a trip inside a group's FSG mine", budget, res.Degradation)
+		}
+		if len(parts) == 0 {
+			t.Fatalf("budget %d: no group finished before the trip; the resume is vacuous", budget)
+		}
+		rs, err := ResumeChain(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcfg := cfg
+		rcfg.Resume = rs
+		assertSameMine(t, fmt.Sprintf("budget %d, resumed from %d groups", budget, len(rs.Groups)), base, Mine(db, rcfg))
 	}
 }
 
@@ -376,8 +485,8 @@ func TestParentFormatSnapshotResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Done == 0 || rs.Done >= last.Done {
-		t.Fatalf("fixture commits %d of %d groups; want a proper prefix", rs.Done, last.Done)
+	if len(rs.Groups) == 0 || len(rs.Groups) >= len(last.Groups) {
+		t.Fatalf("fixture holds %d of %d groups; want a proper subset", len(rs.Groups), len(last.Groups))
 	}
 	rcfg := cfg
 	rcfg.Resume = rs
@@ -401,20 +510,22 @@ func TestParentFormatSnapshotResumes(t *testing.T) {
 	}
 }
 
-// FuzzResumeChain splits one mine's committed outcomes into arbitrary
-// part sequences, two input bytes per part: legacy full snapshots
-// (From 0), deltas that start where the chain ends, and retries that
-// start over from a shorter prefix. Each chain must apply to the
-// encoding of one full snapshot of the prefix its last part ends at. A
-// part that starts past the chain's end, or a later part carrying
-// another mine's Key or GroupsHash, must fail the chain.
+// FuzzResumeChain builds chains of snapshot parts over one mine's
+// finished outcomes, three input bytes per part: parts listing groups
+// out of order, with indices repeated within and across parts; parts in
+// the parent format, a range [From, Done); parts that repeat groups an
+// earlier part carried; and parts carrying another mine's Key or
+// GroupsHash. A chain whose parts all carry one identity must apply to
+// the encoding of one snapshot of the union of their groups, ordered by
+// index; a chain that mixes identities must fail.
 func FuzzResumeChain(f *testing.F) {
-	f.Add([]byte{0, 5})
-	f.Add([]byte{1, 3, 1, 7, 1, 200})
-	f.Add([]byte{0, 9, 1, 2, 2, 4, 1, 1})
-	f.Add([]byte{1, 4, 3, 0})
-	f.Add([]byte{1, 4, 1, 2, 3, 1})
+	f.Add([]byte{0, 0, 5})
+	f.Add([]byte{1, 3, 1, 1, 7, 200})
+	f.Add([]byte{0, 9, 1, 2, 2, 4, 1, 1, 0})
+	f.Add([]byte{1, 4, 3, 3, 0, 1})
+	f.Add([]byte{1, 4, 1, 2, 3, 1, 3, 2, 9})
 	f.Add([]byte{0, 30, 0, 2, 1, 0})
+	f.Add([]byte{3, 1, 4})
 
 	db := plantedDB(60, 18, chem.SbCore())
 	cfg := testConfig()
@@ -429,79 +540,101 @@ func FuzzResumeChain(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	all, n := final.Outcomes, final.Done
-	encode := func(t *testing.T, from, done int, key, gh string) []byte {
-		buf, err := EncodeResumeState(&ResumeState{
-			V: persistVersion, Key: key, GroupsHash: gh,
-			From: from, Done: done, Outcomes: all[from:done],
-		})
+	n := len(final.Groups)
+	for i, gi := range final.Groups {
+		if gi != i {
+			f.Fatalf("the mine's chain lists group %d at %d; want every group once", gi, i)
+		}
+	}
+	type identity struct{ key, gh string }
+	own := identity{final.Key, final.GroupsHash}
+	encode := func(t *testing.T, id identity, rs ResumeState) []byte {
+		rs.V, rs.Key, rs.GroupsHash = persistVersion, id.key, id.gh
+		buf, err := EncodeResumeState(&rs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return buf
 	}
+	listed := func(gis []int) ResumeState {
+		rs := ResumeState{Groups: gis, Outcomes: []PersistedOutcome{}}
+		for _, gi := range gis {
+			rs.Outcomes = append(rs.Outcomes, final.Outcomes[gi])
+		}
+		return rs
+	}
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var chain [][]byte
-		done, broken := 0, false
-		for i := 0; i+1 < len(ops) && !broken; i += 2 {
-			x := int(ops[i+1])
+		union := map[int]bool{}
+		ids := map[identity]bool{}
+		var last identity
+		for i := 0; i+2 < len(ops); i += 3 {
+			a, b := int(ops[i+1]), int(ops[i+2])
+			id := own
+			var rs ResumeState
 			switch ops[i] % 4 {
-			case 0: // a legacy full snapshot
-				d := x % (n + 1)
-				chain = append(chain, encode(t, 0, d, final.Key, final.GroupsHash))
-				done = d
-			case 1: // a delta from the chain's end
-				if done == n {
-					continue
+			case 0: // the parent format: the range [From, Done)
+				from := a % (n + 1)
+				done := from + b%(n-from+1)
+				rs = ResumeState{From: from, Done: done, Outcomes: final.Outcomes[from:done]}
+				for gi := from; gi < done; gi++ {
+					union[gi] = true
 				}
-				d := done + 1 + x%(n-done)
-				chain = append(chain, encode(t, done, d, final.Key, final.GroupsHash))
-				done = d
-			case 2: // a retry that starts over from a shorter prefix
-				from := x % (done + 1)
-				if from == n {
-					continue
+			case 1: // groups out of order, an index possibly repeated
+				gis := make([]int, 1+b%6)
+				for k := range gis {
+					gis[k] = (a + (len(gis)-k)*(b|1)) % n
+					union[gis[k]] = true
 				}
-				d := from + 1 + (x/7)%(n-from)
-				chain = append(chain, encode(t, from, d, final.Key, final.GroupsHash))
-				done = d
-			case 3: // a gap, or another mine's part
-				switch {
-				case x%2 == 0 && done < n:
-					chain = append(chain, encode(t, done+1, max(done+1, min(n, done+1+x/2)), final.Key, final.GroupsHash))
-				case x%2 == 1 && done > 0:
-					from := 1 + x%done
-					key, gh := final.Key, "foreign"
-					if x%4 == 1 {
-						key, gh = "foreign", final.GroupsHash
+				rs = listed(gis)
+			case 2: // groups an earlier part carried, in reverse
+				var gis []int
+				for gi := n - 1; gi >= 0 && len(gis) <= a%4; gi-- {
+					if union[gi] && (gi+b)%3 != 0 {
+						gis = append(gis, gi)
 					}
-					chain = append(chain, encode(t, from, done, key, gh))
-				default:
+				}
+				if len(gis) == 0 {
 					continue
 				}
-				broken = true
+				rs = listed(gis)
+			case 3: // another mine's part
+				id = identity{"foreign", own.gh}
+				if a%2 == 1 {
+					id = identity{own.key, "foreign"}
+				}
+				gi := b % n
+				union[gi] = true
+				rs = listed([]int{gi})
 			}
+			chain = append(chain, encode(t, id, rs))
+			ids[id], last = true, id
 		}
 		if len(chain) == 0 {
 			return
 		}
 		got, err := ResumeChain(chain)
-		if broken {
+		if len(ids) > 1 {
 			if err == nil {
-				t.Fatalf("chain with a gap or a foreign part applied to %d groups", got.Done)
+				t.Fatalf("chain mixing %d mines' parts applied to %d groups", len(ids), len(got.Groups))
 			}
 			return
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		gis := []int{}
+		for gi := range union {
+			gis = append(gis, gi)
+		}
+		slices.Sort(gis)
 		buf, err := EncodeResumeState(got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := encode(t, 0, done, final.Key, final.GroupsHash); string(buf) != string(want) {
-			t.Fatalf("chain of %d parts applied to a snapshot unlike the full one of %d groups", len(chain), done)
+		if want := encode(t, last, listed(gis)); string(buf) != string(want) {
+			t.Fatalf("chain of %d parts applied to a snapshot unlike the one of their %d groups", len(chain), len(gis))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -227,8 +228,13 @@ func verify(each func(func([]*graph.Graph)) error, n int, patterns []*Subgraph, 
 	if len(patterns) > 0 {
 		err := each(func(graphs []*graph.Graph) {
 			pf := isomorph.NewPrefilter(graphs).Meter(ctl.Metrics(), "verify")
+			var mu sync.Mutex
+			var cps []*runctl.Checkpoint
 			ctl.FanOut(len(patterns), workers, func() func(int) bool {
 				cp := ctl.Checkpoint(runctl.StageVerify)
+				mu.Lock()
+				cps = append(cps, cp)
+				mu.Unlock()
 				return func(i int) bool {
 					if !countOne(pf, patterns[i], &supports[i], cp, ctl) {
 						incomplete[i].Store(true)
@@ -236,6 +242,11 @@ func verify(each func(func([]*graph.Graph)) error, n int, patterns []*Subgraph, 
 					return true
 				}
 			})
+			// Every worker has returned; count the steps each took since
+			// its last check.
+			for _, cp := range cps {
+				cp.Flush()
+			}
 		})
 		if err != nil {
 			return span.Fail(runctl.ReasonPanic, 0), err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"graphsig/internal/feature"
@@ -76,7 +75,7 @@ type PatternStats struct {
 	// GroupErrors counts isolated group-worker panics.
 	GroupErrors int
 	// windows counts the region windows cut by the groups mined in this
-	// run (a resumed prefix cut none): the StageGroup span's work units.
+	// run (a restored group cut none): the StageGroup span's work units.
 	windows int
 }
 
@@ -118,66 +117,58 @@ func SortSubgraphs(subs []Subgraph) {
 // minePatterns is Phase 3 plus the best-pattern merge. Outcomes are
 // folded in group order regardless of worker completion order, so the
 // dedup tie-break (lowest vector log-p wins, first group wins ties) is
-// deterministic at any parallelism. A failed window read fails the whole
-// phase with the error of the first failing group in group order.
+// deterministic at any parallelism. A failed window read fails the
+// whole phase, before any group is mined, with the error of the lowest
+// failing database position.
 func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []VectorGroup, cfg Config, ctl *runctl.Controller) ([]*Subgraph, PatternStats, error) {
 	var stats PatternStats
 	// Durability hooks: when the caller installed a checkpoint sink or
 	// handed us a snapshot, bind this run's identity (database + config
 	// + group list) so snapshots can only resume the exact same mine.
-	var resumed []groupOutcome
+	outcomes := make([]groupOutcome, len(groups))
 	var ckpt *checkpointer
 	if (cfg.Resume != nil || ctl.WantsCheckpoints()) && dbFP != "" {
 		key := MineKey(dbFP, cfg)
 		gh := groupsHash(groups)
-		resumed = validResumePrefix(cfg.Resume, key, gh, len(groups), ctl.Metrics())
+		restoreSnapshot(outcomes, cfg.Resume, key, gh, ctl.Metrics())
 		if ctl.WantsCheckpoints() {
 			every := cfg.CheckpointEvery
 			if every <= 0 {
 				every = DefaultCheckpointEvery
 			}
-			// The checkpointer runs emit under its lock, in frontier order,
-			// so each part carries only the outcomes committed since the
-			// last part emitted: a resumed run's first part starts at its
-			// resumed prefix, which the caller's chain already holds. A
-			// part that fails to encode is skipped without moving emitted,
-			// so the next part covers its groups and the chain has no gap.
-			emitted := len(resumed)
-			ckpt = newCheckpointer(len(groups), len(resumed), every, func(done int, outcomes []groupOutcome) {
-				fresh, err := persistOutcomes(outcomes[emitted:done])
-				if err != nil {
-					return // unserializable snapshot: skip, never block mining
-				}
-				buf, err := EncodeResumeState(&ResumeState{
-					V: persistVersion, Key: key, GroupsHash: gh,
-					From: emitted, Done: done, Outcomes: fresh,
-				})
+			// Each part carries only the groups mined since the last part,
+			// so a resumed run never re-emits the groups its caller's chain
+			// already holds. A part that fails to encode is dropped, never
+			// blocking mining: a resume mines its groups again.
+			ckpt = &checkpointer{every: every, emit: func(gis []int) {
+				persisted, err := persistOutcomes(outcomes, gis)
 				if err != nil {
 					return
 				}
-				emitted = done
-				ctl.EmitCheckpoint(buf)
-			})
+				buf, err := EncodeResumeState(&ResumeState{
+					V: persistVersion, Key: key, GroupsHash: gh,
+					Groups: gis, Outcomes: persisted,
+				})
+				if err == nil {
+					ctl.EmitCheckpoint(buf)
+				}
+			}}
 		}
 	}
-	outcomes, launched := mineGroups(fetch, groups, cfg, ctl, resumed, ckpt)
-	// Every group before a failed one was launched, so the first failure
-	// among the launched groups is the first in group order.
-	for gi := 0; gi < launched; gi++ {
-		if err := outcomes[gi].err; err != nil {
-			return nil, stats, fmt.Errorf("core: vector group %d: %w", gi, err)
-		}
+	windows, err := mineGroups(fetch, groups, cfg, ctl, outcomes, ckpt)
+	if err != nil {
+		return nil, stats, err
 	}
-	if launched < len(groups) {
-		ctl.RecordStop(runctl.StageGroupMine, int64(launched), int64(len(groups)), "vector groups mined")
-	}
+	stats.windows = windows
 	best := map[string]*Subgraph{}
-	for gi := 0; gi < launched; gi++ {
+	done := 0
+	for gi := range outcomes {
 		o := &outcomes[gi]
 		grp := groups[gi]
-		if gi >= len(resumed) {
-			stats.windows += o.windows
+		if !o.done {
+			continue
 		}
+		done++
 		if o.mined {
 			stats.GroupsMined++
 		}
@@ -210,6 +201,9 @@ func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []V
 				}
 			}
 		}
+	}
+	if done < len(groups) {
+		ctl.RecordStop(runctl.StageGroupMine, int64(done), int64(len(groups)), "vector groups mined")
 	}
 	ordered := make([]*Subgraph, 0, len(best))
 	for _, sg := range best {

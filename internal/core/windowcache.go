@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"graphsig/internal/graph"
@@ -10,13 +11,11 @@ import (
 )
 
 // windowSlot is one distinct (graph, node) region of a mine. Once its
-// graph is cut it holds the window, the error reading the graph, or a
-// panic recovered while fetching or cutting the graph.
+// graph is cut it holds the window, or a panic recovered while fetching
+// or cutting the graph.
 type windowSlot struct {
 	key   [2]int // graph, node
-	run   int    // the graph's index in runs
 	g     *graph.Graph
-	err   error
 	fault any
 }
 
@@ -31,9 +30,8 @@ type windowTable struct {
 	radius int
 	slots  []windowSlot
 	// runs[r]:runs[r+1] are the slots of the r-th graph in database
-	// order; cut[r] is set once that graph has been read.
+	// order.
 	runs []int
-	cut  []bool
 	// groups lists each group's slots in groupNodes order.
 	groups [][]int
 }
@@ -62,12 +60,11 @@ func newWindowTable(fetch func(int) (*graph.Graph, error), groups []VectorGroup,
 			if n == 0 || t.slots[n-1].key[0] != r.key[0] {
 				t.runs = append(t.runs, n)
 			}
-			t.slots = append(t.slots, windowSlot{key: r.key, run: len(t.runs) - 1})
+			t.slots = append(t.slots, windowSlot{key: r.key})
 		}
 		*r.slot = len(t.slots) - 1
 	}
 	t.runs = append(t.runs, len(t.slots))
-	t.cut = make([]bool, len(t.runs)-1)
 	return t
 }
 
@@ -75,75 +72,60 @@ func newWindowTable(fetch func(int) (*graph.Graph, error), groups []VectorGroup,
 // store reader each segment then loads once, where group order reloads
 // every segment the LRU has evicted. It stops claiming graphs once a
 // read fails or the controller stops; a stop cause is never cleared, so
-// no group then launches to read a slot left uncut.
-func (t *windowTable) sweep(workers int, ctl *runctl.Controller) {
-	ctl.FanOut(len(t.cut), workers, func() func(int) bool { return t.cutRun })
+// no group then launches to read a slot left uncut. It returns the
+// error of the lowest database position whose read failed: FanOut
+// claims graphs in ascending order and runs every graph it claims, so
+// each graph below a failed one has been read.
+func (t *windowTable) sweep(workers int, ctl *runctl.Controller) error {
+	errs := make([]error, len(t.runs)-1)
+	ctl.FanOut(len(errs), workers, func() func(int) bool {
+		return func(r int) bool {
+			errs[r] = t.cutRun(r)
+			return errs[r] == nil
+		}
+	})
+	if r := slices.IndexFunc(errs, func(err error) bool { return err != nil }); r >= 0 {
+		return fmt.Errorf("core: window sweep: graph %d: %w", t.slots[t.runs[r]].key[0], errs[r])
+	}
+	return nil
 }
 
 // cutRun fetches the r-th graph once and cuts all of its windows,
-// reporting false when the read failed. A read error, or a panic while
-// fetching or cutting, is stored in every slot of the graph; the group
-// that reads one fails with the error or re-raises the panic inside its
-// own barrier, just as if it had cut the window itself.
-func (t *windowTable) cutRun(r int) (ok bool) {
-	t.cut[r] = true
+// returning the read error. A panic while fetching or cutting is stored
+// in every slot of the graph; the group that reads one re-raises it
+// inside its own barrier, just as if it had cut the window itself.
+func (t *windowTable) cutRun(r int) (err error) {
 	run := t.slots[t.runs[r]:t.runs[r+1]]
 	defer func() {
 		if p := recover(); p != nil {
 			for i := range run {
 				run[i].fault = p
 			}
-			ok = true
+			err = nil
 		}
 	}()
 	g, err := t.fetch(run[0].key[0])
+	if err != nil {
+		return err
+	}
 	for i := range run {
-		if run[i].err = err; err == nil {
-			run[i].g = g.CutGraph(run[i].key[1], t.radius)
-		}
+		run[i].g = g.CutGraph(run[i].key[1], t.radius)
 	}
-	return err == nil
+	return nil
 }
 
-// launchable returns how many groups, in group order, may launch after
-// the sweep: all of them, or those up to and including the first that
-// reads a failed slot, so a failed read fails the mine with exactly
-// that group's error. The groups before it may need graphs the sweep,
-// stopped by the failure, never reached; those are read here, one at a
-// time in group order — the only reads outside the sweep, made only
-// after a read has failed — unless the controller has stopped.
-func (t *windowTable) launchable(ctl *runctl.Controller) int {
-	for gi, slots := range t.groups {
-		for _, s := range slots {
-			if r := t.slots[s].run; !t.cut[r] {
-				if ctl.Stopped() {
-					return 0
-				}
-				t.cutRun(r)
-			}
-			if t.slots[s].err != nil {
-				return gi + 1
-			}
-		}
-	}
-	return len(t.groups)
-}
-
-// windows returns group gi's windows in groupNodes order, or the error
-// of its first failed slot. A slot holding a panic re-raises it.
-func (t *windowTable) windows(gi int) ([]*graph.Graph, error) {
+// windows returns group gi's windows in groupNodes order. A slot
+// holding a panic re-raises it.
+func (t *windowTable) windows(gi int) []*graph.Graph {
 	out := make([]*graph.Graph, len(t.groups[gi]))
 	for i, s := range t.groups[gi] {
 		slot := &t.slots[s]
 		if slot.fault != nil {
 			panic(slot.fault)
 		}
-		if slot.err != nil {
-			return nil, slot.err
-		}
 		out[i] = slot.g
 	}
-	return out, nil
+	return out
 }
 
 // book counts the window reads of the first launched groups: the first

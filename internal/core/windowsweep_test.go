@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
 	"graphsig/internal/runctl"
+	"graphsig/internal/rwr"
 )
 
 // sweepFixture returns a database, its Phase-2 groups, and the config
@@ -98,82 +100,78 @@ func TestPhase3FetchesEachPositionOnce(t *testing.T) {
 	}
 }
 
-// touching returns the first group, in group order, with a window in
-// graph gid, or -1.
-func touching(groups []VectorGroup, cfg Config, gid int) int {
-	for gi, g := range groups {
-		for _, nv := range groupNodes(g, cfg) {
-			if nv.GraphID == gid {
-				return gi
+// mineAll runs mineGroups over fresh outcomes and returns them with
+// the sweep's error.
+func mineAll(fetch func(int) (*graph.Graph, error), groups []VectorGroup, cfg Config, ctl *runctl.Controller) ([]groupOutcome, error) {
+	outcomes := make([]groupOutcome, len(groups))
+	_, err := mineGroups(fetch, groups, cfg, ctl, outcomes, nil)
+	return outcomes, err
+}
+
+// doneCount counts the outcomes marked done.
+func doneCount(outcomes []groupOutcome) int {
+	n := 0
+	for _, o := range outcomes {
+		if o.done {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSweepReadErrorFailsBeforeAnyGroup: when the sweep fails to read
+// graphs, Phase 3 fails with the error of the lowest failing database
+// position before any group launches, so no group is marked done, and
+// each failed graph is read at most once — the graph below the lowest
+// failure has been read, so that failure is always found.
+func TestSweepReadErrorFailsBeforeAnyGroup(t *testing.T) {
+	db, groups, cfg := sweepFixture(t)
+	var needed []int
+	for gid := range db {
+		for _, g := range groups {
+			if slices.ContainsFunc(groupNodes(g, cfg), func(nv rwr.NodeVector) bool { return nv.GraphID == gid }) {
+				needed = append(needed, gid)
+				break
 			}
 		}
 	}
-	return -1
-}
-
-// outcomeSummary renders what a group outcome contributes to the answer.
-func outcomeSummary(o groupOutcome) string {
-	codes := make([]string, len(o.patterns))
-	for i, p := range o.patterns {
-		codes[i] = p.Code.String()
+	if len(needed) < 4 {
+		t.Fatalf("the groups read %d graphs; the test needs several", len(needed))
 	}
-	return fmt.Sprintf("windows=%d mined=%v pruned=%v panicked=%v %v", o.windows, o.mined, o.pruned, o.panicked, codes)
-}
-
-// TestSweepReadErrorFailsFirstTouchingGroup: when the sweep fails to
-// read a graph, the mine fails with the error of the first group in
-// group order that has a window there, no later group is launched, and
-// the failed graph is read once — the group finds the error cached.
-// The groups before the failing one are mined as in a clean run, even
-// where they need graphs the stopped sweep never reached.
-func TestSweepReadErrorFailsFirstTouchingGroup(t *testing.T) {
-	db, groups, cfg := sweepFixture(t)
-	// A graph the first group does not touch, so the groups before the
-	// failing one are mined normally.
-	bad, first := -1, -1
-	for gid := range db {
-		if gi := touching(groups, cfg, gid); gi > 0 {
-			bad, first = gid, gi
-			break
-		}
-	}
-	if bad < 0 {
-		t.Fatal("every graph is touched by group 0; the test is vacuous")
-	}
-	clean, _ := mineGroups(Slice(db).Graph, groups, cfg, runctl.New(runctl.Options{}), nil, nil)
-	errBad := errors.New("injected read failure")
+	// Two failing graphs, the lower one past the first few reads, so
+	// that at parallelism 4 the higher one may be claimed first.
+	low, high := needed[len(needed)/2], needed[len(needed)/2+1]
+	errLow, errHigh := errors.New("injected read failure (low)"), errors.New("injected read failure (high)")
 	for _, par := range []int{1, 4} {
-		var badReads atomic.Int64
+		var lowReads, highReads atomic.Int64
 		fetch := func(i int) (*graph.Graph, error) {
-			if i == bad {
-				badReads.Add(1)
-				return nil, errBad
+			switch i {
+			case low:
+				lowReads.Add(1)
+				return nil, errLow
+			case high:
+				highReads.Add(1)
+				return nil, errHigh
 			}
 			return db[i], nil
 		}
 		cfg.Parallelism = par
-		ctl := runctl.New(runctl.Options{})
-		outcomes, launched := mineGroups(fetch, groups, cfg, ctl, nil, nil)
-		if launched != first+1 {
-			t.Errorf("parallelism %d: launched %d groups; want %d (through the first group touching graph %d)", par, launched, first+1, bad)
+		outcomes, err := mineAll(fetch, groups, cfg, runctl.New(runctl.Options{}))
+		if !errors.Is(err, errLow) {
+			t.Errorf("parallelism %d: sweep error = %v; want graph %d's injected failure", par, err, low)
 		}
-		for gi := 0; gi < first; gi++ {
-			if outcomes[gi].err != nil {
-				t.Errorf("parallelism %d: group %d failed: %v", par, gi, outcomes[gi].err)
-			}
-			if got, want := outcomeSummary(outcomes[gi]), outcomeSummary(clean[gi]); got != want {
-				t.Errorf("parallelism %d: group %d mined %s; a clean run mines %s", par, gi, got, want)
-			}
+		if n := doneCount(outcomes); n != 0 {
+			t.Errorf("parallelism %d: %d groups marked done after a failed sweep; want 0", par, n)
 		}
-		if !errors.Is(outcomes[first].err, errBad) {
-			t.Errorf("parallelism %d: group %d error = %v; want the injected failure", par, first, outcomes[first].err)
+		if n := lowReads.Load(); n != 1 {
+			t.Errorf("parallelism %d: lowest failing graph read %d times; want 1", par, n)
 		}
-		if n := badReads.Load(); n != 1 {
-			t.Errorf("parallelism %d: failing graph read %d times; want 1", par, n)
+		if n := highReads.Load(); n > 1 {
+			t.Errorf("parallelism %d: higher failing graph read %d times; want at most 1", par, n)
 		}
-		_, _, err := minePatterns(fetch, "", groups, cfg, runctl.New(runctl.Options{}))
-		if !errors.Is(err, errBad) || !strings.Contains(err.Error(), fmt.Sprintf("vector group %d:", first)) {
-			t.Errorf("parallelism %d: minePatterns error = %v; want group %d's injected failure", par, err, first)
+		_, _, err = minePatterns(fetch, "", groups, cfg, runctl.New(runctl.Options{}))
+		if !errors.Is(err, errLow) || !strings.Contains(err.Error(), fmt.Sprintf("graph %d:", low)) {
+			t.Errorf("parallelism %d: minePatterns error = %v; want graph %d's injected failure", par, err, low)
 		}
 	}
 }
@@ -220,7 +218,7 @@ func TestSweepCutPanicLeftToGroupWorker(t *testing.T) {
 // the run is truncated with reason cancel and books no window read.
 func TestStopDuringSweepLaunchesNoGroup(t *testing.T) {
 	db, groups, cfg := sweepFixture(t)
-	graphs := len(newWindowTable(Slice(db).Graph, groups, cfg).cut)
+	graphs := len(newWindowTable(Slice(db).Graph, groups, cfg).runs) - 1
 	for _, par := range []int{1, 4} {
 		for _, k := range []int64{1, 2, 5, int64(graphs)} {
 			reg := obs.NewRegistry()
@@ -234,7 +232,11 @@ func TestStopDuringSweepLaunchesNoGroup(t *testing.T) {
 			}
 			pcfg := cfg
 			pcfg.Parallelism = par
-			if _, launched := mineGroups(fetch, groups, pcfg, ctl, nil, nil); launched != 0 {
+			outcomes, err := mineAll(fetch, groups, pcfg, ctl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if launched := doneCount(outcomes); launched != 0 {
 				t.Errorf("parallelism %d, stop at read %d: %d groups launched; want 0", par, k, launched)
 			}
 			if d := ctl.Report(); !d.Truncated || d.Reason != runctl.ReasonCancel {

@@ -80,6 +80,7 @@ func (t *Team) Mine(vectors []feature.Vector, opt Options) Result {
 		model = sigmodel.New(vectors)
 	}
 	s := newSearcher(vectors, model, opt.MinSupport, opt.Ctl.Checkpoint(runctl.StageFVMine))
+	defer s.cp.Flush()
 	// Un-amortized check up front so an already-expired deadline or
 	// canceled context truncates before any work.
 	if err := s.cp.Force(); err != nil {
@@ -201,6 +202,7 @@ func (st *subtree) run() {
 	}()
 	sp := st.sp
 	s := &searcher{kernel: sp.kernel, cp: sp.opt.Ctl.Checkpoint(runctl.StageFVMine), frames: []*frame{st.root}, split: sp}
+	defer s.cp.Flush()
 	st.m = newMiner(s, sp.opt)
 	if err := sp.opt.Ctl.Err(); err != nil {
 		s.stop(err)

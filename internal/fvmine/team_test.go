@@ -100,3 +100,33 @@ func TestSplitMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestSpentCountsEveryStep mines every MOLT-4 x400 group on one
+// controller, serially and with helpers waiting for subtrees: the
+// controller's FVMineStates must count every step the searches took —
+// each state explored plus each search's up-front check — including
+// the steps since their last amortized check when a search or a
+// subtree given away returns.
+func TestSpentCountsEveryStep(t *testing.T) {
+	groups, model := molt4Groups(400)
+	for _, helpers := range []int{1, 2} {
+		ctl := runctl.New(runctl.Options{})
+		steps, gifts := 0, 0
+		for _, vecs := range groups {
+			opt := coreOptions(len(vecs), model)
+			opt.Ctl = ctl
+			res := mineHelped(vecs, opt, helpers)
+			steps += res.StatesExplored
+			if len(vecs) >= opt.MinSupport {
+				steps++ // the up-front Force
+			}
+			gifts += res.gifts
+		}
+		if helpers > 1 && gifts == 0 {
+			t.Errorf("%d helpers: no subtree given away; the donated-subtree case is vacuous", helpers-1)
+		}
+		if got := ctl.Spent().FVMineStates; got != int64(steps) {
+			t.Errorf("%d helpers: Spent().FVMineStates = %d; the searches took %d steps", helpers-1, got, steps)
+		}
+	}
+}

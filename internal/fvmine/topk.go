@@ -38,6 +38,7 @@ func mineTopK(vectors []feature.Vector, k int, minSupport int, model *sigmodel.M
 	}
 	m := &topKMiner{k: k, model: model}
 	s := newSearcher(vectors, model, minSupport, ctl.Checkpoint(runctl.StageFVMine))
+	defer s.cp.Flush()
 	// Tightening prune: the most significant any descendant can be.
 	s.visit = m.visit
 	s.fruitless = func(ceil feature.Vector, size int) bool { return model.LogPValue(ceil, size) >= m.bound() }

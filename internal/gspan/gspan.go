@@ -190,6 +190,7 @@ func Mine(db []*graph.Graph, opt Options) Result {
 		opt.MinSupport = 1
 	}
 	m := &miner{db: db, opt: opt, cp: opt.Ctl.Checkpoint(runctl.StageGSpan)}
+	defer m.cp.Flush()
 	if opt.ClosedOnly {
 		reg := m.cp.Metrics()
 		m.closedPrunes = reg.Counter(obs.MClosedPrunes, "miner", "gspan")

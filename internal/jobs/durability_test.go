@@ -265,8 +265,9 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
-// chainPart encodes a synthetic snapshot part covering groups
-// [from, from+len(windows)), one outcome per window count.
+// chainPart encodes a synthetic snapshot part in the parent format,
+// covering groups [from, from+len(windows)), one outcome per window
+// count.
 func chainPart(t *testing.T, key string, from int, windows ...int) []byte {
 	t.Helper()
 	rs := &core.ResumeState{V: 1, Key: key, GroupsHash: "h", From: from, Done: from + len(windows)}
@@ -281,17 +282,20 @@ func chainPart(t *testing.T, key string, from int, windows ...int) []byte {
 }
 
 func TestRetryResumesFromCheckpointChain(t *testing.T) {
-	// A retry in the same process resumes from every part the failed
-	// attempt emitted, applied in order; a chain with a gap is rejected
-	// as a foreign snapshot is, and the retry mines from scratch.
+	// A retry in the same process resumes from the union of every part
+	// the failed attempt emitted, even where a group between them is
+	// missing; a chain with a foreign part is rejected as a foreign
+	// snapshot is, and the retry mines from scratch.
 	for _, tc := range []struct {
-		name     string
-		parts    [][]byte
-		wantDone int
+		name       string
+		parts      [][]byte
+		wantGroups int
+		// lastWindows is the window count of the snapshot's last group.
+		lastWindows int
 	}{
-		{"chain", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "k", 1, 5, 7)}, 3},
-		{"gap", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "k", 2, 5)}, -1},
-		{"foreign part", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "other", 1, 5)}, -1},
+		{"chain", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "k", 1, 5, 7)}, 3, 7},
+		{"gap", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "k", 2, 5)}, 2, 5},
+		{"foreign part", [][]byte{chainPart(t, "k", 0, 3), chainPart(t, "other", 1, 5)}, -1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			jr, _ := openJournal(t, t.TempDir(), journal.Options{})
@@ -318,14 +322,14 @@ func TestRetryResumesFromCheckpointChain(t *testing.T) {
 			waitState(t, j, StateDone)
 			rs := <-resumed
 			rejected := reg.Counter(obs.MResumeRejected).Value()
-			if tc.wantDone < 0 {
+			if tc.wantGroups < 0 {
 				if rs != nil || rejected != 1 {
 					t.Fatalf("retry resumed from %+v with %d rejections; want no resume, 1 rejection", rs, rejected)
 				}
 				return
 			}
-			if rs == nil || rs.Done != tc.wantDone || rs.Outcomes[2].Windows != 7 || rejected != 0 {
-				t.Fatalf("retry resumed from %+v with %d rejections; want the applied chain of %d groups", rs, rejected, tc.wantDone)
+			if rs == nil || len(rs.Groups) != tc.wantGroups || rs.Outcomes[len(rs.Outcomes)-1].Windows != tc.lastWindows || rejected != 0 {
+				t.Fatalf("retry resumed from %+v with %d rejections; want the applied chain of %d groups", rs, rejected, tc.wantGroups)
 			}
 		})
 	}
@@ -378,7 +382,7 @@ func TestJournalReplayResumesFromChain(t *testing.T) {
 		t.Fatalf("interrupted job %s not requeued", j.ID())
 	}
 	waitState(t, j2, StateDone)
-	if rs := <-resumed; rs == nil || rs.Done != 2 || rs.Outcomes[1].Windows != 5 {
+	if rs := <-resumed; rs == nil || len(rs.Groups) != 2 || rs.Outcomes[1].Windows != 5 {
 		t.Fatalf("restarted job resumed from %+v, want the applied chain of 2 groups", rs)
 	}
 }

@@ -261,8 +261,9 @@ type Job struct {
 	// attempt is the 0-based execution attempt (bumped per retry).
 	attempt int
 	// checkpoints is the job's resumable snapshot chain, in emit order,
-	// from the journal replay and this process's own checkpoint sink;
-	// the next (re)run resumes from it (core.ResumeChain).
+	// from the journal replay and this process's own checkpoint sink.
+	// Each part holds a set of finished groups; the next (re)run resumes
+	// from their union (core.ResumeChain) and mines the rest.
 	checkpoints [][]byte
 	// inQueue: the job is physically referenced by the queue channel.
 	// The janitor never evicts such a job — a worker will still
@@ -758,7 +759,7 @@ func (m *Manager) run(j *Job) {
 		if rs, err := core.ResumeChain(checkpoints); err == nil {
 			cfg.Resume = rs
 		} else {
-			// A gap, a foreign part or an undecodable one: the chain is
+			// A foreign part or an undecodable one: the chain is
 			// rejected as core rejects a foreign snapshot.
 			m.met.reg.Counter(obs.MResumeRejected).Inc()
 			m.logf("jobs: %s checkpoint chain rejected, mining from scratch: %v", j.id, err)

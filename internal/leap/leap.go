@@ -93,6 +93,8 @@ func Mine(pos, neg []*graph.Graph, opt Options) []Pattern {
 	// Mining-internal isomorphism charges the miner pool; Budgets.VF2Nodes
 	// is reserved for support verification and query-time search.
 	cpVF2 := ctl.Checkpoint(runctl.StageLEAP)
+	defer cp.Flush()
+	defer cpVF2.Flush()
 
 	scoredByKey := map[string]Pattern{}
 	minedAbove := len(pos) + 1 // support threshold of the previous round

@@ -13,6 +13,7 @@
 //
 //	ctl := runctl.New(runctl.Options{Deadline: d})
 //	cp := ctl.Checkpoint(runctl.StageFVMine)
+//	defer cp.Flush()
 //	for ... {
 //	    if err := cp.Step(); err != nil { return partial(err) }
 //	}
@@ -130,13 +131,15 @@ type Options struct {
 	// Nil disables metering with no per-step cost.
 	Metrics *obs.Registry
 	// CheckpointSink, when non-nil, receives the resumable snapshot
-	// parts the pipeline emits at its durable progress boundaries
-	// (core.Mine's group-merge commits), each carrying only the progress
-	// since the previous one. The owner keeps them in order — the jobs
-	// layer appends each to its write-ahead journal — so a killed process
-	// can restart from the chain instead of from zero. The payload is
-	// opaque to runctl; core owns its encoding. Pipelines only build
-	// snapshots when a sink is installed, so unattended runs pay nothing.
+	// parts the pipeline emits at its durable progress boundaries (in
+	// core.Mine, each time a batch of vector groups has finished), each
+	// carrying only the progress since the previous one. The owner keeps
+	// every part — the jobs layer appends each to its write-ahead journal
+	// — so a killed process can restart from the chain instead of from
+	// zero. Parts arrive one at a time, from whichever pipeline worker
+	// finished the batch. The payload is opaque to runctl; core owns its
+	// encoding. Pipelines only build snapshots when a sink is installed,
+	// so unattended runs pay nothing.
 	CheckpointSink func(payload []byte)
 }
 
@@ -432,8 +435,9 @@ type Spent struct {
 
 // Spent snapshots the shared work counters. Safe to call concurrently
 // with running checkpoints; a nil controller reports zeros. Counters
-// are flushed every CheckInterval steps, so the snapshot trails the
-// true spend by at most one interval per live goroutine.
+// are flushed every CheckInterval steps and when a checkpoint's owner
+// is done with it (Flush), so the snapshot trails the true spend by at
+// most one interval per live checkpoint.
 func (c *Controller) Spent() Spent {
 	if c == nil {
 		return Spent{}
@@ -511,13 +515,29 @@ func (cp *Checkpoint) Force() error {
 }
 
 // Metrics returns the owning controller's metrics registry, so library
-// code handed only a checkpoint (the miners' maximality passes) can
-// still meter itself. Nil for a nil or unmetered checkpoint.
+// code handed only a checkpoint (fsg's and gspan's closed-prune
+// counters) can still meter itself. Nil for a nil or unmetered
+// checkpoint.
 func (cp *Checkpoint) Metrics() *obs.Registry {
 	if cp == nil {
 		return nil
 	}
 	return cp.ctl.Metrics()
+}
+
+// Flush adds the steps not yet flushed to the shared stage counter. It
+// consults neither the stop cause, the hook, the deadline nor the
+// budget, and counts no check, so it moves no checkpoint ordinal. The
+// owner of a checkpoint calls it when it is done stepping, so
+// Controller.Spent counts every step taken.
+func (cp *Checkpoint) Flush() {
+	if cp == nil {
+		return
+	}
+	if cp.spent != nil {
+		cp.spent.Add(cp.pending)
+	}
+	cp.pending = 0
 }
 
 // sync flushes pending steps into the shared stage counter and checks

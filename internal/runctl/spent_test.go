@@ -64,3 +64,36 @@ func TestSpentSnapshot(t *testing.T) {
 		t.Errorf("checks = %d; want 10 at interval 1", s.Checks)
 	}
 }
+
+// TestFlushCountsPendingSteps: Flush adds the steps below the check
+// interval to the shared counter without a check — no hook call, no
+// deadline or budget test, no Checks bump — and a stepper whose last
+// check tripped still has its steps counted.
+func TestFlushCountsPendingSteps(t *testing.T) {
+	hooked := 0
+	ctl := New(Options{CheckInterval: 10, Budgets: Budgets{MinerSteps: 5}, Hook: func(int64) bool { hooked++; return false }})
+	cp := ctl.Checkpoint(StageFSG)
+	for i := 0; i < 3; i++ {
+		cp.Step()
+	}
+	cp.Flush()
+	cp.Flush()
+	if s := ctl.Spent(); s.MinerSteps != 3 || s.Checks != 0 || hooked != 0 || ctl.Stopped() {
+		t.Fatalf("after 3 steps and Flush: spent %+v, %d hook calls, stopped %v; want 3 steps, no check", s, hooked, ctl.Stopped())
+	}
+	for i := 0; i < 10; i++ {
+		cp.Step()
+	}
+	if err := ctl.Err(); ReasonOf(err) != ReasonBudget {
+		t.Fatalf("13 steps against a budget of 5: stop cause %v; want budget", err)
+	}
+	for i := 0; i < 4; i++ {
+		cp.Step()
+	}
+	cp.Flush()
+	if s := ctl.Spent(); s.MinerSteps != 17 || s.Checks != 1 {
+		t.Fatalf("after 17 steps: spent %+v; want 17 steps over 1 check", s)
+	}
+	var nilCp *Checkpoint
+	nilCp.Flush()
+}
