@@ -24,6 +24,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -74,7 +75,8 @@ type benchJSON struct {
 	// FSGMinChecks counts FSG Phase-2 minimality checks, one per frequent
 	// extension key that is a rightmost-path extension of its parent's
 	// code. RWRIterations counts RWR power iterations, one per source per
-	// iteration. FVMineTails counts the binomial tails FVMine evaluated.
+	// iteration; a source the per-graph solve certifies runs none.
+	// FVMineTails counts the binomial tails FVMine evaluated.
 	ClosedPrunes  int64                `json:"closedPrunes"`
 	EquivOccHits  int64                `json:"equivOccurrenceHits"`
 	FSGMinChecks  int64                `json:"fsgMinChecks"`
@@ -96,7 +98,7 @@ func main() {
 	verify := flag.Bool("verify", false, "include graph-space support verification")
 	out := flag.String("out", "BENCH_graphsig.json", "output file (- for stdout)")
 	baseline := flag.String("baseline", "", "committed baseline JSON to compare against (empty = no comparison)")
-	maxRegression := flag.Float64("max-regression", 2.0, "fail when the median run time, allocations, FSG minimality checks, RWR iterations or FVMine tails exceed this multiple of the baseline")
+	maxRegression := flag.Float64("max-regression", 2.0, "fail when the median run time, allocations, FSG minimality checks or FVMine tails exceed this multiple of the baseline")
 	flag.Parse()
 	if *runs < 1 {
 		log.Fatal("-runs must be at least 1")
@@ -193,7 +195,9 @@ func main() {
 	}
 
 	if *baseline != "" {
-		checkRegression(*baseline, result, *maxRegression)
+		if err := checkRegression(*baseline, result, *maxRegression); err != nil {
+			log.Fatal(err)
+		}
 	}
 }
 
@@ -221,33 +225,42 @@ func sumLabel(snap obs.Snapshot, name, label string) int64 {
 	return total
 }
 
-// checkRegression exits non-zero when the fresh run's median run time,
-// allocations, FSG minimality checks, RWR iterations or FVMine binomial
-// tails exceed maxRegression × the committed baseline's, when its
-// pattern count or window-cache hits or misses differ from the
-// baseline's, or when it was run under a different key (workload shape,
-// parallelism or verification). Per-run figures are compared so -runs
-// need not match the baseline's.
-func checkRegression(path string, fresh benchJSON, maxRegression float64) {
+// checkRegression returns an error when the fresh run's median run time,
+// allocations, FSG minimality checks or FVMine binomial tails exceed
+// maxRegression × the committed baseline's, when its RWR power
+// iterations exceed the baseline's at all, when its pattern count or
+// window-cache hits or misses differ from the baseline's, or when it was
+// run under a different key (workload shape, parallelism or
+// verification). Per-run figures are compared so -runs need not match
+// the baseline's.
+func checkRegression(path string, fresh benchJSON, maxRegression float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatalf("read baseline: %v", err)
+		return fmt.Errorf("read baseline: %w", err)
 	}
 	var base benchJSON
 	if err := json.Unmarshal(data, &base); err != nil {
-		log.Fatalf("parse baseline %s: %v", path, err)
+		return fmt.Errorf("parse baseline %s: %w", path, err)
+	}
+	// A recorded rwrIterations may be 0, so only the field's absence
+	// says the baseline lacks it.
+	var recorded struct {
+		RWRIterations *int64 `json:"rwrIterations"`
+	}
+	if err := json.Unmarshal(data, &recorded); err != nil {
+		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
 	if base.Dataset != fresh.Dataset || base.Graphs != fresh.Graphs || base.Radius != fresh.Radius ||
 		base.Parallelism != fresh.Parallelism || base.Verify != fresh.Verify {
-		log.Fatalf("baseline %s was recorded for %s/%d graphs/radius %d/parallelism %d/verify %v, this run is %s/%d/%d/%d/%v; rerun at the baseline's key",
+		return fmt.Errorf("baseline %s was recorded for %s/%d graphs/radius %d/parallelism %d/verify %v, this run is %s/%d/%d/%d/%v; rerun at the baseline's key",
 			path, base.Dataset, base.Graphs, base.Radius, base.Parallelism, base.Verify,
 			fresh.Dataset, fresh.Graphs, fresh.Radius, fresh.Parallelism, fresh.Verify)
 	}
 	// Every gated figure must be in the baseline: one that lacks a field
 	// would otherwise pass its check by default.
-	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 || base.RWRIterations <= 0 ||
+	if base.Runs < 1 || base.MedianRunSec <= 0 || base.AllocsPerRun <= 0 || base.FSGMinChecks <= 0 || recorded.RWRIterations == nil ||
 		base.FVMineTails <= 0 || base.Patterns <= 0 || base.WindowHits <= 0 || base.WindowMisses <= 0 {
-		log.Fatalf("baseline %s lacks runs, medianRunSeconds, allocsPerRun, fsgMinChecks, rwrIterations, fvmineTails, patterns, windowCacheHits or windowCacheMisses; re-record it with make bench-json", path)
+		return fmt.Errorf("baseline %s lacks runs, medianRunSeconds, allocsPerRun, fsgMinChecks, rwrIterations, fvmineTails, patterns, windowCacheHits or windowCacheMisses; re-record it with make bench-json", path)
 	}
 	// At a fixed key the answer is deterministic: another pattern count,
 	// or another number of window reads per run, means the mine computes
@@ -256,17 +269,25 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 		fresh.Patterns, fresh.WindowHits, fresh.WindowMisses, fresh.Runs, base.Patterns, base.WindowHits, base.WindowMisses, base.Runs)
 	if fresh.Patterns != base.Patterns || fresh.WindowHits*int64(base.Runs) != base.WindowHits*int64(fresh.Runs) ||
 		fresh.WindowMisses*int64(base.Runs) != base.WindowMisses*int64(fresh.Runs) {
-		log.Fatal("answer changed: the pattern count or the window-cache hits or misses per run differ from the baseline's")
+		return errors.New("answer changed: the pattern count or the window-cache hits or misses per run differ from the baseline's")
 	}
-	// Each gate compares a per-run figure with the baseline's at the same
-	// multiple: wall time, allocation churn, FSG's Phase-2 work (a rise
-	// in minimality checks means candidates are being reached from more
-	// than their canonical parent), RWR's (a rise in power iterations
-	// means sources stopped certifying their vectors early and ran on
-	// towards the tolerance) and FVMine's (a rise in binomial tails means
-	// the significance bounds stopped deciding comparisons).
-	freshChecks, baseChecks := float64(fresh.FSGMinChecks)/float64(fresh.Runs), float64(base.FSGMinChecks)/float64(base.Runs)
+	// RWR's power iterations per run are deterministic at a fixed key:
+	// they come only from sources the per-graph solve's certificate
+	// refuses and from graphs too large to solve, so any rise means
+	// sources stopped certifying.
 	freshIters, baseIters := float64(fresh.RWRIterations)/float64(fresh.Runs), float64(base.RWRIterations)/float64(base.Runs)
+	log.Printf("%.0f RWR iterations/run vs baseline %.0f (%.1f per source)",
+		freshIters, baseIters, float64(fresh.RWRIterations)/float64(fresh.Stages["rwr"].Units))
+	if freshIters > baseIters {
+		return errors.New("RWR iteration regression: more power iterations per run than the baseline's")
+	}
+	// Each other gate compares a per-run figure with the baseline's at
+	// the same multiple: wall time, allocation churn, FSG's Phase-2 work
+	// (a rise in minimality checks means candidates are being reached
+	// from more than their canonical parent) and FVMine's (a rise in
+	// binomial tails means the significance bounds stopped deciding
+	// comparisons).
+	freshChecks, baseChecks := float64(fresh.FSGMinChecks)/float64(fresh.Runs), float64(base.FSGMinChecks)/float64(base.Runs)
 	freshTails, baseTails := float64(fresh.FVMineTails)/float64(fresh.Runs), float64(base.FVMineTails)/float64(base.Runs)
 	gates := []struct {
 		name        string // the regression a failure names
@@ -279,9 +300,6 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 			fmt.Sprintf("%.0f allocs/run vs baseline %.0f allocs/run (", fresh.AllocsPerRun, base.AllocsPerRun)},
 		{"FSG minimality-check", freshChecks, baseChecks,
 			fmt.Sprintf("%.0f FSG minimality checks/run vs baseline %.0f (", freshChecks, baseChecks)},
-		{"RWR iteration", freshIters, baseIters,
-			fmt.Sprintf("%.0f RWR iterations/run vs baseline %.0f (%.1f per source; ",
-				freshIters, baseIters, float64(fresh.RWRIterations)/float64(fresh.Stages["rwr"].Units))},
 		{"FVMine tail", freshTails, baseTails,
 			fmt.Sprintf("%.0f FVMine binomial tails/run vs baseline %.0f (", freshTails, baseTails)},
 	}
@@ -289,7 +307,7 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 		ratio := g.fresh / g.base
 		log.Printf("%s%.2fx, limit %.2fx)", g.line, ratio, maxRegression)
 		if ratio > maxRegression {
-			log.Fatalf("%s regression: %.2fx exceeds the %.2fx limit", g.name, ratio, maxRegression)
+			return fmt.Errorf("%s regression: %.2fx exceeds the %.2fx limit", g.name, ratio, maxRegression)
 		}
 	}
 	// Closed-pattern pruning must stay engaged: a baseline that recorded
@@ -299,7 +317,8 @@ func checkRegression(path string, fresh benchJSON, maxRegression float64) {
 	if base.ClosedPrunes > 0 {
 		log.Printf("%d closed prunes vs baseline %d", fresh.ClosedPrunes, base.ClosedPrunes)
 		if fresh.ClosedPrunes == 0 {
-			log.Fatal("closed-pattern pruning inactive: baseline recorded prunes, fresh run has none")
+			return errors.New("closed-pattern pruning inactive: baseline recorded prunes, fresh run has none")
 		}
 	}
+	return nil
 }

@@ -68,7 +68,10 @@ const (
 	MFSGMinChecks = "graphsig_fsg_min_checks_total"
 	// MRWRIterations counts RWR power iterations, one per source per
 	// iteration: a source stops once its discretized vector is certain
-	// or its L1 change drops below the tolerance.
+	// or its L1 change drops below the tolerance. A graph of at most 64
+	// nodes is solved once for all its sources, and only the sources
+	// whose solved vectors the residual certificate refuses are iterated,
+	// so the count comes from those and from larger graphs alone.
 	MRWRIterations = "graphsig_rwr_iterations_total"
 	// MFVMineTails counts the binomial tails FVMine evaluated: the
 	// p-values of reported states and the significance comparisons no

