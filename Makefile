@@ -27,7 +27,9 @@ lint:
 
 # Native fuzz harnesses on a short fixed budget: graph text codec
 # round-trip, the CSR-vs-reference representation differentials (build/
-# codec round-trip and VF2 verdict/count/order agreement), the miners'
+# codec round-trip, with FuzzCSRRoundTrip also building each graph
+# through graph.FromEdges and checking its arrays and its duplicate
+# rejection, and VF2 verdict/count/order agreement), the miners'
 # extension-key index against a map (resets and stamp wraps), DFS-code
 # minimality under node relabeling and edge-order mutation, the SMILES
 # parser, the store's two untrusted-input decoders (segment binary

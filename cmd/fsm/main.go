@@ -91,12 +91,13 @@ func main() {
 			log.Printf("... %d more (raise -top)", len(patterns)-i)
 			break
 		}
+		g := p.Code.Graph()
 		fmt.Printf("#%d support=%d (%.2f%%) nodes=%d edges=%d\n",
-			i+1, p.Support, 100*float64(p.Support)/float64(len(db)), p.Graph.NumNodes(), p.Graph.NumEdges())
-		for v := 0; v < p.Graph.NumNodes(); v++ {
-			fmt.Printf("    v%d %s\n", v, alpha.Name(p.Graph.NodeLabel(v)))
+			i+1, p.Support, 100*float64(p.Support)/float64(len(db)), g.NumNodes(), g.NumEdges())
+		for v := 0; v < g.NumNodes(); v++ {
+			fmt.Printf("    v%d %s\n", v, alpha.Name(g.NodeLabel(v)))
 		}
-		for _, e := range p.Graph.Edges() {
+		for _, e := range g.Edges() {
 			fmt.Printf("    e %d %d %d\n", e.From, e.To, int(e.Label))
 		}
 	}

@@ -84,17 +84,19 @@ func WriteSMILESFile(w io.Writer, graphs []*graph.Graph, names []string) error {
 }
 
 // ParseSMILES parses a SMILES string into a molecule graph over the
-// standard chemistry alphabet.
+// standard chemistry alphabet. The atoms and bonds are collected first
+// and built with one graph.FromEdges call, so parsing stays linear in
+// the input however long it is.
 func ParseSMILES(s string) (*graph.Graph, error) {
-	p := &smilesParser{
-		input: s,
-		g:     graph.New(16, 16),
-		rings: map[string]ringBond{},
-	}
+	p := &smilesParser{input: s, rings: map[string]ringBond{}}
 	if err := p.run(); err != nil {
 		return nil, fmt.Errorf("smiles %q: %w", s, err)
 	}
-	return p.g, nil
+	g, err := graph.FromEdges(p.labels, p.edges)
+	if err != nil {
+		return nil, fmt.Errorf("smiles %q: %w", s, err)
+	}
+	return g, nil
 }
 
 type ringBond struct {
@@ -105,9 +107,10 @@ type ringBond struct {
 }
 
 type smilesParser struct {
-	input string
-	pos   int
-	g     *graph.Graph
+	input  string
+	pos    int
+	labels []graph.Label
+	edges  []graph.Edge
 	// prev is the attachment node (-1 before the first atom or after '.')
 	prev int
 	// prevAromatic marks prev as a lowercase aromatic atom.
@@ -219,12 +222,10 @@ func (p *smilesParser) addAtom(symbol string, aromatic bool) error {
 	if !ok {
 		return fmt.Errorf("pos %d: unknown element %q", p.pos, symbol)
 	}
-	v := p.g.AddNode(label)
+	v := len(p.labels)
+	p.labels = append(p.labels, label)
 	if p.prev >= 0 {
-		bond := p.takeBond(aromatic && p.prevAromatic)
-		if err := p.g.AddEdge(p.prev, v, bond); err != nil {
-			return fmt.Errorf("pos %d: %w", p.pos, err)
-		}
+		p.edges = append(p.edges, graph.Edge{From: p.prev, To: v, Label: p.takeBond(aromatic && p.prevAromatic)})
 	} else if p.hasPending {
 		return fmt.Errorf("pos %d: bond with no preceding atom", p.pos)
 	}
@@ -317,9 +318,7 @@ func (p *smilesParser) ringClosure(key string) error {
 		default:
 			bond = BondSingle
 		}
-		if err := p.g.AddEdge(open.node, p.prev, bond); err != nil {
-			return fmt.Errorf("pos %d: %w", p.pos, err)
-		}
+		p.edges = append(p.edges, graph.Edge{From: open.node, To: p.prev, Label: bond})
 		return nil
 	}
 	rb := ringBond{node: p.prev, aromatic: p.prevAromatic}

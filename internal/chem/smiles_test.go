@@ -117,21 +117,23 @@ func mustParse(t *testing.T, s string) *graph.Graph {
 
 func TestParseSMILESErrors(t *testing.T) {
 	bad := []string{
-		"C(",    // unclosed branch
-		"C)",    // unmatched close
-		"(C)",   // branch before atom
-		"C1CC",  // unclosed ring
-		"1CC",   // ring before atom
-		"C==C",  // double bond symbol
-		"C-",    // dangling bond
-		"Xx",    // unknown bare atom
-		"[Xx]",  // unknown element
-		"[",     // unclosed bracket
-		"[]",    // empty bracket
-		"[C@H]", // stereo unsupported
-		"C%1",   // truncated %nn
-		"C11",   // self ring bond (duplicate edge/self loop)
-		"=C",    // leading bond
+		"C(",     // unclosed branch
+		"C)",     // unmatched close
+		"(C)",    // branch before atom
+		"C1CC",   // unclosed ring
+		"1CC",    // ring before atom
+		"C==C",   // double bond symbol
+		"C-",     // dangling bond
+		"Xx",     // unknown bare atom
+		"[Xx]",   // unknown element
+		"[",      // unclosed bracket
+		"[]",     // empty bracket
+		"[C@H]",  // stereo unsupported
+		"C%1",    // truncated %nn
+		"C11",    // self ring bond (duplicate edge/self loop)
+		"C1C1",   // ring bond repeating the chain bond
+		"C12C12", // two ring bonds between the same atoms
+		"=C",     // leading bond
 	}
 	for _, s := range bad {
 		if _, err := ParseSMILES(s); err == nil {

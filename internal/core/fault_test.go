@@ -84,7 +84,7 @@ func TestStageFaultInjection(t *testing.T) {
 				t.Errorf("gspan: StopReason = %q", res.StopReason)
 			}
 			for _, p := range res.Patterns {
-				if p.Support < 6 || p.Graph == nil {
+				if p.Support < 6 || len(p.Code) == 0 {
 					t.Errorf("gspan: invalid partial pattern %+v", p)
 				}
 			}
@@ -99,7 +99,7 @@ func TestStageFaultInjection(t *testing.T) {
 			}
 			for _, p := range res.Patterns {
 				// Partial results must only contain exactly counted patterns.
-				if want := isomorph.Support(p.Graph, mols); p.Support != want {
+				if want := isomorph.Support(p.Code.Graph(), mols); p.Support != want {
 					t.Errorf("fsg: pattern support %d; exact %d", p.Support, want)
 				}
 			}

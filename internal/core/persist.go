@@ -293,7 +293,7 @@ func persistOutcomes(outcomes []groupOutcome, gis []int) ([]PersistedOutcome, er
 		o := outcomes[gi]
 		po := PersistedOutcome{Windows: o.windows, Mined: o.mined, Pruned: o.pruned, Panicked: o.panicked}
 		for _, p := range o.patterns {
-			text, err := encodeGraphText(p.Graph)
+			text, err := encodeGraphText(p.Code.Graph())
 			if err != nil {
 				return nil, fmt.Errorf("core: persist group %d pattern: %w", gi, err)
 			}
@@ -306,8 +306,8 @@ func persistOutcomes(outcomes []groupOutcome, gis []int) ([]PersistedOutcome, er
 
 // restoreOutcomes converts wire-form outcomes back to the merge's
 // internal shape, reparsing pattern graphs. The wire form carries no
-// DFS code, so each pattern's minimum code is recomputed here, and its
-// graph rebuilt from the code, as the miners build it. A pattern that
+// DFS code, so each pattern's minimum code is recomputed here; the code
+// is the whole pattern, as the miners emit it. A pattern that
 // is not a connected graph with an edge, which no miner emits, fails
 // the restore.
 func restoreOutcomes(persisted []PersistedOutcome) ([]groupOutcome, error) {
@@ -323,7 +323,7 @@ func restoreOutcomes(persisted []PersistedOutcome) ([]groupOutcome, error) {
 				return nil, fmt.Errorf("core: restore outcome %d pattern: not a connected graph with an edge", i)
 			}
 			code := dfscode.MinimumCode(g)
-			o.patterns = append(o.patterns, dfscode.Pattern{Code: code, Graph: code.Graph(), Support: p.Support})
+			o.patterns = append(o.patterns, dfscode.Pattern{Code: code, Support: p.Support})
 		}
 		out[i] = o
 	}

@@ -181,16 +181,15 @@ func minePatterns(fetch func(int) (*graph.Graph, error), dbFP string, groups []V
 			continue
 		}
 		for _, p := range o.patterns {
-			// Both miners build each pattern from its minimum DFS code,
-			// and a restored snapshot recomputes it, so the code is the
-			// canonical key and the graph, numbered in DFS order with its
-			// edges in code order, is byte-stable across runs and across a
-			// crash/resume boundary (cmd/serve's crash test relies on it).
+			// Both miners emit each pattern as its minimum DFS code, and a
+			// restored snapshot recomputes it, so the code is the
+			// canonical key and the graph built from it is byte-stable
+			// across runs and a crash/resume (cmd/serve's crash test).
 			key := p.Code.String()
 			cur, ok := best[key]
 			if !ok || grp.Sig.LogPValue < cur.VectorLogPValue {
 				best[key] = &Subgraph{
-					Graph:           p.Graph,
+					Graph:           p.Code.Graph(),
 					Canonical:       key,
 					SourceLabel:     grp.Label,
 					VectorPValue:    grp.Sig.PValue,

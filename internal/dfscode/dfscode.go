@@ -35,11 +35,10 @@ func (e EdgeCode) Forward() bool { return e.I < e.J }
 type Code []EdgeCode
 
 // Pattern is a mined frequent subgraph, as both miners emit it. Code is
-// its minimum DFS code, which doubles as its identity, and Graph is
-// Code.Graph(): node i is DFS index i and the edges are in code order.
+// its minimum DFS code and its whole identity; a caller that needs the
+// pattern as a graph builds it with Code.Graph().
 type Pattern struct {
 	Code     Code
-	Graph    *graph.Graph
 	Support  int   // number of supporting database graphs
 	GraphIDs []int // ascending supporting database indices
 }
@@ -108,29 +107,33 @@ func (c Code) NumNodes() int {
 	return max + 1
 }
 
-// Graph materializes the code as a graph. It panics on malformed codes
-// (an entry referencing an undiscovered vertex).
+// Graph materializes the code as a graph: node i is DFS index i and the
+// edges are in code order. It panics on malformed codes (an entry
+// referencing an undiscovered vertex, or a repeated edge).
 func (c Code) Graph() *graph.Graph {
-	g := graph.New(c.NumNodes(), len(c))
-	for _, e := range c {
-		if e.Forward() {
-			if g.NumNodes() == 0 {
-				if e.I != 0 || e.J != 1 {
-					panic("dfscode: first entry must be forward edge (0,1)")
-				}
-				g.AddNode(e.LI)
+	labels := make([]graph.Label, 0, len(c)+1)
+	edges := make([]graph.Edge, len(c))
+	for i, e := range c {
+		if e.Forward() && len(labels) == 0 {
+			if e.I != 0 || e.J != 1 {
+				panic("dfscode: first entry must be forward edge (0,1)")
 			}
-			if e.I >= g.NumNodes() {
-				panic("dfscode: forward edge from undiscovered vertex")
-			}
-			if e.J != g.NumNodes() {
-				panic(fmt.Sprintf("dfscode: forward edge discovers vertex %d, frontier is %d", e.J, g.NumNodes()))
-			}
-			g.AddNode(e.LJ)
-			g.MustAddEdge(e.I, e.J, e.LE)
-		} else {
-			g.MustAddEdge(e.I, e.J, e.LE)
+			labels = append(labels, e.LI)
 		}
+		if e.I >= len(labels) {
+			panic("dfscode: edge from undiscovered vertex")
+		}
+		if e.Forward() {
+			if e.J != len(labels) {
+				panic(fmt.Sprintf("dfscode: forward edge discovers vertex %d, frontier is %d", e.J, len(labels)))
+			}
+			labels = append(labels, e.LJ)
+		}
+		edges[i] = graph.Edge{From: e.I, To: e.J, Label: e.LE}
+	}
+	g, err := graph.FromEdges(labels, edges)
+	if err != nil {
+		panic(fmt.Sprintf("dfscode: %v", err))
 	}
 	return g
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func fsgSig(p dfscode.Pattern) string {
-	return fmt.Sprintf("%s|%d|%v", dfscode.Canonical(p.Graph), p.Support, p.GraphIDs)
+	return fmt.Sprintf("%s|%d|%v", dfscode.Canonical(p.Code.Graph()), p.Support, p.GraphIDs)
 }
 
 // oracleUndominated filters a pattern list by brute force: a pattern
@@ -27,10 +27,10 @@ func oracleUndominated(patterns []dfscode.Pattern, sameSupport bool) []dfscode.P
 	for _, p := range patterns {
 		kept := true
 		for _, q := range patterns {
-			if (sameSupport && q.Support != p.Support) || q.Graph.NumEdges() <= p.Graph.NumEdges() {
+			if (sameSupport && q.Support != p.Support) || len(q.Code) <= len(p.Code) {
 				continue
 			}
-			if isomorph.SubgraphIsomorphic(p.Graph, q.Graph) {
+			if isomorph.SubgraphIsomorphic(p.Code.Graph(), q.Code.Graph()) {
 				kept = false
 				break
 			}

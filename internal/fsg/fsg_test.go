@@ -35,7 +35,7 @@ func TestFrequentEdgesLevel(t *testing.T) {
 		t.Fatalf("got %d patterns; want 1", len(res.Patterns))
 	}
 	p := res.Patterns[0]
-	if p.Support != 2 || p.Graph.NumEdges() != 1 {
+	if p.Support != 2 || len(p.Code) != 1 {
 		t.Errorf("pattern = %+v", p)
 	}
 	if len(res.Levels) != 1 || res.Levels[0] != 1 {
@@ -150,7 +150,7 @@ func TestMineGrowsLevels(t *testing.T) {
 	// Patterns: edges 1-2, 2-3, and the path; all with support 3.
 	if len(res.Patterns) != 3 {
 		for _, p := range res.Patterns {
-			t.Logf("%s sup=%d", p.Graph, p.Support)
+			t.Logf("%s sup=%d", p.Code.Graph(), p.Support)
 		}
 		t.Fatalf("got %d patterns; want 3", len(res.Patterns))
 	}
@@ -167,7 +167,7 @@ func TestMineTIDListsAreExact(t *testing.T) {
 	}
 	res := Mine(db, Options{MinSupport: 1})
 	for _, p := range res.Patterns {
-		if p.Graph.NumEdges() == 2 {
+		if len(p.Code) == 2 {
 			if len(p.GraphIDs) != 1 || p.GraphIDs[0] != 0 {
 				t.Errorf("path TID list = %v; want [0]", p.GraphIDs)
 			}
@@ -211,11 +211,11 @@ func TestPropertyFSGMatchesGSpan(t *testing.T) {
 		gspanRes := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
 		a := map[string]int{}
 		for _, p := range fsgRes.Patterns {
-			a[dfscode.Canonical(p.Graph)] = p.Support
+			a[dfscode.Canonical(p.Code.Graph())] = p.Support
 		}
 		b := map[string]int{}
 		for _, p := range gspanRes.Patterns {
-			b[dfscode.Canonical(p.Graph)] = p.Support
+			b[dfscode.Canonical(p.Code.Graph())] = p.Support
 		}
 		if len(a) != len(b) {
 			t.Logf("fsg %d patterns, gspan %d (minSup=%d)", len(a), len(b), minSup)
@@ -241,8 +241,8 @@ func TestMaximalMine(t *testing.T) {
 	if len(res.Patterns) != 1 {
 		t.Fatalf("got %d maximal patterns; want 1", len(res.Patterns))
 	}
-	if res.Patterns[0].Graph.NumEdges() != 2 {
-		t.Errorf("maximal = %s; want full path", res.Patterns[0].Graph)
+	if len(res.Patterns[0].Code) != 2 {
+		t.Errorf("maximal = %s; want full path", res.Patterns[0].Code.Graph())
 	}
 }
 
@@ -256,11 +256,11 @@ func TestMaximalMineHighThresholdFiltersNoise(t *testing.T) {
 	res := maximalOf(t, Mine([]*graph.Graph{g1, g2, g3}, Options{MinSupport: 3, ClosedOnly: true}))
 	if len(res.Patterns) != 1 {
 		for _, p := range res.Patterns {
-			t.Logf("%s sup=%d", p.Graph, p.Support)
+			t.Logf("%s sup=%d", p.Code.Graph(), p.Support)
 		}
 		t.Fatalf("got %d maximal; want 1", len(res.Patterns))
 	}
-	if res.Patterns[0].Graph.NumEdges() != 3 || res.Patterns[0].Support != 3 {
+	if len(res.Patterns[0].Code) != 3 || res.Patterns[0].Support != 3 {
 		t.Errorf("maximal = %+v", res.Patterns[0])
 	}
 }
@@ -292,7 +292,7 @@ func TestCandidatesGeneratedCounted(t *testing.T) {
 	// Candidates are at least the surviving level-2+ patterns.
 	survivors := 0
 	for _, p := range res.Patterns {
-		if p.Graph.NumEdges() >= 2 {
+		if len(p.Code) >= 2 {
 			survivors++
 		}
 	}

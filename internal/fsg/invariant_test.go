@@ -19,11 +19,12 @@ import (
 func realizedKeys(db []*graph.Graph, p dfscode.Pattern, minSup int) []isomorph.ExtKey {
 	last := map[isomorph.ExtKey]int{}
 	count := map[isomorph.ExtKey]int{}
-	hasEdge := func(pv, pu int) bool { return p.Graph.HasEdge(pv, pu) }
+	pg := p.Code.Graph()
+	hasEdge := func(pv, pu int) bool { return pg.HasEdge(pv, pu) }
 	for _, gid := range p.GraphIDs {
 		hc := db[gid].CSR()
 		inv := make([]int32, db[gid].NumNodes())
-		isomorph.ForEachEmbedding(p.Graph, db[gid], func(m []int) bool {
+		isomorph.ForEachEmbedding(pg, db[gid], func(m []int) bool {
 			isomorph.ForEachExtension(hc, m, inv, hasEdge, func(k isomorph.ExtKey, _ int32) {
 				if n, seen := last[k]; !seen || n != gid+1 {
 					last[k] = gid + 1
@@ -78,8 +79,9 @@ func checkGrowthInvariants(t *testing.T, db []*graph.Graph, opt Options) {
 		level := res.Patterns[start : start+n]
 		start += n
 		for _, p := range level {
-			if got, want := readCode(p.Graph), dfscode.MinimumCode(p.Graph); !slices.Equal(got, want) {
-				t.Fatalf("level %d pattern %v reads as code %s, minimum code %s", li+1, p.Graph, got, want)
+			g := p.Code.Graph()
+			if got, want := readCode(g), dfscode.MinimumCode(g); !slices.Equal(got, want) {
+				t.Fatalf("level %d pattern %v reads as code %s, minimum code %s", li+1, g, got, want)
 			}
 		}
 		if opt.MaxEdges > 0 && li+1 >= opt.MaxEdges {
@@ -88,9 +90,10 @@ func checkGrowthInvariants(t *testing.T, db []*graph.Graph, opt Options) {
 		forms := map[string]bool{}
 		levelPasses := 0
 		for _, p := range level {
-			s.setParent(readCode(p.Graph))
+			g := p.Code.Graph()
+			s.setParent(readCode(g))
 			for _, k := range realizedKeys(db, p, opt.MinSupport) {
-				forms[dfscode.Canonical(extend(p.Graph, k))] = true
+				forms[dfscode.Canonical(extend(g, k))] = true
 				_, checked, minimal := s.checkKey(k)
 				if checked {
 					checks++

@@ -40,8 +40,26 @@ func wideDB(r *rand.Rand, count int) []*graph.Graph {
 				}
 			})
 		}
-		g := tmpl.InducedSubgraph(nodes)
-		g.MustAddEdge(r.Intn(g.NumNodes()), g.AddNode(graph.Label(r.Intn(nodeLabels))), graph.Label(r.Intn(edgeLabels)))
+		// The piece induced on nodes, in that order, plus the pendant.
+		pos := make([]int, nodeLabels)
+		labels := make([]graph.Label, len(nodes), len(nodes)+1)
+		for k, v := range nodes {
+			pos[v] = k + 1
+			labels[k] = tmpl.NodeLabel(v)
+		}
+		var edges []graph.Edge
+		for _, e := range tmpl.Edges() {
+			if pos[e.From] > 0 && pos[e.To] > 0 {
+				edges = append(edges, graph.Edge{From: pos[e.From] - 1, To: pos[e.To] - 1, Label: e.Label})
+			}
+		}
+		anchor := r.Intn(len(labels))
+		labels = append(labels, graph.Label(r.Intn(nodeLabels)))
+		edges = append(edges, graph.Edge{From: anchor, To: len(labels) - 1, Label: graph.Label(r.Intn(edgeLabels))})
+		g, err := graph.FromEdges(labels, edges)
+		if err != nil {
+			panic(err)
+		}
 		g.ID = i
 		db[i] = g
 	}
@@ -76,7 +94,7 @@ func TestLevelOrderWideAlphabets(t *testing.T) {
 		level := res.Patterns[start : start+n]
 		start += n
 		for i := 1; i < len(level); i++ {
-			a, b := dfscode.MinimumCode(level[i-1].Graph), dfscode.MinimumCode(level[i].Graph)
+			a, b := dfscode.MinimumCode(level[i-1].Code.Graph()), dfscode.MinimumCode(level[i].Code.Graph())
 			if li == 0 {
 				x, y := a[0], b[0]
 				if x.LI > y.LI || x.LI == y.LI && (x.LE > y.LE || x.LE == y.LE && x.LJ >= y.LJ) {

@@ -99,8 +99,8 @@ func BuildFrequent(db []*graph.Graph, opt FrequentOptions) *Index {
 	}
 	// Prefer larger patterns: they are the more selective filters.
 	sort.Slice(patterns, func(i, j int) bool {
-		if patterns[i].Graph.NumEdges() != patterns[j].Graph.NumEdges() {
-			return patterns[i].Graph.NumEdges() > patterns[j].Graph.NumEdges()
+		if len(patterns[i].Code) != len(patterns[j].Code) {
+			return len(patterns[i].Code) > len(patterns[j].Code)
 		}
 		return patterns[i].Support < patterns[j].Support
 	})
@@ -109,7 +109,7 @@ func BuildFrequent(db []*graph.Graph, opt FrequentOptions) *Index {
 	}
 	ix := &Index{db: db, pf: pf}
 	for _, p := range patterns {
-		ix.patterns = append(ix.patterns, p.Graph)
+		ix.patterns = append(ix.patterns, p.Code.Graph())
 		ix.postings = append(ix.postings, p.GraphIDs)
 	}
 	return ix
@@ -122,19 +122,21 @@ func BuildFrequent(db []*graph.Graph, opt FrequentOptions) *Index {
 // the fragments it contains, and it wastes dictionary space.
 func discriminative(patterns []dfscode.Pattern, ratio float64) []dfscode.Pattern {
 	sort.Slice(patterns, func(i, j int) bool {
-		if patterns[i].Graph.NumEdges() != patterns[j].Graph.NumEdges() {
-			return patterns[i].Graph.NumEdges() < patterns[j].Graph.NumEdges()
+		if len(patterns[i].Code) != len(patterns[j].Code) {
+			return len(patterns[i].Code) < len(patterns[j].Code)
 		}
 		return patterns[i].Support > patterns[j].Support
 	})
 	var kept []dfscode.Pattern
+	var keptGraphs []*graph.Graph
 	for _, p := range patterns {
+		pg := p.Code.Graph()
 		admit := true
-		for _, q := range kept {
-			if q.Graph.NumEdges() >= p.Graph.NumEdges() {
+		for k, q := range kept {
+			if len(q.Code) >= len(p.Code) {
 				continue
 			}
-			if isomorph.SubgraphIsomorphic(q.Graph, p.Graph) &&
+			if isomorph.SubgraphIsomorphic(keptGraphs[k], pg) &&
 				float64(p.Support) > ratio*float64(q.Support) {
 				admit = false
 				break
@@ -142,6 +144,7 @@ func discriminative(patterns []dfscode.Pattern, ratio float64) []dfscode.Pattern
 		}
 		if admit {
 			kept = append(kept, p)
+			keptGraphs = append(keptGraphs, pg)
 		}
 	}
 	return kept

@@ -48,56 +48,34 @@ func labelString(l Label, alpha *Alphabet) string {
 	return strconv.Itoa(int(l))
 }
 
-// parseRecord applies one "v" or "e" line to the graph under
-// construction.
-func parseRecord(cur *Graph, fields []string, alpha *Alphabet, lineNo int) error {
-	switch fields[0] {
-	case "v":
-		if len(fields) != 3 {
-			return fmt.Errorf("graph codec: line %d: want 'v id label'", lineNo)
-		}
-		id, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return fmt.Errorf("graph codec: line %d: bad vertex id %q", lineNo, fields[1])
-		}
-		l, err := parseLabel(fields[2], alpha)
-		if err != nil {
-			return fmt.Errorf("graph codec: line %d: %w", lineNo, err)
-		}
-		if got := cur.AddNode(l); got != id {
-			return fmt.Errorf("graph codec: line %d: vertex ids must be dense and ordered (got %d, want %d)", lineNo, id, got)
-		}
-	case "e":
-		if len(fields) != 4 {
-			return fmt.Errorf("graph codec: line %d: want 'e from to label'", lineNo)
-		}
-		from, err1 := strconv.Atoi(fields[1])
-		to, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("graph codec: line %d: bad edge endpoints", lineNo)
-		}
-		l, err := parseLabel(fields[3], alpha)
-		if err != nil {
-			return fmt.Errorf("graph codec: line %d: %w", lineNo, err)
-		}
-		if from < 0 || from >= cur.NumNodes() || to < 0 || to >= cur.NumNodes() || from == to {
-			return fmt.Errorf("graph codec: line %d: edge (%d,%d) out of range", lineNo, from, to)
-		}
-		if err := cur.AddEdge(from, to, l); err != nil {
-			return fmt.Errorf("graph codec: line %d: %w", lineNo, err)
-		}
-	}
-	return nil
-}
-
 // ReadDB parses graphs in transaction format. If alpha is non-nil, labels
 // are interned through it (integers are also accepted and interned by
-// their decimal spelling); otherwise labels must be integers.
+// their decimal spelling); otherwise labels must be integers. Each
+// transaction is collected as label and edge slices and built with one
+// FromEdges call, so parsing stays linear in the input.
 func ReadDB(r io.Reader, alpha *Alphabet) ([]*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var graphs []*Graph
-	var cur *Graph
+	var (
+		graphs []*Graph
+		labels []Label
+		edges  []Edge
+		id     int
+		header int // line of the open transaction's header; 0 when none
+	)
+	flush := func() error {
+		if header == 0 {
+			return nil
+		}
+		g, err := FromEdges(labels, edges)
+		if err != nil {
+			return fmt.Errorf("graph codec: transaction at line %d: %w", header, err)
+		}
+		g.ID = id
+		graphs = append(graphs, g)
+		labels, edges = nil, nil
+		return nil
+	}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -108,23 +86,23 @@ func ReadDB(r io.Reader, alpha *Alphabet) ([]*Graph, error) {
 		fields := strings.Fields(line)
 		switch fields[0] {
 		case "t":
-			id := len(graphs)
+			if err := flush(); err != nil {
+				return nil, err
+			}
+			id, header = len(graphs), lineNo
 			if len(fields) >= 3 {
 				if v, err := strconv.Atoi(fields[2]); err == nil {
 					id = v
 				}
 			}
-			cur = New(0, 0)
-			cur.ID = id
-			graphs = append(graphs, cur)
 		case "v":
-			if cur == nil {
+			if header == 0 {
 				return nil, fmt.Errorf("graph codec: line %d: vertex before transaction header", lineNo)
 			}
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graph codec: line %d: want 'v id label'", lineNo)
 			}
-			id, err := strconv.Atoi(fields[1])
+			v, err := strconv.Atoi(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("graph codec: line %d: bad vertex id %q", lineNo, fields[1])
 			}
@@ -132,11 +110,12 @@ func ReadDB(r io.Reader, alpha *Alphabet) ([]*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph codec: line %d: %w", lineNo, err)
 			}
-			if got := cur.AddNode(l); got != id {
-				return nil, fmt.Errorf("graph codec: line %d: vertex ids must be dense and ordered (got %d, want %d)", lineNo, id, got)
+			if v != len(labels) {
+				return nil, fmt.Errorf("graph codec: line %d: vertex ids must be dense and ordered (got %d, want %d)", lineNo, v, len(labels))
 			}
+			labels = append(labels, l)
 		case "e":
-			if cur == nil {
+			if header == 0 {
 				return nil, fmt.Errorf("graph codec: line %d: edge before transaction header", lineNo)
 			}
 			if len(fields) != 4 {
@@ -151,17 +130,18 @@ func ReadDB(r io.Reader, alpha *Alphabet) ([]*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph codec: line %d: %w", lineNo, err)
 			}
-			if from < 0 || from >= cur.NumNodes() || to < 0 || to >= cur.NumNodes() || from == to {
+			if from < 0 || from >= len(labels) || to < 0 || to >= len(labels) || from == to {
 				return nil, fmt.Errorf("graph codec: line %d: edge (%d,%d) out of range", lineNo, from, to)
 			}
-			if err := cur.AddEdge(from, to, l); err != nil {
-				return nil, fmt.Errorf("graph codec: line %d: %w", lineNo, err)
-			}
+			edges = append(edges, Edge{From: from, To: to, Label: l})
 		default:
 			return nil, fmt.Errorf("graph codec: line %d: unknown record %q", lineNo, fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := flush(); err != nil {
 		return nil, err
 	}
 	return graphs, nil

@@ -5,7 +5,9 @@ package graph_test
 // interprets the input bytes as a construction script (add node / add
 // edge), replays it against both representations, and requires identical
 // observations: adjacency iteration order, degrees, edge labels,
-// connectivity, BFS cut windows, and codec + fingerprint round-trips.
+// connectivity, BFS cut windows, and codec + fingerprint round-trips. The
+// same graph is also built in one call through graph.FromEdges, which
+// must give identical labels, edges and CSR arrays.
 // Iteration order is part of the Graph contract — CutGraph node order,
 // DFS codes, and therefore the mining answer set all depend on it — so
 // the comparisons below check order, not just set equality.
@@ -13,6 +15,7 @@ package graph_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"graphsig/internal/graph"
@@ -132,6 +135,21 @@ func FuzzCSRRoundTrip(f *testing.F) {
 		// Round-trip through the reference representation is also exact.
 		if got := fingerprintOne(reference.FromGraph(g).ToGraph()); got != fp {
 			t.Fatalf("reference round-trip fingerprint %s vs %s", got, fp)
+		}
+
+		// The bulk constructor builds the same graph from the same lists,
+		// and refuses them with any edge repeated in either orientation.
+		built, err := fromEdgesOf(g)
+		if err != nil {
+			t.Fatalf("FromEdges: %v", err)
+		}
+		sameGraph(t, "FromEdges", built, g)
+		if m := g.NumEdges(); m > 0 {
+			e := g.Edges()[int(data[0])%m]
+			dup := append(slices.Clone(g.Edges()), graph.Edge{From: e.To, To: e.From, Label: e.Label})
+			if _, err := graph.FromEdges(slices.Clone(g.Labels()), dup); err == nil {
+				t.Fatalf("FromEdges accepted duplicate edge (%d,%d)", e.To, e.From)
+			}
 		}
 	})
 }

@@ -6,17 +6,14 @@
 // edge between a pair of nodes). Node identifiers are dense ints in
 // [0, NumNodes). The zero Graph is empty and ready to use.
 //
-// Internally a graph has two representations. Construction maintains a
-// compact half-edge list (per-node singly linked chains through one flat
-// array) that makes AddEdge O(degree). Reads go through a frozen
+// A graph is its node labels and edge list. Reads go through a frozen
 // compressed-sparse-row (CSR) view — flat rowStart/neighbor/edge-label
-// arrays — built lazily on first read after a mutation and shared by all
-// subsequent readers. The CSR preserves the historical adjacency
-// iteration contract exactly: the neighbors of v appear in the order the
-// edges incident to v were added. Mining output (CutGraph BFS order, DFS
-// codes, window contents) depends on that order, so it is part of the
-// representation's correctness contract, enforced by the differential
-// tests against internal/graph/reference.
+// arrays — that FromEdges builds with the graph, and that is rebuilt
+// lazily on the first read after an AddNode/AddEdge. The neighbors of v
+// appear in the order v's edges appear in the edge list. Mining output
+// (CutGraph BFS order, DFS codes, window contents) depends on that
+// order, so it is part of the representation's correctness contract,
+// enforced by the differential tests against internal/graph/reference.
 package graph
 
 import (
@@ -34,25 +31,14 @@ type Label int
 const NoLabel Label = -1
 
 // Edge is an undirected labeled edge between nodes From and To.
-// Invariant maintained by AddEdge: From < To.
+// Invariant maintained by AddEdge and FromEdges: From < To.
 type Edge struct {
 	From, To int
 	Label    Label
 }
 
-// halfRec is one construction-side adjacency entry: the neighbor, the
-// edge label, and the index of the node's next half-edge in the shared
-// halves array (-1 ends the chain). Chains are push-front: they exist
-// only so AddEdge's duplicate check and pre-freeze EdgeLabel lookups
-// stay O(degree); ordered iteration always goes through the CSR.
-type halfRec struct {
-	to    int32
-	next  int32
-	label Label
-}
-
-// Graph is a labeled undirected simple graph. Create with New or the zero
-// value; mutate with AddNode/AddEdge.
+// Graph is a labeled undirected simple graph. Build it with FromEdges, or
+// grow a small one from New or the zero value with AddNode/AddEdge.
 //
 // A Graph is safe for concurrent readers once construction is done;
 // mutating concurrently with any other access is not supported. Freeze
@@ -67,8 +53,6 @@ type Graph struct {
 	labels []Label
 	edges  []Edge
 	deg    []int32
-	head   []int32
-	halves []halfRec
 
 	// csr holds the frozen read view; nil until the first read after a
 	// mutation. Stored through an atomic so concurrent readers can
@@ -79,7 +63,7 @@ type Graph struct {
 
 // csr is the frozen compressed-sparse-row adjacency: the half-edges of
 // node v occupy rows [rowStart[v], rowStart[v+1]) of the packed arrays,
-// in edge-insertion order. eid holds the index into the edge list of
+// in edge-list order. eid holds the index into the edge list of
 // the edge realizing each half, so miners can map a traversed half back
 // to its undirected edge without a hash lookup.
 type csr struct {
@@ -108,9 +92,47 @@ func New(n, m int) *Graph {
 		labels: make([]Label, 0, n),
 		edges:  make([]Edge, 0, m),
 		deg:    make([]int32, 0, n),
-		head:   make([]int32, 0, n),
-		halves: make([]halfRec, 0, 2*m),
 	}
+}
+
+// FromEdges returns the graph with the given node labels and edge list,
+// frozen; it is the constructor for every graph known whole up front.
+// It reports an endpoint outside [0, len(labels)), a self loop or a
+// repeated edge in O(n+m), and normalizes edges in place to From < To,
+// keeping their order, as an AddEdge replay would. The graph takes
+// ownership of both slices.
+func FromEdges(labels []Label, edges []Edge) (*Graph, error) {
+	n := len(labels)
+	deg := make([]int32, n)
+	for i, e := range edges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.From, e.To, n)
+		}
+		if e.From == e.To {
+			return nil, fmt.Errorf("graph: self loop on node %d", e.From)
+		}
+		if e.From > e.To {
+			edges[i].From, edges[i].To = e.To, e.From
+		}
+		deg[e.From]++
+		deg[e.To]++
+	}
+	g := &Graph{labels: labels, edges: edges, deg: deg}
+	c, seen := g.buildCSR()
+	// A duplicate shows as a neighbor repeated within one CSR row; seen
+	// (the build's spent cursor) stamps each neighbor with its row.
+	clear(seen)
+	for v := int32(0); v < int32(n); v++ {
+		for i := c.rowStart[v]; i < c.rowStart[v+1]; i++ {
+			u := c.nbr[i]
+			if seen[u] == v+1 {
+				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", min(u, v), max(u, v))
+			}
+			seen[u] = v + 1
+		}
+	}
+	g.csr.Store(c)
+	return g, nil
 }
 
 // Clone returns a deep copy of g. The frozen CSR, when present, is
@@ -122,8 +144,6 @@ func (g *Graph) Clone() *Graph {
 		labels: append([]Label(nil), g.labels...),
 		edges:  append([]Edge(nil), g.edges...),
 		deg:    append([]int32(nil), g.deg...),
-		head:   append([]int32(nil), g.head...),
-		halves: append([]halfRec(nil), g.halves...),
 	}
 	c.csr.Store(g.csr.Load())
 	return c
@@ -139,7 +159,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 func (g *Graph) AddNode(l Label) int {
 	g.labels = append(g.labels, l)
 	g.deg = append(g.deg, 0)
-	g.head = append(g.head, -1)
 	g.csr.Store(nil)
 	return len(g.labels) - 1
 }
@@ -149,7 +168,10 @@ func (g *Graph) NodeLabel(v int) Label { return g.labels[v] }
 
 // AddEdge inserts an undirected edge (u, v) with label l. It panics if u
 // or v is out of range or u == v, and reports an error if the edge already
-// exists (graphs are simple).
+// exists (graphs are simple). The check scans the edge list: the graphs
+// built edge by edge are small, the largest an SDF V2000 molecule (999
+// bonds at most; chem's generated molecules have about 3×MeanAtoms
+// atoms at most, social networks at most 17 nodes).
 func (g *Graph) AddEdge(u, v int, l Label) error {
 	if u == v {
 		panic("graph: self loop")
@@ -157,16 +179,14 @@ func (g *Graph) AddEdge(u, v int, l Label) error {
 	if u < 0 || u >= len(g.labels) || v < 0 || v >= len(g.labels) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.labels)))
 	}
-	if g.scanHalf(u, v) != nil {
-		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
-	}
 	if u > v {
 		u, v = v, u
 	}
-	g.halves = append(g.halves, halfRec{to: int32(v), next: g.head[u], label: l})
-	g.head[u] = int32(len(g.halves) - 1)
-	g.halves = append(g.halves, halfRec{to: int32(u), next: g.head[v], label: l})
-	g.head[v] = int32(len(g.halves) - 1)
+	for _, e := range g.edges {
+		if e.From == u && e.To == v {
+			return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
+		}
+	}
 	g.deg[u]++
 	g.deg[v]++
 	g.edges = append(g.edges, Edge{From: u, To: v, Label: l})
@@ -182,33 +202,31 @@ func (g *Graph) MustAddEdge(u, v int, l Label) {
 	}
 }
 
-// scanHalf walks u's half-edge chain for the entry to v, or nil.
-func (g *Graph) scanHalf(u, v int) *halfRec {
-	for i := g.head[u]; i >= 0; i = g.halves[i].next {
-		if int(g.halves[i].to) == v {
-			return &g.halves[i]
+// edge returns the label of the edge (u, v) and whether it exists,
+// scanning u's CSR row. It freezes the graph.
+func (g *Graph) edge(u, v int) (Label, bool) {
+	if u < 0 || u >= len(g.labels) {
+		return NoLabel, false
+	}
+	c := g.freeze()
+	for i := c.rowStart[u]; i < c.rowStart[u+1]; i++ {
+		if int(c.nbr[i]) == v {
+			return c.lab[i], true
 		}
 	}
-	return nil
+	return NoLabel, false
 }
 
 // HasEdge reports whether an edge between u and v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.labels) {
-		return false
-	}
-	return g.scanHalf(u, v) != nil
+	_, ok := g.edge(u, v)
+	return ok
 }
 
 // EdgeLabel returns the label of edge (u, v), or NoLabel if absent.
 func (g *Graph) EdgeLabel(u, v int) Label {
-	if u < 0 || u >= len(g.labels) {
-		return NoLabel
-	}
-	if h := g.scanHalf(u, v); h != nil {
-		return h.label
-	}
-	return NoLabel
+	l, _ := g.edge(u, v)
+	return l
 }
 
 // Degree returns the degree of node v.
@@ -231,10 +249,9 @@ func (g *Graph) CSR() CSRView {
 }
 
 // Freeze builds the CSR view eagerly (a no-op when already frozen) and
-// returns g. Decoders and generators call it after construction so
-// concurrent first readers of a shared graph never race on the lazy
-// build; correctness does not depend on it — a benign double build
-// publishes identical views.
+// returns g, so that concurrent first readers of a graph built with
+// AddEdge never race on the lazy build; correctness does not depend on
+// it — a benign double build publishes identical views.
 func (g *Graph) Freeze() *Graph {
 	g.freeze()
 	return g
@@ -244,30 +261,28 @@ func (g *Graph) freeze() *csr {
 	if c := g.csr.Load(); c != nil {
 		return c
 	}
-	c := g.buildCSR()
+	c, _ := g.buildCSR()
 	g.csr.Store(c)
 	return c
 }
 
-// buildCSR packs the adjacency into flat rows via one counting pass.
-// Replaying the edge list in insertion order and appending each half to
-// its endpoint's cursor reproduces the historical per-node adjacency
-// order exactly: the old slice-of-slices representation appended both
-// halves of an edge at AddEdge time, so per-node order was also
-// edge-insertion order.
-func (g *Graph) buildCSR() *csr {
+// buildCSR packs the adjacency into flat rows, each in edge-list order,
+// with one counting pass over the degrees. The int32 arrays share one
+// allocation; the spent n-word cursor is returned as scratch.
+func (g *Graph) buildCSR() (*csr, []int32) {
 	n := len(g.labels)
 	m := len(g.edges)
+	slab := make([]int32, 2*n+1+4*m)
 	c := &csr{
-		rowStart: make([]int32, n+1),
-		nbr:      make([]int32, 2*m),
+		rowStart: slab[: n+1 : n+1],
+		nbr:      slab[n+1 : n+1+2*m : n+1+2*m],
+		eid:      slab[n+1+2*m : n+1+4*m : n+1+4*m],
 		lab:      make([]Label, 2*m),
-		eid:      make([]int32, 2*m),
 	}
 	for v := 0; v < n; v++ {
 		c.rowStart[v+1] = c.rowStart[v] + g.deg[v]
 	}
-	cursor := make([]int32, n)
+	cursor := slab[n+1+4*m:]
 	copy(cursor, c.rowStart[:n])
 	for i, e := range g.edges {
 		pu, pv := cursor[e.From], cursor[e.To]
@@ -276,11 +291,11 @@ func (g *Graph) buildCSR() *csr {
 		c.nbr[pv], c.lab[pv], c.eid[pv] = int32(e.From), e.Label, int32(i)
 		cursor[e.To] = pv + 1
 	}
-	return c
+	return c, cursor
 }
 
 // Neighbors calls fn for each neighbor of v with the neighbor id and the
-// connecting edge label. Iteration order is insertion order.
+// connecting edge label, in edge-list order.
 func (g *Graph) Neighbors(v int, fn func(u int, l Label)) {
 	c := g.freeze()
 	lo, hi := c.rowStart[v], c.rowStart[v+1]
@@ -322,37 +337,18 @@ func (g *Graph) IsConnected() bool {
 	return count == n
 }
 
-// InducedSubgraph returns the subgraph induced by the given node ids, in
-// the given order (node i of the result corresponds to nodes[i]). Edges
-// between selected nodes are preserved. The result's ID is copied from g.
-func (g *Graph) InducedSubgraph(nodes []int) *Graph {
-	index := make(map[int]int, len(nodes))
-	sub := New(len(nodes), 0)
-	sub.ID = g.ID
-	for i, v := range nodes {
-		index[v] = i
-		sub.AddNode(g.labels[v])
-	}
-	for _, e := range g.edges {
-		fi, okF := index[e.From]
-		ti, okT := index[e.To]
-		if okF && okT {
-			sub.MustAddEdge(fi, ti, e.Label)
-		}
-	}
-	return sub
-}
-
 // CutGraph returns the ball of the given radius (in hops) around center,
-// as an induced subgraph. Node 0 of the result is the center. This is the
+// as an induced subgraph with g's ID: node i is the i-th node the BFS
+// from center visits, and the edges keep g's order. This is the
 // CutGraph(n, radius) primitive of Algorithm 2, line 12.
 func (g *Graph) CutGraph(center, radius int) *Graph {
 	c := g.freeze()
-	seen := make([]bool, len(g.labels))
-	seen[center] = true
-	order := []int{center}
+	// pos[v] is v's index in the ball plus one, 0 while unvisited.
+	pos := make([]int32, len(g.labels))
+	pos[center] = 1
+	order := []int32{int32(center)}
 	// order doubles as the BFS queue; depth tracks hop counts via the
-	// frontier boundary, preserving the historical visit order.
+	// frontier boundary.
 	type frontier struct{ end, depth int }
 	fr := frontier{end: 1, depth: 0}
 	for qi := 0; qi < len(order); qi++ {
@@ -364,14 +360,34 @@ func (g *Graph) CutGraph(center, radius int) *Graph {
 		}
 		v := order[qi]
 		for i := c.rowStart[v]; i < c.rowStart[v+1]; i++ {
-			u := int(c.nbr[i])
-			if !seen[u] {
-				seen[u] = true
+			if u := c.nbr[i]; pos[u] == 0 {
 				order = append(order, u)
+				pos[u] = int32(len(order))
 			}
 		}
 	}
-	return g.InducedSubgraph(order).Freeze()
+	labels := make([]Label, len(order))
+	for i, v := range order {
+		labels[i] = g.labels[v]
+	}
+	m := 0
+	for _, e := range g.edges {
+		if pos[e.From] > 0 && pos[e.To] > 0 {
+			m++
+		}
+	}
+	edges := make([]Edge, 0, m)
+	for _, e := range g.edges {
+		if pf, pt := pos[e.From], pos[e.To]; pf > 0 && pt > 0 {
+			edges = append(edges, Edge{From: int(pf - 1), To: int(pt - 1), Label: e.Label})
+		}
+	}
+	sub, err := FromEdges(labels, edges)
+	if err != nil {
+		panic(err) // an induced subgraph of a simple graph is simple
+	}
+	sub.ID = g.ID
+	return sub
 }
 
 // Relabel returns a copy of g with nodes permuted by perm: node v of g
@@ -381,18 +397,19 @@ func (g *Graph) Relabel(perm []int) *Graph {
 	if len(perm) != g.NumNodes() {
 		panic("graph: bad permutation length")
 	}
-	out := New(g.NumNodes(), g.NumEdges())
-	out.ID = g.ID
-	newLabels := make([]Label, g.NumNodes())
+	labels := make([]Label, g.NumNodes())
 	for v, p := range perm {
-		newLabels[p] = g.labels[v]
+		labels[p] = g.labels[v]
 	}
-	for _, l := range newLabels {
-		out.AddNode(l)
+	edges := make([]Edge, len(g.edges))
+	for i, e := range g.edges {
+		edges[i] = Edge{From: perm[e.From], To: perm[e.To], Label: e.Label}
 	}
-	for _, e := range g.edges {
-		out.MustAddEdge(perm[e.From], perm[e.To], e.Label)
+	out, err := FromEdges(labels, edges)
+	if err != nil {
+		panic(err) // perm is not a permutation
 	}
+	out.ID = g.ID
 	return out
 }
 

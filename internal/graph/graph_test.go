@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -100,7 +101,10 @@ func TestIsConnected(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
+// TestCutGraphInduced pins a window's shape: nodes in BFS order from the
+// center, and exactly the host edges between window nodes, renumbered,
+// normalized to From < To and kept in host order.
+func TestCutGraphInduced(t *testing.T) {
 	// Triangle 0-1-2 plus pendant 3 on node 2.
 	g := New(4, 4)
 	for i := 0; i < 4; i++ {
@@ -110,17 +114,68 @@ func TestInducedSubgraph(t *testing.T) {
 	g.MustAddEdge(1, 2, 11)
 	g.MustAddEdge(0, 2, 12)
 	g.MustAddEdge(2, 3, 13)
+	g.ID = 9
 
-	sub := g.InducedSubgraph([]int{2, 0, 1})
-	if sub.NumNodes() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("sub n=%d m=%d; want 3,3", sub.NumNodes(), sub.NumEdges())
+	// Radius 1 around node 1 visits 1, then 0 and 2 in edge order; the
+	// pendant is two hops out and its edge is dropped.
+	sub := g.CutGraph(1, 1)
+	if !slices.Equal(sub.Labels(), []Label{1, 0, 2}) {
+		t.Errorf("labels = %v; want [1 0 2]", sub.Labels())
 	}
-	// Node order preserved: sub node 0 is original node 2.
-	if sub.NodeLabel(0) != 2 || sub.NodeLabel(1) != 0 {
-		t.Errorf("labels = %d,%d; want 2,0", sub.NodeLabel(0), sub.NodeLabel(1))
+	if want := []Edge{{0, 1, 10}, {0, 2, 11}, {1, 2, 12}}; !slices.Equal(sub.Edges(), want) {
+		t.Errorf("edges = %v; want %v", sub.Edges(), want)
 	}
-	if sub.EdgeLabel(0, 1) != 12 { // original edge (0,2)
-		t.Errorf("edge (2,0) label = %d; want 12", sub.EdgeLabel(0, 1))
+	if sub.EdgeLabel(1, 2) != 12 { // original edge (0,2)
+		t.Errorf("edge (0,2) label = %d; want 12", sub.EdgeLabel(1, 2))
+	}
+	if sub.ID != 9 {
+		t.Errorf("ID = %d; want 9", sub.ID)
+	}
+
+	// Radius 1 around node 2 takes the whole graph, renumbered 2, 1, 0, 3.
+	sub = g.CutGraph(2, 1)
+	if !slices.Equal(sub.Labels(), []Label{2, 1, 0, 3}) {
+		t.Errorf("labels = %v; want [2 1 0 3]", sub.Labels())
+	}
+	if want := []Edge{{1, 2, 10}, {0, 1, 11}, {0, 2, 12}, {0, 3, 13}}; !slices.Equal(sub.Edges(), want) {
+		t.Errorf("edges = %v; want %v", sub.Edges(), want)
+	}
+}
+
+// TestFromEdgesRejects checks each input FromEdges refuses: an endpoint
+// out of range on either side, a self loop, and a second edge between
+// the same nodes in either orientation.
+func TestFromEdgesRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edges []Edge
+	}{
+		{"from out of range", []Edge{{3, 1, 0}}},
+		{"to out of range", []Edge{{0, 3, 0}}},
+		{"negative endpoint", []Edge{{-1, 1, 0}}},
+		{"self loop", []Edge{{0, 1, 0}, {2, 2, 0}}},
+		{"duplicate", []Edge{{0, 1, 0}, {1, 2, 0}, {0, 1, 5}}},
+		{"duplicate reversed", []Edge{{0, 1, 0}, {1, 2, 0}, {2, 1, 0}}},
+	} {
+		if g, err := FromEdges([]Label{0, 1, 2}, tc.edges); err == nil {
+			t.Errorf("%s: accepted as %v", tc.name, g)
+		}
+	}
+}
+
+func TestFromEdgesNormalizesAndFreezes(t *testing.T) {
+	g, err := FromEdges([]Label{5, 6, 7}, []Edge{{2, 0, 1}, {1, 0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Edge{{0, 2, 1}, {0, 1, 2}}; !slices.Equal(g.Edges(), want) {
+		t.Errorf("edges = %v; want %v", g.Edges(), want)
+	}
+	if g.csr.Load() == nil {
+		t.Error("FromEdges returned an unfrozen graph")
+	}
+	if g.Degree(0) != 2 || g.EdgeLabel(1, 0) != 2 || g.HasEdge(1, 2) {
+		t.Errorf("degree/label/adjacency wrong: %v", g)
 	}
 }
 

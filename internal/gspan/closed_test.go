@@ -27,10 +27,10 @@ func Closed(patterns []dfscode.Pattern) []dfscode.Pattern {
 		closed := true
 		for _, j := range bySupport[p.Support] {
 			q := patterns[j]
-			if q.Graph.NumEdges() <= p.Graph.NumEdges() {
+			if len(q.Code) <= len(p.Code) {
 				continue
 			}
-			if isomorph.SubgraphIsomorphic(p.Graph, q.Graph) {
+			if isomorph.SubgraphIsomorphic(p.Code.Graph(), q.Code.Graph()) {
 				closed = false
 				break
 			}
@@ -51,7 +51,7 @@ func Maximal(patterns []dfscode.Pattern) []dfscode.Pattern {
 	for _, p := range patterns {
 		maximal := true
 		for _, q := range patterns {
-			if q.Graph.NumEdges() > p.Graph.NumEdges() && isomorph.SubgraphIsomorphic(p.Graph, q.Graph) {
+			if len(q.Code) > len(p.Code) && isomorph.SubgraphIsomorphic(p.Code.Graph(), q.Code.Graph()) {
 				maximal = false
 				break
 			}
@@ -72,12 +72,12 @@ func TestClosedFiltersSubsumedPatterns(t *testing.T) {
 	closed := Closed(res.Patterns)
 	if len(closed) != 1 {
 		for _, p := range closed {
-			t.Logf("closed: %s sup=%d", p.Graph, p.Support)
+			t.Logf("closed: %s sup=%d", p.Code.Graph(), p.Support)
 		}
 		t.Fatalf("got %d closed patterns; want 1", len(closed))
 	}
-	if closed[0].Graph.NumEdges() != 2 {
-		t.Errorf("closed pattern = %s; want the full path", closed[0].Graph)
+	if len(closed[0].Code) != 2 {
+		t.Errorf("closed pattern = %s; want the full path", closed[0].Code.Graph())
 	}
 }
 
@@ -91,7 +91,7 @@ func TestClosedKeepsSupportDrops(t *testing.T) {
 	closed := Closed(res.Patterns)
 	var sizes []int
 	for _, p := range closed {
-		sizes = append(sizes, p.Graph.NumEdges())
+		sizes = append(sizes, len(p.Code))
 	}
 	if len(closed) != 2 {
 		t.Fatalf("closed sizes = %v; want one 1-edge and one 2-edge", sizes)
@@ -110,13 +110,13 @@ func TestClosedSubsetOfAll(t *testing.T) {
 	for _, p := range res.Patterns {
 		found := false
 		for _, c := range closed {
-			if c.Support == p.Support && isomorph.SubgraphIsomorphic(p.Graph, c.Graph) {
+			if c.Support == p.Support && isomorph.SubgraphIsomorphic(p.Code.Graph(), c.Code.Graph()) {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Errorf("pattern %s (sup %d) has no closed representative", p.Graph, p.Support)
+			t.Errorf("pattern %s (sup %d) has no closed representative", p.Code.Graph(), p.Support)
 		}
 	}
 }

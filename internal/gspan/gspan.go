@@ -268,7 +268,7 @@ func (m *miner) record(code dfscode.Code, gids map[int]bool, maximal bool) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	p := dfscode.Pattern{Code: append(dfscode.Code(nil), code...), Graph: code.Graph(), Support: len(ids), GraphIDs: ids}
+	p := dfscode.Pattern{Code: append(dfscode.Code(nil), code...), Support: len(ids), GraphIDs: ids}
 	m.patterns = append(m.patterns, p)
 	if maximal {
 		m.maximal = append(m.maximal, p)

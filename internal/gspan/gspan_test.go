@@ -13,15 +13,15 @@ import (
 
 // maximalOf returns a closed-only mine's Maximal list after checking
 // that it is a subsequence of the mine's patterns sharing their
-// entries: the same graph and code, not a second spelling.
+// entries: the same code slab, not a second spelling.
 func maximalOf(t *testing.T, res Result) []dfscode.Pattern {
 	t.Helper()
 	j := 0
 	for i, m := range res.Maximal {
-		for j < len(res.Patterns) && res.Patterns[j].Graph != m.Graph {
+		for j < len(res.Patterns) && &res.Patterns[j].Code[0] != &m.Code[0] {
 			j++
 		}
-		if j == len(res.Patterns) || &res.Patterns[j].Code[0] != &m.Code[0] {
+		if j == len(res.Patterns) {
 			t.Fatalf("maximal pattern %d does not share a pattern entry in emission order", i)
 		}
 	}
@@ -71,7 +71,7 @@ func TestMineSingleEdgeDatabase(t *testing.T) {
 		t.Fatalf("got %d patterns; want 1: %v", len(res.Patterns), res.Patterns)
 	}
 	p := res.Patterns[0]
-	if p.Support != 2 || p.Graph.NumEdges() != 1 {
+	if p.Support != 2 || len(p.Code) != 1 {
 		t.Errorf("pattern = %+v", p)
 	}
 	if len(p.GraphIDs) != 2 || p.GraphIDs[0] != 0 || p.GraphIDs[1] != 1 {
@@ -93,14 +93,14 @@ func TestMineCommonTriangle(t *testing.T) {
 	want := 7
 	if len(res.Patterns) != want {
 		for _, p := range res.Patterns {
-			t.Logf("pattern: %s support=%d", p.Graph, p.Support)
+			t.Logf("pattern: %s support=%d", p.Code.Graph(), p.Support)
 		}
 		t.Fatalf("got %d patterns; want %d", len(res.Patterns), want)
 	}
 	// The triangle itself must be among them with support 3.
 	foundTriangle := false
 	for _, p := range res.Patterns {
-		if p.Graph.NumEdges() == 3 && p.Support == 3 {
+		if len(p.Code) == 3 && p.Support == 3 {
 			foundTriangle = true
 		}
 	}
@@ -117,9 +117,9 @@ func TestMineNoDuplicates(t *testing.T) {
 	res := Mine(db, Options{MinSupport: 2})
 	seen := map[string]bool{}
 	for _, p := range res.Patterns {
-		key := dfscode.Canonical(p.Graph)
+		key := dfscode.Canonical(p.Code.Graph())
 		if seen[key] {
-			t.Errorf("duplicate pattern %s", p.Graph)
+			t.Errorf("duplicate pattern %s", p.Code.Graph())
 		}
 		seen[key] = true
 	}
@@ -130,8 +130,8 @@ func TestMineMaxEdges(t *testing.T) {
 	db := []*graph.Graph{g, g.Clone()}
 	res := Mine(db, Options{MinSupport: 2, MaxEdges: 2})
 	for _, p := range res.Patterns {
-		if p.Graph.NumEdges() > 2 {
-			t.Errorf("pattern exceeds MaxEdges: %s", p.Graph)
+		if len(p.Code) > 2 {
+			t.Errorf("pattern exceeds MaxEdges: %s", p.Code.Graph())
 		}
 	}
 }
@@ -152,26 +152,26 @@ func TestSupportIsAntiMonotone(t *testing.T) {
 	res := Mine(db, Options{MinSupport: 2})
 	bySize := map[string]dfscode.Pattern{}
 	for _, p := range res.Patterns {
-		bySize[dfscode.Canonical(p.Graph)] = p
+		bySize[dfscode.Canonical(p.Code.Graph())] = p
 	}
 	// Every pattern's support must be <= the support of each of its
 	// single-edge sub-patterns (spot check via first edge).
 	for _, p := range res.Patterns {
-		if p.Graph.NumEdges() < 2 {
+		if len(p.Code) < 2 {
 			continue
 		}
-		e := p.Graph.Edges()[0]
+		e := p.Code[0]
 		sub := graph.New(2, 1)
-		sub.AddNode(p.Graph.NodeLabel(e.From))
-		sub.AddNode(p.Graph.NodeLabel(e.To))
-		sub.MustAddEdge(0, 1, e.Label)
+		sub.AddNode(e.LI)
+		sub.AddNode(e.LJ)
+		sub.MustAddEdge(0, 1, e.LE)
 		parent, ok := bySize[dfscode.Canonical(sub)]
 		if !ok {
-			t.Errorf("sub-edge of %s not mined", p.Graph)
+			t.Errorf("sub-edge of %s not mined", p.Code.Graph())
 			continue
 		}
 		if p.Support > parent.Support {
-			t.Errorf("anti-monotonicity violated: %s sup %d > edge sup %d", p.Graph, p.Support, parent.Support)
+			t.Errorf("anti-monotonicity violated: %s sup %d > edge sup %d", p.Code.Graph(), p.Support, parent.Support)
 		}
 	}
 }
@@ -266,7 +266,7 @@ func TestPropertyMineMatchesBruteForce(t *testing.T) {
 		res := Mine(db, Options{MinSupport: minSup, MaxEdges: maxEdges})
 		got := map[string]int{}
 		for _, p := range res.Patterns {
-			got[dfscode.Canonical(p.Graph)] = p.Support
+			got[dfscode.Canonical(p.Code.Graph())] = p.Support
 		}
 		if len(got) != len(want) {
 			t.Logf("pattern count %d != %d (minSup=%d)", len(got), len(want), minSup)
@@ -293,12 +293,12 @@ func TestMaximal(t *testing.T) {
 	max := maximalOf(t, Mine(db, Options{MinSupport: 2, ClosedOnly: true}))
 	if len(max) != 1 {
 		for _, p := range max {
-			t.Logf("maximal: %s", p.Graph)
+			t.Logf("maximal: %s", p.Code.Graph())
 		}
 		t.Fatalf("got %d maximal patterns; want 1", len(max))
 	}
-	if max[0].Graph.NumEdges() != 2 {
-		t.Errorf("maximal pattern = %s; want the full path", max[0].Graph)
+	if len(max[0].Code) != 2 {
+		t.Errorf("maximal pattern = %s; want the full path", max[0].Code.Graph())
 	}
 }
 

@@ -190,10 +190,11 @@ func scoreCandidates(cands []dfscode.Pattern, pos, neg []*graph.Graph, opt Optio
 		if len(scoredByKey) >= opt.TopK && GTest(p, 0) <= kth {
 			continue
 		}
+		g := cand.Code.Graph()
 		negSup := 0
 		if len(neg) > 0 {
 			var err error
-			negSup, err = isomorph.SupportCtl(cand.Graph, neg, cpVF2)
+			negSup, err = isomorph.SupportCtl(g, neg, cpVF2)
 			if err != nil {
 				return // partial negative count would misscore the pattern
 			}
@@ -203,7 +204,7 @@ func scoreCandidates(cands []dfscode.Pattern, pos, neg []*graph.Graph, opt Optio
 			q = float64(negSup) / float64(len(neg))
 		}
 		score := GTest(p, q)
-		scoredByKey[cand.Code.String()] = Pattern{Graph: cand.Graph, PosFreq: p, NegFreq: q, Score: score}
+		scoredByKey[cand.Code.String()] = Pattern{Graph: g, PosFreq: p, NegFreq: q, Score: score}
 	}
 }
 

@@ -131,8 +131,11 @@ func TestBatchedRWRMatchesPushOracle(t *testing.T) {
 	}
 }
 
-// TestBatchLargerThanMaxBatch runs a graph with more sources than one
-// batch carries, so sources freeze across several batches.
+// TestBatchLargerThanMaxBatch runs a binary tree with more sources than
+// one batch carries, so sources freeze across several batches, and
+// checks that within every batch sources freeze at different
+// iterations, so a batch keeps iterating after some of its columns are
+// frozen.
 func TestBatchLargerThanMaxBatch(t *testing.T) {
 	const n = 2*maxBatch + 7
 	labels := make([]graph.Label, n)
@@ -140,11 +143,22 @@ func TestBatchLargerThanMaxBatch(t *testing.T) {
 	for v := 0; v < n; v++ {
 		labels[v] = graph.Label(v % 3)
 		if v > 0 {
-			edges = append(edges, [2]int{(v * 7) % v, v})
+			edges = append(edges, [2]int{(v - 1) / 2, v})
 		}
 	}
 	g := build(labels, edges)
-	checkAgainstPush(t, "path-tree", []*graph.Graph{g}, edgeSet(g), Defaults())
+	fs, cfg := edgeSet(g), Defaults()
+	srcs := batchedSources(g, fs, cfg)
+	for lo := 0; lo < n; lo += maxBatch {
+		iters := map[int]bool{}
+		for _, s := range srcs[lo:min(lo+maxBatch, n)] {
+			iters[s.iters] = true
+		}
+		if len(iters) < 2 {
+			t.Errorf("batch at source %d: every source froze at the same iteration %v", lo, iters)
+		}
+	}
+	checkAgainstPush(t, "binary-tree", []*graph.Graph{g}, fs, cfg)
 }
 
 // TestCertificateMatchesToleranceStop covers the two ways a source ends

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
@@ -29,10 +30,10 @@ import (
 //	varint id, uvarint numNodes, numNodes × varint label,
 //	uvarint numEdges, numEdges × (uvarint from, uvarint to, varint label)
 //
-// Edges are stored in the graph's own edge order and replayed through
-// AddEdge, which reproduces both the edge slice and the adjacency-list
-// order — CutGraph's BFS order, and therefore mining output, depends
-// on it.
+// Edges are stored in the graph's own edge order and rebuilt through
+// graph.FromEdges, which reproduces both the edge slice and the
+// adjacency order — CutGraph's BFS order, and therefore mining output,
+// depends on it.
 const segmentMagic = "GSIGSEG1"
 
 // maxFramePayload bounds a single decoded frame so a corrupt length
@@ -58,8 +59,8 @@ func appendGraph(buf []byte, g *graph.Graph) []byte {
 // decodeGraph rebuilds one graph from a frame payload. Every frame must
 // be fully consumed: trailing bytes mean the payload was not written by
 // this codec. The node labels are read into labels (scratch, returned
-// for reuse) first, so the graph is allocated once at its final size
-// from the frame's node and edge counts.
+// for reuse) first, so a truncated frame fails before the graph's own
+// slices are allocated at their final sizes.
 func decodeGraph(payload []byte, labels []graph.Label) (*graph.Graph, []graph.Label, error) {
 	r := &varintReader{buf: payload}
 	id := r.varint()
@@ -74,30 +75,16 @@ func decodeGraph(payload []byte, labels []graph.Label) (*graph.Graph, []graph.La
 		labels = append(labels, graph.Label(r.varint()))
 	}
 	numEdges := r.uvarint()
-	if r.err == nil && numEdges > uint64(len(payload)) {
+	if r.err == nil && numEdges > uint64(len(payload)-r.off)/3 {
+		// Each edge costs at least three payload bytes.
 		return nil, labels, fmt.Errorf("store: edge count %d exceeds payload", numEdges)
 	}
 	if r.err != nil {
 		return nil, labels, r.err
 	}
-	g := graph.New(len(labels), int(numEdges))
-	g.ID = int(id)
-	for _, l := range labels {
-		g.AddNode(l)
-	}
-	for i := uint64(0); i < numEdges && r.err == nil; i++ {
-		from := int(r.uvarint())
-		to := int(r.uvarint())
-		label := graph.Label(r.varint())
-		if r.err != nil {
-			break
-		}
-		if from < 0 || from >= g.NumNodes() || to < 0 || to >= g.NumNodes() || from == to {
-			return nil, labels, fmt.Errorf("store: edge (%d,%d) out of range", from, to)
-		}
-		if err := g.AddEdge(from, to, label); err != nil {
-			return nil, labels, fmt.Errorf("store: %w", err)
-		}
+	edges := make([]graph.Edge, numEdges)
+	for i := range edges {
+		edges[i] = graph.Edge{From: int(r.uvarint()), To: int(r.uvarint()), Label: graph.Label(r.varint())}
 	}
 	if r.err != nil {
 		return nil, labels, r.err
@@ -105,9 +92,14 @@ func decodeGraph(payload []byte, labels []graph.Label) (*graph.Graph, []graph.La
 	if r.off != len(payload) {
 		return nil, labels, fmt.Errorf("store: %d trailing bytes after graph record", len(payload)-r.off)
 	}
-	// Decoded graphs are read-only from here on; freezing builds the CSR
-	// once on the decode goroutine instead of lazily under mining load.
-	return g.Freeze(), labels, nil
+	// FromEdges builds the CSR here, on the decode goroutine, instead of
+	// lazily under mining load.
+	g, err := graph.FromEdges(slices.Clone(labels), edges)
+	if err != nil {
+		return nil, labels, fmt.Errorf("store: %w", err)
+	}
+	g.ID = int(id)
+	return g, labels, nil
 }
 
 // varintReader decodes varints off a byte slice, latching the first
