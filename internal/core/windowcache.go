@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
@@ -34,6 +35,11 @@ type windowTable struct {
 	runs []int
 	// groups lists each group's slots in groupNodes order.
 	groups [][]int
+
+	// fetched counts the runs the sweep has read; turn wakes the worker
+	// whose run is next.
+	turn    *sync.Cond
+	fetched int
 }
 
 // newWindowTable plans the windows of groups: one slot per distinct
@@ -44,7 +50,7 @@ func newWindowTable(fetch func(int) (*graph.Graph, error), groups []VectorGroup,
 		slot *int
 	}
 	var refs []ref
-	t := &windowTable{fetch: fetch, radius: cfg.CutoffRadius, groups: make([][]int, len(groups))}
+	t := &windowTable{fetch: fetch, radius: cfg.CutoffRadius, groups: make([][]int, len(groups)), turn: sync.NewCond(new(sync.Mutex))}
 	for gi, grp := range groups {
 		nodes := groupNodes(grp, cfg)
 		t.groups[gi] = make([]int, len(nodes))
@@ -104,7 +110,7 @@ func (t *windowTable) cutRun(r int) (err error) {
 			err = nil
 		}
 	}()
-	g, err := t.fetch(run[0].key[0])
+	g, err := t.fetchRun(r)
 	if err != nil {
 		return err
 	}
@@ -112,6 +118,24 @@ func (t *windowTable) cutRun(r int) (err error) {
 		run[i].g = g.CutGraph(run[i].key[1], t.radius)
 	}
 	return nil
+}
+
+// fetchRun reads the r-th graph once every lower run has been read, so
+// a store reader sees the sweep's reads in database order even when a
+// worker lags, and its LRU never evicts a segment still to be read.
+func (t *windowTable) fetchRun(r int) (*graph.Graph, error) {
+	t.turn.L.Lock()
+	for t.fetched < r {
+		t.turn.Wait()
+	}
+	t.turn.L.Unlock()
+	defer func() {
+		t.turn.L.Lock()
+		t.fetched++
+		t.turn.L.Unlock()
+		t.turn.Broadcast()
+	}()
+	return t.fetch(t.slots[t.runs[r]].key[0])
 }
 
 // windows returns group gi's windows in groupNodes order. A slot
